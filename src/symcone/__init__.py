@@ -11,7 +11,6 @@ from .chambers import (
     classify,
     corner_point,
     descriptor_for,
-    is_interior_kahler,
     reflect,
     reflected_chamber_certificate,
     single_curve_shift,

@@ -88,11 +88,6 @@ def _require_admissible(descriptor: ChamberDescriptor) -> None:
         )
 
 
-def is_interior_kahler(model: CurveModel, alpha: ClassVector) -> bool:
-    """Model predicate for a Kähler class; needs the completeness assumption."""
-    return model.is_interior_kahler(alpha)
-
-
 def classify(model: CurveModel, alpha: ClassVector) -> Classification:
     """Sort a positive-cone class by its pairings with the declared curves.
 
@@ -210,7 +205,7 @@ def boundary_to_interior(
             raise PropertyViolationError("shift identity sum s_i e_i . e_j = -v_j failed")
     r = Fraction(1)
     for _ in range(64):
-        if is_interior_kahler(model, alpha_corner - shift.scale(r)):
+        if model.is_interior_kahler(alpha_corner - shift.scale(r)):
             return tuple(s), r
         r = r / 2
     raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")

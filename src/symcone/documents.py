@@ -4,13 +4,15 @@ One canonical serialization: UTF-8 JSON with sorted keys and no whitespace,
 rationals as "p/q" strings (plain "p" when integral), curve classes as plain
 integers.  Parsing is strict: unknown keys, floats in coordinates, and
 missing fields are rejected with a field-path diagnostic.  A document that
-parses emits back byte-identically.
+parses emits back byte-identically.  Numbers past the interpreter's digit
+limit for integer conversion are rejected with their field path too.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -40,12 +42,37 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class _LongInteger:
+    """A JSON integer literal too long to convert, kept as a marker so that
+    the field holding it is named where it is read."""
+
+    def __init__(self, literal: str):
+        self.digits = len(literal.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"<integer of {self.digits} digits>"
+
+
+def _parse_int(literal: str) -> int | _LongInteger:
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongInteger(literal)
+
+
+def _too_long(where: str) -> DocumentError:
+    limit = sys.get_int_max_str_digits()
+    return DocumentError(f"{where}: number exceeds the {limit}-digit integer limit")
+
+
 def parse_rational(value: Any, where: str) -> Fraction:
     # bool is an int subclass; reject it before the int branch
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, _LongInteger):
+        raise _too_long(where)
     if isinstance(value, float):
         raise DocumentError(
             f"{where}: floats are not accepted in coordinates; write \"p/q\""
@@ -57,6 +84,8 @@ def parse_rational(value: Any, where: str) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DocumentError(f"{where}: {value!r} has a zero denominator") from None
+        except ValueError:
+            raise _too_long(where) from None
     raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -87,6 +116,8 @@ def _require_keys(doc: Mapping, required: Sequence[str], optional: Sequence[str]
 
 
 def _expect_int(value: Any, where: str) -> int:
+    if isinstance(value, _LongInteger):
+        raise _too_long(where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{where}: expected an integer")
     return value
@@ -292,6 +323,9 @@ def load_json(text: str, where: str = "document") -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{where}: invalid JSON ({exc})") from None
+    except ValueError:
+        # an integer literal past the digit limit; parse again with markers
+        return json.loads(text, parse_int=_parse_int)
 
 
 def report_to_doc(report: VerificationReport) -> dict:

@@ -4,12 +4,21 @@ An IntersectionLattice is a finitely generated free module with an integral
 symmetric pairing, optionally carrying a distinguished canonical class and a
 reference class of positive square.  A CurveModel decorates a lattice with a
 finite list of negative-square curve classes and their genera.
+
+Pairings run in integers.  The lattice keeps its Gram matrix as sparse rows
+of its nonzero integer entries (a KK row has at most five), and a class
+vector caches its integer form: its coordinates times their least common
+denominator d, with the nonzero terms listed.  A pairing sums integer
+products over nonzero terms only and divides by the two denominators once,
+so the result is a single exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -46,28 +55,38 @@ class ClassVector:
     def rank(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(d, d * coords, the nonzero (index, d * coord) terms), with d the
+        least common denominator of the coordinates."""
+        d = lcm(*(c.denominator for c in self.coords))
+        dense = tuple(c.numerator * (d // c.denominator) for c in self.coords)
+        return d, dense, tuple((i, x) for i, x in enumerate(dense) if x)
+
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.integer_form[0] == 1
 
     def _check_rank(self, other: "ClassVector") -> None:
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
 
+    # curve classes are sparse: zero coordinates skip the Fraction arithmetic
+
     def __add__(self, other: "ClassVector") -> "ClassVector":
         self._check_rank(other)
-        return ClassVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return ClassVector(tuple(a + b if b else a for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
         self._check_rank(other)
-        return ClassVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return ClassVector(tuple(a - b if b else a for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "ClassVector":
         return ClassVector(tuple(-a for a in self.coords))
 
     def scale(self, factor) -> "ClassVector":
         f = linalg.as_fraction(factor)
-        return ClassVector(tuple(f * a for a in self.coords))
+        return ClassVector(tuple(f * a if a else a for a in self.coords))
 
     def __mul__(self, factor) -> "ClassVector":
         return self.scale(factor)
@@ -75,14 +94,17 @@ class ClassVector:
     __rmul__ = __mul__
 
 
-def is_negative_definite(gram: linalg.Matrix) -> bool:
+def negative_definite_by_minors(minors: Sequence[Fraction]) -> bool:
     """Sylvester test: the k-th leading principal minor has sign (-1)^k."""
-    gram = linalg.as_matrix(gram)
-    minors = linalg.leading_principal_minors(gram)
     return all(
         (minor > 0 if k % 2 == 0 else minor < 0)
         for k, minor in enumerate(minors, start=1)
     )
+
+
+def is_negative_definite(gram: linalg.Matrix) -> bool:
+    # a vanishing minor already fails the test, so the minors past it are moot
+    return negative_definite_by_minors(linalg.pivot_minors(gram))
 
 
 def neg_inverse(gram: linalg.Matrix) -> linalg.Matrix:
@@ -131,6 +153,11 @@ class IntersectionLattice:
                 if entry.denominator != 1:
                     raise ModelInconsistencyError("Gram entries must be integers")
         object.__setattr__(self, "gram", gram)
+        # (column, entry) for every nonzero entry of each row
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, entry.numerator) for j, entry in enumerate(row) if entry)
+            for row in gram
+        ))
         labels = tuple(self.basis_labels) if self.basis_labels else tuple(
             f"e{i}" for i in range(n)
         )
@@ -151,23 +178,53 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
-        if a.rank != self.rank or b.rank != self.rank:
+    def scaled_pairings(self, a: ClassVector, vectors: Sequence[ClassVector]) -> list[int]:
+        """The pairing kernel: d_a d_v pair(a, v) for every v, in integers,
+        where d is a vector's least common denominator.  The scalings are
+        positive, so each result has the sign of its pairing.
+
+        The Gram product G @ (d_a a) is built from a's nonzero terms alone
+        (G is symmetric, so its columns are the sparse rows), then each v
+        takes its dot product over its own nonzero terms."""
+        rows = self._rows
+        n = len(rows)
+        if len(a.coords) != n:
             raise MalformedInputError("class vector rank does not match lattice")
-        # expand only the rows a actually touches
-        return sum(
-            (x * linalg.dot(self.gram[i], b.coords) for i, x in enumerate(a.coords) if x),
-            Fraction(0),
+        product = [0] * n
+        for j, x in a.integer_form[2]:
+            for i, g in rows[j]:
+                product[i] += x * g
+        out = []
+        for v in vectors:
+            if len(v.coords) != n:
+                raise MalformedInputError("class vector rank does not match lattice")
+            out.append(sum(x * product[i] for i, x in v.integer_form[2]))
+        return out
+
+    def pairings(self, a: ClassVector, vectors: Iterable[ClassVector]) -> tuple[Fraction, ...]:
+        """pair(a, v) for every v, from one Gram product of a."""
+        vectors = tuple(vectors)
+        da = a.integer_form[0]
+        return tuple(
+            Fraction(x, da * v.integer_form[0])
+            for x, v in zip(self.scaled_pairings(a, vectors), vectors)
         )
+
+    def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
+        if len(a.integer_form[2]) > len(b.integer_form[2]):
+            a, b = b, a  # the Gram is symmetric: expand the sparser one
+        return self.pairings(a, (b,))[0]
 
     def square(self, a: ClassVector) -> Fraction:
         return self.pair(a, a)
 
+    @cached_property
+    def _basis(self) -> tuple[ClassVector, ...]:
+        return tuple(ClassVector.basis(self.rank, i) for i in range(self.rank))
+
     def gram_vector(self, a: ClassVector) -> linalg.Vector:
-        """G @ a, so many pairings against a can be taken by plain dot products."""
-        if a.rank != self.rank:
-            raise MalformedInputError("class vector rank does not match lattice")
-        return linalg.mat_vec(self.gram, a.coords)
+        """G @ a, exactly."""
+        return self.pairings(a, self._basis)
 
     def is_positive_cone(self, a: ClassVector) -> bool:
         """Positive square and positive pairing with the reference class."""
@@ -226,7 +283,6 @@ class CurveModel:
         if len(set(labels)) != len(labels):
             raise ModelInconsistencyError("curve labels must be distinct")
         lat = self.lattice
-        gram_vectors = {}
         for c in curves:
             sq = lat.square(c.vector)
             if sq >= 0:
@@ -238,11 +294,11 @@ class CurveModel:
                     raise ModelInconsistencyError(
                         f"curve {c.label!r} violates adjunction for genus {c.genus}"
                     )
-            gram_vectors[c.label] = lat.gram_vector(c.vector)
         for i, a in enumerate(curves):
-            ga = gram_vectors[a.label]
-            for b in curves[i + 1 :]:
-                if linalg.dot(ga, b.vector.coords) < 0:
+            later = curves[i + 1 :]
+            signs = lat.scaled_pairings(a.vector, [b.vector for b in later])
+            for b, x in zip(later, signs):
+                if x < 0:
                     raise ModelInconsistencyError(
                         f"curves {a.label!r} and {b.label!r} pair negatively"
                     )
@@ -265,8 +321,7 @@ class CurveModel:
 
     def pairings_with(self, a: ClassVector) -> tuple[Fraction, ...]:
         """pair(a, curve) for every declared curve, via one Gram product."""
-        ga = self.lattice.gram_vector(a)
-        return tuple(linalg.dot(ga, c.vector.coords) for c in self.curves)
+        return self.lattice.pairings(a, (c.vector for c in self.curves))
 
     def is_interior_kahler(self, a: ClassVector) -> bool:
         """Positive cone and strictly positive on every declared curve.
@@ -280,17 +335,14 @@ class CurveModel:
             )
         if not self.lattice.is_positive_cone(a):
             return False
-        return all(v > 0 for v in self.pairings_with(a))
+        vectors = [c.vector for c in self.curves]
+        return all(x > 0 for x in self.lattice.scaled_pairings(a, vectors))
 
     def curve_gram(self, indices: Sequence[int] | None = None) -> linalg.Matrix:
         """Gram matrix of the declared curves (or a subset, by index)."""
         idx = range(len(self.curves)) if indices is None else list(indices)
-        chosen = [self.curves[i] for i in idx]
-        gvs = [self.lattice.gram_vector(c.vector) for c in chosen]
-        return tuple(
-            tuple(linalg.dot(gvs[i], c.vector.coords) for c in chosen)
-            for i in range(len(chosen))
-        )
+        chosen = [self.curves[i].vector for i in idx]
+        return tuple(self.lattice.pairings(a, chosen) for a in chosen)
 
 
 def lattice_from_rows(

@@ -88,12 +88,47 @@ def _integerized(mat: Matrix, extra: Sequence[Sequence[Fraction]] = ()) -> tuple
     denoms = [entry.denominator for row in mat for entry in row]
     for col in extra:
         denoms.extend(entry.denominator for entry in col)
-    d = lcm(*denoms) if denoms else 1
+    d = lcm(*denoms)
     rows = []
     for i, row in enumerate(mat):
         augmented = list(row) + [col[i] for col in extra]
-        rows.append([int(entry * d) for entry in augmented])
+        rows.append([x.numerator * (d // x.denominator) for x in augmented])
     return rows, d
+
+
+def _eliminate(rows: list[list[int]], n: int, pivoting: bool = True) -> int:
+    """Fraction-free Bareiss elimination (Bareiss 1968, Math. Comp. 22), in place.
+
+    Clears the first n columns of the integer rows below the diagonal; any
+    further columns (right-hand sides) ride along.  Every division is exact,
+    and afterwards rows[k][k] is the order-(k+1) leading principal minor of the
+    row-permuted input.  Returns the sign of the row permutation, or 0 when it
+    stops at a zero pivot: a column with no nonzero entry left, or, with
+    pivoting off, any zero on the diagonal.
+    """
+    width = len(rows[0]) if rows else 0
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if pivoting:
+            found = next((i for i in range(k, n) if rows[i][k] != 0), k)
+            if found != k:
+                rows[k], rows[found] = rows[found], rows[k]
+                sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return 0
+        tail = pivot_row[k + 1 : width]
+        for i in range(k + 1, n):
+            row = rows[i]
+            factor = row[k]
+            row[k + 1 : width] = [
+                (a * pivot - factor * b) // prev for a, b in zip(row[k + 1 : width], tail)
+            ]
+            row[k] = 0
+        prev = pivot
+    return sign
 
 
 def det(mat: Matrix) -> Fraction:
@@ -103,29 +138,32 @@ def det(mat: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     rows, d = _integerized(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Bareiss identity: prev divides the numerator
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
+    sign = _eliminate(rows, n)
     return Fraction(sign * rows[n - 1][n - 1], d**n)
 
 
-def leading_principal_minors(mat: Matrix) -> tuple[Fraction, ...]:
-    """The n leading principal minors, k = 1..n."""
+def pivot_minors(mat: Matrix) -> tuple[Fraction, ...]:
+    """The leading principal minors, k = 1, 2, ..., up to and including the
+    first one that vanishes, read off one elimination without pivoting."""
     mat = as_matrix(mat)
     n = _require_square(mat)
-    return tuple(det(submatrix(mat, range(k))) for k in range(1, n + 1))
+    rows, d = _integerized(mat)
+    _eliminate(rows, n, pivoting=False)
+    minors = []
+    for k in range(n):
+        minors.append(Fraction(rows[k][k], d ** (k + 1)))
+        if rows[k][k] == 0:
+            break
+    return tuple(minors)
+
+
+def leading_principal_minors(mat: Matrix) -> tuple[Fraction, ...]:
+    """The n leading principal minors, k = 1..n; only those past a zero
+    pivot need a determinant of their own."""
+    mat = as_matrix(mat)
+    minors = pivot_minors(mat)
+    rest = range(len(minors) + 1, len(mat) + 1)
+    return minors + tuple(det(submatrix(mat, range(m))) for m in rest)
 
 
 def solve_columns(mat: Matrix, columns: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
@@ -144,23 +182,10 @@ def solve_columns(mat: Matrix, columns: Sequence[Sequence[Fraction]]) -> tuple[V
     if n == 0:
         return tuple(() for _ in cols)
     rows, _ = _integerized(mat, cols)
-    m = len(cols)
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularityError("matrix is singular")
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + m):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    if rows[n - 1][n - 1] == 0:
+    if _eliminate(rows, n) == 0 or rows[n - 1][n - 1] == 0:
         raise SingularityError("matrix is singular")
     solutions = []
-    for c in range(m):
+    for c in range(len(cols)):
         x = [Fraction(0)] * n
         for i in range(n - 1, -1, -1):
             acc = Fraction(rows[i][n + c])

@@ -9,6 +9,12 @@ replaces a positively-intersecting connected configuration by one embedded
 surface in the sum class, optionally re-creating ("reinstating") some
 constituents as disjoint parallel copies.
 
+A state's invariant is that no two alive objects pair negatively.  A state
+built directly is outside input and gets the full pairwise check.  The
+invariant is inductive under moves: inflations only kill objects and a
+smoothing adds exactly one, so a move checks just its new object against the
+alive set and builds the successor without re-checking the rest.
+
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and reports every check.  Failures
 are report entries, never exceptions.
@@ -66,6 +72,7 @@ class ConfigurationState:
     Geometric intersection numbers between alive objects are the homological
     pairings (the modeling assumption that all intersections are transverse
     and positive); creation rejects states where that would be negative.
+    Moves derive successors with _successor, which skips this check.
     """
 
     lattice: IntersectionLattice
@@ -77,13 +84,22 @@ class ConfigurationState:
         if len(set(ids)) != len(ids):
             raise MalformedInputError("object ids must be distinct")
         alive = [o for o in self.objects if o.alive]
-        gram_vectors = {o.id: self.lattice.gram_vector(o.vector) for o in alive}
         for i, a in enumerate(alive):
-            for b in alive[i + 1 :]:
-                if linalg.dot(gram_vectors[a.id], b.vector.coords) < 0:
-                    raise PositivityError(
-                        f"alive objects {a.id!r} and {b.id!r} pair negatively"
-                    )
+            b = _negative_partner(self.lattice, a, alive[i + 1 :])
+            if b is not None:
+                raise PositivityError(f"alive objects {a.id!r} and {b.id!r} pair negatively")
+
+    def _successor(
+        self, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
+    ) -> "ConfigurationState":
+        """A state reached from this one by a move, built without the full
+        check: the move has only killed objects, or checked the one object it
+        appended against the alive set, so the invariant carries over."""
+        state = object.__new__(type(self))
+        object.__setattr__(state, "lattice", self.lattice)
+        object.__setattr__(state, "current_class", current_class)
+        object.__setattr__(state, "objects", objects)
+        return state
 
     def object(self, object_id: str) -> SurfaceObject:
         for o in self.objects:
@@ -105,6 +121,14 @@ class ConfigurationState:
 
     def alive_objects(self) -> tuple[SurfaceObject, ...]:
         return tuple(o for o in self.objects if o.alive)
+
+
+def _negative_partner(
+    lattice: IntersectionLattice, obj: SurfaceObject, others: Sequence[SurfaceObject]
+) -> SurfaceObject | None:
+    """The first of others that pairs negatively with obj, if any."""
+    signs = lattice.scaled_pairings(obj.vector, [o.vector for o in others])
+    return next((o for o, x in zip(others, signs) if x < 0), None)
 
 
 def _require_alive(state: ConfigurationState, object_id: str) -> SurfaceObject:
@@ -136,11 +160,7 @@ def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     new_objects = tuple(
         replace(o, alive=False) if o.id == object_id else o for o in state.objects
     )
-    return ConfigurationState(
-        lattice=state.lattice,
-        current_class=state.current_class + obj.vector.scale(t),
-        objects=new_objects,
-    )
+    return state._successor(state.current_class + obj.vector.scale(t), new_objects)
 
 
 def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
@@ -154,11 +174,7 @@ def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> Configuratio
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
-    return ConfigurationState(
-        lattice=state.lattice,
-        current_class=state.current_class + obj.vector.scale(t),
-        objects=state.objects,
-    )
+    return state._successor(state.current_class + obj.vector.scale(t), state.objects)
 
 
 def smooth_and_reinstate(
@@ -225,13 +241,12 @@ def smooth_and_reinstate(
     new_object = SurfaceObject(id=new_id, vector=total, genus=genus, alive=True)
 
     consumed = set(constituents) - reinstates
-    new_objects = tuple(
-        replace(o, alive=False) if o.id in consumed else o for o in state.objects
-    ) + (new_object,)
-    # the constructor re-checks that all alive pairings are nonnegative
-    return ConfigurationState(
-        lattice=state.lattice, current_class=state.current_class, objects=new_objects
-    )
+    kept = tuple(replace(o, alive=False) if o.id in consumed else o for o in state.objects)
+    # the only pairings the smoothing can make negative are the new object's
+    partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
+    if partner is not None:
+        raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
+    return state._successor(state.current_class, kept + (new_object,))
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,9 @@ def initial_state(cert: Certificate) -> ConfigurationState:
 
 
 def _area_line(state: ConfigurationState) -> str:
-    parts = [f"{o.id}={state.area(o.id)}" for o in state.alive_objects()]
+    alive = state.alive_objects()
+    areas = state.lattice.pairings(state.current_class, (o.vector for o in alive))
+    parts = [f"{o.id}={area}" for o, area in zip(alive, areas)]
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SearchFailureError,
     SymconeError,
 )
-from .lattice import ClassVector, CurveModel, is_negative_definite, neg_inverse
+from .lattice import ClassVector, CurveModel, negative_definite_by_minors, neg_inverse
 from .moves import (
     Certificate,
     ConfigurationState,
@@ -188,14 +188,18 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     if len(graph.components()) != 1:
         raise PreconditionError("curve set is not connected in the dual graph")
     M = graph.pairings
-    minors = linalg.leading_principal_minors(M)
-    if is_negative_definite(M):
+    minors = linalg.pivot_minors(M)
+    if negative_definite_by_minors(minors):
         return Admissible(indices=idx, minors=minors)
     n = len(idx)
+    # curve classes and the Gram are integral, so the search runs in integers
+    gram = [[int(x) for x in row] for row in M]
+
+    def times_gram(c: Sequence[int]) -> list[int]:
+        return [sum(g * x for g, x in zip(row, c)) for row in gram]
 
     def square_of(c: Sequence[int]) -> Fraction:
-        mc = linalg.mat_vec(M, [Fraction(x) for x in c])
-        return sum((Fraction(x) * y for x, y in zip(c, mc)), Fraction(0))
+        return Fraction(sum(x * y for x, y in zip(c, times_gram(c))))
 
     if n <= 6:
         for c in sorted(itertools.product(range(5), repeat=n), key=lambda c: (sum(c), c)):
@@ -209,15 +213,16 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
         sq = square_of(w)
         if sq >= 0:
             return Witness(indices=idx, coefficients=tuple(w), square=sq)
-        mw = linalg.mat_vec(M, [Fraction(x) for x in w])
+        mw = times_gram(w)
         best, best_gain = 0, None
         for i in range(n):
-            gain = 2 * mw[i] + M[i][i]
+            gain = 2 * mw[i] + gram[i][i]
             if best_gain is None or gain > best_gain:
                 best, best_gain = i, gain
         w[best] += 1
     raise SearchFailureError(
-        f"no witness found although the set is not negative definite; minors {minors}"
+        "no witness found although the set is not negative definite; "
+        f"minors {linalg.leading_principal_minors(M)}"
     )
 
 
@@ -454,13 +459,20 @@ def _sweep_plan(
     annotations: Sequence[str],
 ):
     lat = model.lattice
+    # per component: its -M^{-1} and the target's pairings, neither depends on r
+    data = [
+        (
+            comp,
+            neg_inverse(model.curve_gram(comp)),
+            [lat.pair(target, model.curves[i].vector) for i in comp],
+        )
+        for comp in comps
+    ]
     for r in _R_SWEEP:
         u: dict[int, Fraction] = {}
         feasible = True
-        for comp in comps:
-            M = model.curve_gram(comp)
-            rhs = [r - lat.pair(target, model.curves[i].vector) for i in comp]
-            shift = linalg.mat_vec(neg_inverse(M), rhs)
+        for comp, inverse, v in data:
+            shift = linalg.mat_vec(inverse, [r - x for x in v])
             if any(x <= 0 for x in shift):
                 feasible = False
                 break
@@ -513,6 +525,8 @@ def plan(model: CurveModel, target: ClassVector):
         return Unsupported(
             reason="model does not assume completeness; bases cannot be certified Kähler"
         )
+    if model.lattice.reference_class is None:
+        return Unsupported(reason="model has no reference class; the positive cone is undefined")
     cls = classify(model, target)
     if cls.membership is Membership.INTERIOR_KAHLER:
         cert = Certificate(model=model, base_class=target, moves=(), target_class=target)

@@ -100,6 +100,22 @@ def test_verify_round_trip_and_tamper(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_verify_rejects_overlong_numbers(capsys, tmp_path, quote):
+    # past the interpreter's digit limit, as a JSON integer or a string
+    _, out = run(capsys, "example", "kk-gamma0", "--certificate")
+    doc = trailer(out)
+    doc["moves"][2]["t"] = "@"
+    text = json.dumps(doc).replace('"@"', quote + "9" * 5000 + quote)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(capsys, "verify", str(path))
+    assert code == 2
+    assert trailer(out)["error"] == (
+        f"certificate.moves[2].t: number exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
+    )
+
+
 def test_pair_sums(capsys):
     ones_c = ",".join(["1"] * 9 + ["0"] * 12)
     ones_d = ",".join(["0"] * 9 + ["1"] * 12)

@@ -176,6 +176,15 @@ def test_load_json_diagnostics():
     assert load_json('{"a": 1}') == {"a": 1}
 
 
+def test_overlong_numbers_name_their_field():
+    long = "9" * 5000
+    with pytest.raises(DocumentError, match=r"^t: number exceeds the \d+-digit integer limit$"):
+        parse_rational(long + "/7", "t")
+    doc = load_json(json.dumps(model_to_doc(e6_model())).replace("100", long, 1))
+    with pytest.raises(DocumentError, match=r"^model\.gram\[0\]\[0\]: number exceeds"):
+        model_from_doc(doc)
+
+
 # ---------------------------------------------------------------------------
 # reports and refusals
 

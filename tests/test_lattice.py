@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcone.errors import (
     ConfigurationError,
@@ -18,7 +19,7 @@ from symcone.lattice import (
     is_negative_definite,
     neg_inverse,
 )
-from symcone.models import build_kk_model
+from symcone.models import build_hesse_dual, build_kk_model, ruled_model
 
 from oracles import brute_inverse, random_negative_definite
 
@@ -246,3 +247,91 @@ def test_is_interior_kahler_requires_completeness():
     )
     with pytest.raises(ConfigurationError):
         model.is_interior_kahler(ClassVector.basis(2, 0))
+
+
+# --- the integer pairing kernel against the naive Fraction double sum ---
+
+def _naive_gram_vector(lat, a):
+    n = lat.rank
+    return tuple(
+        sum((lat.gram[i][j] * a.coords[j] for j in range(n)), Fraction(0)) for i in range(n)
+    )
+
+
+def _naive_pair(ga, b):
+    """sum_i sum_j a_i G_ij b_j, given the naive G @ a."""
+    return sum((x * y for x, y in zip(ga, b.coords)), Fraction(0))
+
+
+def _kernel_cases():
+    kk = build_kk_model(extended=True).model
+    ruled = ruled_model(0, 3, "nontrivial")
+    hesse = build_hesse_dual().model
+    cases = []
+    for model, special in (
+        # the KK canonical class carries 7/3 entries, the ruled fibre 1/3, -1/3
+        (kk, [kk.lattice.canonical_class, kk.lattice.reference_class]),
+        (ruled.model, [ruled.fiber_class, ruled.model.lattice.reference_class]),
+        (hesse, [hesse.lattice.canonical_class]),
+    ):
+        special += [c.vector for c in model.curves]
+        cases.append((model, special))
+    return cases
+
+
+_CASES = _kernel_cases()
+_COORDS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def _model_and_classes(draw):
+    model, special = draw(st.sampled_from(_CASES))
+    rank = model.lattice.rank
+
+    def one():
+        drawn = st.lists(_COORDS, min_size=rank, max_size=rank).map(
+            lambda c: ClassVector(tuple(c))
+        )
+        base = draw(st.one_of(st.sampled_from(special), drawn))
+        # mix denominators: scale a special class or add two together
+        return draw(st.sampled_from((
+            base,
+            base.scale(draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))),
+            base + draw(st.sampled_from(special)),
+        )))
+
+    return model, one(), one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_and_classes())
+def test_integer_pairings_equal_naive_double_sum(case):
+    model, a, b = case
+    lat = model.lattice
+    ga = _naive_gram_vector(lat, a)
+    got = lat.pair(a, b)
+    assert got == _naive_pair(ga, b)
+    assert lat.pair(b, a) == got
+    assert lat.square(a) == _naive_pair(ga, a)
+    gv = lat.gram_vector(a)
+    assert gv == ga
+    pw = model.pairings_with(a)
+    assert pw == tuple(_naive_pair(ga, c.vector) for c in model.curves)
+    # always a Fraction, never an int, even for integral classes: 2*area/h
+    # must stay exact
+    for value in (got, lat.square(a), *gv, *pw):
+        assert type(value) is Fraction
+
+
+def test_pairings_reject_rank_mismatch():
+    lat = build_kk_model(extended=True).model.lattice
+    short = ClassVector((Fraction(1),))
+    with pytest.raises(MalformedInputError):
+        lat.pair(short, ClassVector.basis(lat.rank, 0))
+    with pytest.raises(MalformedInputError):
+        lat.pairings(ClassVector.basis(lat.rank, 0), [short])
+    with pytest.raises(MalformedInputError):
+        lat.gram_vector(short)

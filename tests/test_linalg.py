@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcone import linalg
 from symcone.errors import MalformedInputError, SingularityError
@@ -115,3 +116,24 @@ def test_submatrix_picks_rows_and_columns():
 def test_is_symmetric():
     assert linalg.is_symmetric(linalg.as_matrix([[1, 2], [2, 3]]))
     assert not linalg.is_symmetric(linalg.as_matrix([[1, 2], [0, 3]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2))), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_minors_past_a_zero_pivot_match_bruteforce(m):
+    # mostly-zero entries make the unpivoted elimination stop early
+    mat = linalg.as_matrix(m)
+    minors = linalg.leading_principal_minors(mat)
+    assert minors == brute_leading_minors(m)
+    pivots = linalg.pivot_minors(mat)
+    assert minors[: len(pivots)] == pivots
+    assert len(pivots) == len(m) or pivots[-1] == 0
+    assert linalg.det(mat) == permutation_determinant(m)

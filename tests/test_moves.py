@@ -12,13 +12,15 @@ from symcone.errors import (
     PreconditionError,
     WrongMoveError,
 )
-from symcone.lattice import ClassVector
+from symcone.lattice import ClassVector, lattice_from_rows
 from symcone.models import build_kk_model, kk_gamma0_certificate, kk_gamma0_model
 from symcone.moves import (
     Certificate,
+    ConfigurationState,
     Inflate,
     InflateNonneg,
     SmoothAndReinstate,
+    SurfaceObject,
     apply_move,
     describe_move,
     h_param,
@@ -309,3 +311,47 @@ def test_random_inflates_track_exact_formulas():
             assert new.current_class == state.current_class + obj.vector.scale(t)
             state = new
             performed += 1
+
+
+def test_move_successors_pass_the_full_check():
+    # successors skip the full pairwise check; rebuilding each one directly
+    # runs it and must agree
+    cert, state = _gamma0_state()
+    for move in cert.moves:
+        state = apply_move(state, move)
+        rebuilt = ConfigurationState(
+            lattice=state.lattice, current_class=state.current_class, objects=state.objects
+        )
+        assert rebuilt == state
+
+
+def test_smoothing_checks_the_new_object_against_live_objects():
+    # From a checked state this cannot happen: the new class is the sum of
+    # the constituents, each pairing nonnegatively with every live object.
+    # So the state is assembled past the full check to reach the guard.
+    lat = lattice_from_rows(
+        [[100, 0, 0, 0], [0, -2, 1, -1], [0, 1, -2, 0], [0, -1, 0, -2]],
+        labels=("w", "a", "b", "c"),
+    )
+    basis = [ClassVector.basis(4, i) for i in range(4)]
+    cls = -(basis[1] + basis[2])
+    objects = tuple(
+        SurfaceObject(id=label, vector=basis[i], genus=0)
+        for i, label in enumerate("abc", start=1)
+    )
+    with pytest.raises(PositivityError, match="alive objects 'a' and 'c' pair negatively"):
+        ConfigurationState(lattice=lat, current_class=cls, objects=objects)
+    empty = ConfigurationState(lattice=lat, current_class=cls, objects=())
+    unchecked = empty._successor(cls, objects)
+    with pytest.raises(PositivityError) as inductive:
+        apply_move(unchecked, SmoothAndReinstate(("a", "b"), (), "x"))
+    merged = SurfaceObject(id="x", vector=basis[1] + basis[2], genus=0)
+    after = (
+        SurfaceObject(id="a", vector=basis[1], genus=0, alive=False),
+        SurfaceObject(id="b", vector=basis[2], genus=0, alive=False),
+        objects[2],
+        merged,
+    )
+    with pytest.raises(PositivityError) as full:
+        ConfigurationState(lattice=lat, current_class=cls, objects=after)
+    assert str(inductive.value) == str(full.value) == "alive objects 'c' and 'x' pair negatively"

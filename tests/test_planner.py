@@ -223,6 +223,14 @@ def test_plan_gamma0_corner_recipe():
     assert pairings[0] > 0
 
 
+def test_plan_without_reference_class_is_unsupported():
+    # kk has no reference class, so its positive cone is undefined
+    model = builtin_model("kk")
+    result = plan(model, model.lattice.canonical_class)
+    assert isinstance(result, Unsupported)
+    assert result.reason == "model has no reference class; the positive cone is undefined"
+
+
 def test_plan_unsupported_on_kk_reference_corner():
     model = build_kk_model(extended=True).model
     result = plan(model, _omega0(model))
