@@ -117,31 +117,28 @@ def _curve_indices(model: CurveModel, values, flag: str) -> tuple[int, ...]:
     return tuple(model.index_of(label) for label in labels)
 
 
-def _class_payload(vec: ClassVector) -> list[str]:
-    return documents.format_class(vec)
-
-
 def cmd_classify(args) -> int:
     model, _ = _load_model(args.model)
     alpha = _parse_class(args.class_parts, model.lattice.rank, "--class")
     result = chambers.classify(model, alpha)
     vanishing = [model.curves[i].label for i in result.descriptor.curve_indices]
+    pairings = {
+        c.label: documents.format_rational(v, f"pairings.{c.label}")
+        for c, v in zip(model.curves, result.pairings)
+    }
     lines = [
         f"membership: {result.membership.value}",
         f"vanishing curves ({len(vanishing)}): {', '.join(vanishing) or '-'}",
         f"vanishing set admissible: {'yes' if result.descriptor.admissible else 'no'}",
         "pairings:",
     ]
-    for curve, value in zip(model.curves, result.pairings):
-        lines.append(f"  {curve.label} = {value}")
+    for label, value in pairings.items():
+        lines.append(f"  {label} = {value}")
     payload = {
         "membership": result.membership.value,
         "vanishing": vanishing,
         "admissible": result.descriptor.admissible,
-        "pairings": {
-            c.label: documents.format_rational(v)
-            for c, v in zip(model.curves, result.pairings)
-        },
+        "pairings": pairings,
     }
     _emit(lines, payload)
     return EXIT_PASS
@@ -176,7 +173,7 @@ def cmd_plan(args) -> int:
         _emit(lines, documents.unsupported_to_doc(outcome))
         return EXIT_UNSUPPORTED
     lines = [
-        f"base class: {', '.join(_class_payload(outcome.base_class))}",
+        f"base class: {', '.join(documents.format_class(outcome.base_class, 'base_class'))}",
         "moves:",
     ]
     for i, move in enumerate(outcome.moves, start=1):
@@ -193,17 +190,17 @@ def cmd_pair(args) -> int:
     rank = model.lattice.rank
     left = _parse_class(args.left, rank, "--left")
     right = _parse_class(args.right, rank, "--right")
-    value = model.lattice.pair(left, right)
-    lines = [
-        f"pairing: {value}",
-        f"left square: {model.lattice.square(left)}",
-        f"right square: {model.lattice.square(right)}",
-    ]
+    lat = model.lattice
     payload = {
-        "pairing": documents.format_rational(value),
-        "left_square": documents.format_rational(model.lattice.square(left)),
-        "right_square": documents.format_rational(model.lattice.square(right)),
+        "pairing": documents.format_rational(lat.pair(left, right), "pairing"),
+        "left_square": documents.format_rational(lat.square(left), "left_square"),
+        "right_square": documents.format_rational(lat.square(right), "right_square"),
     }
+    lines = [
+        f"pairing: {payload['pairing']}",
+        f"left square: {payload['left_square']}",
+        f"right square: {payload['right_square']}",
+    ]
     _emit(lines, payload)
     return EXIT_PASS
 
@@ -218,15 +215,17 @@ def cmd_reflect(args) -> int:
         axis = _parse_class(args.axis, rank, "--axis")
     else:
         raise MalformedInputError("reflect needs --curve or --axis")
-    image = chambers.reflect(model.lattice, alpha, axis)
-    lines = [
-        f"reflected class: {', '.join(_class_payload(image))}",
-        f"square preserved: {model.lattice.square(alpha)} -> {model.lattice.square(image)}",
-    ]
+    lat = model.lattice
+    image = chambers.reflect(lat, alpha, axis)
     payload = {
-        "reflected": _class_payload(image),
-        "square": documents.format_rational(model.lattice.square(image)),
+        "reflected": documents.format_class(image, "reflected"),
+        "square": documents.format_rational(lat.square(image), "square"),
     }
+    lines = [
+        f"reflected class: {', '.join(payload['reflected'])}",
+        f"square preserved: {documents.format_rational(lat.square(alpha), 'square')}"
+        f" -> {payload['square']}",
+    ]
     _emit(lines, payload)
     return EXIT_PASS
 
@@ -236,13 +235,13 @@ def cmd_corner(args) -> int:
     alpha = _parse_class(args.class_parts, model.lattice.rank, "--class")
     indices = _curve_indices(model, args.curves, "--curves")
     corner = chambers.corner_point(model, alpha, indices)
-    lines = [f"corner class: {', '.join(_class_payload(corner))}"]
-    payload = {"corner": _class_payload(corner)}
+    payload = {"corner": documents.format_class(corner, "corner")}
+    lines = [f"corner class: {', '.join(payload['corner'])}"]
     if args.epsilon is not None:
         eps = documents.parse_rational(args.epsilon, "--epsilon")
         interior = chambers.chamber_point(model, corner, indices, eps)
-        lines.append(f"chamber class: {', '.join(_class_payload(interior))}")
-        payload["chamber"] = _class_payload(interior)
+        payload["chamber"] = documents.format_class(interior, "chamber")
+        lines.append(f"chamber class: {', '.join(payload['chamber'])}")
     _emit(lines, payload)
     return EXIT_PASS
 

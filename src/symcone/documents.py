@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from . import models as models_mod
-from .errors import DocumentError
+from .errors import DocumentError, RangeError
 from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from .moves import (
     Certificate,
@@ -29,17 +29,24 @@ from .moves import (
 )
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_ZERO = Fraction(0)
 
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Fraction, where: str = "output") -> str:
+    """"p/q", or "p" when integral; an output past the interpreter's digit
+    limit is refused with its name."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise RangeError(f"{where}: output exceeds the {limit}-digit integer limit") from None
 
 
 class _LongInteger:
@@ -80,8 +87,9 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
+        numerator, _, denominator = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError:
             raise DocumentError(f"{where}: {value!r} has a zero denominator") from None
         except ValueError:
@@ -89,8 +97,8 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def format_class(vec: ClassVector) -> list[str]:
-    return [format_rational(c) for c in vec.coords]
+def format_class(vec: ClassVector, where: str = "class") -> list[str]:
+    return [format_rational(c, where) for c in vec.coords]
 
 
 def parse_class(value: Any, rank: int, where: str) -> ClassVector:
@@ -98,6 +106,8 @@ def parse_class(value: Any, rank: int, where: str) -> ClassVector:
         raise DocumentError(f"{where}: expected an array of rationals")
     if len(value) != rank:
         raise DocumentError(f"{where}: expected {rank} coordinates, got {len(value)}")
+    if all(type(v) is int for v in value):
+        return ClassVector(tuple(Fraction(v) if v else _ZERO for v in value))
     return ClassVector(
         tuple(parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value))
     )
@@ -165,11 +175,12 @@ def model_from_doc(doc: Any, where: str = "model") -> CurveModel:
     gram_doc = doc["gram"]
     if not isinstance(gram_doc, list) or len(gram_doc) != rank:
         raise DocumentError(f"{where}.gram: expected {rank} rows")
-    gram = []
     for i, row in enumerate(gram_doc):
         if not isinstance(row, list) or len(row) != rank:
             raise DocumentError(f"{where}.gram[{i}]: expected {rank} integers")
-        gram.append(tuple(_expect_int(v, f"{where}.gram[{i}][{j}]") for j, v in enumerate(row)))
+        if not all(type(v) is int for v in row):
+            for j, v in enumerate(row):
+                _expect_int(v, f"{where}.gram[{i}][{j}]")
     labels_doc = doc["labels"]
     if not isinstance(labels_doc, list) or len(labels_doc) != rank:
         raise DocumentError(f"{where}.labels: expected {rank} strings")
@@ -181,7 +192,7 @@ def model_from_doc(doc: Any, where: str = "model") -> CurveModel:
     if "reference" in doc:
         reference = parse_class(doc["reference"], rank, f"{where}.reference")
     lattice = IntersectionLattice(
-        gram=tuple(gram),
+        gram=gram_doc,
         basis_labels=labels,
         canonical_class=canonical,
         reference_class=reference,

@@ -132,32 +132,62 @@ def neg_inverse(gram: linalg.Matrix) -> linalg.Matrix:
     return result
 
 
+def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """Connected components of the dual graph of a pairing matrix: positions
+    i != j are joined when pairings[i][j] > 0.  Each component is sorted, and
+    they come in order of their least position."""
+    n = len(pairings)
+    seen: set[int] = set()
+    parts = []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for i in comp:  # grows as the search reaches new positions
+            for j in range(n):
+                if j not in seen and pairings[i][j] > 0:
+                    seen.add(j)
+                    comp.append(j)
+        parts.append(tuple(sorted(comp)))
+    return parts
+
+
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Integral symmetric pairing with optional canonical and reference data."""
+    """Integral symmetric pairing with optional canonical and reference data.
 
-    gram: linalg.Matrix
+    The Gram matrix may be given in any exact rationals; it is stored as a
+    tuple of tuples of int once it is checked to be square, symmetric and
+    integral."""
+
+    gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...] = ()
     canonical_class: ClassVector | None = None
     reference_class: ClassVector | None = None
 
     def __post_init__(self):
-        gram = linalg.as_matrix(self.gram)
+        gram = tuple(tuple(row) for row in self.gram)
+        plain = all(type(x) is int for row in gram for x in row)
+        if not plain:
+            gram = linalg.as_matrix(gram)  # coerces rationals, names anything else
+        elif gram and any(len(row) != len(gram[0]) for row in gram):
+            raise MalformedInputError("ragged matrix")
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise MalformedInputError("Gram matrix must be square")
-        if not linalg.is_symmetric(gram):
+        # (column, entry) for every nonzero entry of each row; symmetry and
+        # integrality are read off these alone
+        rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
+        if any(gram[j][i] != x for i, row in enumerate(rows) for j, x in row):
             raise ModelInconsistencyError("Gram matrix must be symmetric")
-        for row in gram:
-            for entry in row:
-                if entry.denominator != 1:
-                    raise ModelInconsistencyError("Gram entries must be integers")
+        if not plain:
+            if any(x.denominator != 1 for row in rows for _, x in row):
+                raise ModelInconsistencyError("Gram entries must be integers")
+            gram = tuple(tuple(x.numerator for x in row) for row in gram)
+            rows = tuple(tuple((j, x.numerator) for j, x in row) for row in rows)
         object.__setattr__(self, "gram", gram)
-        # (column, entry) for every nonzero entry of each row
-        object.__setattr__(self, "_rows", tuple(
-            tuple((j, entry.numerator) for j, entry in enumerate(row) if entry)
-            for row in gram
-        ))
+        object.__setattr__(self, "_rows", rows)
         labels = tuple(self.basis_labels) if self.basis_labels else tuple(
             f"e{i}" for i in range(n)
         )
@@ -230,7 +260,9 @@ class IntersectionLattice:
         """Positive square and positive pairing with the reference class."""
         if self.reference_class is None:
             raise ConfigurationError("positive cone needs a reference class")
-        return self.square(a) > 0 and self.pair(a, self.reference_class) > 0
+        # scaled pairings have the signs of the pairings
+        square, reference = self.scaled_pairings(a, (a, self.reference_class))
+        return square > 0 and reference > 0
 
     def expected_dimension(self, e: ClassVector, genus: int) -> Fraction:
         """2(genus - 1 - K.e).  Equals 2(e^2 + 1 - genus) exactly when the
@@ -283,17 +315,18 @@ class CurveModel:
         if len(set(labels)) != len(labels):
             raise ModelInconsistencyError("curve labels must be distinct")
         lat = self.lattice
+        canonical = lat.canonical_class if self.enforce_adjunction else None
         for c in curves:
-            sq = lat.square(c.vector)
+            # a curve class is integral, so its scaled square is its square
+            (sq,) = lat.scaled_pairings(c.vector, (c.vector,))
             if sq >= 0:
                 raise ModelInconsistencyError(
                     f"curve {c.label!r} has square {sq}; curves must have negative square"
                 )
-            if self.enforce_adjunction and lat.canonical_class is not None:
-                if not lat.adjunction_check(c.vector, c.genus):
-                    raise ModelInconsistencyError(
-                        f"curve {c.label!r} violates adjunction for genus {c.genus}"
-                    )
+            if canonical is not None and 2 * c.genus - 2 != sq + lat.pair(canonical, c.vector):
+                raise ModelInconsistencyError(
+                    f"curve {c.label!r} violates adjunction for genus {c.genus}"
+                )
         for i, a in enumerate(curves):
             later = curves[i + 1 :]
             signs = lat.scaled_pairings(a.vector, [b.vector for b in later])
@@ -352,7 +385,7 @@ def lattice_from_rows(
     reference: ClassVector | None = None,
 ) -> IntersectionLattice:
     return IntersectionLattice(
-        gram=linalg.as_matrix(rows),
+        gram=rows,
         basis_labels=tuple(labels) if labels else (),
         canonical_class=canonical,
         reference_class=reference,

@@ -3,6 +3,8 @@ and the 21-curve Kharlamov-Kulikov lattice with its replay certificate.
 
 All numeric claims made by the builders are asserted at construction time from
 the Gram data, so a transcription slip fails fast instead of poisoning tests.
+``builtin_model`` hands out one shared immutable instance per name, so for a
+built-in those assertions run once per process, on its first lookup.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def ruled_model(base_genus: int, k: int, parity: str) -> RuledModel:
             f"parity {parity!r} is incompatible with section square -{k}"
         )
     lattice = IntersectionLattice(
-        gram=linalg.as_matrix(((k, 0), (0, -k))),
+        gram=((k, 0), (0, -k)),
         basis_labels=("s+", "s-"),
         reference_class=ClassVector.basis(2, 0),
     )
@@ -151,7 +153,7 @@ def build_hesse_dual() -> HesseDual:
     labels = ("H",) + tuple(f"E{t}" for t in TRIPLES)
     canonical = ClassVector((Fraction(-3),) + (Fraction(1),) * len(TRIPLES))
     lattice = IntersectionLattice(
-        gram=linalg.as_matrix(gram),
+        gram=gram,
         basis_labels=labels,
         canonical_class=canonical,
         reference_class=ClassVector.basis(rank, 0),
@@ -209,7 +211,7 @@ def _kk_lattice_and_curves(extended: bool):
         k_coords[offset + 9 + b] = Fraction(4)
     labels = (("w0",) if extended else ()) + curve_labels
     lattice = IntersectionLattice(
-        gram=linalg.as_matrix(gram),
+        gram=gram,
         basis_labels=labels,
         canonical_class=ClassVector(tuple(k_coords)),
         reference_class=ClassVector.basis(rank, 0) if extended else None,
@@ -331,7 +333,7 @@ def e6_model() -> CurveModel:
     for a, b in edges:
         gram[a][b] = gram[b][a] = 1
     lattice = IntersectionLattice(
-        gram=linalg.as_matrix(gram),
+        gram=gram,
         basis_labels=("w",) + tuple(f"e{i}" for i in range(1, 7)),
         reference_class=ClassVector.basis(rank, 0),
     )
@@ -342,21 +344,28 @@ def e6_model() -> CurveModel:
     return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
 
 
-BUILTIN_MODEL_NAMES = ("kk", "kk-extended", "kk-gamma0", "hesse", "e6")
+_BUILDERS = {
+    "kk": lambda: build_kk_model(extended=False).model,
+    "kk-extended": lambda: build_kk_model(extended=True).model,
+    "kk-gamma0": kk_gamma0_model,
+    "hesse": lambda: build_hesse_dual().model,
+    "e6": e6_model,
+}
+BUILTIN_MODEL_NAMES = tuple(_BUILDERS)
+
+_SHARED: dict[str, CurveModel] = {}
 
 
 def builtin_model(name: str) -> CurveModel:
-    """Look up a built-in model by its stable name."""
-    if name == "kk":
-        return build_kk_model(extended=False).model
-    if name == "kk-extended":
-        return build_kk_model(extended=True).model
-    if name == "kk-gamma0":
-        return kk_gamma0_model()
-    if name == "hesse":
-        return build_hesse_dual().model
-    if name == "e6":
-        return e6_model()
-    raise MalformedInputError(
-        f"unknown built-in model {name!r}; choices: {', '.join(BUILTIN_MODEL_NAMES)}"
-    )
+    """Look up a built-in model by its stable name.
+
+    Every call with the same name returns the same immutable instance, built
+    and checked on the first call.  An unknown name raises on every call."""
+    if name not in BUILTIN_MODEL_NAMES:
+        raise MalformedInputError(
+            f"unknown built-in model {name!r}; choices: {', '.join(BUILTIN_MODEL_NAMES)}"
+        )
+    model = _SHARED.get(name)
+    if model is None:
+        model = _SHARED[name] = _BUILDERS[name]()
+    return model

@@ -10,10 +10,12 @@ surface in the sum class, optionally re-creating ("reinstating") some
 constituents as disjoint parallel copies.
 
 A state's invariant is that no two alive objects pair negatively.  A state
-built directly is outside input and gets the full pairwise check.  The
-invariant is inductive under moves: inflations only kill objects and a
-smoothing adds exactly one, so a move checks just its new object against the
-alive set and builds the successor without re-checking the rest.
+built directly is outside input and gets the full pairwise check.  A state
+seeded from a model's declared curves checks only that its ids are distinct:
+the model has already proved the invariant for its curves.  The invariant is
+inductive under moves: inflations only kill objects and a smoothing adds
+exactly one, so a move checks just its new object against the alive set and
+builds the successor without re-checking the rest.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and reports every check.  Failures
@@ -37,7 +39,7 @@ from .errors import (
     SymconeError,
     WrongMoveError,
 )
-from .lattice import ClassVector, CurveModel, IntersectionLattice
+from .lattice import ClassVector, CurveModel, IntersectionLattice, pairing_components
 
 
 def h_param(k: int, g: int) -> int:
@@ -72,7 +74,8 @@ class ConfigurationState:
     Geometric intersection numbers between alive objects are the homological
     pairings (the modeling assumption that all intersections are transverse
     and positive); creation rejects states where that would be negative.
-    Moves derive successors with _successor, which skips this check.
+    Moves derive successors with _successor and seeded states come from
+    seeded; both skip this check.
     """
 
     lattice: IntersectionLattice
@@ -89,17 +92,47 @@ class ConfigurationState:
             if b is not None:
                 raise PositivityError(f"alive objects {a.id!r} and {b.id!r} pair negatively")
 
+    @classmethod
+    def _proven(
+        cls,
+        lattice: IntersectionLattice,
+        current_class: ClassVector,
+        objects: tuple[SurfaceObject, ...],
+    ) -> "ConfigurationState":
+        """A state built without the full check, for a caller that has
+        already proved the invariant."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "lattice", lattice)
+        object.__setattr__(state, "current_class", current_class)
+        object.__setattr__(state, "objects", objects)
+        return state
+
+    @classmethod
+    def seeded(
+        cls,
+        model: CurveModel,
+        current_class: ClassVector,
+        labels: Iterable[str] | None = None,
+    ) -> "ConfigurationState":
+        """A state whose alive objects are declared curves of the model: all
+        of them, or those named by labels, in that order.
+
+        Of the state checks only the distinct ids run.  CurveModel has proved
+        that no two declared curves pair negatively, so the pairwise check
+        could not fail."""
+        curves = model.curves if labels is None else tuple(map(model.curve, labels))
+        objects = tuple(SurfaceObject(id=c.label, vector=c.vector, genus=c.genus) for c in curves)
+        if len({o.id for o in objects}) != len(objects):
+            raise MalformedInputError("object ids must be distinct")
+        return cls._proven(model.lattice, current_class, objects)
+
     def _successor(
         self, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
     ) -> "ConfigurationState":
         """A state reached from this one by a move, built without the full
         check: the move has only killed objects, or checked the one object it
         appended against the alive set, so the invariant carries over."""
-        state = object.__new__(type(self))
-        object.__setattr__(state, "lattice", self.lattice)
-        object.__setattr__(state, "current_class", current_class)
-        object.__setattr__(state, "objects", objects)
-        return state
+        return self._proven(self.lattice, current_class, objects)
 
     def object(self, object_id: str) -> SurfaceObject:
         for o in self.objects:
@@ -209,15 +242,7 @@ def smooth_and_reinstate(
     pairings = [[lat.pair(objs[i].vector, objs[j].vector) for j in range(n)] for i in range(n)]
 
     # connectivity of the dual graph under geometric intersections
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and pairings[i][j] > 0:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != n:
+    if len(pairing_components(pairings)) != 1:
         raise ConnectivityError("constituents do not form a connected configuration")
 
     total = objs[0].vector
@@ -305,11 +330,6 @@ class Certificate:
     initial_object_ids: tuple[str, ...] | None = None
     annotations: tuple[str, ...] = ()
 
-    def initial_ids(self) -> tuple[str, ...]:
-        if self.initial_object_ids is None:
-            return self.model.labels
-        return self.initial_object_ids
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -325,15 +345,7 @@ class VerificationReport:
 
 
 def initial_state(cert: Certificate) -> ConfigurationState:
-    objects = []
-    for label in cert.initial_ids():
-        curve = cert.model.curve(label)
-        objects.append(SurfaceObject(id=label, vector=curve.vector, genus=curve.genus))
-    return ConfigurationState(
-        lattice=cert.model.lattice,
-        current_class=cert.base_class,
-        objects=tuple(objects),
-    )
+    return ConfigurationState.seeded(cert.model, cert.base_class, cert.initial_object_ids)
 
 
 def _area_line(state: ConfigurationState) -> str:

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .chambers import Membership, classify
+from .documents import format_rational
 from .errors import (
     DomainError,
     PreconditionError,
@@ -26,14 +27,19 @@ from .errors import (
     SearchFailureError,
     SymconeError,
 )
-from .lattice import ClassVector, CurveModel, negative_definite_by_minors, neg_inverse
+from .lattice import (
+    ClassVector,
+    CurveModel,
+    negative_definite_by_minors,
+    neg_inverse,
+    pairing_components,
+)
 from .moves import (
     Certificate,
     ConfigurationState,
     Inflate,
     Move,
     SmoothAndReinstate,
-    SurfaceObject,
     apply_move,
     h_param,
     verify_certificate,
@@ -68,22 +74,9 @@ class DualGraph:
         )
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.indices)
-        unseen = set(range(n))
-        parts = []
-        while unseen:
-            start = min(unseen)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for j in range(n):
-                    if j not in comp and self.pairings[i][j] > 0 and i != j:
-                        comp.add(j)
-                        frontier.append(j)
-            unseen -= comp
-            parts.append(tuple(self.indices[i] for i in sorted(comp)))
-        return tuple(sorted(parts))
+        return tuple(sorted(
+            tuple(self.indices[i] for i in part) for part in pairing_components(self.pairings)
+        ))
 
 
 def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualGraph:
@@ -238,13 +231,6 @@ class Unsupported:
 
 class _PlanFail(Exception):
     """Internal backtracking signal; never escapes the planner."""
-
-
-def _fresh_state(model: CurveModel, base: ClassVector) -> ConfigurationState:
-    objects = tuple(
-        SurfaceObject(id=c.label, vector=c.vector, genus=c.genus) for c in model.curves
-    )
-    return ConfigurationState(lattice=model.lattice, current_class=base, objects=objects)
 
 
 class _Peeler:
@@ -425,9 +411,9 @@ def _plan_single_curve(
                 reason="chamber wall out of reach: 4 v^2 >= (k-1)^2 alpha^2",
                 component=(index,),
                 detail=(
-                    ("4 v^2", str(depth)),
-                    ("(k-1)^2 alpha^2", str(room)),
-                    ("pairing", str(pairing)),
+                    ("4 v^2", format_rational(depth, "4 v^2")),
+                    ("(k-1)^2 alpha^2", format_rational(room, "(k-1)^2 alpha^2")),
+                    ("pairing", format_rational(pairing, "pairing")),
                 ),
             )
     t = low + 1
@@ -448,7 +434,7 @@ def _plan_single_curve(
     return Unsupported(
         reason="no verifiable inflation amplitude found",
         component=(index,),
-        detail=(("window start", str(low)),),
+        detail=(("window start", format_rational(low, "window start")),),
     )
 
 
@@ -487,7 +473,7 @@ def _sweep_plan(
             continue
         peeler = _Peeler(model)
         try:
-            state, moves = peeler.peel(_fresh_state(model, base), dict(u))
+            state, moves = peeler.peel(ConfigurationState.seeded(model, base), dict(u))
         except _PlanFail:
             continue
         if state.current_class != target:
@@ -518,15 +504,26 @@ def plan(model: CurveModel, target: ClassVector):
     """Produce a verified Certificate for the target class, or Unsupported.
 
     Interior classes get the empty certificate.  Corner and chamber targets go
-    through the uniform-base peel; mixed boundaries, indefinite vanishing loci
-    (with witness), E-type sphere trees, and (-1)-sphere walls are refused
-    with their exact obstruction data."""
+    through the uniform-base peel; targets outside the positive cone (with
+    their square and reference pairing), mixed boundaries, indefinite
+    vanishing loci (with witness), E-type sphere trees, and (-1)-sphere walls
+    are refused with their exact obstruction data.  A number in that data
+    past the interpreter's digit limit cannot be written out and raises
+    RangeError instead."""
     if not model.completeness_assumed:
         return Unsupported(
             reason="model does not assume completeness; bases cannot be certified Kähler"
         )
-    if model.lattice.reference_class is None:
+    lat = model.lattice
+    if lat.reference_class is None:
         return Unsupported(reason="model has no reference class; the positive cone is undefined")
+    if not lat.is_positive_cone(target):
+        square = format_rational(lat.square(target), "square")
+        reference = format_rational(lat.pair(target, lat.reference_class), "reference pairing")
+        return Unsupported(
+            reason="target is not in the positive cone",
+            detail=(("square", square), ("reference pairing", reference)),
+        )
     cls = classify(model, target)
     if cls.membership is Membership.INTERIOR_KAHLER:
         cert = Certificate(model=model, base_class=target, moves=(), target_class=target)
@@ -557,7 +554,7 @@ def plan(model: CurveModel, target: ClassVector):
                     reason="vanishing locus is not negative definite",
                     witness=found,
                     component=comp,
-                    detail=(("witness square", str(found.square)),),
+                    detail=(("witness square", format_rational(found.square, "witness square")),),
                 )
         raise PropertyViolationError(
             "locus flagged inadmissible but every component is negative definite"
@@ -576,7 +573,7 @@ def plan(model: CurveModel, target: ClassVector):
     for comp in comps:
         if len(comp) == 1:
             c = model.curves[comp[0]]
-            if c.genus == 0 and model.lattice.square(c.vector) == -1:
+            if c.genus == 0 and lat.square(c.vector) == -1:
                 return Unsupported(
                     reason="(-1)-sphere wall: the required amplitude equals the open bound 2A/h",
                     component=comp,

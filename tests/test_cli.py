@@ -149,6 +149,38 @@ def test_reflect_zero_square_axis(capsys, tmp_path):
     assert "error" in trailer(out)
 
 
+def test_plan_outside_the_positive_cone_is_unsupported(capsys):
+    minus_w0 = ",".join(["-1"] + ["0"] * 21)
+    code, out = run(capsys, "plan", "--model", "kk-extended", f"--class={minus_w0}")
+    assert code == 3
+    assert "unsupported: target is not in the positive cone" in out
+    assert trailer(out) == {
+        "reason": "target is not in the positive cone",
+        "detail": {"square": "100", "reference pairing": "-100"},
+    }
+
+
+BIG = "9" * 3000
+
+
+@pytest.mark.parametrize("argv, output", [
+    # the inputs parse, but the pairing and the squares have about 6000 digits
+    (["pair", "--model", "kk", "--left", BIG + ",0" * 20, "--right", BIG + ",0" * 20], "pairing"),
+    (["reflect", "--model", "kk-extended", "--class", BIG + ",0" * 21, "--curve", "C1"], "square"),
+])
+def test_overlong_output_is_named_and_exits_2(argv, output):
+    # run as a child, so that a traceback would show as exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "error": f"{output}: output exceeds the {limit}-digit integer limit"
+    }
+
+
 def test_corner_with_chamber(capsys):
     alpha = ",".join(["1"] + ["7/3"] * 9 + ["4"] * 12)
     code, out = run(capsys, "corner", "--model", "kk-extended",

@@ -20,7 +20,7 @@ from symcone.documents import (
     report_to_doc,
     unsupported_to_doc,
 )
-from symcone.errors import DocumentError
+from symcone.errors import DocumentError, RangeError
 from symcone.lattice import ClassVector
 from symcone.models import (
     BUILTIN_MODEL_NAMES,
@@ -45,6 +45,14 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
     assert format_rational(Fraction(2, 4)) == "1/2"
+
+
+def test_format_rational_names_an_overlong_output():
+    huge = Fraction(10**5000, 7)
+    with pytest.raises(RangeError, match=r"^pairing: output exceeds the \d+-digit integer limit$"):
+        format_rational(huge, "pairing")
+    with pytest.raises(RangeError, match=r"^output: output exceeds"):
+        format_rational(Fraction(7, 10**5000))
 
 
 def test_parse_rational_accepts():
@@ -79,6 +87,44 @@ def test_builtin_models_round_trip_byte_identical():
         text = canonical_json(model_to_doc(model))
         again = model_from_doc(load_json(text))
         assert canonical_json(model_to_doc(again)) == text
+
+
+def test_builtin_models_round_trip_equal():
+    for name in BUILTIN_MODEL_NAMES:
+        model = builtin_model(name)
+        assert model_from_doc(model_to_doc(model)) == model
+
+
+def test_model_doc_entry_errors_keep_their_field_paths():
+    # plain integers take a fast path; anything else is read field by field,
+    # so the first bad entry is still named exactly
+    doc = model_to_doc(e6_model())
+    cases = [
+        (("gram", 2, 3), True, "model.gram[2][3]: expected an integer"),
+        (("gram", 0, 6), "1", "model.gram[0][6]: expected an integer"),
+        (("gram", 6, 0), 1.0, "model.gram[6][0]: expected an integer"),
+        (("curves", 4, "class", 5), False, "model.curves[4].class[5]: expected a rational, got a boolean"),
+        (("curves", 0, "class", 0), 0.5,
+         'model.curves[0].class[0]: floats are not accepted in coordinates; write "p/q"'),
+        (("curves", 1, "class", 2), "1/3", "model.curves[1].class: curve classes must be integral"),
+        (("reference", 1), "x", "model.reference[1]: 'x' is not of the form \"p/q\""),
+    ]
+    for path, value, message in cases:
+        bad = json.loads(canonical_json(doc))
+        *outer, last = path
+        target = bad
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(DocumentError) as info:
+            model_from_doc(bad)
+        assert str(info.value) == message
+    # the earliest field wins when a row holds two bad entries
+    bad = json.loads(canonical_json(doc))
+    bad["gram"][1][4] = None
+    bad["gram"][1][2] = 2.5
+    with pytest.raises(DocumentError, match=r"^model\.gram\[1\]\[2\]: expected an integer$"):
+        model_from_doc(bad)
 
 
 def test_model_round_trip_preserves_structure():

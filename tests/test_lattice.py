@@ -98,6 +98,39 @@ def test_lattice_validates_gram():
         IntersectionLattice(gram=((Fraction(1, 2),),))
 
 
+@pytest.mark.parametrize("exact", [int, Fraction])
+def test_lattice_gram_faults_keep_messages_and_precedence(exact):
+    def gram(rows):
+        return tuple(tuple(exact(x) if type(x) is int else x for x in row) for row in rows)
+
+    cases = [
+        (((0, 1), (2, 0)), ModelInconsistencyError, "Gram matrix must be symmetric"),
+        (((1, 0, 0), (0, 1, 0), (5, 0, 1)), ModelInconsistencyError, "Gram matrix must be symmetric"),
+        (((1, 2),), MalformedInputError, "Gram matrix must be square"),
+        (((1, 2), (3,)), MalformedInputError, "ragged matrix"),
+        (((1, 0), (0, 1.5)), MalformedInputError, "not an exact rational: 1.5"),
+        # a non-integral entry, alone and together with an asymmetry: the
+        # symmetry check comes first
+        (((Fraction(1, 2), 0), (0, 1)), ModelInconsistencyError, "Gram entries must be integers"),
+        (((0, Fraction(1, 2)), (Fraction(1, 2), 0)), ModelInconsistencyError,
+         "Gram entries must be integers"),
+        (((Fraction(1, 2), 1), (2, 0)), ModelInconsistencyError, "Gram matrix must be symmetric"),
+        (((0, Fraction(1, 2)), (1, 0)), ModelInconsistencyError, "Gram matrix must be symmetric"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error) as info:
+            IntersectionLattice(gram=gram(rows))
+        assert str(info.value) == message
+
+
+def test_lattice_stores_an_integer_gram():
+    plain = IntersectionLattice(gram=[[2, 1], [1, -3]])
+    rational = IntersectionLattice(gram=((Fraction(2), Fraction(1)), (Fraction(1), Fraction(-3))))
+    assert plain == rational
+    assert plain.gram == rational.gram == ((2, 1), (1, -3))
+    assert all(type(x) is int for row in rational.gram for x in row)
+
+
 def test_lattice_labels_and_reference_checks():
     with pytest.raises(MalformedInputError):
         IntersectionLattice(gram=((Fraction(1),),), basis_labels=("a", "b"))

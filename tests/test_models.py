@@ -233,3 +233,18 @@ def test_builtin_model_registry():
     assert builtin_model("kk-extended").lattice.rank == 22
     with pytest.raises(MalformedInputError):
         builtin_model("kk-gamma1")
+
+
+def test_builtin_models_are_shared():
+    for name in BUILTIN_MODEL_NAMES:
+        assert builtin_model(name) is builtin_model(name)
+    # each builder still runs its checks and builds an equal model
+    assert builtin_model("kk-extended") == build_kk_model(extended=True).model
+    assert builtin_model("kk-gamma0") == kk_gamma0_model()
+    assert builtin_model("e6") == e6_model()
+
+
+def test_unknown_builtin_name_raises_on_every_call():
+    for bad in ("kk-gamma1", "kk-gamma1", "", ["kk"], None):
+        with pytest.raises(MalformedInputError, match="unknown built-in model"):
+            builtin_model(bad)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcone.errors import (
     BoundViolationError,
@@ -13,7 +14,13 @@ from symcone.errors import (
     WrongMoveError,
 )
 from symcone.lattice import ClassVector, lattice_from_rows
-from symcone.models import build_kk_model, kk_gamma0_certificate, kk_gamma0_model
+from symcone.models import (
+    BUILTIN_MODEL_NAMES,
+    build_kk_model,
+    builtin_model,
+    kk_gamma0_certificate,
+    kk_gamma0_model,
+)
 from symcone.moves import (
     Certificate,
     ConfigurationState,
@@ -135,7 +142,7 @@ def test_smooth_and_reinstate_gamma0_first_step():
 
 def test_smooth_rejects_disconnected_constituents():
     cert, state = _gamma0_state()
-    with pytest.raises(ConnectivityError):
+    with pytest.raises(ConnectivityError, match="^constituents do not form a connected configuration$"):
         apply_move(
             state,
             SmoothAndReinstate(
@@ -355,3 +362,48 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     with pytest.raises(PositivityError) as full:
         ConfigurationState(lattice=lat, current_class=cls, objects=after)
     assert str(inductive.value) == str(full.value) == "alive objects 'c' and 'x' pair negatively"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_seeded_state_objects_pass_the_full_check(data):
+    # a seeded state checks only its ids; the model's own check already
+    # covers every pair of declared curves, so the full check must agree
+    if data.draw(st.booleans(), label="random model"):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        model = random_curve_model(random.Random(seed))
+    else:
+        model = builtin_model(data.draw(st.sampled_from(BUILTIN_MODEL_NAMES), label="name"))
+    labels = data.draw(st.lists(st.sampled_from(model.labels), unique=True), label="labels")
+    base = model.lattice.canonical_class or ClassVector.zero(model.lattice.rank)
+    seeded = ConfigurationState.seeded(model, base, labels)
+    assert [o.id for o in seeded.objects] == labels
+    direct = ConfigurationState(lattice=model.lattice, current_class=base, objects=seeded.objects)
+    assert direct == seeded
+    every = ConfigurationState.seeded(model, base)
+    assert every.objects == tuple(
+        SurfaceObject(id=c.label, vector=c.vector, genus=c.genus) for c in model.curves
+    )
+
+
+def test_seeded_state_rejects_duplicate_and_unknown_ids():
+    model = kk_gamma0_model()
+    base = model.lattice.reference_class
+    with pytest.raises(MalformedInputError, match="^object ids must be distinct$"):
+        ConfigurationState.seeded(model, base, ("C1", "D123", "C1"))
+    with pytest.raises(MalformedInputError, match="no curve labelled 'C9'"):
+        ConfigurationState.seeded(model, base, ("C1", "C9", "C1"))
+
+
+def test_duplicate_initial_objects_fail_verification():
+    cert = kk_gamma0_certificate()
+    duplicated = Certificate(
+        model=cert.model,
+        base_class=cert.base_class,
+        moves=cert.moves,
+        target_class=cert.target_class,
+        initial_object_ids=("C1", "D123", "C2", "D249", "C2"),
+    )
+    report = verify_certificate(duplicated)
+    assert not report.passed
+    assert report.first_failure == "object ids must be distinct"

@@ -61,6 +61,31 @@ def test_dual_graph_structure_on_kk():
     assert all(m == 1 for m in graph.edge_multiplicities())
 
 
+def test_dual_graph_components_match_union_find():
+    # DualGraph.components and the smoothing's connectivity test share one
+    # routine; compare it with a union-find over random KK subsets
+    model = builtin_model("kk")
+    rng = random.Random(29)
+    for _ in range(60):
+        subset = sorted(rng.sample(range(21), rng.randint(1, 21)))
+        parent = {i: i for i in subset}
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        gram = model.curve_gram()
+        for a, b in itertools.combinations(subset, 2):
+            if gram[a][b] > 0:
+                parent[root(a)] = root(b)
+        groups: dict[int, list[int]] = {}
+        for i in subset:
+            groups.setdefault(root(i), []).append(i)
+        expected = tuple(sorted(tuple(g) for g in groups.values()))
+        assert dual_graph(model, subset).components() == expected
+
+
 def test_dual_graph_components_split():
     model = build_kk_model().model
     sub = dual_graph(model, (model.index_of("C1"), model.index_of("C2")))
@@ -229,6 +254,20 @@ def test_plan_without_reference_class_is_unsupported():
     result = plan(model, model.lattice.canonical_class)
     assert isinstance(result, Unsupported)
     assert result.reason == "model has no reference class; the positive cone is undefined"
+
+
+def test_plan_refuses_targets_outside_the_positive_cone():
+    model = builtin_model("kk-extended")
+    w0 = _omega0(model)
+    for target, square, reference in (
+        (-w0, "100", "-100"),
+        (model.lattice.canonical_class, "333", "0"),
+        (ClassVector.zero(22), "0", "0"),
+    ):
+        result = plan(model, target)
+        assert isinstance(result, Unsupported)
+        assert result.reason == "target is not in the positive cone"
+        assert dict(result.detail) == {"square": square, "reference pairing": reference}
 
 
 def test_plan_unsupported_on_kk_reference_corner():
