@@ -34,7 +34,7 @@ from .lattice import (
     is_negative_definite,
     neg_inverse,
 )
-from .moves import Certificate, Inflate, h_param, verify_certificate
+from .moves import Certificate, Inflate, verify_certificate
 
 
 class Membership(enum.Enum):
@@ -216,8 +216,10 @@ def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index
 
     Returns (R_e(alpha), certificate): the certificate starts from a slightly
     pulled-back base alpha - eps*e and inflates e once with t = eps + 2 alpha(e)/k,
-    landing exactly on the reflection.  Spheres of odd square are refused
-    (their inflation bound cannot reach the reflected class this way).
+    landing exactly on the reflection.  eps is the first alpha(e)/2^j whose
+    base is Kähler, and the certificate is replayed once.  Spheres of odd
+    square are refused (their inflation bound cannot reach the reflected
+    class this way).
     """
     if not model.is_interior_kahler(alpha):
         raise PreconditionError("alpha must be interior-Kähler")
@@ -236,24 +238,23 @@ def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index
         return reflected, Certificate(
             model=model, base_class=alpha, moves=(), target_class=alpha
         )
+    # the first eps = v / 2^j whose base is Kähler; h = k here, so the bound
+    # 2A/h = 2(v + eps k)/k exceeds t by eps and the base is all it needs
     eps = v / 2
     for _ in range(64):
         base = alpha - curve.vector.scale(eps)
         if model.is_interior_kahler(base):
-            t = eps + 2 * v / k
-            bound = 2 * lat.pair(base, curve.vector) / h_param(int(k), curve.genus)
-            if t < bound:
-                cert = Certificate(
-                    model=model,
-                    base_class=base,
-                    moves=(Inflate(object_id=curve.label, t=t),),
-                    target_class=reflected,
-                )
-                report = verify_certificate(cert)
-                if report.passed:
-                    return reflected, cert
+            break
         eps = eps / 2
-    raise SearchFailureError("no epsilon produced a verifiable reflection certificate")
+    else:
+        raise SearchFailureError("no epsilon kept the pulled-back base Kähler")
+    cert = Certificate(model, base, (Inflate(curve.label, eps + 2 * v / k),), reflected)
+    report = verify_certificate(cert)
+    if not report.passed:
+        raise PropertyViolationError(
+            f"reflection certificate failed replay: {report.first_failure}"
+        )
+    return reflected, cert
 
 
 def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> Fraction:

@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from . import models as models_mod
-from .errors import DocumentError, RangeError
+from .errors import DocumentError
 from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
+from .linalg import format_rational
 from .moves import (
     Certificate,
     Inflate,
@@ -34,19 +35,6 @@ _ZERO = Fraction(0)
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def format_rational(x: Fraction, where: str = "output") -> str:
-    """"p/q", or "p" when integral; an output past the interpreter's digit
-    limit is refused with its name."""
-    x = Fraction(x)
-    try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise RangeError(f"{where}: output exceeds the {limit}-digit integer limit") from None
 
 
 class _LongInteger:

@@ -56,12 +56,11 @@ class ClassVector:
         return len(self.coords)
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(d, d * coords, the nonzero (index, d * coord) terms), with d the
-        least common denominator of the coordinates."""
+    def integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(d, the nonzero (index, d * coord) terms), with d the least common
+        denominator of the coordinates."""
         d = lcm(*(c.denominator for c in self.coords))
-        dense = tuple(c.numerator * (d // c.denominator) for c in self.coords)
-        return d, dense, tuple((i, x) for i, x in enumerate(dense) if x)
+        return d, tuple((i, c.numerator * (d // c.denominator)) for i, c in enumerate(self.coords) if c)
 
     @property
     def is_integral(self) -> bool:
@@ -221,14 +220,14 @@ class IntersectionLattice:
         if len(a.coords) != n:
             raise MalformedInputError("class vector rank does not match lattice")
         product = [0] * n
-        for j, x in a.integer_form[2]:
+        for j, x in a.integer_form[1]:
             for i, g in rows[j]:
                 product[i] += x * g
         out = []
         for v in vectors:
             if len(v.coords) != n:
                 raise MalformedInputError("class vector rank does not match lattice")
-            out.append(sum(x * product[i] for i, x in v.integer_form[2]))
+            out.append(sum(x * product[i] for i, x in v.integer_form[1]))
         return out
 
     def pairings(self, a: ClassVector, vectors: Iterable[ClassVector]) -> tuple[Fraction, ...]:
@@ -241,7 +240,7 @@ class IntersectionLattice:
         )
 
     def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
-        if len(a.integer_form[2]) > len(b.integer_form[2]):
+        if len(a.integer_form[1]) > len(b.integer_form[1]):
             a, b = b, a  # the Gram is symmetric: expand the sparser one
         return self.pairings(a, (b,))[0]
 

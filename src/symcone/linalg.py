@@ -9,11 +9,12 @@ asymptotics.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import MalformedInputError, SingularityError
+from .errors import MalformedInputError, RangeError, SingularityError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -31,6 +32,17 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"not a rational literal: {value!r}") from exc
     raise MalformedInputError(f"not an exact rational: {value!r}")
+
+
+def format_rational(x: Fraction, where: str = "output") -> str:
+    """The text of a number: "p/q", or "p" when integral.  Every number the
+    package writes goes through here, so an output past the interpreter's
+    digit limit is refused as a RangeError naming it."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise RangeError(f"{where}: output exceeds the {limit}-digit integer limit") from None
 
 
 def as_vector(values: Iterable) -> Vector:

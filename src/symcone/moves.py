@@ -40,6 +40,7 @@ from .errors import (
     WrongMoveError,
 )
 from .lattice import ClassVector, CurveModel, IntersectionLattice, pairing_components
+from .linalg import format_rational
 
 
 def h_param(k: int, g: int) -> int:
@@ -178,12 +179,15 @@ def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     square = state.lattice.square(obj.vector)
     if square >= 0:
         raise WrongMoveError(
-            f"object {object_id!r} has square {square} >= 0; use inflate_nonneg"
+            f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
+            "use inflate_nonneg"
         )
     k = -square
     area = state.area(object_id)
     if area <= 0:
-        raise PreconditionError(f"object {object_id!r} has area {area} <= 0")
+        raise PreconditionError(
+            f"object {object_id!r} has area {format_rational(area, 'area')} <= 0"
+        )
     bound = 2 * area / h_param(int(k), obj.genus)
     if not 0 < t < bound:
         raise BoundViolationError(
@@ -254,7 +258,9 @@ def smooth_and_reinstate(
             need = -lat.square(o.vector)
             if count < need:
                 raise PreconditionError(
-                    f"cannot reinstate {o.id!r}: meets the rest {count} times, needs {need}"
+                    f"cannot reinstate {o.id!r}: meets the rest "
+                    f"{format_rational(count, 'meet count')} times, "
+                    f"needs {format_rational(need, 'meet count')}"
                 )
             if lat.pair(o.vector, total) < 0:
                 raise PositivityError(
@@ -310,9 +316,9 @@ def apply_move(state: ConfigurationState, move: Move) -> ConfigurationState:
 
 def describe_move(move: Move) -> str:
     if isinstance(move, Inflate):
-        return f"inflate({move.object_id}, t={move.t})"
+        return f"inflate({move.object_id}, t={format_rational(move.t, 't')})"
     if isinstance(move, InflateNonneg):
-        return f"inflate_nonneg({move.object_id}, t={move.t})"
+        return f"inflate_nonneg({move.object_id}, t={format_rational(move.t, 't')})"
     return (
         f"smooth({', '.join(move.constituent_ids)}; "
         f"reinstate {', '.join(move.reinstate_ids) or '-'}) -> {move.new_id}"
@@ -351,7 +357,7 @@ def initial_state(cert: Certificate) -> ConfigurationState:
 def _area_line(state: ConfigurationState) -> str:
     alive = state.alive_objects()
     areas = state.lattice.pairings(state.current_class, (o.vector for o in alive))
-    parts = [f"{o.id}={area}" for o, area in zip(alive, areas)]
+    parts = [f"{o.id}={format_rational(area, 'area')}" for o, area in zip(alive, areas)]
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 
@@ -376,15 +382,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     try:
         if not model.lattice.is_positive_cone(cert.base_class):
             return fail("base class is not in the positive cone")
-        bad = [
-            (model.curves[i].label, v)
-            for i, v in enumerate(model.pairings_with(cert.base_class))
-            if v <= 0
-        ]
-        if bad:
-            label, value = bad[0]
-            return fail(f"base class is not interior-Kähler: pairs {value} with {label!r}")
-        entries.append(f"base class Kähler by model predicate; square {model.lattice.square(cert.base_class)}")
+        for c, value in zip(model.curves, model.pairings_with(cert.base_class)):
+            if value <= 0:
+                value = format_rational(value, "pairing")
+                return fail(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
+        square = format_rational(model.lattice.square(cert.base_class), "base square")
+        entries.append(f"base class Kähler by model predicate; square {square}")
         state = initial_state(cert)
         entries.append(_area_line(state))
         for number, move in enumerate(cert.moves, start=1):
@@ -399,7 +402,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                         k = -state.lattice.square(obj.vector)
                         bound = 2 * state.area(move.object_id) / h_param(int(k), obj.genus)
                         entries.append(
-                            f"move {number}: {describe_move(move)}; bound 2A/h = {bound}"
+                            f"move {number}: {describe_move(move)}; "
+                            f"bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
                         )
                     else:
                         entries.append(f"move {number}: {describe_move(move)}")
@@ -409,7 +413,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             except SymconeError as exc:
                 headline = exc.args[0] if exc.args else str(exc)
                 return fail(f"{headline} at move {number}")
-            entries.append(f"class after move {number}: {tuple(str(c) for c in state.current_class.coords)}")
+            coords = tuple(format_rational(c, "class") for c in state.current_class.coords)
+            entries.append(f"class after move {number}: {coords}")
             entries.append(_area_line(state))
             if not model.lattice.is_positive_cone(state.current_class):
                 return fail(f"class left the positive cone at move {number}")

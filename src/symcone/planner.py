@@ -2,11 +2,11 @@
 
 The planner picks a base class pairing uniformly (some r > 0) against the
 vanishing locus, then peels the deficit u = -M^{-1}(r 1 - v) into configuration
-smoothings and inflations.  Every candidate move is executed on the actual
-engine, so any bound or reinstatement failure simply backtracks; a returned
-Certificate has already passed the verifier.  Targets the planner cannot or
-will not handle come back as an Unsupported value carrying exact witness data,
-never as an exception.
+smoothings and inflations, once, at the first listed r whose base is
+Kähler.  Inside the peel every candidate move runs on the actual engine, so a
+bound or reinstatement failure simply backtracks.  plan replays the one
+certificate once.  Targets the planner cannot or will not handle come back as
+an Unsupported value carrying exact witness data, never as an exception.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import linalg
 from .chambers import Membership, classify
-from .documents import format_rational
 from .errors import (
     DomainError,
     PreconditionError,
@@ -34,6 +33,7 @@ from .lattice import (
     neg_inverse,
     pairing_components,
 )
+from .linalg import format_rational
 from .moves import (
     Certificate,
     ConfigurationState,
@@ -45,9 +45,8 @@ from .moves import (
     verify_certificate,
 )
 
-# base pairing scales to sweep, largest first: chamber targets need r to
-# dominate the wall depth, corner targets need it small enough to keep the
-# base Kähler
+# base pairing scales, largest first; the planner takes the first one small
+# enough to keep the base Kähler
 _R_SWEEP = tuple(Fraction(2) ** p for p in range(8, -17, -1))
 
 _PEEL_BUDGET = 4096
@@ -416,26 +415,18 @@ def _plan_single_curve(
                     ("pairing", format_rational(pairing, "pairing")),
                 ),
             )
-    t = low + 1
-    for _ in range(64):
+    for j in range(64):
+        t = low + Fraction(1, 2**j)
         base = target - curve.vector.scale(t)
         if model.is_interior_kahler(base):
-            cert = Certificate(
-                model=model,
-                base_class=base,
-                moves=(Inflate(curve.label, t),),
-                target_class=target,
-                annotations=tuple(annotations),
-            )
-            report = verify_certificate(cert)
-            if report.passed:
-                return cert
-        t = (t + low) / 2
-    return Unsupported(
-        reason="no verifiable inflation amplitude found",
-        component=(index,),
-        detail=(("window start", format_rational(low, "window start")),),
-    )
+            break
+    else:
+        return Unsupported(
+            reason="no inflation amplitude keeps the base Kähler",
+            component=(index,),
+            detail=(("window start", format_rational(low, "window start")),),
+        )
+    return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
 def _sweep_plan(
@@ -444,72 +435,73 @@ def _sweep_plan(
     comps: tuple[tuple[int, ...], ...],
     annotations: Sequence[str],
 ):
+    """Peel the base of the first Kähler scale r, once.
+
+    With N = -M^{-1} per component and v the target's pairings, the base
+    pairing r with every curve of the locus is corner - r far, where
+    corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
+    r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
+    peel checks scales linearly with r: the first Kähler r peels or none does."""
     lat = model.lattice
-    # per component: its -M^{-1} and the target's pairings, neither depends on r
-    data = [
-        (
-            comp,
-            neg_inverse(model.curve_gram(comp)),
-            [lat.pair(target, model.curves[i].vector) for i in comp],
-        )
-        for comp in comps
-    ]
+    corner, far, terms = target, ClassVector.zero(lat.rank), []
+    for comp in comps:
+        inverse = neg_inverse(model.curve_gram(comp))
+        v = [lat.pair(target, model.curves[i].vector) for i in comp]
+        ones = [Fraction(1)] * len(comp)
+        for i, d, s in zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones)):
+            e = model.curves[i].vector
+            corner, far = corner + e.scale(d), far + e.scale(s)
+            terms.append((i, d, s))
     for r in _R_SWEEP:
-        u: dict[int, Fraction] = {}
-        feasible = True
-        for comp, inverse, v in data:
-            shift = linalg.mat_vec(inverse, [r - x for x in v])
-            if any(x <= 0 for x in shift):
-                feasible = False
-                break
-            for i, x in zip(comp, shift):
-                u[i] = x
-        if not feasible:
-            continue
-        base = target
-        for i, x in sorted(u.items()):
-            base = base - model.curves[i].vector.scale(x)
-        if not model.is_interior_kahler(base):
-            continue
-        peeler = _Peeler(model)
-        try:
-            state, moves = peeler.peel(ConfigurationState.seeded(model, base), dict(u))
-        except _PlanFail:
-            continue
-        if state.current_class != target:
-            continue
-        notes = list(annotations)
-        if any(
-            isinstance(m, SmoothAndReinstate) and len(m.reinstate_ids) > 1
-            for m in moves
-        ):
-            notes.insert(0, "iterated-disjoin")
-        cert = Certificate(
-            model=model,
-            base_class=base,
-            moves=tuple(moves),
-            target_class=target,
-            annotations=tuple(notes),
+        base = corner - far.scale(r)
+        if model.is_interior_kahler(base):
+            break
+    else:
+        return Unsupported(
+            reason="no base scale makes the base Kähler",
+            detail=(("scales tried", str(len(_R_SWEEP))),),
         )
-        report = verify_certificate(cert)
-        if report.passed:
-            return cert
-    return Unsupported(
-        reason="no admissible base scale produced a verifiable plan",
-        detail=(("scales tried", str(len(_R_SWEEP))),),
-    )
+    u = {i: r * s - d for i, d, s in terms}
+    try:
+        _, moves = _Peeler(model).peel(ConfigurationState.seeded(model, base), u)
+    except _PlanFail as exc:
+        return Unsupported(
+            reason="the deficit does not peel into moves",
+            detail=(("peel", str(exc)), ("r", format_rational(r, "r"))),
+        )
+    notes = list(annotations)
+    if any(isinstance(m, SmoothAndReinstate) and len(m.reinstate_ids) > 1 for m in moves):
+        notes.insert(0, "iterated-disjoin")
+    return Certificate(model, base, tuple(moves), target, annotations=tuple(notes))
 
 
 def plan(model: CurveModel, target: ClassVector):
     """Produce a verified Certificate for the target class, or Unsupported.
 
-    Interior classes get the empty certificate.  Corner and chamber targets go
-    through the uniform-base peel; targets outside the positive cone (with
-    their square and reference pairing), mixed boundaries, indefinite
+    Interior classes get the empty certificate, a single curve the first
+    amplitude whose base is Kähler, other corner and chamber targets the
+    uniform-base peel at the first Kähler scale.  That one certificate is
+    replayed once, with no retry; a failed replay or peel comes back as
+    Unsupported with its first failure.  Targets outside the positive cone
+    (with their square and reference pairing), mixed boundaries, indefinite
     vanishing loci (with witness), E-type sphere trees, and (-1)-sphere walls
     are refused with their exact obstruction data.  A number in that data
     past the interpreter's digit limit cannot be written out and raises
     RangeError instead."""
+    outcome = _construct(model, target)
+    if isinstance(outcome, Unsupported):
+        return outcome
+    report = verify_certificate(outcome)
+    if not report.passed:
+        return Unsupported(
+            reason="planned certificate failed replay",
+            detail=(("first failure", report.first_failure),),
+        )
+    return outcome
+
+
+def _construct(model: CurveModel, target: ClassVector):
+    """The one certificate plan replays, or its refusal."""
     if not model.completeness_assumed:
         return Unsupported(
             reason="model does not assume completeness; bases cannot be certified Kähler"
@@ -526,13 +518,7 @@ def plan(model: CurveModel, target: ClassVector):
         )
     cls = classify(model, target)
     if cls.membership is Membership.INTERIOR_KAHLER:
-        cert = Certificate(model=model, base_class=target, moves=(), target_class=target)
-        report = verify_certificate(cert)
-        if not report.passed:
-            raise PropertyViolationError(
-                f"trivial certificate failed verification: {report.first_failure}"
-            )
-        return cert
+        return Certificate(model=model, base_class=target, moves=(), target_class=target)
     if cls.membership is Membership.MIXED_BOUNDARY:
         negative = ", ".join(
             model.curves[i].label for i, p in enumerate(cls.pairings) if p < 0

@@ -14,7 +14,7 @@ from symcone.errors import (
 )
 from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
-from symcone.moves import verify_certificate
+from symcone.moves import VerificationReport, verify_certificate
 
 from oracles import interior_class, random_curve_model
 
@@ -202,6 +202,22 @@ def test_reflected_chamber_certificate_even_square():
     assert reflected == chambers.reflect(model.lattice, alpha, model.curves[0].vector)
     assert cert.target_class == reflected
     assert verify_certificate(cert).passed
+
+
+def test_reflected_chamber_certificate_replays_once(monkeypatch):
+    calls = []
+
+    def failing(cert):
+        calls.append(cert)
+        return VerificationReport(
+            passed=False, entries=(), first_failure="forced failure at move 1", final_class=None
+        )
+
+    monkeypatch.setattr(chambers, "verify_certificate", failing)
+    model = builtin_model("e6")
+    with pytest.raises(PropertyViolationError, match="failed replay: forced failure at move 1$"):
+        chambers.reflected_chamber_certificate(model, _interior_on(model), 0)
+    assert len(calls) == 1
 
 
 def test_reflected_chamber_certificate_refuses_odd_square_sphere():

@@ -181,6 +181,31 @@ def test_overlong_output_is_named_and_exits_2(argv, output):
     }
 
 
+def test_verify_and_plan_fail_cleanly_when_a_report_outgrows_the_digit_limit(capsys, tmp_path):
+    # 2500-digit coordinates parse, but the base square has about 5000 digits
+    _, out = run(capsys, "example", "kk-gamma0", "--certificate")
+    doc = trailer(out)
+    big = "9" * 2500
+    doc["base_class"][0] = doc["target_class"][0] = big
+    doc["moves"] = []
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    failure = f"base square: output exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
+    for argv, code, payload in (
+        (["verify", str(path)], 1,
+         {"entries": [], "first_failure": failure, "passed": False}),
+        (["plan", "--model", "kk-gamma0", "--class", ",".join(doc["target_class"])], 3,
+         {"reason": "planned certificate failed replay", "detail": {"first failure": failure}}),
+    ):
+        # run as a child, so that a traceback would show on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout.split(SENTINEL)[-1]) == payload
+
+
 def test_corner_with_chamber(capsys):
     alpha = ",".join(["1"] + ["7/3"] * 9 + ["4"] * 12)
     code, out = run(capsys, "corner", "--model", "kk-extended",

@@ -20,6 +20,7 @@ from symcone.documents import (
     report_to_doc,
     unsupported_to_doc,
 )
+from symcone import linalg
 from symcone.errors import DocumentError, RangeError
 from symcone.lattice import ClassVector
 from symcone.models import (
@@ -45,6 +46,9 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
     assert format_rational(Fraction(2, 4)) == "1/2"
+    assert format_rational(-12) == "-12"
+    # one formatter, kept below the move engine and re-exported here
+    assert format_rational is linalg.format_rational
 
 
 def test_format_rational_names_an_overlong_output():

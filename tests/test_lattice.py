@@ -51,6 +51,12 @@ def test_is_integral():
     assert not ClassVector((Fraction(1, 2), Fraction(1))).is_integral
 
 
+def test_integer_form_lists_the_nonzero_scaled_terms():
+    v = ClassVector((Fraction(1, 2), Fraction(0), Fraction(-3, 4)))
+    assert v.integer_form == (4, ((0, 2), (2, -3)))
+    assert ClassVector.zero(3).integer_form == (1, ())
+
+
 def test_negative_definite_on_random_dominant_matrices():
     rng = random.Random(29)
     for _ in range(100):

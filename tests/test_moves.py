@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from symcone.errors import (
     MalformedInputError,
     PositivityError,
     PreconditionError,
+    RangeError,
     WrongMoveError,
 )
 from symcone.lattice import ClassVector, lattice_from_rows
@@ -205,6 +208,36 @@ def test_describe_move_formats():
         )
         == "smooth(a, b; reinstate b) -> c"
     )
+
+
+def test_describe_move_names_an_overlong_amplitude():
+    with pytest.raises(RangeError, match=r"^t: output exceeds the \d+-digit integer limit$"):
+        describe_move(Inflate(object_id="e", t=Fraction(10**5000)))
+
+
+@pytest.mark.parametrize("where, failure", [
+    # the base square has about 5000 digits, past the interpreter's limit
+    ("base", "base square: output exceeds the {limit}-digit integer limit"),
+    # the amplitude is written out in the move's entry before it is applied
+    ("move", "t: output exceeds the {limit}-digit integer limit at move 3"),
+])
+def test_replay_reports_overlong_numbers_as_failures(where, failure):
+    cert = kk_gamma0_certificate()
+    if where == "base":
+        big = Fraction(10**2500)
+        cert = replace(
+            cert,
+            base_class=ClassVector((big,) + cert.base_class.coords[1:]),
+            target_class=ClassVector((big,) + cert.target_class.coords[1:]),
+            moves=(),
+        )
+    else:
+        moves = list(cert.moves)
+        moves[2] = Inflate(moves[2].object_id, Fraction(10**5000))
+        cert = replace(cert, moves=tuple(moves))
+    report = verify_certificate(cert)
+    assert not report.passed
+    assert report.first_failure == failure.format(limit=sys.get_int_max_str_digits())
 
 
 def test_certificate_replay_passes():

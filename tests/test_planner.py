@@ -1,11 +1,16 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symcone import chambers, planner
-from symcone.errors import PreconditionError, SearchFailureError
+from symcone.documents import canonical_json, certificate_to_doc
+from symcone.errors import PreconditionError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from symcone.models import (
     build_kk_model,
@@ -13,7 +18,7 @@ from symcone.models import (
     kk_gamma0_model,
     ruled_model,
 )
-from symcone.moves import Inflate, SmoothAndReinstate, verify_certificate
+from symcone.moves import Certificate, Inflate, VerificationReport, verify_certificate
 from symcone.planner import (
     Unsupported,
     component_obstruction,
@@ -427,3 +432,95 @@ def test_plan_soundness_random_subsets():
             assert verify_certificate(outcome).passed
             planned += 1
     assert planned > 0
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "reference.json"
+SMALL_SUBSETS = tuple((i,) for i in range(21)) + tuple(itertools.combinations(range(21), 2))
+
+
+def test_plan_certificates_match_the_benchmark_reference():
+    """Byte-identical plans: the 231 KK corners pushed from w0 + K (the
+    benchmark's interior class a0) emit the recorded certificate documents."""
+    digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"]["kk-corners"]
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    for subset in SMALL_SUBSETS:
+        cert = plan(model, chambers.corner_point(model, alpha, subset))
+        text = canonical_json(certificate_to_doc(cert, model_name="kk-extended"))
+        key = "-".join(model.curves[i].label for i in subset) + "/a0"
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[key], key
+
+
+# the benchmark's interior classes a w0 + lam K
+INTERIOR = ((1, 1), (2, 1), (1, Fraction(3, 2)), (Fraction(3, 2), Fraction(2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    subset=st.lists(st.integers(0, 20), min_size=1, max_size=3, unique=True),
+    interior=st.sampled_from(INTERIOR),
+    epsilon=st.none() | st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=64),
+)
+def test_plan_contract_on_kk_corners_and_chambers(subset, interior, epsilon):
+    """plan returns a Certificate that verifies and ends on the target, or an
+    Unsupported with a reason; it never raises.  epsilon None is the corner
+    target, otherwise the chamber point that deep behind it."""
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    a, lam = interior
+    alpha = lat.reference_class.scale(a) + lat.canonical_class.scale(lam)
+    descriptor = chambers.descriptor_for(model, subset)
+    assume(descriptor.admissible)  # an indefinite locus has no corner point
+    target = chambers.corner_point(model, alpha, descriptor)
+    if epsilon is not None:
+        target = chambers.chamber_point(model, target, descriptor, epsilon)
+    outcome = plan(model, target)
+    if isinstance(outcome, Unsupported):
+        assert outcome.reason
+    else:
+        assert isinstance(outcome, Certificate)
+        assert outcome.target_class == target
+        assert verify_certificate(outcome).passed
+
+
+def test_plan_reports_a_failed_replay_as_unsupported(monkeypatch):
+    def failing(cert):
+        return VerificationReport(
+            passed=False, entries=(), first_failure="forced failure at move 1", final_class=None
+        )
+
+    monkeypatch.setattr(planner, "verify_certificate", failing)
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    # interior, single-curve and peeled targets all go through the one replay
+    for target in (alpha, chambers.corner_point(model, alpha, (0,)),
+                   chambers.corner_point(model, alpha, (0, 1))):
+        result = plan(model, target)
+        assert isinstance(result, Unsupported)
+        assert result.reason == "planned certificate failed replay"
+        assert dict(result.detail) == {"first failure": "forced failure at move 1"}
+
+
+def test_plan_reports_a_failed_peel_as_unsupported(monkeypatch):
+    def failing(self, state, u):
+        raise planner._PlanFail("no peel candidate applies")
+
+    monkeypatch.setattr(planner._Peeler, "peel", failing)
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    result = plan(model, chambers.corner_point(model, alpha, (0, 1)))
+    assert isinstance(result, Unsupported)
+    assert result.reason == "the deficit does not peel into moves"
+    assert dict(result.detail)["peel"] == "no peel candidate applies"
+
+
+def test_plan_refuses_a_target_whose_replay_outgrows_the_digit_limit():
+    # the base square has about 5000 digits, past the interpreter's limit
+    model = kk_gamma0_model()
+    target = ClassVector((Fraction(10**2500),) + (Fraction(0),) * 21)
+    result = plan(model, target)
+    assert isinstance(result, Unsupported)
+    assert result.reason == "planned certificate failed replay"
+    (key, failure), = result.detail
+    assert key == "first failure"
+    assert failure.startswith("base square: output exceeds the ")
