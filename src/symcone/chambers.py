@@ -62,9 +62,6 @@ class Classification:
 
 def descriptor_for(model: CurveModel, indices: Sequence[int]) -> ChamberDescriptor:
     idx = tuple(sorted(set(int(i) for i in indices)))
-    for i in idx:
-        if not 0 <= i < len(model.curves):
-            raise DomainError(f"curve index {i} out of range")
     gram = model.curve_gram(idx)
     return ChamberDescriptor(
         curve_indices=idx,
@@ -223,17 +220,15 @@ def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index
     """
     if not model.is_interior_kahler(alpha):
         raise PreconditionError("alpha must be interior-Kähler")
-    if not 0 <= e_index < len(model.curves):
-        raise DomainError(f"curve index {e_index} out of range")
+    k = -model.curve_gram((e_index,))[0][0]
     curve = model.curves[e_index]
     lat = model.lattice
-    k = -lat.square(curve.vector)
     if curve.genus == 0 and k % 2 == 1:
         raise PreconditionError(
             f"curve {curve.label!r} is a sphere of odd square {-k}; reflection certificate unavailable"
         )
     v = lat.pair(alpha, curve.vector)
-    reflected = reflect(lat, alpha, curve.vector)
+    reflected = alpha + curve.vector.scale(2 * v / k)  # R_e(alpha), as k = -e.e
     if v == 0:
         return reflected, Certificate(
             model=model, base_class=alpha, moves=(), target_class=alpha

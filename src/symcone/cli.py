@@ -6,35 +6,27 @@ so output is both inspectable and machine-parseable.  File arguments accept
 either a raw JSON document or a previously captured report; in the latter
 case everything after the last sentinel line is used.
 
-Exit codes: 0 success or verified, 1 verification failure, 2 malformed input
-or out-of-domain request, 3 plan unsupported.
+Exit codes: 0 success or verified, 1 verification failure, 2 malformed input,
+out-of-domain request or any other package error, 3 plan unsupported.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import chambers, documents, models, perturb, planner
 from .errors import (
-    ConfigurationError,
-    DefinitenessError,
-    DocumentError,
-    DomainError,
     MalformedInputError,
-    ModelInconsistencyError,
     MoveError,
     NumericalFailureError,
-    PreconditionError,
     PropertyViolationError,
-    RangeError,
     SearchFailureError,
-    SingularityError,
+    SymconeError,
 )
 from .lattice import ClassVector, CurveModel
-from .moves import Certificate, describe_move, verify_certificate
+from .moves import describe_move, verify_certificate
 
 SENTINEL = "---JSON---"
 
@@ -43,17 +35,6 @@ EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_UNSUPPORTED = 3
 
-_MALFORMED_ERRORS = (
-    DocumentError,
-    MalformedInputError,
-    DomainError,
-    ConfigurationError,
-    PreconditionError,
-    RangeError,
-    ModelInconsistencyError,
-    DefinitenessError,
-    SingularityError,
-)
 _FAILURE_ERRORS = (PropertyViolationError, NumericalFailureError, MoveError)
 
 
@@ -484,7 +465,7 @@ def main(argv=None) -> int:
     except _FAILURE_ERRORS as exc:
         _emit([f"failure: {exc}"], {"error": str(exc)})
         return EXIT_FAIL
-    except _MALFORMED_ERRORS as exc:
+    except SymconeError as exc:
         _emit([f"error: {exc}"], {"error": str(exc)})
         return EXIT_MALFORMED
 

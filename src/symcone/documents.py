@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import models as models_mod
 from .errors import DocumentError
@@ -278,10 +278,7 @@ def certificate_to_doc(cert: Certificate, model_name: str | None = None) -> dict
     return doc
 
 
-def certificate_from_doc(
-    doc: Any,
-    resolve_model: Callable[[str], CurveModel] = models_mod.builtin_model,
-) -> Certificate:
+def certificate_from_doc(doc: Any) -> Certificate:
     where = "certificate"
     _require_keys(
         doc,
@@ -291,7 +288,7 @@ def certificate_from_doc(
     )
     model_doc = doc["model"]
     if isinstance(model_doc, str):
-        model = resolve_model(model_doc)
+        model = models_mod.builtin_model(model_doc)
     else:
         model = model_from_doc(model_doc, where=f"{where}.model")
     rank = model.lattice.rank

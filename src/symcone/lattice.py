@@ -11,6 +11,9 @@ vector caches its integer form: its coordinates times their least common
 denominator d, with the nonzero terms listed.  A pairing sums integer
 products over nonzero terms only and divides by the two denominators once,
 so the result is a single exact Fraction.
+
+A curve model builds the exact Gram of its declared curves once, on first
+use; every square or pairing of two declared curves is read from it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import linalg
 from .errors import (
     ConfigurationError,
     DefinitenessError,
+    DomainError,
     MalformedInputError,
     ModelInconsistencyError,
     PreconditionError,
@@ -305,7 +309,6 @@ class CurveModel:
     lattice: IntersectionLattice
     curves: tuple[CurveData, ...]
     completeness_assumed: bool = False
-    enforce_adjunction: bool = True
 
     def __post_init__(self):
         curves = tuple(self.curves)
@@ -314,7 +317,7 @@ class CurveModel:
         if len(set(labels)) != len(labels):
             raise ModelInconsistencyError("curve labels must be distinct")
         lat = self.lattice
-        canonical = lat.canonical_class if self.enforce_adjunction else None
+        canonical = lat.canonical_class
         for c in curves:
             # a curve class is integral, so its scaled square is its square
             (sq,) = lat.scaled_pairings(c.vector, (c.vector,))
@@ -370,22 +373,21 @@ class CurveModel:
         vectors = [c.vector for c in self.curves]
         return all(x > 0 for x in self.lattice.scaled_pairings(a, vectors))
 
+    @cached_property
+    def _gram(self) -> linalg.Matrix:
+        vectors = [c.vector for c in self.curves]
+        return tuple(self.lattice.pairings(a, vectors) for a in vectors)
+
     def curve_gram(self, indices: Sequence[int] | None = None) -> linalg.Matrix:
-        """Gram matrix of the declared curves (or a subset, by index)."""
-        idx = range(len(self.curves)) if indices is None else list(indices)
-        chosen = [self.curves[i].vector for i in idx]
-        return tuple(self.lattice.pairings(a, chosen) for a in chosen)
-
-
-def lattice_from_rows(
-    rows: Iterable[Iterable],
-    labels: Sequence[str] | None = None,
-    canonical: ClassVector | None = None,
-    reference: ClassVector | None = None,
-) -> IntersectionLattice:
-    return IntersectionLattice(
-        gram=rows,
-        basis_labels=tuple(labels) if labels else (),
-        canonical_class=canonical,
-        reference_class=reference,
-    )
+        """Gram matrix of the declared curves, or of a subset by index in the
+        order given.  The full Gram is built once per model, on first use; a
+        subset is a slice of it.  An index outside the curve list raises
+        DomainError."""
+        gram = self._gram
+        if indices is None:
+            return gram
+        idx = tuple(indices)
+        for i in idx:
+            if not 0 <= i < len(gram):
+                raise DomainError(f"curve index {i} out of range")
+        return tuple(tuple(gram[i][j] for j in idx) for i in idx)

@@ -20,7 +20,6 @@ from typing import Sequence
 from . import linalg
 from .chambers import Membership, classify
 from .errors import (
-    DomainError,
     PreconditionError,
     PropertyViolationError,
     SearchFailureError,
@@ -83,9 +82,6 @@ def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualG
         idx = tuple(range(len(model.curves)))
     else:
         idx = tuple(sorted(set(int(i) for i in indices)))
-    for i in idx:
-        if not 0 <= i < len(model.curves):
-            raise DomainError(f"curve index {i} out of range")
     return DualGraph(indices=idx, pairings=model.curve_gram(idx))
 
 
@@ -173,10 +169,10 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     Returns Admissible (with the leading minors) or a Witness.  Small sets are
     settled by exhaustive search over coefficients 0..4; larger ones by a
     greedy square-increasing walk from the all-ones vector."""
-    idx = tuple(sorted(set(int(i) for i in indices)))
+    graph = dual_graph(model, indices)
+    idx = graph.indices
     if not idx:
         raise PreconditionError("empty curve set")
-    graph = dual_graph(model, idx)
     if len(graph.components()) != 1:
         raise PreconditionError("curve set is not connected in the dual graph")
     M = graph.pairings
@@ -369,23 +365,19 @@ class _Peeler:
         # a doubled constituent needs an exhausted neighbor meeting it at
         # least -x^2 times: the pre-smoothing merges the pair and reinstates
         # the doubled curve, yielding two homologous copies in the gather
-        lat = self.model.lattice
-        xv = self.model.curves[x].vector
-        need = -lat.square(xv)
+        row = self.model.curve_gram()[x]
+        need = -row[x]
         for z in sorted(cand):
             if z == x or cand[z] != 1 or z not in exhausted or z in used:
                 continue
-            if lat.pair(xv, self.model.curves[z].vector) >= need:
+            if row[z] >= need:
                 return z
         raise _PlanFail("no partner for a doubled constituent")
 
 
 def _all_minus_two_spheres(model: CurveModel, comp: tuple[int, ...]) -> bool:
-    lat = model.lattice
-    return all(
-        model.curves[i].genus == 0 and lat.square(model.curves[i].vector) == -2
-        for i in comp
-    )
+    gram = model.curve_gram()
+    return all(model.curves[i].genus == 0 and gram[i][i] == -2 for i in comp)
 
 
 def _plan_single_curve(
@@ -397,7 +389,7 @@ def _plan_single_curve(
 ):
     lat = model.lattice
     curve = model.curves[index]
-    k = int(-lat.square(curve.vector))
+    k = int(-model.curve_gram()[index][index])
     h = h_param(k, curve.genus)
     # the single inflation t must satisfy t (2k - h) > 2|v|; (-1)-spheres
     # (2k = h) were already refused by the caller
@@ -432,21 +424,22 @@ def _plan_single_curve(
 def _sweep_plan(
     model: CurveModel,
     target: ClassVector,
+    pairings: Sequence[Fraction],
     comps: tuple[tuple[int, ...], ...],
     annotations: Sequence[str],
 ):
     """Peel the base of the first Kähler scale r, once.
 
-    With N = -M^{-1} per component and v the target's pairings, the base
-    pairing r with every curve of the locus is corner - r far, where
+    With N = -M^{-1} per component and v the target's pairings with the
+    locus (read off classify), the base pairing r with every curve of the
+    locus is corner - r far, where
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
     peel checks scales linearly with r: the first Kähler r peels or none does."""
-    lat = model.lattice
-    corner, far, terms = target, ClassVector.zero(lat.rank), []
+    corner, far, terms = target, ClassVector.zero(model.lattice.rank), []
     for comp in comps:
         inverse = neg_inverse(model.curve_gram(comp))
-        v = [lat.pair(target, model.curves[i].vector) for i in comp]
+        v = [pairings[i] for i in comp]
         ones = [Fraction(1)] * len(comp)
         for i, d, s in zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones)):
             e = model.curves[i].vector
@@ -558,8 +551,8 @@ def _construct(model: CurveModel, target: ClassVector):
                 annotations.append("extrapolated")
     for comp in comps:
         if len(comp) == 1:
-            c = model.curves[comp[0]]
-            if c.genus == 0 and lat.square(c.vector) == -1:
+            (i,) = comp
+            if model.curves[i].genus == 0 and model.curve_gram()[i][i] == -1:
                 return Unsupported(
                     reason="(-1)-sphere wall: the required amplitude equals the open bound 2A/h",
                     component=comp,
@@ -567,4 +560,4 @@ def _construct(model: CurveModel, target: ClassVector):
     if len(comps) == 1 and len(comps[0]) == 1:
         only = comps[0][0]
         return _plan_single_curve(model, target, only, cls.pairings[only], annotations)
-    return _sweep_plan(model, target, comps, annotations)
+    return _sweep_plan(model, target, cls.pairings, comps, annotations)

@@ -220,6 +220,24 @@ def test_reflected_chamber_certificate_replays_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_curve_index_entry_points_share_one_range_check():
+    from symcone import planner
+
+    model = builtin_model("e6")
+    n = len(model.curves)
+    alpha = _interior_on(model)
+    calls = (
+        lambda bad: chambers.descriptor_for(model, (0, bad)),
+        lambda bad: chambers.reflected_chamber_certificate(model, alpha, bad),
+        lambda bad: planner.dual_graph(model, (bad, 1)),
+        lambda bad: planner.component_obstruction(model, (bad,)),
+    )
+    for call in calls:
+        for bad in (-1, n):
+            with pytest.raises(DomainError, match=f"^curve index {bad} out of range$"):
+                call(bad)
+
+
 def test_reflected_chamber_certificate_refuses_odd_square_sphere():
     from symcone.models import ruled_model
 

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from symcone import cli, errors
 from symcone.cli import SENTINEL, main
 from symcone.documents import certificate_from_doc, parse_class
-from symcone.models import build_kk_model, builtin_model
+from symcone.models import builtin_model
 from symcone.moves import verify_certificate
 
 OMEGA0_22 = ",".join(["1"] + ["0"] * 21)
@@ -275,6 +276,52 @@ def test_perturb_out_of_range_eps(capsys):
 def test_perturb_needs_models(capsys):
     code, out = run(capsys, "perturb", "--eps", "0.1")
     assert code == 2
+
+
+# the exit code of every package error; any error without a more specific
+# code, the base class included, is malformed input
+EXIT_CODES = {
+    "SymconeError": 2,
+    "MalformedInputError": 2,
+    "DocumentError": 2,
+    "ConfigurationError": 2,
+    "DefinitenessError": 2,
+    "PreconditionError": 2,
+    "DomainError": 2,
+    "ModelInconsistencyError": 2,
+    "SingularityError": 2,
+    "RangeError": 2,
+    "MoveError": 1,
+    "BoundViolationError": 1,
+    "LivenessError": 1,
+    "WrongMoveError": 1,
+    "ConnectivityError": 1,
+    "PositivityError": 1,
+    "NumericalFailureError": 1,
+    "PropertyViolationError": 1,
+    "SearchFailureError": 3,
+}
+
+
+def test_every_package_error_has_an_exit_code():
+    family = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.SymconeError)
+    }
+    assert family == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_package_errors_exit_with_an_error_trailer(capsys, monkeypatch, name):
+    def raising(args):
+        raise getattr(errors, name)(f"raised {name}")
+
+    monkeypatch.setattr(cli, "cmd_classify", raising)
+    code = main(["classify", "--model", "kk-extended", "--class", OMEGA0_22])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODES[name]
+    assert trailer(captured.out) == {"error": f"raised {name}"}
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_help_and_bad_subcommand(capsys):

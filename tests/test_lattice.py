@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from symcone.errors import (
     ConfigurationError,
     DefinitenessError,
+    DomainError,
     MalformedInputError,
     ModelInconsistencyError,
     PreconditionError,
@@ -19,7 +20,7 @@ from symcone.lattice import (
     is_negative_definite,
     neg_inverse,
 )
-from symcone.models import build_hesse_dual, build_kk_model, ruled_model
+from symcone.models import build_hesse_dual, build_kk_model, builtin_model, ruled_model
 
 from oracles import brute_inverse, random_negative_definite
 
@@ -252,8 +253,6 @@ def test_curve_model_adjunction_enforcement_toggle():
     bad_genus = CurveData("e", ClassVector.basis(2, 1), genus=1)
     with pytest.raises(ModelInconsistencyError):
         CurveModel(lattice=lat, curves=(bad_genus,))
-    relaxed = CurveModel(lattice=lat, curves=(bad_genus,), enforce_adjunction=False)
-    assert relaxed.curve("e").genus == 1
 
 
 def test_curve_lookup_and_pairings():
@@ -275,6 +274,27 @@ def test_curve_gram_subset():
     idx = (model.index_of("C1"), model.index_of("D123"))
     sub = model.curve_gram(idx)
     assert sub == ((Fraction(-3), Fraction(1)), (Fraction(1), Fraction(-1)))
+    assert model.curve_gram(idx[::-1]) == ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(-3)))
+
+
+def test_curve_gram_is_the_pairing_of_the_curves_built_once():
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    gram = model.curve_gram()
+    assert len(gram) == len(model.curves) == 21
+    for a, row in zip(model.curves, gram):
+        for b, x in zip(model.curves, row):
+            assert type(x) is Fraction
+            assert x == lat.pair(a.vector, b.vector)
+    assert model.curve_gram() is gram
+    idx = (7, 2, 20, 0)
+    assert model.curve_gram(idx) == tuple(tuple(gram[i][j] for j in idx) for i in idx)
+
+
+@pytest.mark.parametrize("indices, bad", [((-1, 0), -1), ((21,), 21), ((3, 25, -2), 25)])
+def test_curve_gram_range_checks_indices(indices, bad):
+    with pytest.raises(DomainError, match=f"^curve index {bad} out of range$"):
+        builtin_model("kk-extended").curve_gram(indices)
 
 
 def test_is_interior_kahler_requires_completeness():

@@ -16,10 +16,9 @@ from symcone.errors import (
     RangeError,
     WrongMoveError,
 )
-from symcone.lattice import ClassVector, lattice_from_rows
+from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.models import (
     BUILTIN_MODEL_NAMES,
-    build_kk_model,
     builtin_model,
     kk_gamma0_certificate,
     kk_gamma0_model,
@@ -369,9 +368,9 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     # From a checked state this cannot happen: the new class is the sum of
     # the constituents, each pairing nonnegatively with every live object.
     # So the state is assembled past the full check to reach the guard.
-    lat = lattice_from_rows(
-        [[100, 0, 0, 0], [0, -2, 1, -1], [0, 1, -2, 0], [0, -1, 0, -2]],
-        labels=("w", "a", "b", "c"),
+    lat = IntersectionLattice(
+        gram=((100, 0, 0, 0), (0, -2, 1, -1), (0, 1, -2, 0), (0, -1, 0, -2)),
+        basis_labels=("w", "a", "b", "c"),
     )
     basis = [ClassVector.basis(4, i) for i in range(4)]
     cls = -(basis[1] + basis[2])

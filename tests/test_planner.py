@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,7 +436,8 @@ def test_plan_soundness_random_subsets():
     assert planned > 0
 
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "reference.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = PERFBENCH / "data" / "reference.json"
 SMALL_SUBSETS = tuple((i,) for i in range(21)) + tuple(itertools.combinations(range(21), 2))
 
 
@@ -449,6 +452,41 @@ def test_plan_certificates_match_the_benchmark_reference():
         text = canonical_json(certificate_to_doc(cert, model_name="kk-extended"))
         key = "-".join(model.curves[i].label for i in subset) + "/a0"
         assert hashlib.sha256(text.encode()).hexdigest() == digests[key], key
+
+
+LOCI = """
+import hashlib, json, sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+import symcone
+from run import Context
+from workloads import KKLoci
+
+digests = json.loads(Path(sys.argv[3]).read_text(encoding="utf-8"))["digests"]["kk-loci"]
+ctx, loci = Context(symcone), KKLoci()
+out = {}
+for op in loci.pool(symcone):
+    if op.key.endswith("/a0"):
+        ok, text = loci.check(ctx, op, loci.run(ctx, op))
+        out[op.key] = ok and hashlib.sha256(text.encode()).hexdigest() == digests[op.key]
+print(json.dumps(out))
+"""
+
+
+def test_loci_outputs_match_the_benchmark_reference():
+    """Byte-identical descriptors, witnesses and loci plans: the 152 kk-loci
+    pool operations from a0 pass the benchmark's independent check and hash
+    to their recorded digests.  The benchmark's own workload code runs them,
+    in a child process so that its modules stay out of this one."""
+    src = PERFBENCH.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOCI, str(src), str(PERFBENCH), str(REFERENCE)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out) == 152
+    assert [key for key, ok in out.items() if not ok] == []
 
 
 # the benchmark's interior classes a w0 + lam K
