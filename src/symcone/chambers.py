@@ -46,10 +46,10 @@ class Membership(enum.Enum):
 
 @dataclass(frozen=True)
 class ChamberDescriptor:
-    """A set G of curve indices with the restricted Gram and its definiteness."""
+    """A set G of curve indices with its integer Gram and its definiteness."""
 
     curve_indices: tuple[int, ...]
-    gram_restriction: linalg.Matrix
+    gram_restriction: tuple[tuple[int, ...], ...]
     admissible: bool
 
 

@@ -143,9 +143,8 @@ def cmd_plan(args) -> int:
             combo = " + ".join(
                 f"{c}*{l}" for c, l in zip(outcome.witness.coefficients, labels)
             )
-            lines.append(
-                f"witness: ({combo}) has square {outcome.witness.square} >= 0"
-            )
+            square = documents.format_rational(outcome.witness.square, "witness square")
+            lines.append(f"witness: ({combo}) has square {square} >= 0")
         if outcome.component is not None:
             labels = [model.curves[i].label for i in outcome.component]
             lines.append(f"component: {', '.join(labels)}")

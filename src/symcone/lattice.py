@@ -5,14 +5,15 @@ symmetric pairing, optionally carrying a distinguished canonical class and a
 reference class of positive square.  A CurveModel decorates a lattice with a
 finite list of negative-square curve classes and their genera.
 
-Pairings run in integers.  The lattice keeps its Gram matrix as sparse rows
-of its nonzero integer entries (a KK row has at most five), and a class
-vector caches its integer form: its coordinates times their least common
-denominator d, with the nonzero terms listed.  A pairing sums integer
-products over nonzero terms only and divides by the two denominators once,
-so the result is a single exact Fraction.
+Classes and pairings run in integers.  A class vector is stored in integer
+form: a denominator d and its nonzero (index, numerator) terms, normalized by
+one gcd; its Fraction coordinates are a view derived from that.  The lattice
+keeps its Gram matrix as sparse rows of its nonzero integer entries (a KK row
+has at most five).  A pairing sums integer products over nonzero terms only
+and divides by the two denominators once, so the result is a single exact
+Fraction.
 
-A curve model builds the exact Gram of its declared curves once, on first
+A curve model builds the integer Gram of its declared curves once, on first
 use; every square or pairing of two declared curves is read from it.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -36,60 +37,88 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassVector:
-    """A lattice class in basis coordinates, exact throughout."""
+    """A lattice class in basis coordinates, exact throughout.
 
-    coords: tuple[Fraction, ...]
+    Its data is its integer form (d, terms): a denominator d > 0 and the
+    nonzero (index, numerator) terms in index order, with coordinate i equal
+    to numerator_i / d and gcd(d, numerators) = 1.  That form is unique, so
+    equality and hashing compare it exactly, and +, - and scale run in
+    integers.  coords is the Fraction view of it."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", linalg.as_vector(self.coords))
+    rank: int
+    integer_form: tuple[int, tuple[tuple[int, int], ...]]
+
+    def __init__(self, coords: Iterable):
+        values = linalg.as_vector(coords)
+        d = lcm(*(c.denominator for c in values))
+        terms = tuple((i, c.numerator * (d // c.denominator)) for i, c in enumerate(values) if c)
+        object.__setattr__(self, "rank", len(values))
+        object.__setattr__(self, "integer_form", (d, terms))
+
+    @classmethod
+    def _normalized(cls, rank: int, d: int, terms: Iterable[tuple[int, int]]) -> "ClassVector":
+        """The class with coordinates numerator_i / d, for d > 0 and terms
+        listed by index; zero numerators are dropped."""
+        terms = tuple((i, x) for i, x in terms if x)
+        g = gcd(d, *(x for _, x in terms))
+        if g > 1:
+            d //= g
+            terms = tuple((i, x // g) for i, x in terms)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "rank", rank)
+        object.__setattr__(vec, "integer_form", (d, terms))
+        return vec
 
     @classmethod
     def zero(cls, rank: int) -> "ClassVector":
-        return cls((Fraction(0),) * rank)
+        return cls._normalized(rank, 1, ())
 
     @classmethod
     def basis(cls, rank: int, index: int) -> "ClassVector":
         if not 0 <= index < rank:
             raise MalformedInputError(f"basis index {index} out of range for rank {rank}")
-        return cls(tuple(Fraction(1 if i == index else 0) for i in range(rank)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
+        return cls._normalized(rank, 1, ((index, 1),))
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(d, the nonzero (index, d * coord) terms), with d the least common
-        denominator of the coordinates."""
-        d = lcm(*(c.denominator for c in self.coords))
-        return d, tuple((i, c.numerator * (d // c.denominator)) for i, c in enumerate(self.coords) if c)
+    def coords(self) -> tuple[Fraction, ...]:
+        d, terms = self.integer_form
+        out = [Fraction(0)] * self.rank
+        for i, x in terms:
+            out[i] = Fraction(x, d)
+        return tuple(out)
 
     @property
     def is_integral(self) -> bool:
         return self.integer_form[0] == 1
 
-    def _check_rank(self, other: "ClassVector") -> None:
+    def _combine(self, other: "ClassVector", sign: int) -> "ClassVector":
+        """self + sign * other, over the two lists of nonzero terms."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
-
-    # curve classes are sparse: zero coordinates skip the Fraction arithmetic
+        (da, ta), (db, tb) = self.integer_form, other.integer_form
+        d = lcm(da, db)
+        ma, mb = d // da, sign * (d // db)
+        acc = {i: x * ma for i, x in ta}
+        for i, x in tb:
+            acc[i] = acc.get(i, 0) + x * mb
+        return ClassVector._normalized(self.rank, d, sorted(acc.items()))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
-        self._check_rank(other)
-        return ClassVector(tuple(a + b if b else a for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        self._check_rank(other)
-        return ClassVector(tuple(a - b if b else a for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ClassVector":
-        return ClassVector(tuple(-a for a in self.coords))
+        return self.scale(-1)
 
     def scale(self, factor) -> "ClassVector":
         f = linalg.as_fraction(factor)
-        return ClassVector(tuple(f * a if a else a for a in self.coords))
+        d, terms = self.integer_form
+        p, q = f.numerator, f.denominator
+        return ClassVector._normalized(self.rank, d * q, ((i, x * p) for i, x in terms))
 
     def __mul__(self, factor) -> "ClassVector":
         return self.scale(factor)
@@ -97,7 +126,7 @@ class ClassVector:
     __rmul__ = __mul__
 
 
-def negative_definite_by_minors(minors: Sequence[Fraction]) -> bool:
+def negative_definite_by_minors(minors: Iterable[Fraction]) -> bool:
     """Sylvester test: the k-th leading principal minor has sign (-1)^k."""
     return all(
         (minor > 0 if k % 2 == 0 else minor < 0)
@@ -106,15 +135,27 @@ def negative_definite_by_minors(minors: Sequence[Fraction]) -> bool:
 
 
 def is_negative_definite(gram: linalg.Matrix) -> bool:
-    # a vanishing minor already fails the test, so the minors past it are moot
-    return negative_definite_by_minors(linalg.pivot_minors(gram))
+    # the minors come lazily: the first one of the wrong sign ends the
+    # elimination, and a vanishing one is of the wrong sign
+    return negative_definite_by_minors(linalg.iter_pivot_minors(gram))
 
 
-def neg_inverse(gram: linalg.Matrix) -> linalg.Matrix:
+class NegInverse(tuple):
+    """-M^{-1} as rows of Fractions that also keep their fraction-free form:
+    -M^{-1} = adjugate / det, with det a positive integer and adjugate a
+    nonnegative integer matrix (det(-M) and adj(-M) when M is integral)."""
+
+    def __new__(cls, det: int, adjugate: tuple[tuple[int, ...], ...]):
+        self = super().__new__(cls, (tuple(Fraction(x, det) for x in row) for row in adjugate))
+        self.det, self.adjugate = det, adjugate
+        return self
+
+
+def neg_inverse(gram: linalg.Matrix) -> NegInverse:
     """Return -gram^{-1} for a negative definite matrix with nonnegative
     off-diagonal entries.  Under those hypotheses the result is entrywise
-    nonnegative; that is verified, not assumed."""
-    gram = linalg.as_matrix(gram)
+    nonnegative; that is verified, not assumed.  One fraction-free solve
+    against the identity gives it, with one Fraction built per entry."""
     if not linalg.is_symmetric(gram):
         raise PreconditionError("matrix is not symmetric")
     n = len(gram)
@@ -124,15 +165,15 @@ def neg_inverse(gram: linalg.Matrix) -> linalg.Matrix:
                 raise PreconditionError("off-diagonal entries must be nonnegative")
     if not is_negative_definite(gram):
         raise DefinitenessError("matrix is not negative definite")
-    inv = linalg.inverse(gram)
-    result = tuple(tuple(-entry for entry in row) for row in inv)
-    for row in result:
-        for entry in row:
-            if entry < 0:
-                raise PropertyViolationError(
-                    "negated inverse has a negative entry despite the hypotheses"
-                )
-    return result
+    D, columns = linalg.solve_columns(gram, linalg.identity(n))
+    # columns[j] is D times column j of gram^{-1}; flip to a positive det
+    flip = -1 if D > 0 else 1
+    adjugate = tuple(tuple(flip * col[i] for col in columns) for i in range(n))
+    if any(x < 0 for row in adjugate for x in row):
+        raise PropertyViolationError(
+            "negated inverse has a negative entry despite the hypotheses"
+        )
+    return NegInverse(abs(D), adjugate)
 
 
 def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
@@ -221,7 +262,7 @@ class IntersectionLattice:
         takes its dot product over its own nonzero terms."""
         rows = self._rows
         n = len(rows)
-        if len(a.coords) != n:
+        if a.rank != n:
             raise MalformedInputError("class vector rank does not match lattice")
         product = [0] * n
         for j, x in a.integer_form[1]:
@@ -229,7 +270,7 @@ class IntersectionLattice:
                 product[i] += x * g
         out = []
         for v in vectors:
-            if len(v.coords) != n:
+            if v.rank != n:
                 raise MalformedInputError("class vector rank does not match lattice")
             out.append(sum(x * product[i] for i, x in v.integer_form[1]))
         return out
@@ -374,13 +415,14 @@ class CurveModel:
         return all(x > 0 for x in self.lattice.scaled_pairings(a, vectors))
 
     @cached_property
-    def _gram(self) -> linalg.Matrix:
+    def _gram(self) -> tuple[tuple[int, ...], ...]:
+        # curve classes are integral, so scaled pairings are the pairings
         vectors = [c.vector for c in self.curves]
-        return tuple(self.lattice.pairings(a, vectors) for a in vectors)
+        return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
 
-    def curve_gram(self, indices: Sequence[int] | None = None) -> linalg.Matrix:
-        """Gram matrix of the declared curves, or of a subset by index in the
-        order given.  The full Gram is built once per model, on first use; a
+    def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+        """Integer Gram matrix of the declared curves, or of a subset by index
+        in the order given.  The full Gram is built once per model, on first use; a
         subset is a slice of it.  An index outside the curve list raises
         DomainError."""
         gram = self._gram

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fraction, vectors are tuples of Fraction.
-Everything here is exact: elimination runs fraction-free (Bareiss) on an
-integerized copy of the input, and only the final back-substitution returns to
-Fraction.  Sizes in this package are small (rank <= 22), so clarity wins over
-asymptotics.
+Matrices are tuples of rows and vectors are tuples of exact numbers: int
+where the data is integral (curve Grams are), Fraction otherwise.  There is
+one elimination core, fraction-free (Bareiss): integral input goes into it as
+it is, any other input is first scaled to integers by the lcm of its
+denominators.  Solving also back-substitutes in integers, so a Fraction is
+built only for each number handed back.  Sizes in this package are small
+(rank <= 22), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedInputError, RangeError, SingularityError
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 def as_fraction(value) -> Fraction:
@@ -57,10 +59,7 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def is_symmetric(mat: Matrix) -> bool:
@@ -84,139 +83,136 @@ def submatrix(mat: Matrix, indices: Sequence[int]) -> Matrix:
     return tuple(tuple(mat[i][j] for j in indices) for i in indices)
 
 
-def _require_square(mat: Matrix) -> int:
+def _integer_rows(mat: Matrix, extra: Sequence[Sequence] = ()) -> tuple[list[list[int]], int]:
+    """The one way into elimination: mutable integer rows equal to
+    d * [mat | extra columns], with d > 0.
+
+    Integral input is taken as it is (d = 1); any other exact entries are
+    scaled by the lcm of their denominators.  Raises MalformedInputError
+    unless mat is square and every extra column has its height."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise MalformedInputError("matrix is not square")
-    return n
+    if any(len(col) != n for col in extra):
+        raise MalformedInputError("right-hand side has wrong dimension")
+    rows = [list(row) + [col[i] for col in extra] for i, row in enumerate(mat)]
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    rows = [[as_fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def _integerized(mat: Matrix, extra: Sequence[Sequence[Fraction]] = ()) -> tuple[list[list[int]], int]:
-    """Scale [mat | extra-columns] by the lcm of all denominators.
+def _eliminate(rows: list[list[int]], n: int, pivoting: bool = True) -> Iterator[int]:
+    """Fraction-free Bareiss elimination (Bareiss 1968, Math. Comp. 22), in
+    place, one row at a time.
 
-    Returns mutable integer rows and the (positive) multiplier d, so that the
-    returned rows equal d * [mat | extra].
-    """
-    denoms = [entry.denominator for row in mat for entry in row]
-    for col in extra:
-        denoms.extend(entry.denominator for entry in col)
-    d = lcm(*denoms)
-    rows = []
-    for i, row in enumerate(mat):
-        augmented = list(row) + [col[i] for col in extra]
-        rows.append([x.numerator * (d // x.denominator) for x in augmented])
-    return rows, d
-
-
-def _eliminate(rows: list[list[int]], n: int, pivoting: bool = True) -> int:
-    """Fraction-free Bareiss elimination (Bareiss 1968, Math. Comp. 22), in place.
-
-    Clears the first n columns of the integer rows below the diagonal; any
-    further columns (right-hand sides) ride along.  Every division is exact,
-    and afterwards rows[k][k] is the order-(k+1) leading principal minor of the
-    row-permuted input.  Returns the sign of the row permutation, or 0 when it
-    stops at a zero pivot: a column with no nonzero entry left, or, with
-    pivoting off, any zero on the diagonal.
+    Row k is brought through the elimination steps of the pivot rows above
+    it; any further columns (right-hand sides) ride along, and every division
+    is exact.  Then rows[k][k] is the order-(k+1) leading principal minor of
+    the row-permuted input, and the generator yields the sign of the row
+    permutation so far, so a caller can stop at any minor.  A zero pivot (with
+    pivoting, only when no later row has a nonzero entry in its column) yields
+    0 and ends it.  Entries left of the diagonal are not cleared.
     """
     width = len(rows[0]) if rows else 0
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if pivoting:
-            found = next((i for i in range(k, n) if rows[i][k] != 0), k)
-            if found != k:
-                rows[k], rows[found] = rows[found], rows[k]
-                sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            return 0
-        tail = pivot_row[k + 1 : width]
-        for i in range(k + 1, n):
-            row = rows[i]
-            factor = row[k]
-            row[k + 1 : width] = [
-                (a * pivot - factor * b) // prev for a, b in zip(row[k + 1 : width], tail)
+    done = [0] * n  # elimination steps applied to each row
+
+    def reduce(i: int, k: int) -> None:
+        row = rows[i]
+        for s in range(done[i], k):
+            top = rows[s]
+            pivot, factor, prev = top[s], row[s], rows[s - 1][s - 1] if s else 1
+            row[s + 1 : width] = [
+                (a * pivot - factor * b) // prev for a, b in zip(row[s + 1 : width], top[s + 1 : width])
             ]
-            row[k] = 0
-        prev = pivot
-    return sign
+        done[i] = k
+
+    sign = 1
+    for k in range(n):
+        reduce(k, k)
+        if pivoting and rows[k][k] == 0:
+            for j in range(k + 1, n):
+                reduce(j, k)
+                if rows[j][k] != 0:
+                    rows[k], rows[j] = rows[j], rows[k]
+                    sign = -sign
+                    break
+        if rows[k][k] == 0:
+            yield 0
+            return
+        yield sign
 
 
 def det(mat: Matrix) -> Fraction:
     """Determinant by fraction-free Bareiss elimination with row pivoting."""
-    mat = as_matrix(mat)
-    n = _require_square(mat)
+    rows, d = _integer_rows(mat)
+    n = len(rows)
     if n == 0:
         return Fraction(1)
-    rows, d = _integerized(mat)
-    sign = _eliminate(rows, n)
+    *_, sign = _eliminate(rows, n)
     return Fraction(sign * rows[n - 1][n - 1], d**n)
 
 
-def pivot_minors(mat: Matrix) -> tuple[Fraction, ...]:
+def iter_pivot_minors(mat: Matrix) -> Iterator[Fraction]:
     """The leading principal minors, k = 1, 2, ..., up to and including the
-    first one that vanishes, read off one elimination without pivoting."""
-    mat = as_matrix(mat)
-    n = _require_square(mat)
-    rows, d = _integerized(mat)
-    _eliminate(rows, n, pivoting=False)
-    minors = []
-    for k in range(n):
-        minors.append(Fraction(rows[k][k], d ** (k + 1)))
-        if rows[k][k] == 0:
-            break
-    return tuple(minors)
+    first one that vanishes, each computed only when it is asked for: one
+    elimination without pivoting, a row at a time."""
+    rows, d = _integer_rows(mat)
+    for k, _ in enumerate(_eliminate(rows, len(rows), pivoting=False)):
+        yield Fraction(rows[k][k], d ** (k + 1))
+
+
+def pivot_minors(mat: Matrix) -> tuple[Fraction, ...]:
+    """All of iter_pivot_minors."""
+    return tuple(iter_pivot_minors(mat))
 
 
 def leading_principal_minors(mat: Matrix) -> tuple[Fraction, ...]:
     """The n leading principal minors, k = 1..n; only those past a zero
     pivot need a determinant of their own."""
-    mat = as_matrix(mat)
     minors = pivot_minors(mat)
     rest = range(len(minors) + 1, len(mat) + 1)
     return minors + tuple(det(submatrix(mat, range(m))) for m in rest)
 
 
-def solve_columns(mat: Matrix, columns: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Solve mat @ x = col for each column; returns the solution vectors.
+def solve_columns(mat: Matrix, columns: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Solve mat @ x = col for each column, fraction-free: returns (D, X)
+    with D a nonzero integer and each solution x = X[c] / D.
 
-    Forward elimination is fraction-free on the integerized augmented system
-    (scaling both sides leaves solutions unchanged); back-substitution is done
-    in Fraction.
+    Forward elimination runs on the integer rows of the augmented system
+    (scaling both sides leaves solutions unchanged).  Back-substitution stays
+    in integers: by Cramer's rule D x is integral, D being the last pivot
+    (plus or minus the determinant of the scaled system), so every division
+    in it is exact.  For an integral mat and the identity columns, X is
+    plus or minus the adjugate, in columns.
     """
-    mat = as_matrix(mat)
-    n = _require_square(mat)
-    cols = [as_vector(c) for c in columns]
-    for c in cols:
-        if len(c) != n:
-            raise MalformedInputError("right-hand side has wrong dimension")
+    rows, _ = _integer_rows(mat, columns)
+    n = len(rows)
     if n == 0:
-        return tuple(() for _ in cols)
-    rows, _ = _integerized(mat, cols)
-    if _eliminate(rows, n) == 0 or rows[n - 1][n - 1] == 0:
+        return 1, tuple(() for _ in columns)
+    *_, sign = _eliminate(rows, n)
+    if sign == 0:
         raise SingularityError("matrix is singular")
+    D = rows[n - 1][n - 1]
     solutions = []
-    for c in range(len(cols)):
-        x = [Fraction(0)] * n
+    for c in range(n, n + len(columns)):
+        x = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = Fraction(rows[i][n + c])
-            for j in range(i + 1, n):
-                acc -= rows[i][j] * x[j]
-            x[i] = acc / rows[i][i]
+            row = rows[i]
+            acc = D * row[c] - sum(row[j] * x[j] for j in range(i + 1, n))
+            x[i] = acc // row[i]
         solutions.append(tuple(x))
-    return tuple(solutions)
+    return D, tuple(solutions)
 
 
-def solve(mat: Matrix, rhs: Sequence[Fraction]) -> Vector:
-    return solve_columns(mat, [rhs])[0]
+def solve(mat: Matrix, rhs: Sequence) -> Vector:
+    D, (x,) = solve_columns(mat, [rhs])
+    return tuple(Fraction(v, D) for v in x)
 
 
 def inverse(mat: Matrix) -> Matrix:
     """Exact inverse; raises SingularityError if none exists."""
-    mat = as_matrix(mat)
-    n = _require_square(mat)
-    cols = [tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)]
-    solved = solve_columns(mat, cols)
-    # solved[j] is the j-th column of the inverse
-    return tuple(tuple(solved[j][i] for j in range(n)) for i in range(n))
+    D, columns = solve_columns(mat, identity(len(mat)))
+    # columns[j] is D times the j-th column of the inverse
+    return tuple(tuple(Fraction(col[i], D) for col in columns) for i in range(len(mat)))

@@ -265,7 +265,7 @@ def kk_gamma0_model() -> CurveModel:
     order = {"C1": 0, "D123": 1, "C2": 2, "D249": 3}
     chosen = tuple(sorted(chosen, key=lambda c: order[c.label]))
     model = CurveModel(lattice=lattice, curves=chosen, completeness_assumed=True)
-    if model.curve_gram() != linalg.as_matrix(GAMMA0_GRAM):
+    if model.curve_gram() != GAMMA0_GRAM:
         raise ModelInconsistencyError("path sub-model Gram does not match")
     return model
 

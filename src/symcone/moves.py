@@ -144,15 +144,6 @@ class ConfigurationState:
     def area(self, object_id: str) -> Fraction:
         return self.lattice.pair(self.current_class, self.object(object_id).vector)
 
-    def geom(self, id_a: str, id_b: str) -> Fraction:
-        """Geometric intersection count of two distinct alive objects."""
-        a, b = self.object(id_a), self.object(id_b)
-        if id_a == id_b:
-            raise MalformedInputError("geom is defined between distinct objects")
-        if not (a.alive and b.alive):
-            raise LivenessError("geom is defined between alive objects")
-        return self.lattice.pair(a.vector, b.vector)
-
     def alive_objects(self) -> tuple[SurfaceObject, ...]:
         return tuple(o for o in self.objects if o.alive)
 

@@ -11,7 +11,6 @@ an Unsupported value carrying exact witness data, never as an exception.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,16 +52,17 @@ _PEEL_BUDGET = 4096
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Intersection pattern of a curve subset; vertices are curve indices."""
+    """Intersection pattern of a curve subset; vertices are curve indices and
+    pairings is their integer Gram."""
 
     indices: tuple[int, ...]
-    pairings: linalg.Matrix
+    pairings: tuple[tuple[int, ...], ...]
 
     def degree(self, position: int) -> int:
         row = self.pairings[position]
         return sum(1 for j, v in enumerate(row) if j != position and v > 0)
 
-    def edge_multiplicities(self) -> tuple[Fraction, ...]:
+    def edge_multiplicities(self) -> tuple[int, ...]:
         n = len(self.indices)
         return tuple(
             self.pairings[i][j]
@@ -163,12 +163,31 @@ class Witness:
     square: Fraction
 
 
+def _coefficient_tuples(n: int):
+    """Every nonzero tuple in {0..4}^n, by coefficient sum and then
+    lexicographically: the order of sorted(product(range(5), repeat=n),
+    key=lambda c: (sum(c), c)), generated lazily."""
+    top = 4
+
+    def parts(total: int, length: int):
+        if length == 1:
+            yield (total,)
+            return
+        for first in range(max(0, total - top * (length - 1)), min(top, total) + 1):
+            for rest in parts(total - first, length - 1):
+                yield (first,) + rest
+
+    for total in range(1, top * n + 1):
+        yield from parts(total, n)
+
+
 def component_obstruction(model: CurveModel, indices: Sequence[int]):
     """Decide definiteness of a connected curve set, constructively.
 
     Returns Admissible (with the leading minors) or a Witness.  Small sets are
-    settled by exhaustive search over coefficients 0..4; larger ones by a
-    greedy square-increasing walk from the all-ones vector."""
+    settled by exhaustive search over coefficients 0..4, smallest coefficient
+    sum first; larger ones by a greedy square-increasing walk from the
+    all-ones vector."""
     graph = dual_graph(model, indices)
     idx = graph.indices
     if not idx:
@@ -180,31 +199,27 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     if negative_definite_by_minors(minors):
         return Admissible(indices=idx, minors=minors)
     n = len(idx)
-    # curve classes and the Gram are integral, so the search runs in integers
-    gram = [[int(x) for x in row] for row in M]
+    # curve classes and the Gram are integral, so the search runs in integers;
+    # a square sums over the nonzero upper triangle of the Gram
+    form = [(i, j, M[i][j] * (1 if i == j else 2)) for i in range(n) for j in range(i, n) if M[i][j]]
 
-    def times_gram(c: Sequence[int]) -> list[int]:
-        return [sum(g * x for g, x in zip(row, c)) for row in gram]
-
-    def square_of(c: Sequence[int]) -> Fraction:
-        return Fraction(sum(x * y for x, y in zip(c, times_gram(c))))
+    def square_of(c: Sequence[int]) -> int:
+        return sum(w * c[i] * c[j] for i, j, w in form)
 
     if n <= 6:
-        for c in sorted(itertools.product(range(5), repeat=n), key=lambda c: (sum(c), c)):
-            if not any(c):
-                continue
+        for c in _coefficient_tuples(n):
             sq = square_of(c)
             if sq >= 0:
-                return Witness(indices=idx, coefficients=tuple(c), square=sq)
+                return Witness(indices=idx, coefficients=c, square=Fraction(sq))
     w = [1] * n
     for _ in range(200):
         sq = square_of(w)
         if sq >= 0:
-            return Witness(indices=idx, coefficients=tuple(w), square=sq)
-        mw = times_gram(w)
+            return Witness(indices=idx, coefficients=tuple(w), square=Fraction(sq))
+        mw = [sum(g * x for g, x in zip(row, w)) for row in M]
         best, best_gain = 0, None
         for i in range(n):
-            gain = 2 * mw[i] + gram[i][i]
+            gain = 2 * mw[i] + M[i][i]
             if best_gain is None or gain > best_gain:
                 best, best_gain = i, gain
         w[best] += 1
@@ -285,19 +300,15 @@ class _Peeler:
             boosted = {i: 1 for i in support}
             boosted[x] = 2
             push(boosted)
-        M = self.model.curve_gram(support)
-        inv = neg_inverse(M)
-        n = len(support)
-        for j in range(n):
-            column = [inv[i][j] for i in range(n)]
-            scale = math.lcm(*[f.denominator for f in column])
-            ints = [int(f * scale) for f in column]
-            g = math.gcd(*ints)
-            ints = [x // g for x in ints]
+        # the columns of -M^{-1} are those of its integer adjugate, up to scale
+        adjugate = neg_inverse(self.model.curve_gram(support)).adjugate
+        for column in zip(*adjugate):
+            g = math.gcd(*column)
+            ints = [x // g for x in column]
             # configurations can carry a constituent at most twice (the
             # doubled copy rides a pre-smoothing), so cap coefficients at 2
             if all(0 < x <= 2 for x in ints):
-                push({support[i]: ints[i] for i in range(n)})
+                push(dict(zip(support, ints)))
         for j in support:
             push({j: 1})
         return out
@@ -389,7 +400,7 @@ def _plan_single_curve(
 ):
     lat = model.lattice
     curve = model.curves[index]
-    k = int(-model.curve_gram()[index][index])
+    k = -model.curve_gram()[index][index]
     h = h_param(k, curve.genus)
     # the single inflation t must satisfy t (2k - h) > 2|v|; (-1)-spheres
     # (2k = h) were already refused by the caller

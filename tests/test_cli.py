@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcone import cli, errors
+from symcone import cli, errors, planner
 from symcone.cli import SENTINEL, main
 from symcone.documents import certificate_from_doc, parse_class
 from symcone.models import builtin_model
@@ -73,6 +73,20 @@ def test_plan_unsupported_emits_witness(capsys):
     assert doc["witness"]["coefficients"] == [1] * 21
     assert doc["witness"]["square"] == "33"
     assert "witness" in out.splitlines()[1]
+
+
+def test_plan_overlong_witness_square_is_named_and_exits_2(capsys, monkeypatch):
+    witness = planner.Witness(indices=(0,), coefficients=(1,), square=Fraction(10**5000))
+    refusal = planner.Unsupported(reason="vanishing locus is not negative definite",
+                                  witness=witness, component=(0,))
+    monkeypatch.setattr(planner, "plan", lambda model, target: refusal)
+    code, out = run(capsys, "plan", "--model", "kk-extended", "--class", OMEGA0_22)
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert trailer(out) == {
+        "error": f"witness square: output exceeds the {limit}-digit integer limit"
+    }
+    assert "Traceback" not in out + capsys.readouterr().err
 
 
 def test_verify_round_trip_and_tamper(capsys, tmp_path):

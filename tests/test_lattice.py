@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,91 @@ def test_integer_form_lists_the_nonzero_scaled_terms():
     v = ClassVector((Fraction(1, 2), Fraction(0), Fraction(-3, 4)))
     assert v.integer_form == (4, ((0, 2), (2, -3)))
     assert ClassVector.zero(3).integer_form == (1, ())
+
+
+_FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def _fraction_coords(rank):
+    return st.lists(_FRACTIONS, min_size=rank, max_size=rank).map(tuple)
+
+
+@st.composite
+def _class_vector_cases(draw):
+    rank = draw(st.integers(min_value=1, max_value=6))
+    x = draw(_fraction_coords(rank))
+    # b is drawn on its own, or equal to a but reached another way
+    y = draw(st.one_of(_fraction_coords(rank), st.just(x)))
+    factor = draw(st.fractions(min_value=-6, max_value=6, max_denominator=9))
+    return x, y, factor
+
+
+def _assert_normalized(v, coords):
+    """v carries exactly the oracle's coords, in its normalized integer form."""
+    assert v.coords == coords and v.rank == len(coords)
+    d, terms = v.integer_form
+    assert d == lcm(*(c.denominator for c in coords))
+    assert gcd(d, *(x for _, x in terms)) == 1
+    assert terms == tuple((i, c.numerator * (d // c.denominator)) for i, c in enumerate(coords) if c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_vector_cases())
+def test_class_vector_matches_a_fraction_oracle(case):
+    x, y, f = case
+    a = ClassVector(x)
+    # when y is x, b is the same class reached by arithmetic
+    b = ClassVector(y) if y is not x else (a + a.scale(2)).scale(Fraction(1, 3))
+    for v, coords in (
+        (a, x),
+        (b, y),
+        (a + b, tuple(p + q for p, q in zip(x, y))),
+        (a - b, tuple(p - q for p, q in zip(x, y))),
+        (-a, tuple(-p for p in x)),
+        (a.scale(f), tuple(f * p for p in x)),
+        (f * b, tuple(f * q for q in y)),
+    ):
+        _assert_normalized(v, coords)
+    assert (a == b) == (x == y)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a - b == ClassVector.zero(len(x))) == (x == y)
+    longer = ClassVector(x + (Fraction(1),))
+    for left, right in ((a, longer), (longer, a)):
+        with pytest.raises(MalformedInputError):
+            left + right
+        with pytest.raises(MalformedInputError):
+            left - right
+
+
+def test_neg_inverse_of_a_chain_is_the_closed_form():
+    # the A_n chain of (-2)-spheres: -M^{-1}_ij = min(i,j)(n+1-max(i,j))/(n+1)
+    for n in range(1, 41):
+        chain = tuple(
+            tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(n)) for i in range(n)
+        )
+        got = neg_inverse(chain)
+        want = tuple(
+            tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
+            for i in range(1, n + 1)
+        )
+        assert got == want
+        assert got.det == n + 1
+        assert got.adjugate == tuple(tuple(x * (n + 1) for x in row) for row in want)
+
+
+def test_neg_inverse_of_rational_input_matches_cofactor_inverse():
+    # the integer elimination also carries non-integral input, scaled once
+    rng = random.Random(41)
+    for _ in range(40):
+        m = tuple(tuple(Fraction(x, 2) for x in row) for row in random_negative_definite(rng))
+        want = tuple(tuple(-x for x in row) for row in brute_inverse([list(r) for r in m]))
+        got = neg_inverse(m)
+        assert got == want
+        assert got == tuple(tuple(Fraction(x, got.det) for x in row) for row in got.adjugate)
 
 
 def test_negative_definite_on_random_dominant_matrices():
@@ -284,7 +370,7 @@ def test_curve_gram_is_the_pairing_of_the_curves_built_once():
     assert len(gram) == len(model.curves) == 21
     for a, row in zip(model.curves, gram):
         for b, x in zip(model.curves, row):
-            assert type(x) is Fraction
+            assert type(x) is int
             assert x == lat.pair(a.vector, b.vector)
     assert model.curve_gram() is gram
     idx = (7, 2, 20, 0)

@@ -216,6 +216,69 @@ def test_component_obstruction_requires_connected():
         component_obstruction(model, (0, 1))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coefficient_tuples_follow_the_sorted_sweep(n):
+    swept = sorted(itertools.product(range(5), repeat=n), key=lambda c: (sum(c), c))
+    assert list(planner._coefficient_tuples(n)) == [c for c in swept if any(c)]
+
+
+def _gram_model(curve_gram):
+    """Reference class w of square 1000, then one basis curve per row of
+    the given curve Gram."""
+    n = len(curve_gram)
+    gram = [[1000] + [0] * n] + [[0] + list(row) for row in curve_gram]
+    lattice = IntersectionLattice(gram=gram, reference_class=ClassVector.basis(n + 1, 0))
+    curves = tuple(CurveData(f"x{i}", ClassVector.basis(n + 1, i + 1), 0) for i in range(n))
+    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+
+
+def _negative_definite(gram):
+    """Plain Fraction Gaussian elimination without pivoting: negative
+    definite exactly when every pivot (a ratio of consecutive leading
+    minors) is negative."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    for k in range(len(m)):
+        if m[k][k] >= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return True
+
+
+@st.composite
+def _connected_inadmissible_gram(draw):
+    # past 6 curves the greedy walk runs
+    n = draw(st.integers(min_value=1, max_value=9))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = -draw(st.integers(min_value=1, max_value=4))
+    # a random spanning tree keeps the dual graph connected; more edges on top
+    for i in range(1, n):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        gram[i][j] = gram[j][i] = draw(st.integers(min_value=1, max_value=2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i][j] == 0:
+                gram[i][j] = gram[j][i] = draw(st.sampled_from((0, 0, 0, 1)))
+    assume(not _negative_definite(gram))
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(_connected_inadmissible_gram())
+def test_witnesses_are_nonnegative_combinations_of_nonnegative_square(gram):
+    n = len(gram)
+    result = component_obstruction(_gram_model(gram), range(n))
+    assert isinstance(result, planner.Witness)
+    c = result.coefficients
+    assert result.indices == tuple(range(n))
+    assert len(c) == n and any(c)
+    assert all(type(x) is int and x >= 0 for x in c)
+    naive = sum(Fraction(c[i] * gram[i][j] * c[j]) for i in range(n) for j in range(n))
+    assert result.square == naive >= 0
+
+
 # --- planning ---
 
 
