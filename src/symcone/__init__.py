@@ -12,7 +12,6 @@ from .chambers import (
     corner_point,
     descriptor_for,
     reflect,
-    reflected_chamber_certificate,
     single_curve_shift,
 )
 from .documents import (
@@ -98,6 +97,7 @@ from .planner import (
     dual_graph,
     dynkin_classify,
     plan,
+    reflected_chamber_certificate,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,10 @@
 A positive-cone class is sorted by the signs of its pairings with the model's
 curves: interior (all positive), a corner (zero on a set G), a chamber
 (negative on G), or mixed.  The constructive operations move classes between
-these strata with exact rational witnesses.
+these strata with exact rational witnesses; every corner, chamber and
+interior shift is the one product s = -M^{-1} values over G.  This module
+computes classes and points only: certificates, including the one for a
+reflection across a curve wall, come from the planner.
 
 "Kähler" below always means the model predicate: positive square, positive
 pairing with the reference class, and strictly positive pairing with every
@@ -34,7 +37,6 @@ from .lattice import (
     is_negative_definite,
     neg_inverse,
 )
-from .moves import Certificate, Inflate, verify_certificate
 
 
 class Membership(enum.Enum):
@@ -117,6 +119,18 @@ def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) ->
     return alpha - e.scale(factor)
 
 
+def _shift(
+    model: CurveModel, descriptor: ChamberDescriptor, values: Sequence
+) -> tuple[tuple[Fraction, ...], ClassVector]:
+    """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
+    it pairs exactly -values_j with each e_j in G."""
+    s = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), values)
+    shift = ClassVector.zero(model.lattice.rank)
+    for coeff, i in zip(s, descriptor.curve_indices):
+        shift = shift + model.curves[i].vector.scale(coeff)
+    return s, shift
+
+
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
     t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive."""
@@ -127,12 +141,10 @@ def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     v = [lat.pair(alpha, c.vector) for c in curves]
     if any(value <= 0 for value in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
-    t = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), v)
-    result = alpha
-    for coeff, curve in zip(t, curves):
-        if coeff <= 0:
-            raise PropertyViolationError("corner shift coefficient is not positive")
-        result = result + curve.vector.scale(coeff)
+    t, shift = _shift(model, descriptor, v)
+    if any(coeff <= 0 for coeff in t):
+        raise PropertyViolationError("corner shift coefficient is not positive")
+    result = alpha + shift
     for curve in curves:
         if lat.pair(result, curve.vector) != 0:
             raise PropertyViolationError("corner point does not vanish on G")
@@ -157,12 +169,9 @@ def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> C
     for c in curves:
         if lat.pair(alpha_corner, c.vector) != 0:
             raise PreconditionError(f"class does not lie on the corner of {c.label!r}")
-    ones = [Fraction(1)] * len(curves)
-    s = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), ones)
+    _, shift = _shift(model, descriptor, [1] * len(curves))
     for _ in range(64):
-        result = alpha_corner
-        for coeff, curve in zip(s, curves):
-            result = result + curve.vector.scale(eps * coeff)
+        result = alpha_corner + shift.scale(eps)
         if lat.is_positive_cone(result):
             for curve in curves:
                 if lat.pair(result, curve.vector) != -eps:
@@ -190,66 +199,19 @@ def boundary_to_interior(
         raise PreconditionError("v must give one value per curve of G")
     if any(value <= 0 for value in vv):
         raise PreconditionError("v must be entrywise positive")
-    s = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), vv)
+    s, shift = _shift(model, descriptor, vv)
     if any(value <= 0 for value in s):
         # contradicts the sign structure of -M^{-1}; Gram data must be bad
         raise PropertyViolationError("boundary shift has a non-positive coefficient")
-    shift = ClassVector.zero(lat.rank)
-    for coeff, curve in zip(s, curves):
-        shift = shift + curve.vector.scale(coeff)
     for value, curve in zip(vv, curves):
         if lat.pair(shift, curve.vector) != -value:
             raise PropertyViolationError("shift identity sum s_i e_i . e_j = -v_j failed")
     r = Fraction(1)
     for _ in range(64):
         if model.is_interior_kahler(alpha_corner - shift.scale(r)):
-            return tuple(s), r
+            return s, r
         r = r / 2
     raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")
-
-
-def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index: int):
-    """Reflect an interior-Kähler class across a curve wall, with proof.
-
-    Returns (R_e(alpha), certificate): the certificate starts from a slightly
-    pulled-back base alpha - eps*e and inflates e once with t = eps + 2 alpha(e)/k,
-    landing exactly on the reflection.  eps is the first alpha(e)/2^j whose
-    base is Kähler, and the certificate is replayed once.  Spheres of odd
-    square are refused (their inflation bound cannot reach the reflected
-    class this way).
-    """
-    if not model.is_interior_kahler(alpha):
-        raise PreconditionError("alpha must be interior-Kähler")
-    k = -model.curve_gram((e_index,))[0][0]
-    curve = model.curves[e_index]
-    lat = model.lattice
-    if curve.genus == 0 and k % 2 == 1:
-        raise PreconditionError(
-            f"curve {curve.label!r} is a sphere of odd square {-k}; reflection certificate unavailable"
-        )
-    v = lat.pair(alpha, curve.vector)
-    reflected = alpha + curve.vector.scale(2 * v / k)  # R_e(alpha), as k = -e.e
-    if v == 0:
-        return reflected, Certificate(
-            model=model, base_class=alpha, moves=(), target_class=alpha
-        )
-    # the first eps = v / 2^j whose base is Kähler; h = k here, so the bound
-    # 2A/h = 2(v + eps k)/k exceeds t by eps and the base is all it needs
-    eps = v / 2
-    for _ in range(64):
-        base = alpha - curve.vector.scale(eps)
-        if model.is_interior_kahler(base):
-            break
-        eps = eps / 2
-    else:
-        raise SearchFailureError("no epsilon kept the pulled-back base Kähler")
-    cert = Certificate(model, base, (Inflate(curve.label, eps + 2 * v / k),), reflected)
-    report = verify_certificate(cert)
-    if not report.passed:
-        raise PropertyViolationError(
-            f"reflection certificate failed replay: {report.first_failure}"
-        )
-    return reflected, cert
 
 
 def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> Fraction:

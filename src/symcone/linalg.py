@@ -205,14 +205,3 @@ def solve_columns(mat: Matrix, columns: Sequence[Sequence]) -> tuple[int, tuple[
         solutions.append(tuple(x))
     return D, tuple(solutions)
 
-
-def solve(mat: Matrix, rhs: Sequence) -> Vector:
-    D, (x,) = solve_columns(mat, [rhs])
-    return tuple(Fraction(v, D) for v in x)
-
-
-def inverse(mat: Matrix) -> Matrix:
-    """Exact inverse; raises SingularityError if none exists."""
-    D, columns = solve_columns(mat, identity(len(mat)))
-    # columns[j] is D times the j-th column of the inverse
-    return tuple(tuple(Fraction(col[i], D) for col in columns) for i in range(len(mat)))

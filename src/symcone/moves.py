@@ -163,23 +163,28 @@ def _require_alive(state: ConfigurationState, object_id: str) -> SurfaceObject:
     return obj
 
 
+def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
+    """The object's square, its area and, when the square is negative, its
+    inflation bound 2A/h, from one pairing call."""
+    square, area = state.lattice.pairings(obj.vector, (obj.vector, state.current_class))
+    bound = 2 * area / h_param(int(-square), obj.genus) if square < 0 else None
+    return square, area, bound
+
+
 def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t times the object's class for 0 < t < 2A/h; consumes the object."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square = state.lattice.square(obj.vector)
-    if square >= 0:
+    square, area, bound = _inflation_bound(state, obj)
+    if bound is None:
         raise WrongMoveError(
             f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
             "use inflate_nonneg"
         )
-    k = -square
-    area = state.area(object_id)
     if area <= 0:
         raise PreconditionError(
             f"object {object_id!r} has area {format_rational(area, 'area')} <= 0"
         )
-    bound = 2 * area / h_param(int(k), obj.genus)
     if not 0 < t < bound:
         raise BoundViolationError(
             "bound 2A/h violated",
@@ -195,10 +200,10 @@ def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> Configuratio
     """Add t > 0 times a nonnegative-square object's class; the object survives."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square = state.lattice.square(obj.vector)
+    square, area, _ = _inflation_bound(state, obj)
     if square < 0:
         raise WrongMoveError(f"object {object_id!r} has negative square; use inflate")
-    if state.area(object_id) <= 0:
+    if area <= 0:
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
@@ -228,38 +233,39 @@ def smooth_and_reinstate(
     if any(o.id == new_id for o in state.objects):
         raise MalformedInputError(f"id {new_id!r} is already in use")
     objs = [_require_alive(state, cid) for cid in constituents]
-    for o in objs:
-        if state.area(o.id) <= 0:
+    lat = state.lattice
+    vectors = [o.vector for o in objs]
+    for o, area in zip(objs, lat.scaled_pairings(state.current_class, vectors)):
+        if area <= 0:
             raise PreconditionError(f"constituent {o.id!r} has non-positive area")
 
-    lat = state.lattice
     n = len(objs)
-    pairings = [[lat.pair(objs[i].vector, objs[j].vector) for j in range(n)] for i in range(n)]
+    # the classes are integral, so their scaled pairings are their pairings
+    pairings = [lat.scaled_pairings(v, vectors) for v in vectors]
 
     # connectivity of the dual graph under geometric intersections
     if len(pairing_components(pairings)) != 1:
         raise ConnectivityError("constituents do not form a connected configuration")
 
-    total = objs[0].vector
-    for o in objs[1:]:
-        total = total + o.vector
+    total = sum(vectors[1:], vectors[0])
     for i, o in enumerate(objs):
         if o.id in reinstates:
-            count = sum(pairings[i][j] for j in range(n) if j != i)
-            need = -lat.square(o.vector)
+            # the diagonal is the square and a row sums to the pairing with the smoothing
+            need, with_total = -pairings[i][i], sum(pairings[i])
+            count = with_total + need
             if count < need:
                 raise PreconditionError(
                     f"cannot reinstate {o.id!r}: meets the rest "
                     f"{format_rational(count, 'meet count')} times, "
                     f"needs {format_rational(need, 'meet count')}"
                 )
-            if lat.pair(o.vector, total) < 0:
+            if with_total < 0:
                 raise PositivityError(
                     f"reinstated {o.id!r} would pair negatively with the smoothing"
                 )
 
     double_points = sum(pairings[i][j] for i in range(n) for j in range(i + 1, n))
-    genus = sum(o.genus for o in objs) + int(double_points) - (n - 1)
+    genus = sum(o.genus for o in objs) + double_points - (n - 1)
     new_object = SurfaceObject(id=new_id, vector=total, genus=genus, alive=True)
 
     consumed = set(constituents) - reinstates
@@ -387,19 +393,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                     f"move {number} reinstates {len(move.reinstate_ids)} constituents (iterated-disjoin)"
                 )
             try:
+                bound = None
                 if isinstance(move, Inflate):
                     obj = state.object(move.object_id)
-                    if obj.alive and state.lattice.square(obj.vector) < 0:
-                        k = -state.lattice.square(obj.vector)
-                        bound = 2 * state.area(move.object_id) / h_param(int(k), obj.genus)
-                        entries.append(
-                            f"move {number}: {describe_move(move)}; "
-                            f"bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
-                        )
-                    else:
-                        entries.append(f"move {number}: {describe_move(move)}")
-                else:
-                    entries.append(f"move {number}: {describe_move(move)}")
+                    bound = _inflation_bound(state, obj)[2] if obj.alive else None
+                entry = f"move {number}: {describe_move(move)}"
+                if bound is not None:
+                    entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
+                entries.append(entry)
                 state = apply_move(state, move)
             except SymconeError as exc:
                 headline = exc.args[0] if exc.args else str(exc)

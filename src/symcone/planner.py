@@ -7,6 +7,8 @@ Kähler.  Inside the peel every candidate move runs on the actual engine, so a
 bound or reinstatement failure simply backtracks.  plan replays the one
 certificate once.  Targets the planner cannot or will not handle come back as
 an Unsupported value carrying exact witness data, never as an exception.
+plan is the one certificate builder: a reflection across a curve wall is
+plan's single inflation to the reflected class.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .chambers import Membership, classify
+from .chambers import Membership, classify, reflect
 from .errors import (
     PreconditionError,
     PropertyViolationError,
@@ -244,10 +246,12 @@ class _PlanFail(Exception):
 
 
 class _Peeler:
-    """Depth-first decomposition of the deficit vector into engine moves."""
+    """Depth-first decomposition of the deficit vector into engine moves;
+    inverses holds the sweep's -M^{-1} for each component, by support."""
 
-    def __init__(self, model: CurveModel):
+    def __init__(self, model: CurveModel, inverses: dict):
         self.model = model
+        self.inverses = inverses
         self.nodes = 0
         self.counter = 0
 
@@ -300,9 +304,9 @@ class _Peeler:
             boosted = {i: 1 for i in support}
             boosted[x] = 2
             push(boosted)
+        inverse = self.inverses.get(support) or neg_inverse(self.model.curve_gram(support))
         # the columns of -M^{-1} are those of its integer adjugate, up to scale
-        adjugate = neg_inverse(self.model.curve_gram(support)).adjugate
-        for column in zip(*adjugate):
+        for column in zip(*inverse.adjugate):
             g = math.gcd(*column)
             ints = [x // g for x in column]
             # configurations can carry a constituent at most twice (the
@@ -448,8 +452,9 @@ def _sweep_plan(
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
     peel checks scales linearly with r: the first Kähler r peels or none does."""
     corner, far, terms = target, ClassVector.zero(model.lattice.rank), []
+    inverses = {}
     for comp in comps:
-        inverse = neg_inverse(model.curve_gram(comp))
+        inverse = inverses[comp] = neg_inverse(model.curve_gram(comp))
         v = [pairings[i] for i in comp]
         ones = [Fraction(1)] * len(comp)
         for i, d, s in zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones)):
@@ -467,7 +472,7 @@ def _sweep_plan(
         )
     u = {i: r * s - d for i, d, s in terms}
     try:
-        _, moves = _Peeler(model).peel(ConfigurationState.seeded(model, base), u)
+        _, moves = _Peeler(model, inverses).peel(ConfigurationState.seeded(model, base), u)
     except _PlanFail as exc:
         return Unsupported(
             reason="the deficit does not peel into moves",
@@ -502,6 +507,27 @@ def plan(model: CurveModel, target: ClassVector):
             detail=(("first failure", report.first_failure),),
         )
     return outcome
+
+
+def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index: int):
+    """Reflect an interior-Kähler class across a curve wall, with proof:
+    (R_e(alpha), plan's certificate for it), which inflates e once from the
+    first Kähler base alpha - 2^-j e.  Spheres of odd square are refused
+    (their inflation bound cannot reach the reflected class this way)."""
+    if not model.is_interior_kahler(alpha):
+        raise PreconditionError("alpha must be interior-Kähler")
+    k = -model.curve_gram((e_index,))[0][0]
+    curve = model.curves[e_index]
+    if curve.genus == 0 and k % 2 == 1:
+        raise PreconditionError(
+            f"curve {curve.label!r} is a sphere of odd square {-k}; reflection certificate unavailable"
+        )
+    reflected = reflect(model.lattice, alpha, curve.vector)
+    outcome = plan(model, reflected)
+    if isinstance(outcome, Unsupported):
+        detail = "".join(f"; {name}: {value}" for name, value in outcome.detail)
+        raise PropertyViolationError(f"reflection certificate: {outcome.reason}{detail}")
+    return reflected, outcome
 
 
 def _construct(model: CurveModel, target: ClassVector):

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symcone import chambers
+from symcone import chambers, planner
 from symcone.chambers import Membership
 from symcone.errors import (
     DefinitenessError,
@@ -182,6 +183,36 @@ def test_random_models_corner_chamber_roundtrip():
         assert all(v == Fraction(-1, 2) for v in model.pairings_with(inside))
 
 
+def _oracle_pair(lattice, a, b):
+    """The pairing as a plain Fraction sum over the Gram entries."""
+    return sum(
+        (Fraction(x) * Fraction(lattice.gram[i][j]) * Fraction(y)
+         for i, x in enumerate(a.coords) for j, y in enumerate(b.coords)),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = random.Random(seed)
+    model = random_curve_model(rng)
+    n = len(model.curves)
+    G = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="G")
+    eps = data.draw(st.fractions(Fraction(1, 64), 4, max_denominator=64), label="eps")
+    alpha = interior_class(model, rng)
+    corner = chambers.corner_point(model, alpha, G)
+    inside = chambers.chamber_point(model, corner, G, eps)
+    # chamber_point halves eps until the result stays in the positive cone
+    depth = -_oracle_pair(model.lattice, inside, model.curves[G[0]].vector)
+    assert depth in {eps / 2**j for j in range(64)}
+    for i in G:
+        e = model.curves[i].vector
+        assert _oracle_pair(model.lattice, corner, e) == 0
+        assert _oracle_pair(model.lattice, inside, e) == -depth
+
+
 def _interior_on(model):
     from symcone.lattice import neg_inverse
     from symcone import linalg
@@ -198,7 +229,7 @@ def test_reflected_chamber_certificate_even_square():
     model = builtin_model("e6")
     alpha = _interior_on(model)
     assert model.is_interior_kahler(alpha)
-    reflected, cert = chambers.reflected_chamber_certificate(model, alpha, 0)
+    reflected, cert = planner.reflected_chamber_certificate(model, alpha, 0)
     assert reflected == chambers.reflect(model.lattice, alpha, model.curves[0].vector)
     assert cert.target_class == reflected
     assert verify_certificate(cert).passed
@@ -213,22 +244,20 @@ def test_reflected_chamber_certificate_replays_once(monkeypatch):
             passed=False, entries=(), first_failure="forced failure at move 1", final_class=None
         )
 
-    monkeypatch.setattr(chambers, "verify_certificate", failing)
+    monkeypatch.setattr(planner, "verify_certificate", failing)
     model = builtin_model("e6")
-    with pytest.raises(PropertyViolationError, match="failed replay: forced failure at move 1$"):
-        chambers.reflected_chamber_certificate(model, _interior_on(model), 0)
+    with pytest.raises(PropertyViolationError, match="failed replay; first failure: forced failure at move 1$"):
+        planner.reflected_chamber_certificate(model, _interior_on(model), 0)
     assert len(calls) == 1
 
 
 def test_curve_index_entry_points_share_one_range_check():
-    from symcone import planner
-
     model = builtin_model("e6")
     n = len(model.curves)
     alpha = _interior_on(model)
     calls = (
         lambda bad: chambers.descriptor_for(model, (0, bad)),
-        lambda bad: chambers.reflected_chamber_certificate(model, alpha, bad),
+        lambda bad: planner.reflected_chamber_certificate(model, alpha, bad),
         lambda bad: planner.dual_graph(model, (bad, 1)),
         lambda bad: planner.component_obstruction(model, (bad,)),
     )
@@ -246,7 +275,7 @@ def test_reflected_chamber_certificate_refuses_odd_square_sphere():
     alpha = ClassVector((Fraction(3), Fraction(-1)))  # pairs +1 with s-
     assert model.is_interior_kahler(alpha)
     with pytest.raises(PreconditionError):
-        chambers.reflected_chamber_certificate(model, alpha, 0)
+        planner.reflected_chamber_certificate(model, alpha, 0)
 
 
 def test_single_curve_shift():

@@ -1,15 +1,17 @@
 """Every module of the package (except ``__init__.py``, which re-exports)
-and every test file uses each name it imports."""
+and every test file uses each name it imports; the package's modules import
+each other without a cycle, and chambers sits below the move engine and the
+planner."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    p for p in (ROOT / "src" / "symcone").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted(p for p in (ROOT / "src" / "symcone").glob("*.py") if p.name != "__init__.py")
+FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +65,46 @@ def test_the_check_sees_an_unused_import():
     )
     assert set(imported_names(tree)) == {"os", "c", "d"}
     assert set(imported_names(tree)) - used_names(tree) == {"c"}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The sibling modules a package module imports, relatively
+    (``from .x import y``, ``from . import x``) or as ``symcone.x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and (node.module or "").startswith("symcone"):
+                module = node.module.removeprefix("symcone").lstrip(".")
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    names = {p.stem for p in MODULES}
+    return {
+        p.stem: package_imports(ast.parse(p.read_text(encoding="utf-8"))) & names
+        for p in MODULES
+    }
+
+
+def test_chambers_imports_neither_moves_nor_planner():
+    assert import_graph()["chambers"] & {"moves", "planner"} == set()
+
+
+def test_package_import_graph_has_no_cycle():
+    graphlib.TopologicalSorter(import_graph()).prepare()  # raises CycleError
+
+
+def test_the_import_graph_sees_every_import_form():
+    tree = ast.parse(
+        "from . import linalg, moves\nfrom .lattice import ClassVector\n"
+        "from symcone.planner import plan\nimport os\nfrom fractions import Fraction\n"
+    )
+    assert package_imports(tree) == {"linalg", "moves", "lattice", "planner"}

@@ -29,6 +29,8 @@ from symcone.planner import (
     plan,
 )
 
+from oracles import interior_class, random_curve_model
+
 
 def _chain_model(squares, genera=None, edges=None):
     """Reference class w, then one curve per square, linked along a path
@@ -582,6 +584,20 @@ def test_plan_contract_on_kk_corners_and_chambers(subset, interior, epsilon):
         assert isinstance(outcome, Certificate)
         assert outcome.target_class == target
         assert verify_certificate(outcome).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 4))
+def test_reflected_chamber_certificate_lands_on_the_reflection(seed, pick):
+    rng = random.Random(seed)
+    model = random_curve_model(rng)
+    index = pick % len(model.curves)
+    assume(model.curve_gram()[index][index] % 2 == 0)
+    alpha = interior_class(model, rng)
+    reflected, cert = planner.reflected_chamber_certificate(model, alpha, index)
+    assert reflected == chambers.reflect(model.lattice, alpha, model.curves[index].vector)
+    assert cert.target_class == reflected
+    assert verify_certificate(cert).passed
 
 
 def test_plan_reports_a_failed_replay_as_unsupported(monkeypatch):
