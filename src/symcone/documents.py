@@ -6,6 +6,7 @@ integers.  Parsing is strict: unknown keys, floats in coordinates, and
 missing fields are rejected with a field-path diagnostic.  A document that
 parses emits back byte-identically.  Numbers past the interpreter's digit
 limit for integer conversion are rejected with their field path too.
+Classes parse straight into their integer form, and are written from it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Any, Mapping, Sequence
 
 from . import models as models_mod
@@ -29,8 +31,7 @@ from .moves import (
     VerificationReport,
 )
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-_ZERO = Fraction(0)
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def canonical_json(obj: Any) -> str:
@@ -61,44 +62,55 @@ def _too_long(where: str) -> DocumentError:
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
+    return Fraction(*_rational_pair(value, where))
+
+
+def _rational_pair(value: Any, where: str) -> tuple[int, int]:
+    """A rational entry as (numerator, denominator), the denominator
+    positive and not yet reduced against the numerator."""
+    if isinstance(value, str):
+        match = _RATIONAL_RE.match(value)
+        if match is None:
+            raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
+        numerator, denominator = match.groups("1")
+        try:
+            pair = int(numerator), int(denominator)
+        except ValueError:
+            raise _too_long(where) from None
+        if not pair[1]:
+            raise DocumentError(f"{where}: {value!r} has a zero denominator")
+        return pair
     # bool is an int subclass; reject it before the int branch
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, _LongInteger):
         raise _too_long(where)
     if isinstance(value, float):
         raise DocumentError(
             f"{where}: floats are not accepted in coordinates; write \"p/q\""
         )
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
-            raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
-        numerator, _, denominator = value.partition("/")
-        try:
-            return Fraction(int(numerator), int(denominator or 1))
-        except ZeroDivisionError:
-            raise DocumentError(f"{where}: {value!r} has a zero denominator") from None
-        except ValueError:
-            raise _too_long(where) from None
     raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
 def format_class(vec: ClassVector, where: str = "class") -> list[str]:
-    return [format_rational(c, where) for c in vec.coords]
+    return list(vec.texts(where))
 
 
 def parse_class(value: Any, rank: int, where: str) -> ClassVector:
+    """A class parsed straight into its integer form: integer entries over
+    1, or "p/q" entries over the lcm of their denominators."""
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array of rationals")
     if len(value) != rank:
         raise DocumentError(f"{where}: expected {rank} coordinates, got {len(value)}")
     if all(type(v) is int for v in value):
-        return ClassVector(tuple(Fraction(v) if v else _ZERO for v in value))
-    return ClassVector(
-        tuple(parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value))
-    )
+        return ClassVector.from_integer_form(rank, 1, enumerate(value))
+    pairs = [_rational_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    d = lcm(*(q for _, q in pairs))
+    terms = ((i, p * (d // q)) for i, (p, q) in enumerate(pairs))
+    return ClassVector.from_integer_form(rank, d, terms)
 
 
 def _require_keys(doc: Mapping, required: Sequence[str], optional: Sequence[str], where: str) -> None:

@@ -13,8 +13,9 @@ has at most five).  A pairing sums integer products over nonzero terms only
 and divides by the two denominators once, so the result is a single exact
 Fraction.
 
-A curve model builds the integer Gram of its declared curves once, on first
-use; every square or pairing of two declared curves is read from it.
+A curve model builds the integer Gram of its declared curves once, when it
+checks them; those checks and every later square or pairing of two declared
+curves read it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class ClassVector:
         object.__setattr__(self, "integer_form", (d, terms))
 
     @classmethod
-    def _normalized(cls, rank: int, d: int, terms: Iterable[tuple[int, int]]) -> "ClassVector":
+    def from_integer_form(cls, rank: int, d: int, terms: Iterable[tuple[int, int]]) -> "ClassVector":
         """The class with coordinates numerator_i / d, for d > 0 and terms
         listed by index; zero numerators are dropped."""
         terms = tuple((i, x) for i, x in terms if x)
@@ -73,13 +74,13 @@ class ClassVector:
 
     @classmethod
     def zero(cls, rank: int) -> "ClassVector":
-        return cls._normalized(rank, 1, ())
+        return cls.from_integer_form(rank, 1, ())
 
     @classmethod
     def basis(cls, rank: int, index: int) -> "ClassVector":
         if not 0 <= index < rank:
             raise MalformedInputError(f"basis index {index} out of range for rank {rank}")
-        return cls._normalized(rank, 1, ((index, 1),))
+        return cls.from_integer_form(rank, 1, ((index, 1),))
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
@@ -87,6 +88,14 @@ class ClassVector:
         out = [Fraction(0)] * self.rank
         for i, x in terms:
             out[i] = Fraction(x, d)
+        return tuple(out)
+
+    def texts(self, where: str = "class") -> tuple[str, ...]:
+        """Each coordinate as format_rational writes it, from the integer form."""
+        d, terms = self.integer_form
+        out = ["0"] * self.rank
+        for i, x in terms:
+            out[i] = linalg.format_ratio(x, d, where)
         return tuple(out)
 
     @property
@@ -103,7 +112,7 @@ class ClassVector:
         acc = {i: x * ma for i, x in ta}
         for i, x in tb:
             acc[i] = acc.get(i, 0) + x * mb
-        return ClassVector._normalized(self.rank, d, sorted(acc.items()))
+        return ClassVector.from_integer_form(self.rank, d, sorted(acc.items()))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         return self._combine(other, 1)
@@ -118,7 +127,7 @@ class ClassVector:
         f = linalg.as_fraction(factor)
         d, terms = self.integer_form
         p, q = f.numerator, f.denominator
-        return ClassVector._normalized(self.rank, d * q, ((i, x * p) for i, x in terms))
+        return ClassVector.from_integer_form(self.rank, d * q, ((i, x * p) for i, x in terms))
 
     def __mul__(self, factor) -> "ClassVector":
         return self.scale(factor)
@@ -257,9 +266,9 @@ class IntersectionLattice:
         where d is a vector's least common denominator.  The scalings are
         positive, so each result has the sign of its pairing.
 
-        The Gram product G @ (d_a a) is built from a's nonzero terms alone
-        (G is symmetric, so its columns are the sparse rows), then each v
-        takes its dot product over its own nonzero terms."""
+        The Gram product G @ (d_a a) is built as gram_product builds it,
+        inline here because every corner and set-up runs this kernel; then
+        each v takes its dot product over its own nonzero terms."""
         rows = self._rows
         n = len(rows)
         if a.rank != n:
@@ -292,13 +301,21 @@ class IntersectionLattice:
     def square(self, a: ClassVector) -> Fraction:
         return self.pair(a, a)
 
-    @cached_property
-    def _basis(self) -> tuple[ClassVector, ...]:
-        return tuple(ClassVector.basis(self.rank, i) for i in range(self.rank))
+    def gram_product(self, a: ClassVector) -> list[int]:
+        """G @ (d_a a) in integers, from a's nonzero terms alone: G is
+        symmetric, so its columns are the sparse rows."""
+        rows = self._rows
+        if a.rank != len(rows):
+            raise MalformedInputError("class vector rank does not match lattice")
+        product = [0] * len(rows)
+        for j, x in a.integer_form[1]:
+            for i, g in rows[j]:
+                product[i] += x * g
+        return product
 
     def gram_vector(self, a: ClassVector) -> linalg.Vector:
         """G @ a, exactly."""
-        return self.pairings(a, self._basis)
+        return tuple(Fraction(x, a.integer_form[0]) for x in self.gram_product(a))
 
     def is_positive_cone(self, a: ClassVector) -> bool:
         """Positive square and positive pairing with the reference class."""
@@ -357,26 +374,27 @@ class CurveModel:
         labels = [c.label for c in curves]
         if len(set(labels)) != len(labels):
             raise ModelInconsistencyError("curve labels must be distinct")
-        lat = self.lattice
-        canonical = lat.canonical_class
-        for c in curves:
-            # a curve class is integral, so its scaled square is its square
-            (sq,) = lat.scaled_pairings(c.vector, (c.vector,))
+        # every check reads the curve Gram, which later uses share
+        gram, canonical = self._gram, self.lattice.canonical_class
+        if canonical is not None:
+            # d_K K.c for every curve, d_K the denominator of K
+            scale = canonical.integer_form[0]
+            scaled_k = self.lattice.scaled_pairings(canonical, [c.vector for c in curves])
+        for i, c in enumerate(curves):
+            sq = gram[i][i]
             if sq >= 0:
                 raise ModelInconsistencyError(
                     f"curve {c.label!r} has square {sq}; curves must have negative square"
                 )
-            if canonical is not None and 2 * c.genus - 2 != sq + lat.pair(canonical, c.vector):
+            if canonical is not None and scaled_k[i] != scale * (2 * c.genus - 2 - sq):
                 raise ModelInconsistencyError(
                     f"curve {c.label!r} violates adjunction for genus {c.genus}"
                 )
         for i, a in enumerate(curves):
-            later = curves[i + 1 :]
-            signs = lat.scaled_pairings(a.vector, [b.vector for b in later])
-            for b, x in zip(later, signs):
-                if x < 0:
+            for j in range(i + 1, len(curves)):
+                if gram[i][j] < 0:
                     raise ModelInconsistencyError(
-                        f"curves {a.label!r} and {b.label!r} pair negatively"
+                        f"curves {a.label!r} and {curves[j].label!r} pair negatively"
                     )
 
     @property
@@ -416,13 +434,16 @@ class CurveModel:
 
     @cached_property
     def _gram(self) -> tuple[tuple[int, ...], ...]:
-        # curve classes are integral, so scaled pairings are the pairings
+        # curve classes are integral, so scaled pairings are the pairings;
+        # the Gram is symmetric, so curve i is paired with curves i, i+1, ... only
         vectors = [c.vector for c in self.curves]
-        return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
+        upper = [self.lattice.scaled_pairings(a, vectors[i:]) for i, a in enumerate(vectors)]
+        n = range(len(vectors))
+        return tuple(tuple(upper[min(i, j)][abs(i - j)] for j in n) for i in n)
 
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the declared curves, or of a subset by index
-        in the order given.  The full Gram is built once per model, on first use; a
+        in the order given.  The full Gram is built once per model, by its checks; a
         subset is a slice of it.  An index outside the curve list raises
         DomainError."""
         gram = self._gram

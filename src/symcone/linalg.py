@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedInputError, RangeError, SingularityError
@@ -38,10 +38,18 @@ def as_fraction(value) -> Fraction:
 
 def format_rational(x: Fraction, where: str = "output") -> str:
     """The text of a number: "p/q", or "p" when integral.  Every number the
-    package writes goes through here, so an output past the interpreter's
-    digit limit is refused as a RangeError naming it."""
+    package writes goes through here or format_ratio, so an output past the
+    interpreter's digit limit is refused as a RangeError naming it."""
+    return format_ratio(x.numerator, x.denominator, where)
+
+
+def format_ratio(x: int, d: int, where: str = "output") -> str:
+    """The text format_rational gives Fraction(x, d), for integers x and
+    d > 0, reduced by one gcd without building the Fraction."""
+    g = gcd(x, d)
+    x, d = x // g, d // g
     try:
-        return str(x)
+        return str(x) if d == 1 else f"{x}/{d}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise RangeError(f"{where}: output exceeds the {limit}-digit integer limit") from None

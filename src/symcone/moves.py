@@ -17,15 +17,20 @@ inductive under moves: inflations only kill objects and a smoothing adds
 exactly one, so a move checks just its new object against the alive set and
 builds the successor without re-checking the rest.
 
+A state pairs through one integer Gram product G @ (d c) of its class c of
+denominator d, built on first use: its areas and positive-cone test read it.
+
 A Certificate packages a base class, a move list, and a target class; the
-verifier replays it with exact arithmetic and reports every check.  Failures
-are report entries, never exceptions.
+verifier replays it with exact arithmetic and reports every check.  Report
+numbers are written from integer numerators and denominators.  Failures are
+report entries, never exceptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -40,7 +45,7 @@ from .errors import (
     WrongMoveError,
 )
 from .lattice import ClassVector, CurveModel, IntersectionLattice, pairing_components
-from .linalg import format_rational
+from .linalg import format_ratio, format_rational
 
 
 def h_param(k: int, g: int) -> int:
@@ -87,6 +92,9 @@ class ConfigurationState:
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise MalformedInputError("object ids must be distinct")
+        # areas are read off the class's Gram product by index
+        if any(o.vector.rank != self.lattice.rank for o in self.objects):
+            raise MalformedInputError("class vector rank does not match lattice")
         alive = [o for o in self.objects if o.alive]
         for i, a in enumerate(alive):
             b = _negative_partner(self.lattice, a, alive[i + 1 :])
@@ -141,8 +149,29 @@ class ConfigurationState:
                 return o
         raise MalformedInputError(f"no object with id {object_id!r}")
 
+    @cached_property
+    def _product(self) -> list[int]:
+        """G @ (d c), c the current class and d its denominator."""
+        return self.lattice.gram_product(self.current_class)
+
+    @cached_property
+    def _inflations(self) -> dict:
+        """_inflation_bound's results by object id."""
+        return {}
+
+    def _scaled(self, vector: ClassVector) -> int:
+        """d d_v pair(c, vector), d_v the vector's denominator (1 for objects)."""
+        product = self._product
+        return sum(x * product[i] for i, x in vector.integer_form[1])
+
     def area(self, object_id: str) -> Fraction:
-        return self.lattice.pair(self.current_class, self.object(object_id).vector)
+        scaled = self._scaled(self.object(object_id).vector)
+        return Fraction(scaled, self.current_class.integer_form[0])
+
+    def _in_positive_cone(self) -> bool:
+        """is_positive_cone of the current class; needs a reference class."""
+        reference = self.lattice.reference_class
+        return self._scaled(self.current_class) > 0 and self._scaled(reference) > 0
 
     def alive_objects(self) -> tuple[SurfaceObject, ...]:
         return tuple(o for o in self.objects if o.alive)
@@ -164,27 +193,33 @@ def _require_alive(state: ConfigurationState, object_id: str) -> SurfaceObject:
 
 
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
-    """The object's square, its area and, when the square is negative, its
-    inflation bound 2A/h, from one pairing call."""
-    square, area = state.lattice.pairings(obj.vector, (obj.vector, state.current_class))
-    bound = 2 * area / h_param(int(-square), obj.genus) if square < 0 else None
-    return square, area, bound
+    """The object's square, d times its area A and, for a negative square,
+    the bound 2A/h: once per state and object, for the report line and move."""
+    found = state._inflations.get(obj.id)
+    if found is None:
+        (square,) = state.lattice.scaled_pairings(obj.vector, (obj.vector,))
+        scaled = state._scaled(obj.vector)
+        bound = None
+        if square < 0:
+            h = h_param(-square, obj.genus)
+            bound = Fraction(2 * scaled, state.current_class.integer_form[0] * h)
+        found = state._inflations[obj.id] = (square, scaled, bound)
+    return found
 
 
 def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t times the object's class for 0 < t < 2A/h; consumes the object."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, area, bound = _inflation_bound(state, obj)
+    square, scaled, bound = _inflation_bound(state, obj)
     if bound is None:
         raise WrongMoveError(
             f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
             "use inflate_nonneg"
         )
-    if area <= 0:
-        raise PreconditionError(
-            f"object {object_id!r} has area {format_rational(area, 'area')} <= 0"
-        )
+    if scaled <= 0:
+        area = format_ratio(scaled, state.current_class.integer_form[0], "area")
+        raise PreconditionError(f"object {object_id!r} has area {area} <= 0")
     if not 0 < t < bound:
         raise BoundViolationError(
             "bound 2A/h violated",
@@ -200,10 +235,10 @@ def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> Configuratio
     """Add t > 0 times a nonnegative-square object's class; the object survives."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, area, _ = _inflation_bound(state, obj)
+    square, scaled, _ = _inflation_bound(state, obj)
     if square < 0:
         raise WrongMoveError(f"object {object_id!r} has negative square; use inflate")
-    if area <= 0:
+    if scaled <= 0:
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
@@ -233,11 +268,11 @@ def smooth_and_reinstate(
     if any(o.id == new_id for o in state.objects):
         raise MalformedInputError(f"id {new_id!r} is already in use")
     objs = [_require_alive(state, cid) for cid in constituents]
+    for o in objs:
+        if state._scaled(o.vector) <= 0:
+            raise PreconditionError(f"constituent {o.id!r} has non-positive area")
     lat = state.lattice
     vectors = [o.vector for o in objs]
-    for o, area in zip(objs, lat.scaled_pairings(state.current_class, vectors)):
-        if area <= 0:
-            raise PreconditionError(f"constituent {o.id!r} has non-positive area")
 
     n = len(objs)
     # the classes are integral, so their scaled pairings are their pairings
@@ -250,18 +285,16 @@ def smooth_and_reinstate(
     total = sum(vectors[1:], vectors[0])
     for i, o in enumerate(objs):
         if o.id in reinstates:
-            # the diagonal is the square and a row sums to the pairing with the smoothing
-            need, with_total = -pairings[i][i], sum(pairings[i])
-            count = with_total + need
+            # the diagonal is the square and a row sums to the pairing with
+            # the smoothing, which is count - need: this check also keeps
+            # the copy from pairing negatively with the smoothing
+            need = -pairings[i][i]
+            count = sum(pairings[i]) + need
             if count < need:
                 raise PreconditionError(
                     f"cannot reinstate {o.id!r}: meets the rest "
                     f"{format_rational(count, 'meet count')} times, "
                     f"needs {format_rational(need, 'meet count')}"
-                )
-            if with_total < 0:
-                raise PositivityError(
-                    f"reinstated {o.id!r} would pair negatively with the smoothing"
                 )
 
     double_points = sum(pairings[i][j] for i in range(n) for j in range(i + 1, n))
@@ -352,9 +385,11 @@ def initial_state(cert: Certificate) -> ConfigurationState:
 
 
 def _area_line(state: ConfigurationState) -> str:
-    alive = state.alive_objects()
-    areas = state.lattice.pairings(state.current_class, (o.vector for o in alive))
-    parts = [f"{o.id}={format_rational(area, 'area')}" for o, area in zip(alive, areas)]
+    d = state.current_class.integer_form[0]
+    parts = [
+        f"{o.id}={format_ratio(state._scaled(o.vector), d, 'area')}"
+        for o in state.alive_objects()
+    ]
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 
@@ -405,10 +440,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             except SymconeError as exc:
                 headline = exc.args[0] if exc.args else str(exc)
                 return fail(f"{headline} at move {number}")
-            coords = tuple(format_rational(c, "class") for c in state.current_class.coords)
-            entries.append(f"class after move {number}: {coords}")
+            entries.append(f"class after move {number}: {state.current_class.texts()}")
             entries.append(_area_line(state))
-            if not model.lattice.is_positive_cone(state.current_class):
+            if not state._in_positive_cone():
                 return fail(f"class left the positive cone at move {number}")
         if state.current_class != cert.target_class:
             return fail("final class does not equal the target class")

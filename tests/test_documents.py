@@ -2,9 +2,12 @@
 certificate round-trips, and the diagnostic field paths."""
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcone.documents import (
     canonical_json,
@@ -20,7 +23,7 @@ from symcone.documents import (
     report_to_doc,
     unsupported_to_doc,
 )
-from symcone import linalg
+from symcone import documents, linalg
 from symcone.errors import DocumentError, RangeError
 from symcone.lattice import ClassVector
 from symcone.models import (
@@ -79,6 +82,99 @@ def test_parse_class_shape_errors():
     vec = parse_class(["1", "-1/2", 4], 3, "v")
     assert vec == ClassVector((Fraction(1), Fraction(-1, 2), Fraction(4)))
     assert format_class(vec) == ["1", "-1/2", "4"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(min_value=1), st.sampled_from(("area", "class")))
+def test_format_ratio_writes_what_format_rational_writes(x, d, where):
+    assert linalg.format_ratio(x, d, where) == format_rational(Fraction(x, d), where)
+
+
+@pytest.mark.parametrize("where", ["area", "class"])
+def test_format_ratio_names_an_overlong_output_as_format_rational_does(where):
+    limit = sys.get_int_max_str_digits()
+    for x, d in ((10**5000, 7), (-(10**5000) - 1, 3), (3, 10**5000 + 1)):
+        with pytest.raises(RangeError) as old:
+            format_rational(Fraction(x, d), where)
+        with pytest.raises(RangeError) as new:
+            linalg.format_ratio(x, d, where)
+        assert str(new.value) == str(old.value)
+        assert str(new.value) == f"{where}: output exceeds the {limit}-digit integer limit"
+    # a common factor is divided out before anything is written
+    assert linalg.format_ratio(10**5000, 10**5000, where) == "1"
+
+
+def _parse_rational_by_fraction(value, where):
+    """The rational grammar as parse_class applied it entry by entry before
+    it parsed into integer form: the oracle for the integer path."""
+    if isinstance(value, bool):
+        raise DocumentError(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, documents._LongInteger):
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"{where}: number exceeds the {limit}-digit integer limit")
+    if isinstance(value, float):
+        raise DocumentError(f"{where}: floats are not accepted in coordinates; write \"p/q\"")
+    if isinstance(value, str):
+        if not re.match(r"^-?\d+(/\d+)?$", value):
+            raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
+        numerator, _, denominator = value.partition("/")
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except ZeroDivisionError:
+            raise DocumentError(f"{where}: {value!r} has a zero denominator") from None
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DocumentError(f"{where}: number exceeds the {limit}-digit integer limit") from None
+    raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
+
+
+def _parse_class_by_fraction(value, where):
+    return ClassVector(
+        tuple(_parse_rational_by_fraction(v, f"{where}[{i}]") for i, v in enumerate(value))
+    )
+
+
+_SMALL = st.integers(min_value=-(10**6), max_value=10**6)
+_ENTRIES = st.one_of(
+    _SMALL,
+    _SMALL.map(str),
+    st.tuples(_SMALL, st.integers(min_value=1, max_value=10**4)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(("-0", "0", "0/5", "4/2", "007/3", "-12/8", 0)),
+)
+_BAD_ENTRIES = (
+    True,
+    False,
+    1.5,
+    "1/0",
+    "1.5",
+    None,
+    "9" * 5000,
+    "1/" + "9" * 5000,
+    load_json("[" + "9" * 5000 + "]")[0],  # the marker of an over-long literal
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=12))
+def test_parse_class_matches_the_fraction_parse(value):
+    vec = parse_class(value, len(value), "v")
+    assert vec.integer_form == _parse_class_by_fraction(value, "v").integer_form
+    assert vec.rank == len(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=12), st.data())
+def test_parse_class_names_a_bad_entry_as_the_fraction_parse(value, data):
+    index = data.draw(st.integers(min_value=0, max_value=len(value)))
+    value = value[:index] + [data.draw(st.sampled_from(_BAD_ENTRIES))] + value[index:]
+    with pytest.raises(DocumentError) as old:
+        _parse_class_by_fraction(value, "v")
+    with pytest.raises(DocumentError) as new:
+        parse_class(value, len(value), "v")
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith(f"v[{index}]: ")
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,50 @@ def test_curve_model_adjunction_enforcement_toggle():
         CurveModel(lattice=lat, curves=(bad_genus,))
 
 
+def _blowup_lattice(canonical=None):
+    """CP2 blown up three times: H^2 = 1, E_i^2 = -1."""
+    gram = tuple(tuple(int(i == j) * (1 if i == 0 else -1) for j in range(4)) for i in range(4))
+    return IntersectionLattice(gram=gram, canonical_class=canonical)
+
+
+def test_curve_model_reports_a_square_before_a_negative_pair():
+    # curves 0 and 1 pair negatively (E1.(E1+E2) = -1); curve 2 is H, of
+    # square 1: every curve's own checks come before the pairwise ones
+    e1, e1e2, h = ClassVector((0, 1, 0, 0)), ClassVector((0, 1, 1, 0)), ClassVector.basis(4, 0)
+    curves = (CurveData("a", e1, 0), CurveData("b", e1e2, 0), CurveData("c", h, 0))
+    with pytest.raises(ModelInconsistencyError) as exc:
+        CurveModel(lattice=_blowup_lattice(), curves=curves)
+    assert str(exc.value) == "curve 'c' has square 1; curves must have negative square"
+
+
+def test_curve_model_reports_adjunction_before_a_negative_pair():
+    # K = -3H + E1 + E2 + E3: E1 and E1 - E2 satisfy adjunction in genus 0
+    # and pair negatively; E3 breaks it in genus 1
+    lat = _blowup_lattice(canonical=ClassVector((-3, 1, 1, 1)))
+    a = CurveData("a", ClassVector((0, 1, 0, 0)), 0)
+    b = CurveData("b", ClassVector((0, 1, -1, 0)), 0)
+    e3 = ClassVector((0, 0, 0, 1))
+    with pytest.raises(ModelInconsistencyError) as exc:
+        CurveModel(lattice=lat, curves=(a, b, CurveData("c", e3, 1)))
+    assert str(exc.value) == "curve 'c' violates adjunction for genus 1"
+    with pytest.raises(ModelInconsistencyError) as exc:
+        CurveModel(lattice=lat, curves=(a, CurveData("b", b.vector, 1)))
+    assert str(exc.value) == "curve 'b' violates adjunction for genus 1"
+    with pytest.raises(ModelInconsistencyError) as exc:
+        CurveModel(lattice=lat, curves=(a, b, CurveData("c", e3, 0)))
+    assert str(exc.value) == "curves 'a' and 'b' pair negatively"
+
+
+def test_curve_model_adjunction_scales_a_rational_canonical_class():
+    # a canonical class with denominators is paired once, scaled by its
+    # denominator; E1 in genus 0 needs K.E1 = -1
+    half = Fraction(1, 2)
+    lat = _blowup_lattice(canonical=ClassVector((half, 1, half, half)))
+    CurveModel(lattice=lat, curves=(CurveData("a", ClassVector((0, 1, 0, 0)), 0),))
+    with pytest.raises(ModelInconsistencyError, match="^curve 'c' violates adjunction"):
+        CurveModel(lattice=lat, curves=(CurveData("c", ClassVector((0, 0, 0, 1)), 0),))
+
+
 def test_curve_lookup_and_pairings():
     kk = build_kk_model()
     model = kk.model

@@ -16,9 +16,12 @@ from symcone.errors import (
     RangeError,
     WrongMoveError,
 )
+from symcone import chambers
 from symcone.lattice import ClassVector, IntersectionLattice
+from symcone.linalg import format_rational
 from symcone.models import (
     BUILTIN_MODEL_NAMES,
+    build_kk_model,
     builtin_model,
     kk_gamma0_certificate,
     kk_gamma0_model,
@@ -36,6 +39,7 @@ from symcone.moves import (
     initial_state,
     verify_certificate,
 )
+from symcone.planner import plan
 
 from oracles import interior_class, random_curve_model
 
@@ -162,7 +166,22 @@ def test_smooth_reinstate_count_is_bounded_by_square():
         reinstate_ids=("C1", "D123"),
         new_id="X",
     )
-    with pytest.raises((PreconditionError, PositivityError)):
+    with pytest.raises(PreconditionError, match="^cannot reinstate 'C1'"):
+        apply_move(state, move)
+
+
+def test_reinstatement_with_a_negative_row_sum_fails_the_meet_count():
+    # C1 (square -3) meets D123 once, so its row sums to 1 - 3, its pairing
+    # with the smoothing: the meet count refuses it before that could matter
+    cert, state = _gamma0_state()
+    c1, d = state.object("C1").vector, state.object("D123").vector
+    assert state.lattice.pair(c1, c1 + d) == -2
+    move = SmoothAndReinstate(
+        constituent_ids=("C1", "D123"), reinstate_ids=("C1",), new_id="X"
+    )
+    with pytest.raises(
+        PreconditionError, match=r"^cannot reinstate 'C1': meets the rest 1 times, needs 3$"
+    ):
         apply_move(state, move)
 
 
@@ -364,6 +383,16 @@ def test_move_successors_pass_the_full_check():
         assert rebuilt == state
 
 
+def test_direct_state_rejects_an_object_of_the_wrong_rank():
+    # a lone object is never paired by the pairwise check, but its area
+    # would be read off the class's Gram product by index
+    lat = IntersectionLattice(gram=((1, 0), (0, -2)), basis_labels=("w", "e"))
+    for vector in (ClassVector((0, 1, 0)), ClassVector((1,))):
+        lone = SurfaceObject(id="e", vector=vector, genus=0)
+        with pytest.raises(MalformedInputError, match="^class vector rank does not match lattice$"):
+            ConfigurationState(lattice=lat, current_class=ClassVector.basis(2, 0), objects=(lone,))
+
+
 def test_smoothing_checks_the_new_object_against_live_objects():
     # From a checked state this cannot happen: the new class is the sum of
     # the constituents, each pairing nonnegatively with every live object.
@@ -439,3 +468,36 @@ def test_duplicate_initial_objects_fail_verification():
     report = verify_certificate(duplicated)
     assert not report.passed
     assert report.first_failure == "object ids must be distinct"
+
+
+_KK = build_kk_model(extended=True).model
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=5, unique=True))
+def test_report_areas_match_an_independent_pairing(subset):
+    """Every areas: entry of a replayed kk-extended plan certificate is
+    lat.pair(class, object) of the state it describes."""
+    subset = tuple(sorted(subset))
+    if not chambers.descriptor_for(_KK, subset).admissible:
+        return
+    alpha = ClassVector.basis(_KK.lattice.rank, 0) + _KK.lattice.canonical_class
+    cert = plan(_KK, chambers.corner_point(_KK, alpha, subset))
+    if not isinstance(cert, Certificate):
+        return
+    report = verify_certificate(cert)
+    assert report.passed
+    lat = _KK.lattice
+    state = initial_state(cert)
+    states = [state]
+    for move in cert.moves:
+        state = apply_move(state, move)
+        states.append(state)
+    lines = [e for e in report.entries if e.startswith("areas: ")]
+    assert len(lines) == len(states)
+    for line, state in zip(lines, states):
+        expected = [
+            f"{o.id}={format_rational(lat.pair(state.current_class, o.vector))}"
+            for o in state.alive_objects()
+        ]
+        assert line == "areas: " + (", ".join(expected) or "(none)")
