@@ -56,7 +56,7 @@ def _strip_to_json(text: str) -> str:
 def _read_json(path: str):
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
     return documents.load_json(_strip_to_json(raw), where=path)
 

@@ -7,6 +7,8 @@ missing fields are rejected with a field-path diagnostic.  A document that
 parses emits back byte-identically.  Numbers past the interpreter's digit
 limit for integer conversion are rejected with their field path too.
 Classes parse straight into their integer form, and are written from it.
+A checked model is shared by content: a model document equal to one of the
+16 latest distinct ones that passed is not checked again.
 """
 
 from __future__ import annotations
@@ -162,7 +164,30 @@ def model_to_doc(model: CurveModel) -> dict:
     return doc
 
 
+# checked models by the canonical JSON text of their document, oldest first
+_CHECKED_MODELS_BOUND = 16
+_checked_models: dict[str, tuple[Any, CurveModel]] = {}
+
+
 def model_from_doc(doc: Any, where: str = "model") -> CurveModel:
+    """The checked model of a document, shared by equal documents.  A hit
+    needs the same text (1, 1.0 and true differ) and equality with the text
+    decoded (a tuple is not a list); only models that passed are kept."""
+    try:
+        key = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError, RecursionError):
+        return _checked_model(doc, where)
+    found = _checked_models.get(key)
+    if found is not None and found[0] == doc:
+        return found[1]
+    model = _checked_model(doc, where)
+    _checked_models[key] = (json.loads(key), model)
+    if len(_checked_models) > _CHECKED_MODELS_BOUND:
+        del _checked_models[next(iter(_checked_models))]
+    return model
+
+
+def _checked_model(doc: Any, where: str) -> CurveModel:
     _require_keys(
         doc,
         required=("rank", "gram", "labels", "curves", "completeness_assumed"),
@@ -328,12 +353,17 @@ def certificate_from_doc(doc: Any) -> Certificate:
 
 def load_json(text: str, where: str = "document") -> Any:
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            if isinstance(exc, json.JSONDecodeError):
+                raise
+            # an integer literal past the digit limit; parse again with markers
+            return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{where}: invalid JSON ({exc})") from None
-    except ValueError:
-        # an integer literal past the digit limit; parse again with markers
-        return json.loads(text, parse_int=_parse_int)
+    except RecursionError:
+        raise DocumentError(f"{where}: invalid JSON (nested too deeply)") from None
 
 
 def report_to_doc(report: VerificationReport) -> dict:

@@ -19,6 +19,7 @@ builds the successor without re-checking the rest.
 
 A state pairs through one integer Gram product G @ (d c) of its class c of
 denominator d, built on first use: its areas and positive-cone test read it.
+The verifier's base checks read the product the initial state then keeps.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and reports every check.  Report
@@ -44,7 +45,7 @@ from .errors import (
     SymconeError,
     WrongMoveError,
 )
-from .lattice import ClassVector, CurveModel, IntersectionLattice, pairing_components
+from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice, pairing_components
 from .linalg import format_ratio, format_rational
 
 
@@ -71,6 +72,14 @@ class SurfaceObject:
             raise MalformedInputError(f"object {self.id!r} must have an integral class")
         if not isinstance(self.genus, int) or self.genus < 0:
             raise MalformedInputError(f"object {self.id!r} needs a nonnegative integer genus")
+
+    @classmethod
+    def _of_curve(cls, curve: CurveData) -> "SurfaceObject":
+        """An alive object for a declared curve, built without the checks:
+        CurveData has proved its class integral and its genus valid."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(id=curve.label, vector=curve.vector, genus=curve.genus, alive=True)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,7 @@ class ConfigurationState:
         """A state built without the full check, for a caller that has
         already proved the invariant."""
         state = object.__new__(cls)
-        object.__setattr__(state, "lattice", lattice)
-        object.__setattr__(state, "current_class", current_class)
-        object.__setattr__(state, "objects", objects)
+        state.__dict__.update(lattice=lattice, current_class=current_class, objects=objects)
         return state
 
     @classmethod
@@ -122,18 +129,23 @@ class ConfigurationState:
         model: CurveModel,
         current_class: ClassVector,
         labels: Iterable[str] | None = None,
+        product: list[int] | None = None,
     ) -> "ConfigurationState":
         """A state whose alive objects are declared curves of the model: all
-        of them, or those named by labels, in that order.
+        of them, or those named by labels, in that order.  product, if given,
+        is the class's Gram product, already built by the caller.
 
-        Of the state checks only the distinct ids run.  CurveModel has proved
-        that no two declared curves pair negatively, so the pairwise check
-        could not fail."""
+        Of the state and object checks only the distinct ids run.  CurveModel
+        has proved that no two declared curves pair negatively, so the
+        pairwise check could not fail."""
         curves = model.curves if labels is None else tuple(map(model.curve, labels))
-        objects = tuple(SurfaceObject(id=c.label, vector=c.vector, genus=c.genus) for c in curves)
+        objects = tuple(map(SurfaceObject._of_curve, curves))
         if len({o.id for o in objects}) != len(objects):
             raise MalformedInputError("object ids must be distinct")
-        return cls._proven(model.lattice, current_class, objects)
+        state = cls._proven(model.lattice, current_class, objects)
+        if product is not None:
+            state.__dict__["_product"] = product
+        return state
 
     def _successor(
         self, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
@@ -380,8 +392,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def initial_state(cert: Certificate) -> ConfigurationState:
-    return ConfigurationState.seeded(cert.model, cert.base_class, cert.initial_object_ids)
+def initial_state(cert: Certificate, product: list[int] | None = None) -> ConfigurationState:
+    return ConfigurationState.seeded(cert.model, cert.base_class, cert.initial_object_ids, product)
 
 
 def _area_line(state: ConfigurationState) -> str:
@@ -412,15 +424,19 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     if model.lattice.reference_class is None:
         return fail("model has no reference class; positive cone is undefined")
     try:
-        if not model.lattice.is_positive_cone(cert.base_class):
+        # every base check reads the Gram product the initial state keeps
+        base = ConfigurationState._proven(model.lattice, cert.base_class, ())
+        if not base._in_positive_cone():
             return fail("base class is not in the positive cone")
-        for c, value in zip(model.curves, model.pairings_with(cert.base_class)):
-            if value <= 0:
-                value = format_rational(value, "pairing")
+        d = cert.base_class.integer_form[0]
+        for c in model.curves:
+            scaled = base._scaled(c.vector)
+            if scaled <= 0:
+                value = format_ratio(scaled, d, "pairing")
                 return fail(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
-        square = format_rational(model.lattice.square(cert.base_class), "base square")
+        square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
         entries.append(f"base class Kähler by model predicate; square {square}")
-        state = initial_state(cert)
+        state = initial_state(cert, base._product)
         entries.append(_area_line(state))
         for number, move in enumerate(cert.moves, start=1):
             if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:

@@ -131,6 +131,30 @@ def test_verify_rejects_overlong_numbers(capsys, tmp_path, quote):
     )
 
 
+_BAD_FILES = {
+    "not-utf8.json": b"\xff\xfe{}",
+    "nested-1000.json": b"[" * 1000 + b"]" * 1000,
+    "nested-100000.json": b"[" * 100_000 + b"]" * 100_000,
+    "nested-object.json": b'{"a":' * 5000 + b"1" + b"}" * 5000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FILES))
+@pytest.mark.parametrize("command", ["verify", "plan"])
+def test_unreadable_and_deeply_nested_files_exit_2(capsys, tmp_path, name, command):
+    path = tmp_path / name
+    path.write_bytes(_BAD_FILES[name])
+    argv = ["verify", str(path)] if command == "verify" else [
+        "plan", "--model", str(path), "--class", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = trailer(out)["error"]
+    if name == "not-utf8.json":
+        assert error.startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    else:
+        assert error == f"{path}: invalid JSON (nested too deeply)"
+
+
 def test_pair_sums(capsys):
     ones_c = ",".join(["1"] * 9 + ["0"] * 12)
     ones_d = ",".join(["0"] * 9 + ["1"] * 12)

@@ -23,7 +23,7 @@ from symcone.documents import (
     report_to_doc,
     unsupported_to_doc,
 )
-from symcone import documents, linalg
+from symcone import chambers, documents, linalg
 from symcone.errors import DocumentError, RangeError
 from symcone.lattice import ClassVector
 from symcone.models import (
@@ -262,6 +262,152 @@ def test_model_doc_diagnostics():
         model_from_doc(flag)
 
 
+def _outcome(doc):
+    try:
+        return model_from_doc(doc)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cold(doc):
+    documents._checked_models.clear()
+    return _outcome(doc)
+
+
+def _warm(clean, doc):
+    """The outcome for doc once an equal-looking clean document is shared."""
+    documents._checked_models.clear()
+    model_from_doc(clean)
+    return _outcome(doc)
+
+
+def _gamma0_doc():
+    return model_to_doc(builtin_model("kk-gamma0"))
+
+
+def _tuple_gram(doc):
+    doc["gram"] = tuple(doc["gram"])
+
+
+def _tuple_class(doc):
+    doc["curves"][3]["class"] = tuple(doc["curves"][3]["class"])
+
+
+def _float_entry(doc):
+    doc["gram"][0][0] = float(doc["gram"][0][0])
+
+
+def _int_flag(doc):
+    doc["completeness_assumed"] = 1
+
+
+def _fraction_entry(doc):
+    doc["curves"][0]["class"][1] = Fraction(doc["curves"][0]["class"][1])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_tuple_gram, "model.gram: expected 22 rows"),
+    (_tuple_class, "model.curves[3].class: expected an array of rationals"),
+    (_float_entry, "model.gram[0][0]: expected an integer"),
+    (_int_flag, "model.completeness_assumed: expected true or false"),
+    (_fraction_entry, "model.curves[0].class[1]: expected a rational, got Fraction"),
+])
+def test_shared_models_refuse_what_a_first_parse_refuses(mutate, message):
+    # each of these encodes to the clean document's text or is not JSON
+    bad = _gamma0_doc()
+    mutate(bad)
+    assert _cold(bad) == ("DocumentError", message)
+    assert _warm(_gamma0_doc(), bad) == ("DocumentError", message)
+
+
+def test_a_document_changed_after_its_parse_is_checked_again():
+    documents._checked_models.clear()
+    doc = _gamma0_doc()
+    model = model_from_doc(doc)
+    genus = doc["curves"][0]["genus"]
+    doc["curves"][0]["genus"] = -1
+    refusal = ("MalformedInputError", "genus of 'C1' must be a nonnegative integer")
+    assert _outcome(doc) == refusal
+    doc["curves"][0]["genus"] = genus
+    assert model_from_doc(doc) is model
+
+
+def test_equal_documents_share_one_model():
+    documents._checked_models.clear()
+    first = model_from_doc(_gamma0_doc())
+    assert model_from_doc(json.loads(canonical_json(_gamma0_doc()))) is first
+    assert model_from_doc(_gamma0_doc(), where="elsewhere") is first
+
+
+def test_a_failing_document_is_not_kept():
+    documents._checked_models.clear()
+    bad = _gamma0_doc()
+    bad["completeness_assumed"] = "yes"
+    for _ in range(2):
+        with pytest.raises(DocumentError, match=r"^m: completeness_assumed|^m\.completeness_assumed"):
+            model_from_doc(bad, where="m")
+    assert documents._checked_models == {}
+
+
+def test_shared_models_stay_within_their_bound():
+    documents._checked_models.clear()
+    bound = documents._CHECKED_MODELS_BOUND
+    docs = []
+    for k in range(bound + 4):
+        doc = model_to_doc(e6_model())
+        doc["labels"][0] = f"basis-{k}"
+        docs.append(doc)
+        model_from_doc(doc)
+        assert len(documents._checked_models) <= bound
+    latest = model_from_doc(docs[-1])
+    assert model_from_doc(docs[-1]) is latest
+    oldest = model_from_doc(docs[0])  # evicted, so checked and kept anew
+    assert oldest.lattice.basis_labels[0] == "basis-0"
+    assert len(documents._checked_models) == bound
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+_REPLACEMENTS = (0, 1, -1, 2, 1.0, -1.0, True, False, None, "x", "1", "1/2", "0",
+                 Fraction(1), Fraction(-1, 2), [], {}, "as tuple", "as list")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUILTIN_MODEL_NAMES), st.data())
+def test_one_field_mutations_parse_alike_warm_and_cold(name, data):
+    clean = model_to_doc(builtin_model(name))
+    paths = list(_paths(clean))[1:]
+    arrays = [p for p in paths if isinstance(_at(clean, p), list)]
+    # half the draws turn an array into a tuple, which encodes as the array
+    path = data.draw(st.sampled_from(arrays) | st.sampled_from(paths))
+    value = data.draw(st.just("as tuple") | st.sampled_from(_REPLACEMENTS))
+    bad = json.loads(canonical_json(clean))
+    *outer, last = path
+    target = _at(bad, outer)
+    current = target[last]
+    if value == "as tuple":
+        value = tuple(current) if isinstance(current, list) else current
+    elif value == "as list":
+        value = [current]
+    target[last] = value
+    cold = _cold(bad)
+    assert _warm(clean, bad) == cold
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -302,6 +448,29 @@ def test_certificate_optional_keys():
     assert again.moves == cert.moves
 
 
+_KK = builtin_model("kk-extended")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=4, unique=True),
+    st.sampled_from((None, "kk-extended")),
+)
+def test_parsed_certificates_emit_back_byte_identically(subset, model_name):
+    """A kk-extended plan certificate, with its model inline or named, parses
+    and emits back to the same text."""
+    subset = tuple(sorted(subset))
+    if not chambers.descriptor_for(_KK, subset).admissible:
+        return
+    alpha = ClassVector.basis(_KK.lattice.rank, 0) + _KK.lattice.canonical_class
+    cert = plan(_KK, chambers.corner_point(_KK, alpha, subset))
+    if not isinstance(cert, Certificate):
+        return
+    text = canonical_json(certificate_to_doc(cert, model_name))
+    again = certificate_from_doc(load_json(text))
+    assert canonical_json(certificate_to_doc(again, model_name)) == text
+
+
 def test_certificate_doc_diagnostics():
     doc = certificate_to_doc(kk_gamma0_certificate())
     bad_op = json.loads(canonical_json(doc))
@@ -320,6 +489,22 @@ def test_load_json_diagnostics():
     with pytest.raises(DocumentError, match="invalid JSON"):
         load_json('{"a": 1')
     assert load_json('{"a": 1}') == {"a": 1}
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 1000 + "]" * 1000,
+    "[" * 100_000 + "]" * 100_000,
+    '{"a":' * 5000 + "1" + "}" * 5000,
+])
+def test_load_json_refuses_deep_nesting(text):
+    with pytest.raises(DocumentError, match=r"^cert\.json: invalid JSON \(nested too deeply\)$"):
+        load_json(text, where="cert.json")
+
+
+def test_load_json_names_a_syntax_error_after_an_overlong_number():
+    # the overlong literal sends the text to a second parse, which then fails
+    with pytest.raises(DocumentError, match=r"^document: invalid JSON \(Expecting value"):
+        load_json("[" + "9" * 5000 + ", }")
 
 
 def test_overlong_numbers_name_their_field():

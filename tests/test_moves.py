@@ -501,3 +501,69 @@ def test_report_areas_match_an_independent_pairing(subset):
             for o in state.alive_objects()
         ]
         assert line == "areas: " + (", ".join(expected) or "(none)")
+
+
+def test_seeded_objects_equal_checked_objects():
+    """seeded skips SurfaceObject's checks; its objects are the ones the
+    checks would have built, and a copy of one is checked again."""
+    for name in BUILTIN_MODEL_NAMES:
+        model = builtin_model(name)
+        state = ConfigurationState.seeded(model, ClassVector.zero(model.lattice.rank))
+        assert state.objects == tuple(
+            SurfaceObject(id=c.label, vector=c.vector, genus=c.genus) for c in model.curves
+        )
+    with pytest.raises(MalformedInputError, match="nonnegative integer genus"):
+        replace(state.objects[0], genus=-1)
+
+
+def test_initial_state_reuses_a_given_product():
+    cert = kk_gamma0_certificate()
+    product = cert.model.lattice.gram_product(cert.base_class)
+    state = initial_state(cert, product)
+    assert state._product is product
+    assert initial_state(cert)._product == product
+
+
+def _plain_pair(lat, a, b):
+    return sum(
+        x * lat.gram[i][j] * y
+        for i, x in enumerate(a.coords) if x
+        for j, y in enumerate(b.coords) if y
+    )
+
+
+def _base_lines_by_fraction(model, base, labels):
+    """The verifier's base checks in order, from plain Fraction pairings."""
+    lat = model.lattice
+    square = _plain_pair(lat, base, base)
+    if not (square > 0 and _plain_pair(lat, base, lat.reference_class) > 0):
+        return "base class is not in the positive cone", None
+    for c in model.curves:
+        value = _plain_pair(lat, base, c.vector)
+        if value <= 0:
+            return f"base class is not interior-Kähler: pairs {format_rational(value)} with {c.label!r}", None
+    line = f"base class Kähler by model predicate; square {format_rational(square)}"
+    if labels is not None and "nowhere" in labels:
+        return "no curve labelled 'nowhere'", line
+    if labels is not None and len(set(labels)) != len(labels):
+        return "object ids must be distinct", line
+    return None, line
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=21),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from((None, ("C1", "D123"), ("C1", "nowhere"), ("C2", "C2"))),
+)
+def test_base_checks_keep_their_order_and_texts(index, shift, labels):
+    """A moved base fails the positive cone, then the curves in model order,
+    then writes its square, then the initial objects, with the texts a
+    Fraction pairing gives, although all of them read one Gram product."""
+    cert = kk_gamma0_certificate()
+    base = cert.base_class + ClassVector.basis(cert.model.lattice.rank, index).scale(shift)
+    moved = replace(cert, base_class=base, moves=(), target_class=base, initial_object_ids=labels)
+    failure, line = _base_lines_by_fraction(cert.model, base, labels)
+    report = verify_certificate(moved)
+    assert report.first_failure == failure
+    assert report.entries[:1] == ((line,) if line else ())
