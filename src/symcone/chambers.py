@@ -72,19 +72,16 @@ def descriptor_for(model: CurveModel, indices: Sequence[int]) -> ChamberDescript
     )
 
 
-def _resolve_descriptor(model: CurveModel, G) -> ChamberDescriptor:
-    if isinstance(G, ChamberDescriptor):
-        return G
-    return descriptor_for(model, G)
-
-
-def _require_admissible(descriptor: ChamberDescriptor) -> None:
+def _admissible_descriptor(model: CurveModel, G) -> ChamberDescriptor:
+    """G, a descriptor or curve indices, as a nonempty admissible descriptor."""
+    descriptor = G if isinstance(G, ChamberDescriptor) else descriptor_for(model, G)
     if not descriptor.curve_indices:
         raise PreconditionError("empty curve set")
     if not descriptor.admissible:
         raise DefinitenessError(
             "curve set is not admissible (restricted Gram is not negative definite)"
         )
+    return descriptor
 
 
 def classify(model: CurveModel, alpha: ClassVector) -> Classification:
@@ -134,8 +131,7 @@ def _shift(
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
     t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive."""
-    descriptor = _resolve_descriptor(model, G)
-    _require_admissible(descriptor)
+    descriptor = _admissible_descriptor(model, G)
     lat = model.lattice
     curves = [model.curves[i] for i in descriptor.curve_indices]
     v = [lat.pair(alpha, c.vector) for c in curves]
@@ -159,8 +155,7 @@ def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> C
     """From a G-corner class, step into the G-chamber: the result pairs
     exactly -epsilon with every curve of G.  epsilon is halved (at most 64
     times) until the result stays in the positive cone."""
-    descriptor = _resolve_descriptor(model, G)
-    _require_admissible(descriptor)
+    descriptor = _admissible_descriptor(model, G)
     eps = linalg.as_fraction(epsilon)
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
@@ -190,8 +185,7 @@ def boundary_to_interior(
     exactly -v_j with each e_j in G; r_max_hint is the largest dyadic r <= 1
     for which alpha - r sum s_i e_i is interior-Kähler.
     """
-    descriptor = _resolve_descriptor(model, G)
-    _require_admissible(descriptor)
+    descriptor = _admissible_descriptor(model, G)
     lat = model.lattice
     curves = [model.curves[i] for i in descriptor.curve_indices]
     vv = [linalg.as_fraction(x) for x in v]

@@ -13,6 +13,7 @@ out-of-domain request or any other package error, 3 plan unsupported.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -65,7 +66,8 @@ def _load_model(spec: str) -> tuple[CurveModel, str | None]:
     """A registry name resolves to a built-in; anything else is a file path."""
     if spec in models.BUILTIN_MODEL_NAMES:
         return models.builtin_model(spec), spec
-    if not Path(spec).exists():
+    # os.path.exists is False, not an error, for a name the file system refuses
+    if not os.path.exists(spec):
         raise MalformedInputError(
             f"unknown model {spec!r}: not a built-in name "
             f"({', '.join(models.BUILTIN_MODEL_NAMES)}) and no such file"
@@ -81,14 +83,7 @@ def _split_parts(values) -> list[str]:
 
 
 def _parse_class(values, rank: int, flag: str) -> ClassVector:
-    parts = _split_parts(values)
-    if len(parts) != rank:
-        raise MalformedInputError(
-            f"{flag}: expected {rank} coordinates, got {len(parts)}"
-        )
-    return ClassVector(
-        tuple(documents.parse_rational(p, f"{flag}[{i}]") for i, p in enumerate(parts))
-    )
+    return documents.parse_class(_split_parts(values), rank, flag)
 
 
 def _curve_indices(model: CurveModel, values, flag: str) -> tuple[int, ...]:

@@ -101,14 +101,12 @@ def format_class(vec: ClassVector, where: str = "class") -> list[str]:
 
 
 def parse_class(value: Any, rank: int, where: str) -> ClassVector:
-    """A class parsed straight into its integer form: integer entries over
-    1, or "p/q" entries over the lcm of their denominators."""
+    """A class parsed straight into its integer form: its "p/q" or integer
+    entries over the lcm of their denominators."""
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array of rationals")
     if len(value) != rank:
         raise DocumentError(f"{where}: expected {rank} coordinates, got {len(value)}")
-    if all(type(v) is int for v in value):
-        return ClassVector.from_integer_form(rank, 1, enumerate(value))
     pairs = [_rational_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
     d = lcm(*(q for _, q in pairs))
     terms = ((i, p * (d // q)) for i, (p, q) in enumerate(pairs))
@@ -203,9 +201,8 @@ def _checked_model(doc: Any, where: str) -> CurveModel:
     for i, row in enumerate(gram_doc):
         if not isinstance(row, list) or len(row) != rank:
             raise DocumentError(f"{where}.gram[{i}]: expected {rank} integers")
-        if not all(type(v) is int for v in row):
-            for j, v in enumerate(row):
-                _expect_int(v, f"{where}.gram[{i}][{j}]")
+        for j, v in enumerate(row):
+            _expect_int(v, f"{where}.gram[{i}][{j}]")
     labels_doc = doc["labels"]
     if not isinstance(labels_doc, list) or len(labels_doc) != rank:
         raise DocumentError(f"{where}.labels: expected {rank} strings")
@@ -250,14 +247,8 @@ def _checked_model(doc: Any, where: str) -> CurveModel:
 
 
 def _move_to_doc(move: Move) -> dict:
-    if isinstance(move, Inflate):
-        return {"op": "inflate", "object": move.object_id, "t": format_rational(move.t)}
-    if isinstance(move, InflateNonneg):
-        return {
-            "op": "inflate_nonneg",
-            "object": move.object_id,
-            "t": format_rational(move.t),
-        }
+    if isinstance(move, (Inflate, InflateNonneg)):
+        return {"op": move.op, "object": move.object_id, "t": format_rational(move.t)}
     if isinstance(move, SmoothAndReinstate):
         return {
             "op": "smooth",

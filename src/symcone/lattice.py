@@ -14,8 +14,8 @@ and divides by the two denominators once, so the result is a single exact
 Fraction.
 
 A curve model builds the integer Gram of its declared curves once, when it
-checks them; those checks and every later square or pairing of two declared
-curves read it.
+checks their squares and meets; every later square or pairing of two declared
+curves reads it.  Adjunction is checked by adjunction_check alone.
 """
 
 from __future__ import annotations
@@ -264,19 +264,11 @@ class IntersectionLattice:
     def scaled_pairings(self, a: ClassVector, vectors: Sequence[ClassVector]) -> list[int]:
         """The pairing kernel: d_a d_v pair(a, v) for every v, in integers,
         where d is a vector's least common denominator.  The scalings are
-        positive, so each result has the sign of its pairing.
-
-        The Gram product G @ (d_a a) is built as gram_product builds it,
-        inline here because every corner and set-up runs this kernel; then
-        each v takes its dot product over its own nonzero terms."""
-        rows = self._rows
-        n = len(rows)
-        if a.rank != n:
-            raise MalformedInputError("class vector rank does not match lattice")
-        product = [0] * n
-        for j, x in a.integer_form[1]:
-            for i, g in rows[j]:
-                product[i] += x * g
+        positive, so each result has the sign of its pairing.  Each v takes
+        its dot product with the Gram product of a over its own nonzero
+        terms."""
+        product = self.gram_product(a)
+        n = len(product)
         out = []
         for v in vectors:
             if v.rank != n:
@@ -371,22 +363,17 @@ class CurveModel:
     def __post_init__(self):
         curves = tuple(self.curves)
         object.__setattr__(self, "curves", curves)
-        labels = [c.label for c in curves]
-        if len(set(labels)) != len(labels):
+        if len(set(self.labels)) != len(curves):
             raise ModelInconsistencyError("curve labels must be distinct")
-        # every check reads the curve Gram, which later uses share
-        gram, canonical = self._gram, self.lattice.canonical_class
-        if canonical is not None:
-            # d_K K.c for every curve, d_K the denominator of K
-            scale = canonical.integer_form[0]
-            scaled_k = self.lattice.scaled_pairings(canonical, [c.vector for c in curves])
+        # the square and meet checks read the curve Gram, which later uses share
+        gram, lattice = self._gram, self.lattice
         for i, c in enumerate(curves):
             sq = gram[i][i]
             if sq >= 0:
                 raise ModelInconsistencyError(
                     f"curve {c.label!r} has square {sq}; curves must have negative square"
                 )
-            if canonical is not None and scaled_k[i] != scale * (2 * c.genus - 2 - sq):
+            if lattice.canonical_class is not None and not lattice.adjunction_check(c.vector, c.genus):
                 raise ModelInconsistencyError(
                     f"curve {c.label!r} violates adjunction for genus {c.genus}"
                 )
@@ -402,10 +389,7 @@ class CurveModel:
         return tuple(c.label for c in self.curves)
 
     def curve(self, label: str) -> CurveData:
-        for c in self.curves:
-            if c.label == label:
-                return c
-        raise MalformedInputError(f"no curve labelled {label!r}")
+        return self.curves[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
         for i, c in enumerate(self.curves):
@@ -434,12 +418,9 @@ class CurveModel:
 
     @cached_property
     def _gram(self) -> tuple[tuple[int, ...], ...]:
-        # curve classes are integral, so scaled pairings are the pairings;
-        # the Gram is symmetric, so curve i is paired with curves i, i+1, ... only
+        # curve classes are integral, so scaled pairings are the pairings
         vectors = [c.vector for c in self.curves]
-        upper = [self.lattice.scaled_pairings(a, vectors[i:]) for i, a in enumerate(vectors)]
-        n = range(len(vectors))
-        return tuple(tuple(upper[min(i, j)][abs(i - j)] for j in n) for i in n)
+        return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
 
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the declared curves, or of a subset by index

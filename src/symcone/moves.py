@@ -89,7 +89,7 @@ class ConfigurationState:
     Geometric intersection numbers between alive objects are the homological
     pairings (the modeling assumption that all intersections are transverse
     and positive); creation rejects states where that would be negative.
-    Moves derive successors with _successor and seeded states come from
+    Moves build successors with _proven and seeded states come from
     seeded; both skip this check.
     """
 
@@ -146,14 +146,6 @@ class ConfigurationState:
         if product is not None:
             state.__dict__["_product"] = product
         return state
-
-    def _successor(
-        self, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
-    ) -> "ConfigurationState":
-        """A state reached from this one by a move, built without the full
-        check: the move has only killed objects, or checked the one object it
-        appended against the alive set, so the invariant carries over."""
-        return self._proven(self.lattice, current_class, objects)
 
     def object(self, object_id: str) -> SurfaceObject:
         for o in self.objects:
@@ -240,7 +232,7 @@ def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     new_objects = tuple(
         replace(o, alive=False) if o.id == object_id else o for o in state.objects
     )
-    return state._successor(state.current_class + obj.vector.scale(t), new_objects)
+    return state._proven(state.lattice, state.current_class + obj.vector.scale(t), new_objects)
 
 
 def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
@@ -254,7 +246,7 @@ def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> Configuratio
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
-    return state._successor(state.current_class + obj.vector.scale(t), state.objects)
+    return state._proven(state.lattice, state.current_class + obj.vector.scale(t), state.objects)
 
 
 def smooth_and_reinstate(
@@ -319,19 +311,37 @@ def smooth_and_reinstate(
     partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
     if partner is not None:
         raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
-    return state._successor(state.current_class, kept + (new_object,))
+    return state._proven(state.lattice, state.current_class, kept + (new_object,))
+
+
+def _require_ids(ids, field: str) -> tuple[str, ...]:
+    """A move's ids as a tuple of strings; a lone string is not such a
+    collection.  Each move checks its fields, so a replay meets no ill-typed
+    one: its ids are strings and its t is coerced as inflate coerces it."""
+    if isinstance(ids, Iterable) and not isinstance(ids, str):
+        ids = tuple(ids)
+        if all(isinstance(i, str) for i in ids):
+            return ids
+    raise MalformedInputError(f"{field}: expected a collection of strings")
 
 
 @dataclass(frozen=True)
-class Inflate:
+class _Inflation:
     object_id: str
     t: Fraction
 
+    def __post_init__(self):
+        if not isinstance(self.object_id, str):
+            raise MalformedInputError("object_id: expected a string")
+        object.__setattr__(self, "t", linalg.as_fraction(self.t))
 
-@dataclass(frozen=True)
-class InflateNonneg:
-    object_id: str
-    t: Fraction
+
+class Inflate(_Inflation):
+    op = "inflate"  # along a negative-square object, which it consumes
+
+
+class InflateNonneg(_Inflation):
+    op = "inflate_nonneg"  # along a nonnegative-square object, which survives
 
 
 @dataclass(frozen=True)
@@ -339,6 +349,12 @@ class SmoothAndReinstate:
     constituent_ids: tuple[str, ...]
     reinstate_ids: tuple[str, ...]
     new_id: str
+
+    def __post_init__(self):
+        for field in ("constituent_ids", "reinstate_ids"):
+            object.__setattr__(self, field, _require_ids(getattr(self, field), field))
+        if not isinstance(self.new_id, str):
+            raise MalformedInputError("new_id: expected a string")
 
 
 Move = Union[Inflate, InflateNonneg, SmoothAndReinstate]
@@ -353,14 +369,14 @@ def apply_move(state: ConfigurationState, move: Move) -> ConfigurationState:
         return smooth_and_reinstate(
             state, move.constituent_ids, move.reinstate_ids, move.new_id
         )
-    raise MalformedInputError(f"unknown move {move!r}")
+    raise MalformedInputError(f"unknown move of type {type(move).__name__}")
 
 
 def describe_move(move: Move) -> str:
-    if isinstance(move, Inflate):
-        return f"inflate({move.object_id}, t={format_rational(move.t, 't')})"
-    if isinstance(move, InflateNonneg):
-        return f"inflate_nonneg({move.object_id}, t={format_rational(move.t, 't')})"
+    if isinstance(move, (Inflate, InflateNonneg)):
+        return f"{move.op}({move.object_id}, t={format_rational(move.t, 't')})"
+    if not isinstance(move, SmoothAndReinstate):
+        raise MalformedInputError(f"unknown move of type {type(move).__name__}")
     return (
         f"smooth({', '.join(move.constituent_ids)}; "
         f"reinstate {', '.join(move.reinstate_ids) or '-'}) -> {move.new_id}"

@@ -55,6 +55,20 @@ def test_classify_unknown_model(capsys):
     assert "unknown model" in trailer(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["plan", "classify"])
+def test_overlong_model_name_exits_2(command):
+    # a name past the file system's 255-byte limit; run as a child, so that
+    # a traceback would show as exit 1
+    spec = "m" * 300
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcone", command, "--model", spec, "--class", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout.splitlines()[-1])["error"].startswith(f"unknown model {spec!r}")
+
+
 def test_plan_emits_replayable_certificate(capsys):
     code, out = run(capsys, "plan", "--model", "kk-gamma0", "--class", OMEGA0_22)
     assert code == 0

@@ -1,17 +1,22 @@
 """Every module of the package (except ``__init__.py``, which re-exports)
-and every test file uses each name it imports; the package's modules import
-each other without a cycle, and chambers sits below the move engine and the
+and every test file uses each name it imports; every function, method and
+class the package defines is referenced; the package's modules import each
+other without a cycle, and chambers sits below the move engine and the
 planner."""
 
 import ast
 import graphlib
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "symcone").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "symcone").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
+REFERRERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -65,6 +70,68 @@ def test_the_check_sees_an_unused_import():
     )
     assert set(imported_names(tree)) == {"os", "c", "d"}
     assert set(imported_names(tree)) - used_names(tree) == {"c"}
+
+
+def defined_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each function, method and class defined, dunders aside, with its line."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported (so re-exports
+    count), and the parts of every string that is a dotted name (a string
+    annotation, or an attribute path such as a tracer target)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                found |= set(node.value.split("."))
+    return found
+
+
+def unreferenced(sources: dict[str, ast.Module], referrers: list[ast.Module]) -> list[str]:
+    """Definitions in sources that nothing references: a private _name must
+    be referenced in sources, any other name in sources or referrers."""
+    inside = set().union(*map(referenced_names, sources.values()))
+    anywhere = inside.union(*map(referenced_names, referrers))
+    return [
+        f"{where}:{line} {name}"
+        for where, tree in sources.items()
+        for name, line in defined_names(tree)
+        if name not in (inside if name.startswith("_") else anywhere)
+    ]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    referrers = [ast.parse(p.read_text(encoding="utf-8")) for p in REFERRERS]
+    dead = unreferenced(sources, referrers)
+    assert not dead, ", ".join(dead)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    source = ast.parse(
+        "class A:\n    def __init__(self): ...\n    def m(self): ...\n"
+        "    def n(self): ...\n"
+        "def _f(): ...\ndef _g(): ...\ndef h() -> 'A': return _f() + A().m()\n"
+        "def k(): ...\n"
+    )
+    referrer = ast.parse("from x import k\nTARGET = 'A.n'\n_g()\nh()\n")
+    assert [name for name, _ in defined_names(source)] == ["A", "_f", "_g", "h", "k", "m", "n"]
+    # _g is referenced only from outside the package, which a private name may not be
+    assert unreferenced({"s.py": source}, [referrer]) == ["s.py:6 _g"]
+    assert unreferenced({"s.py": source}, []) == ["s.py:6 _g", "s.py:7 h", "s.py:8 k", "s.py:4 n"]
 
 
 def package_imports(tree: ast.Module) -> set[str]:

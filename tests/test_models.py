@@ -1,10 +1,12 @@
 """Built-in model builders: ruled surfaces, dual Hesse, the 21-curve lattice,
 the four-curve path sub-model, and the E6 fixture."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from symcone import models
 from symcone.errors import (
     MalformedInputError,
     ModelInconsistencyError,
@@ -136,6 +138,28 @@ def test_kk_canonical_invariants():
         assert lat.pair(kclass, c.vector) == expected
         assert c.genus == (4 if c.label.startswith("C") else 2)
     assert dict(kk.metadata)["euler_characteristic"] == "111"
+
+
+@pytest.mark.parametrize("slip", ["square of C1", "K on C1"])
+def test_kk_data_slips_fail_the_model_adjunction_check(monkeypatch, slip):
+    # C1 of square -2, or K with 8/3 in place of 7/3 on C1, breaks
+    # C1^2 + K.C1 = 2g - 2; the model's adjunction check, which build_kk_model
+    # relies on for K.C = 9 and K.D = 3, reports it
+    build = models._kk_lattice_and_curves
+
+    def slipped(extended):
+        lattice, curves = build(extended)
+        gram = [list(row) for row in lattice.gram]
+        k = list(lattice.canonical_class.coords)
+        if slip == "square of C1":
+            gram[0][0] = -2
+        else:
+            k[0] = Fraction(8, 3)
+        return replace(lattice, gram=gram, canonical_class=ClassVector(k)), curves
+
+    monkeypatch.setattr(models, "_kk_lattice_and_curves", slipped)
+    with pytest.raises(ModelInconsistencyError, match="^curve 'C1' violates adjunction for genus 4$"):
+        build_kk_model()
 
 
 def test_kk_incidence():

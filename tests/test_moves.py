@@ -410,7 +410,7 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     with pytest.raises(PositivityError, match="alive objects 'a' and 'c' pair negatively"):
         ConfigurationState(lattice=lat, current_class=cls, objects=objects)
     empty = ConfigurationState(lattice=lat, current_class=cls, objects=())
-    unchecked = empty._successor(cls, objects)
+    unchecked = ConfigurationState._proven(lat, cls, objects)
     with pytest.raises(PositivityError) as inductive:
         apply_move(unchecked, SmoothAndReinstate(("a", "b"), (), "x"))
     merged = SurfaceObject(id="x", vector=basis[1] + basis[2], genus=0)
@@ -567,3 +567,82 @@ def test_base_checks_keep_their_order_and_texts(index, shift, labels):
     report = verify_certificate(moved)
     assert report.first_failure == failure
     assert report.entries[:1] == ((line,) if line else ())
+
+
+def test_ill_typed_moves_are_malformed_at_construction():
+    assert Inflate("D123", "1/2").t == Fraction(1, 2)  # coerced as inflate coerces t
+    assert SmoothAndReinstate(["a", "b"], ["b"], "c").constituent_ids == ("a", "b")
+    for build, message in (
+        (lambda: Inflate("D123", 0.5), "not an exact rational: 0.5"),
+        (lambda: InflateNonneg(7, 1), "object_id: expected a string"),
+        (lambda: SmoothAndReinstate((1, 2), (), "X"), "constituent_ids: expected a collection of strings"),
+        (lambda: SmoothAndReinstate(("a",), "a", "X"), "reinstate_ids: expected a collection of strings"),
+        (lambda: SmoothAndReinstate(("a",), (), None), "new_id: expected a string"),
+    ):
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            build()
+    with pytest.raises(MalformedInputError, match="^unknown move of type NoneType$"):
+        describe_move(None)
+    report = verify_certificate(replace(kk_gamma0_certificate(), moves=(None,)))
+    assert report.first_failure == "unknown move of type NoneType at move 1"
+
+
+# no move field accepts these; ids also refuse integers, and id collections
+# refuse a lone string
+_ILL_TYPED = st.one_of(
+    st.none(),
+    st.floats(),
+    st.binary(min_size=1),
+    st.lists(st.one_of(st.none(), st.integers()), min_size=1),
+    st.dictionaries(st.integers(), st.text(), min_size=1),
+)
+_NOT_AN_ID = st.one_of(_ILL_TYPED, st.integers())
+_NOT_IDS = st.one_of(_NOT_AN_ID, st.text())
+_GAMMA0_IDS = {"C1", "D123", "C2", "D249", "Ctilde", "S", "Sprime"}
+
+
+def _mutated_move(data, move):
+    """move with one field ill-typed or wrong, of another kind, or replaced
+    by something that is not a move; each must fail where it stands."""
+    fields = dict(vars(move))
+    kind = data.draw(st.sampled_from(("not a move", "ill-typed", "unknown id", "t <= 0", "kind")))
+    if kind == "not a move":
+        return data.draw(st.one_of(_NOT_AN_ID, st.text(), st.just(fields)))
+    if isinstance(move, SmoothAndReinstate):
+        field = data.draw(st.sampled_from(sorted(fields)))
+        if kind == "ill-typed":
+            fields[field] = data.draw(_NOT_AN_ID if field == "new_id" else _NOT_IDS)
+        else:  # an unknown constituent, or a reinstated id that is not one
+            ids = list(move.constituent_ids)
+            ids[data.draw(st.integers(0, len(ids) - 1))] = data.draw(
+                st.text().filter(lambda s: s not in _GAMMA0_IDS)
+            )
+            fields["constituent_ids"] = ids
+        return SmoothAndReinstate(**fields)
+    if kind == "ill-typed":
+        field = data.draw(st.sampled_from(sorted(fields)))
+        fields[field] = data.draw(_ILL_TYPED if field == "t" else _NOT_AN_ID)
+    elif kind == "unknown id":
+        fields["object_id"] = data.draw(st.text().filter(lambda s: s not in _GAMMA0_IDS))
+    elif kind == "t <= 0":
+        fields["t"] = data.draw(st.fractions(max_value=0))
+    else:  # every inflated object here has negative square
+        return InflateNonneg(**fields)
+    return Inflate(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_is_total_under_mutated_move_lists(data):
+    """Building a mutated move raises MalformedInputError, or the replay
+    reports a failure at that move; nothing else escapes."""
+    cert = kk_gamma0_certificate()
+    moves = list(cert.moves)
+    n = data.draw(st.integers(0, len(moves) - 1), label="move index")
+    try:
+        moves[n] = _mutated_move(data, moves[n])
+    except MalformedInputError:
+        return
+    report = verify_certificate(replace(cert, moves=tuple(moves)))
+    assert not report.passed
+    assert report.first_failure.endswith(f" at move {n + 1}")
