@@ -71,6 +71,7 @@ from .moves import (
     ConfigurationState,
     Inflate,
     InflateNonneg,
+    MoveRecord,
     SmoothAndReinstate,
     SurfaceObject,
     VerificationReport,

@@ -200,12 +200,10 @@ def boundary_to_interior(
     for value, curve in zip(vv, curves):
         if lat.pair(shift, curve.vector) != -value:
             raise PropertyViolationError("shift identity sum s_i e_i . e_j = -v_j failed")
-    r = Fraction(1)
-    for _ in range(64):
-        if model.is_interior_kahler(alpha_corner - shift.scale(r)):
-            return s, r
-        r = r / 2
-    raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")
+    r, _ = model.first_interior_scale(alpha_corner, shift, (Fraction(1, 2**j) for j in range(64)))
+    if r is None:
+        raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")
+    return s, r
 
 
 def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> Fraction:

@@ -402,8 +402,20 @@ class CurveModel:
         return self.lattice.pairings(a, (c.vector for c in self.curves))
 
     def is_interior_kahler(self, a: ClassVector) -> bool:
-        """Positive cone and strictly positive on every declared curve.
+        """Positive cone and strictly positive on every declared curve."""
+        zero = ClassVector.zero(self.lattice.rank)
+        return self.first_interior_scale(a, zero, (0,))[0] is not None
 
+    def first_interior_scale(
+        self, start: ClassVector, direction: ClassVector, scales: Iterable[Fraction]
+    ) -> tuple[Fraction | None, str | None]:
+        """(s, None) for the first s of scales at which start - s direction
+        is interior-Kähler, else (None, the check that fails at the last
+        scale): "square", "reference pairing" or "pairing with <label>",
+        the first failing in that order.
+
+        Every check is a form in s read off the Gram products of start and
+        direction: the square is a quadratic, each pairing a linear form.
         This asserts Kähler-ness of a class, which is only meaningful when the
         curve list is assumed complete; without that flag the answer would be
         an overclaim, so the call is refused."""
@@ -411,10 +423,42 @@ class CurveModel:
             raise ConfigurationError(
                 "model does not assume completeness; cannot assert Kähler classes"
             )
-        if not self.lattice.is_positive_cone(a):
-            return False
-        vectors = [c.vector for c in self.curves]
-        return all(x > 0 for x in self.lattice.scaled_pairings(a, vectors))
+        lat = self.lattice
+        if lat.reference_class is None:
+            raise ConfigurationError("positive cone needs a reference class")
+        (ds, ts), (df, tf) = start.integer_form, direction.integer_form
+        ps, pf = lat.gram_product(start), lat.gram_product(direction)
+
+        def forms(terms) -> tuple[int, int]:
+            # (d_s d_x start.x, d_f d_x direction.x) for x of terms
+            return sum(x * ps[i] for i, x in terms), sum(x * pf[i] for i, x in terms)
+
+        ss, sf = forms(ts)
+        ff = forms(tf)[1]
+        linear = [("reference pairing", *forms(lat.reference_class.integer_form[1]))]
+        linear += [(f"pairing with {c.label}", *forms(c.vector.integer_form[1])) for c in self.curves]
+        failing = None
+        for s in scales:
+            # for s = p/q the class (q d_f d_s)(start - s direction) is
+            # a (d_s start) - b (d_f direction)
+            a, b = s.denominator * df, s.numerator * ds
+            if a * a * ss - 2 * a * b * sf + b * b * ff <= 0:
+                failing = "square"
+                continue
+            failing = next((name for name, x, y in linear if a * x <= b * y), None)
+            if failing is None:
+                return s, None
+        return None, failing
+
+    @cached_property
+    def coefficient_bits(self) -> int:
+        """Bits of the largest sum of absolute coefficients of a declared
+        curve's class: with a class's Gram product it bounds the curves'
+        pairings with that class."""
+        return max(
+            (sum(abs(x) for _, x in c.vector.integer_form[1]).bit_length() for c in self.curves),
+            default=0,
+        )
 
     @cached_property
     def _gram(self) -> tuple[tuple[int, ...], ...]:

@@ -17,22 +17,33 @@ inductive under moves: inflations only kill objects and a smoothing adds
 exactly one, so a move checks just its new object against the alive set and
 builds the successor without re-checking the rest.
 
-A state pairs through one integer Gram product G @ (d c) of its class c of
-denominator d, built on first use: its areas and positive-cone test read it.
-The verifier's base checks read the product the initial state then keeps.
+A state pairs through one integer Gram product P = G @ (d c) of its class c
+of denominator d: its areas and positive-cone test read it.  The verifier's
+base checks build it once for the initial state.  A successor takes it from
+its parent: a smoothing keeps the class and so shares P, and an inflation by
+t = p/q along v carries it as (d'q P + d'dp G v) / (dq), an exact integer
+division (d' the new denominator).
 
 A Certificate packages a base class, a move list, and a target class; the
-verifier replays it with exact arithmetic and reports every check.  Report
-numbers are written from integer numerators and denominators.  Failures are
-report entries, never exceptions.
+verifier replays it with exact arithmetic and keeps one record per move: the
+state before it, its bound 2A/h and the state after it.  The base-square and
+move lines are written during the replay; the "class after" and "areas:"
+lines are rendered from the records on the first read of the report's
+entries, unless a bit-length bound cannot prove that their numbers fit the
+interpreter's digit limit, in which case they are rendered at once so that a
+number past the limit fails the replay where it stands.  Report numbers are
+written from integer numerators and denominators.  Failures are report
+entries, never exceptions.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence, Union
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import linalg
 from .errors import (
@@ -116,11 +127,15 @@ class ConfigurationState:
         lattice: IntersectionLattice,
         current_class: ClassVector,
         objects: tuple[SurfaceObject, ...],
+        product: list[int] | None = None,
     ) -> "ConfigurationState":
         """A state built without the full check, for a caller that has
-        already proved the invariant."""
+        already proved the invariant.  product, if given, is the class's
+        Gram product, already built by the caller."""
         state = object.__new__(cls)
         state.__dict__.update(lattice=lattice, current_class=current_class, objects=objects)
+        if product is not None:
+            state.__dict__["_product"] = product
         return state
 
     @classmethod
@@ -132,8 +147,8 @@ class ConfigurationState:
         product: list[int] | None = None,
     ) -> "ConfigurationState":
         """A state whose alive objects are declared curves of the model: all
-        of them, or those named by labels, in that order.  product, if given,
-        is the class's Gram product, already built by the caller.
+        of them, or those named by labels, in that order, with product as
+        in _proven.
 
         Of the state and object checks only the distinct ids run.  CurveModel
         has proved that no two declared curves pair negatively, so the
@@ -142,10 +157,7 @@ class ConfigurationState:
         objects = tuple(map(SurfaceObject._of_curve, curves))
         if len({o.id for o in objects}) != len(objects):
             raise MalformedInputError("object ids must be distinct")
-        state = cls._proven(model.lattice, current_class, objects)
-        if product is not None:
-            state.__dict__["_product"] = product
-        return state
+        return cls._proven(model.lattice, current_class, objects, product)
 
     def object(self, object_id: str) -> SurfaceObject:
         for o in self.objects:
@@ -197,25 +209,40 @@ def _require_alive(state: ConfigurationState, object_id: str) -> SurfaceObject:
 
 
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
-    """The object's square, d times its area A and, for a negative square,
-    the bound 2A/h: once per state and object, for the report line and move."""
+    """The object's square, d times its area A, for a negative square the
+    bound 2A/h, and G @ v for its class v: once per state and object, for
+    the report line, the move and the successor's product."""
     found = state._inflations.get(obj.id)
     if found is None:
-        (square,) = state.lattice.scaled_pairings(obj.vector, (obj.vector,))
+        gram_v = state.lattice.gram_product(obj.vector)
+        square = sum(x * gram_v[i] for i, x in obj.vector.integer_form[1])
         scaled = state._scaled(obj.vector)
         bound = None
         if square < 0:
             h = h_param(-square, obj.genus)
             bound = Fraction(2 * scaled, state.current_class.integer_form[0] * h)
-        found = state._inflations[obj.id] = (square, scaled, bound)
+        found = state._inflations[obj.id] = (square, scaled, bound, gram_v)
     return found
+
+
+def _inflated(
+    state: ConfigurationState, t: Fraction, obj: SurfaceObject, gram_v: list[int], objects: tuple
+) -> ConfigurationState:
+    """The successor of class c' = c + t v, v the object's class, with its
+    Gram product carried from the state's P: for t = p/q and denominators d
+    of c and d' of c', G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
+    current = state.current_class + obj.vector.scale(t)
+    d, d_new = state.current_class.integer_form[0], current.integer_form[0]
+    a, b, m = d_new * t.denominator, d_new * d * t.numerator, d * t.denominator
+    product = [(a * x + b * y) // m for x, y in zip(state._product, gram_v)]
+    return state._proven(state.lattice, current, objects, product)
 
 
 def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t times the object's class for 0 < t < 2A/h; consumes the object."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, scaled, bound = _inflation_bound(state, obj)
+    square, scaled, bound, gram_v = _inflation_bound(state, obj)
     if bound is None:
         raise WrongMoveError(
             f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
@@ -232,21 +259,21 @@ def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     new_objects = tuple(
         replace(o, alive=False) if o.id == object_id else o for o in state.objects
     )
-    return state._proven(state.lattice, state.current_class + obj.vector.scale(t), new_objects)
+    return _inflated(state, t, obj, gram_v, new_objects)
 
 
 def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t > 0 times a nonnegative-square object's class; the object survives."""
     obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, scaled, _ = _inflation_bound(state, obj)
+    square, scaled, _, gram_v = _inflation_bound(state, obj)
     if square < 0:
         raise WrongMoveError(f"object {object_id!r} has negative square; use inflate")
     if scaled <= 0:
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
-    return state._proven(state.lattice, state.current_class + obj.vector.scale(t), state.objects)
+    return _inflated(state, t, obj, gram_v, state.objects)
 
 
 def smooth_and_reinstate(
@@ -311,17 +338,18 @@ def smooth_and_reinstate(
     partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
     if partner is not None:
         raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
-    return state._proven(state.lattice, state.current_class, kept + (new_object,))
+    return state._proven(state.lattice, state.current_class, kept + (new_object,), state._product)
 
 
-def _require_ids(ids, field: str) -> tuple[str, ...]:
-    """A move's ids as a tuple of strings; a lone string is not such a
-    collection.  Each move checks its fields, so a replay meets no ill-typed
-    one: its ids are strings and its t is coerced as inflate coerces it."""
-    if isinstance(ids, Iterable) and not isinstance(ids, str):
-        ids = tuple(ids)
-        if all(isinstance(i, str) for i in ids):
-            return ids
+def _require_strings(values, field: str) -> tuple[str, ...]:
+    """A field's ids or notes as a tuple of strings; a lone string is not
+    such a collection.  Each move and certificate checks its fields, so a
+    replay meets no ill-typed one: ids are strings and t is coerced as
+    inflate coerces it."""
+    if isinstance(values, Iterable) and not isinstance(values, str):
+        values = tuple(values)
+        if all(isinstance(v, str) for v in values):
+            return values
     raise MalformedInputError(f"{field}: expected a collection of strings")
 
 
@@ -352,7 +380,7 @@ class SmoothAndReinstate:
 
     def __post_init__(self):
         for field in ("constituent_ids", "reinstate_ids"):
-            object.__setattr__(self, field, _require_ids(getattr(self, field), field))
+            object.__setattr__(self, field, _require_strings(getattr(self, field), field))
         if not isinstance(self.new_id, str):
             raise MalformedInputError("new_id: expected a string")
 
@@ -385,7 +413,8 @@ def describe_move(move: Move) -> str:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Replayable proof that the target class admits symplectic forms."""
+    """Replayable proof that the target class admits symplectic forms.
+    Ill-typed fields raise MalformedInputError; moves check their own."""
 
     model: CurveModel
     base_class: ClassVector
@@ -394,13 +423,55 @@ class Certificate:
     initial_object_ids: tuple[str, ...] | None = None
     annotations: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.model, CurveModel):
+            raise MalformedInputError("model: expected a CurveModel")
+        for field in ("base_class", "target_class"):
+            if not isinstance(getattr(self, field), ClassVector):
+                raise MalformedInputError(f"{field}: expected a ClassVector")
+        if not isinstance(self.moves, Iterable) or isinstance(self.moves, str):
+            raise MalformedInputError("moves: expected a collection of moves")
+        object.__setattr__(self, "moves", tuple(self.moves))
+        if self.initial_object_ids is not None:
+            ids = _require_strings(self.initial_object_ids, "initial_object_ids")
+            object.__setattr__(self, "initial_object_ids", ids)
+        object.__setattr__(self, "annotations", _require_strings(self.annotations, "annotations"))
 
-@dataclass(frozen=True)
+
+class MoveRecord(NamedTuple):
+    """One replayed move: the state it met, its bound 2A/h (for an inflation
+    along an alive object of negative square, else None) and the state it
+    left (None when the move failed)."""
+
+    number: int
+    move: Move
+    before: ConfigurationState
+    bound: Fraction | None
+    after: ConfigurationState | None
+
+
+@dataclass(frozen=True, init=False)
 class VerificationReport:
+    """A replay's verdict, first failure, final class and move records.
+
+    The lines given as entries may include callables, which the verifier
+    leaves for the lines it defers; each is called once, on the first read
+    of entries, under the digit limit then in force."""
+
     passed: bool
-    entries: tuple[str, ...]
     first_failure: str | None
     final_class: ClassVector | None
+    records: tuple[MoveRecord, ...]
+
+    def __init__(self, passed, entries, first_failure, final_class, records=()):
+        self.__dict__.update(
+            passed=passed, first_failure=first_failure, final_class=final_class,
+            records=tuple(records), _lines=tuple(entries),
+        )
+
+    @cached_property
+    def entries(self) -> tuple[str, ...]:
+        return tuple(line if isinstance(line, str) else line() for line in self._lines)
 
     def __str__(self) -> str:
         lines = list(self.entries)
@@ -421,18 +492,49 @@ def _area_line(state: ConfigurationState) -> str:
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 
+def _class_line(record: MoveRecord) -> str:
+    return f"class after move {record.number}: {record.after.current_class.texts()}"
+
+
+def _fits(state: ConfigurationState, coefficient_bits: int) -> bool:
+    """Whether every number of the state's class and areas: lines surely has
+    at most sys.get_int_max_str_digits() digits, the sum of the absolute
+    coefficients of each of its objects' classes being under
+    2^coefficient_bits.  A number under 2^b has at most b // 3 + 1 digits
+    (log10 2 < 1/3); an area's numerator is at most the largest product
+    entry times that sum."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    d, terms = state.current_class.integer_form
+    product = state._product
+    bits = max(
+        max(d, *map(abs, map(itemgetter(1), terms))).bit_length(),
+        max(max(product, default=0), -min(product, default=0)).bit_length() + coefficient_bits,
+    )
+    return bits // 3 < limit
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Replay a certificate move by move with exact arithmetic.
 
     Total: malformed or failing certificates produce a failed report with the
     first broken check named, never an exception.
     """
-    entries: list[str] = []
+    lines: list = []
+    records: list[MoveRecord] = []
 
     def fail(reason: str) -> VerificationReport:
         return VerificationReport(
-            passed=False, entries=tuple(entries), first_failure=reason, final_class=None
+            passed=False, entries=lines, first_failure=reason, final_class=None, records=records
         )
+
+    def later(state: ConfigurationState, *renders) -> None:
+        # a line whose numbers may outgrow the digit limit is written now,
+        # so that a number past the limit fails the replay at its line
+        fits = _fits(state, coefficient_bits)
+        for render in renders:
+            lines.append(render if fits else render())
 
     model = cert.model
     if not model.completeness_assumed:
@@ -451,41 +553,49 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
                 value = format_ratio(scaled, d, "pairing")
                 return fail(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
         square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
-        entries.append(f"base class Kähler by model predicate; square {square}")
+        lines.append(f"base class Kähler by model predicate; square {square}")
         state = initial_state(cert, base._product)
-        entries.append(_area_line(state))
+        coefficient_bits = model.coefficient_bits
+        later(state, partial(_area_line, state))
         for number, move in enumerate(cert.moves, start=1):
             if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:
-                entries.append(
+                lines.append(
                     f"move {number} reinstates {len(move.reinstate_ids)} constituents (iterated-disjoin)"
                 )
+            bound = None
             try:
-                bound = None
                 if isinstance(move, Inflate):
                     obj = state.object(move.object_id)
                     bound = _inflation_bound(state, obj)[2] if obj.alive else None
                 entry = f"move {number}: {describe_move(move)}"
                 if bound is not None:
                     entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
-                entries.append(entry)
-                state = apply_move(state, move)
+                lines.append(entry)
+                after = apply_move(state, move)
             except SymconeError as exc:
+                records.append(MoveRecord(number, move, state, bound, None))
                 headline = exc.args[0] if exc.args else str(exc)
                 return fail(f"{headline} at move {number}")
-            entries.append(f"class after move {number}: {state.current_class.texts()}")
-            entries.append(_area_line(state))
+            record = MoveRecord(number, move, state, bound, after)
+            records.append(record)
+            state = after
+            if isinstance(move, SmoothAndReinstate):
+                # the new object's class sums those of its constituents
+                coefficient_bits += len(move.constituent_ids).bit_length()
+            later(state, partial(_class_line, record), partial(_area_line, state))
             if not state._in_positive_cone():
                 return fail(f"class left the positive cone at move {number}")
         if state.current_class != cert.target_class:
             return fail("final class does not equal the target class")
     except SymconeError as exc:
         return fail(str(exc))
-    entries.append("final class equals target class")
+    lines.append("final class equals target class")
     for note in cert.annotations:
-        entries.append(f"annotation: {note}")
+        lines.append(f"annotation: {note}")
     return VerificationReport(
         passed=True,
-        entries=tuple(entries),
+        entries=lines,
         first_failure=None,
         final_class=state.current_class,
+        records=records,
     )

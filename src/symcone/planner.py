@@ -422,17 +422,15 @@ def _plan_single_curve(
                     ("pairing", format_rational(pairing, "pairing")),
                 ),
             )
-    for j in range(64):
-        t = low + Fraction(1, 2**j)
-        base = target - curve.vector.scale(t)
-        if model.is_interior_kahler(base):
-            break
-    else:
+    amplitudes = (low + Fraction(1, 2**j) for j in range(64))
+    t, _ = model.first_interior_scale(target, curve.vector, amplitudes)
+    if t is None:
         return Unsupported(
             reason="no inflation amplitude keeps the base Kähler",
             component=(index,),
             detail=(("window start", format_rational(low, "window start")),),
         )
+    base = target - curve.vector.scale(t)
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
@@ -450,7 +448,11 @@ def _sweep_plan(
     locus is corner - r far, where
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
-    peel checks scales linearly with r: the first Kähler r peels or none does."""
+    peel checks scales linearly with r: the first Kähler r peels or none does.
+    The scales are tested from the Gram products of corner and far alone
+    (CurveModel.first_interior_scale): the base's square is a quadratic in
+    r and its pairings are linear forms.  A refusal names the check that
+    fails at the smallest scale."""
     corner, far, terms = target, ClassVector.zero(model.lattice.rank), []
     inverses = {}
     for comp in comps:
@@ -461,15 +463,13 @@ def _sweep_plan(
             e = model.curves[i].vector
             corner, far = corner + e.scale(d), far + e.scale(s)
             terms.append((i, d, s))
-    for r in _R_SWEEP:
-        base = corner - far.scale(r)
-        if model.is_interior_kahler(base):
-            break
-    else:
+    r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
+    if r is None:
         return Unsupported(
             reason="no base scale makes the base Kähler",
-            detail=(("scales tried", str(len(_R_SWEEP))),),
+            detail=(("r", format_rational(_R_SWEEP[-1], "r")), ("failing check", failing)),
         )
+    base = corner - far.scale(r)
     u = {i: r * s - d for i, d, s in terms}
     try:
         _, moves = _Peeler(model, inverses).peel(ConfigurationState.seeded(model, base), u)

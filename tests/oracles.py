@@ -129,3 +129,38 @@ def interior_class(model: CurveModel, rng: random.Random) -> ClassVector:
     for i, c in enumerate(model.curves):
         vec = vec - c.vector.scale(u[i])
     return vec
+
+
+def plain_pair(lattice: IntersectionLattice, a: ClassVector, b: ClassVector) -> Fraction:
+    """a.b summed entry by entry over the Fraction coordinates and the Gram."""
+    return sum(
+        (
+            x * lattice.gram[i][j] * y
+            for i, x in enumerate(a.coords) if x
+            for j, y in enumerate(b.coords) if y
+        ),
+        Fraction(0),
+    )
+
+
+def first_kahler_scale(model: CurveModel, start: ClassVector, direction: ClassVector, scales):
+    """The walk the planner's sweeps once made: build start - s direction for
+    each s in turn and test it, positive cone first, then every curve.
+    Returns (s, None) for the first interior-Kähler class, else (None, the
+    check that fails at the last scale), named as CurveModel names it."""
+    lat = model.lattice
+    failing = None
+    for s in scales:
+        base = start - direction.scale(s)
+        if plain_pair(lat, base, base) <= 0:
+            failing = "square"
+        elif plain_pair(lat, base, lat.reference_class) <= 0:
+            failing = "reference pairing"
+        else:
+            failing = next(
+                (f"pairing with {c.label}" for c in model.curves if plain_pair(lat, base, c.vector) <= 0),
+                None,
+            )
+            if failing is None:
+                return s, None
+    return None, failing

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from dataclasses import replace
@@ -16,7 +17,7 @@ from symcone.errors import (
     RangeError,
     WrongMoveError,
 )
-from symcone import chambers
+from symcone import chambers, moves
 from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.linalg import format_rational
 from symcone.models import (
@@ -41,7 +42,7 @@ from symcone.moves import (
 )
 from symcone.planner import plan
 
-from oracles import interior_class, random_curve_model
+from oracles import interior_class, plain_pair, random_curve_model
 
 
 def test_h_param_table():
@@ -524,22 +525,14 @@ def test_initial_state_reuses_a_given_product():
     assert initial_state(cert)._product == product
 
 
-def _plain_pair(lat, a, b):
-    return sum(
-        x * lat.gram[i][j] * y
-        for i, x in enumerate(a.coords) if x
-        for j, y in enumerate(b.coords) if y
-    )
-
-
 def _base_lines_by_fraction(model, base, labels):
     """The verifier's base checks in order, from plain Fraction pairings."""
     lat = model.lattice
-    square = _plain_pair(lat, base, base)
-    if not (square > 0 and _plain_pair(lat, base, lat.reference_class) > 0):
+    square = plain_pair(lat, base, base)
+    if not (square > 0 and plain_pair(lat, base, lat.reference_class) > 0):
         return "base class is not in the positive cone", None
     for c in model.curves:
-        value = _plain_pair(lat, base, c.vector)
+        value = plain_pair(lat, base, c.vector)
         if value <= 0:
             return f"base class is not interior-Kähler: pairs {format_rational(value)} with {c.label!r}", None
     line = f"base class Kähler by model predicate; square {format_rational(square)}"
@@ -646,3 +639,202 @@ def test_replay_is_total_under_mutated_move_lists(data):
     report = verify_certificate(replace(cert, moves=tuple(moves)))
     assert not report.passed
     assert report.first_failure.endswith(f" at move {n + 1}")
+
+
+def test_ill_typed_certificate_fields_are_malformed_at_construction():
+    cert = kk_gamma0_certificate()
+    for field, value, message in (
+        ("base_class", None, "base_class: expected a ClassVector"),
+        ("base_class", cert.base_class.coords, "base_class: expected a ClassVector"),
+        ("target_class", "w0", "target_class: expected a ClassVector"),
+        ("model", None, "model: expected a CurveModel"),
+        ("moves", None, "moves: expected a collection of moves"),
+        ("moves", "inflate", "moves: expected a collection of moves"),
+        ("initial_object_ids", 5, "initial_object_ids: expected a collection of strings"),
+        ("initial_object_ids", "C1", "initial_object_ids: expected a collection of strings"),
+        ("annotations", None, "annotations: expected a collection of strings"),
+        ("annotations", [1], "annotations: expected a collection of strings"),
+    ):
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            replace(cert, **{field: value})
+    # collections become tuples, so a certificate stays hashable and immutable
+    listed = replace(cert, moves=list(cert.moves), initial_object_ids=["C1", "D123"], annotations=["a"])
+    assert (listed.moves, listed.initial_object_ids, listed.annotations) == (cert.moves, ("C1", "D123"), ("a",))
+
+
+_KK_GAMMA0 = kk_gamma0_model()
+_FIELD_VALUES = {
+    "model": st.one_of(_ILL_TYPED, st.integers(), st.text(), st.sampled_from((_KK, _KK_GAMMA0))),
+    "base_class": st.one_of(
+        _ILL_TYPED,
+        st.lists(st.fractions(max_denominator=9), min_size=1, max_size=22).map(tuple),
+        st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=9), min_size=1, max_size=23).map(ClassVector),
+    ),
+    "moves": st.one_of(
+        _ILL_TYPED, st.integers(), st.text(),
+        st.lists(st.sampled_from(kk_gamma0_certificate().moves + (None, 3, "inflate")), max_size=8),
+    ),
+    "initial_object_ids": st.one_of(_NOT_IDS, st.lists(st.sampled_from(sorted(_GAMMA0_IDS) + ["zz"]), max_size=5)),
+    "annotations": st.one_of(_NOT_IDS, st.lists(st.text(max_size=5), max_size=3)),
+}
+_FIELD_VALUES["target_class"] = _FIELD_VALUES["base_class"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_certificate_fields_are_malformed_or_replayed(data):
+    """A certificate with one or two fields replaced either refuses to be
+    built with MalformedInputError or replays to a report whose lines can be
+    read; nothing else escapes."""
+    cert = kk_gamma0_certificate()
+    fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1, max_size=2, unique=True))
+    changes = {field: data.draw(_FIELD_VALUES[field], label=field) for field in fields}
+    try:
+        mutated = replace(cert, **changes)
+    except MalformedInputError:
+        return
+    report = verify_certificate(mutated)
+    assert report.passed == (report.first_failure is None)
+    assert str(report).endswith("verdict: PASS" if report.passed else f"verdict: FAIL ({report.first_failure})")
+
+
+def _assert_products_carried(report):
+    """Every state the replay records kept the Gram product it was built
+    with (none was recomputed on use), and that product is G @ (d c)."""
+    assert report.records
+    for record in report.records:
+        for state in (record.before, record.after):
+            if state is None:
+                continue
+            assert "_product" in vars(state)
+            assert state._product == state.lattice.gram_product(state.current_class)
+
+
+def test_replay_carries_gram_products_on_hesse_plans_and_gamma0():
+    """Hesse's nine curves are not basis vectors, so its inflations carry
+    products through G v for a v of several terms."""
+    model = builtin_model("hesse")
+    alpha = ClassVector((10,) + (-1,) * 12)  # 10 H minus every exceptional class
+    checked = 0
+    for subset in [(i,) for i in range(9)] + [(0, 1), (2, 5), (3, 4, 8), tuple(range(9))]:
+        cert = plan(model, chambers.corner_point(model, alpha, subset))
+        assert isinstance(cert, Certificate)
+        report = verify_certificate(cert)
+        assert report.passed
+        _assert_products_carried(report)
+        checked += len(report.records)
+    assert checked == 9 + 2 + 2 + 3 + 9  # one inflation per curve: they are orthogonal
+    report = verify_certificate(kk_gamma0_certificate())
+    assert [r.number for r in report.records] == list(range(1, 8))
+    _assert_products_carried(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_replay_carries_gram_products_under_mutated_move_lists(data):
+    cert = kk_gamma0_certificate()
+    moves = list(cert.moves)
+    n = data.draw(st.integers(0, len(moves) - 1), label="move index")
+    try:
+        moves[n] = _mutated_move(data, moves[n])
+    except MalformedInputError:
+        return
+    report = verify_certificate(replace(cert, moves=tuple(moves)))
+    assert len(report.records) == n + 1
+    assert report.records[-1].after is None
+    _assert_products_carried(report)
+
+
+def test_replay_defers_its_area_and_class_lines(monkeypatch):
+    """plan and a verdict never render the areas: or class after lines;
+    the first read of a report's entries does."""
+    def refuse(*args):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(moves, "_area_line", refuse)
+    monkeypatch.setattr(moves, "_class_line", refuse)
+    alpha = ClassVector.basis(_KK.lattice.rank, 0) + _KK.lattice.canonical_class
+    for subset in ((0,), (0, 1), (3, 12), (9, 20)):
+        cert = plan(_KK, chambers.corner_point(_KK, alpha, subset))
+        assert isinstance(cert, Certificate)
+        report = verify_certificate(cert)
+        assert report.passed
+        with pytest.raises(AssertionError, match="rendered"):
+            report.entries
+
+
+def _digits_in_deferred_lines(cert) -> int:
+    """The most digits of a numerator or denominator in the certificate's
+    class after and areas: lines, from Fraction pairings."""
+    lat = cert.model.lattice
+    state = initial_state(cert)
+    states = [state]
+    for move in cert.moves:
+        state = apply_move(state, move)
+        states.append(state)
+    numbers = [x for s in states for x in s.current_class.coords]
+    numbers += [lat.pair(s.current_class, o.vector) for s in states for o in s.alive_objects()]
+    return max(len(str(abs(n))) for x in numbers for n in (x.numerator, x.denominator))
+
+
+def _with_reached_target(cert):
+    state = initial_state(cert)
+    for move in cert.moves:
+        state = apply_move(state, move)
+    return replace(cert, target_class=state.current_class)
+
+
+def _long_gamma0(j):
+    """kk_gamma0_certificate with move 3's t = 8 - 7^-380 and move 5's
+    t = 4 - 3^-j: each t fits 640 digits, the later classes' denominators
+    are about 7^380 3^j."""
+    cert = kk_gamma0_certificate()
+    moves = list(cert.moves)
+    moves[2] = Inflate("S", 8 - Fraction(1, 7**380))
+    moves[4] = Inflate("Sprime", 4 - Fraction(1, 3**j))
+    return _with_reached_target(replace(cert, moves=tuple(moves)))
+
+
+def _long_kk(j):
+    """plan's certificate for the C1, C2 corner of w0 + K on kk-extended,
+    its C1 inflation by 8/3 - 1/(3 10^j): its areas outgrow its classes."""
+    alpha = ClassVector.basis(_KK.lattice.rank, 0) + _KK.lattice.canonical_class
+    cert = plan(_KK, chambers.corner_point(_KK, alpha, (0, 1)))
+    assert cert.moves == (Inflate("C1", Fraction(8, 3)), Inflate("C2", Fraction(8, 3)))
+    first = Inflate("C1", Fraction(8, 3) - Fraction(1, 3 * 10**j))
+    return _with_reached_target(replace(cert, moves=(first,) + cert.moves[1:]))
+
+
+# (certificate, digits of its longest deferred number, and the report the
+# eagerly rendering replay gave under a 640-digit limit: first failure,
+# entry count and sha256 of the entries joined by newlines)
+_DIGIT_LIMIT_CASES = (
+    (_long_gamma0, 664, 639, None, 27, "7fe1bce31bc0188976197b18cbe39d49549a8f5b8ee514c4a91443e6ca001942"),
+    (_long_gamma0, 666, 640, None, 27, "812b9bb02f96a2b631eb026115600ce392d63678c153bdd840aa31c60503cd6a"),
+    (_long_gamma0, 668, 641, "class: output exceeds the 640-digit integer limit", 17,
+     "2ab6475b27d3c85afc3e748b42e6ff329c5fc58f74a7272f98f3b827854a38ba"),
+    (_long_kk, 637, 639, None, 9, "1391fbd9ade17c85de0c0e2c2fd9877edf75fe40b92da6877db839102406337a"),
+    (_long_kk, 638, 640, None, 9, "e328c6fddb1489c21706207c995ea9a32afebd4d20dc5f54329505ad79177696"),
+    (_long_kk, 639, 641, "area: output exceeds the 640-digit integer limit", 4,
+     "07508a516badd29819926846f8df775bcc21a12173ebc6513157456451d2885d"),
+)
+
+
+@pytest.mark.parametrize("build, j, digits, failure, count, digest", _DIGIT_LIMIT_CASES)
+def test_deferred_lines_meet_the_digit_limit_where_they_stand(build, j, digits, failure, count, digest):
+    """Numbers of 639, 640 and 641 digits in the deferred lines, under a
+    640-digit limit: the first two replay and render, the third fails at
+    the line that holds it, with the report an eager replay gave."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        cert = build(j)
+        assert _digits_in_deferred_lines(cert) == digits
+        sys.set_int_max_str_digits(640)
+        report = verify_certificate(cert)
+        assert (report.passed, report.first_failure) == (failure is None, failure)
+        entries = report.entries
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(entries) == count
+    assert hashlib.sha256("\n".join(entries).encode()).hexdigest() == digest

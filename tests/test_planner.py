@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from symcone import chambers, planner
 from symcone.documents import canonical_json, certificate_to_doc
-from symcone.errors import PreconditionError
+from symcone.errors import PreconditionError, SymconeError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from symcone.models import (
     build_kk_model,
@@ -20,7 +21,8 @@ from symcone.models import (
     kk_gamma0_model,
     ruled_model,
 )
-from symcone.moves import Certificate, Inflate, VerificationReport, verify_certificate
+from symcone.linalg import format_rational
+from symcone.moves import Certificate, Inflate, VerificationReport, h_param, verify_certificate
 from symcone.planner import (
     Unsupported,
     component_obstruction,
@@ -29,7 +31,7 @@ from symcone.planner import (
     plan,
 )
 
-from oracles import interior_class, random_curve_model
+from oracles import brute_inverse, first_kahler_scale, interior_class, random_curve_model
 
 
 def _chain_model(squares, genera=None, edges=None):
@@ -641,3 +643,148 @@ def test_plan_refuses_a_target_whose_replay_outgrows_the_digit_limit():
     (key, failure), = result.detail
     assert key == "first failure"
     assert failure.startswith("base square: output exceeds the ")
+
+
+def _scale_walk(model, target):
+    """What plan's sweep should pick for a boundary target, by the naive
+    walk: (scale, failing check, base) for the single inflation's t or the
+    corner's r, or None where the single curve is a (-1)-sphere."""
+    cls = chambers.classify(model, target)
+    locus = cls.descriptor.curve_indices
+    gram = model.curve_gram()
+    if len(locus) == 1:
+        (i,) = locus
+        curve, k = model.curves[i], -gram[i][i]
+        h = h_param(k, curve.genus)
+        if 2 * k == h:
+            return None
+        pairing = cls.pairings[i]
+        low = 2 * (-pairing) / (2 * k - h) if pairing < 0 else Fraction(0)
+        start, direction = target, curve.vector
+        scales = [low + Fraction(1, 2**j) for j in range(64)]
+    else:
+        # N = -M^-1 over the whole locus is block diagonal over its components
+        N = [[-x for x in row] for row in brute_inverse(model.curve_gram(locus))]
+        v = [cls.pairings[i] for i in locus]
+        start, direction = target, ClassVector.zero(model.lattice.rank)
+        for i, row in zip(locus, N):
+            e = model.curves[i].vector
+            start = start + e.scale(sum(x * y for x, y in zip(row, v)))
+            direction = direction + e.scale(sum(row))
+        scales = planner._R_SWEEP
+    scale, failing = first_kahler_scale(model, start, direction, scales)
+    base = None if scale is None else start - direction.scale(scale)
+    return scale, failing, base
+
+
+def _check_sweep_against_the_walk(model, target):
+    outcome = plan(model, target)
+    if isinstance(outcome, Certificate) and not outcome.moves:
+        return "interior"
+    expected = _scale_walk(model, target)
+    if expected is None:
+        return "skipped"
+    scale, failing, base = expected
+    if isinstance(outcome, Certificate):
+        assert outcome.base_class == base
+        return "certificate"
+    reason, detail = outcome.reason, dict(outcome.detail)
+    if reason == "no base scale makes the base Kähler":
+        assert scale is None
+        assert detail == {"r": format_rational(planner._R_SWEEP[-1]), "failing check": failing}
+    elif reason == "no inflation amplitude keeps the base Kähler":
+        assert scale is None
+    elif reason == "the deficit does not peel into moves":
+        assert detail["r"] == format_rational(scale)
+    return reason
+
+
+def _boundary_targets(model, alpha, subsets):
+    for subset in subsets:
+        try:
+            corner = chambers.corner_point(model, alpha, subset)
+            yield corner
+            yield chambers.chamber_point(model, corner, subset, 1)
+        except SymconeError:
+            continue
+
+
+def test_plan_picks_the_scale_of_the_naive_walk_on_random_models():
+    """The r sweep and the single inflation's t sweep test each scale from
+    two Gram products; the base they pick is the one the old walk (build
+    the class, test it) picks."""
+    kinds = collections.Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = random_curve_model(rng, 6)
+        alpha = interior_class(model, rng)
+        n = len(model.curves)
+        subsets = [tuple(range(n)), (rng.randrange(n),),
+                   tuple(sorted(rng.sample(range(n), rng.randint(1, n))))]
+        for target in _boundary_targets(model, alpha, subsets):
+            kinds[_check_sweep_against_the_walk(model, target)] += 1
+    assert kinds["certificate"] > 100
+
+
+def test_plan_picks_the_scale_of_the_naive_walk_on_builtin_models():
+    kinds = collections.Counter()
+    for name in ("kk-extended", "kk-gamma0", "hesse", "e6"):
+        model = builtin_model(name)
+        lat = model.lattice
+        rng = random.Random(name)
+        if name == "hesse":
+            alpha = ClassVector((10,) + (-1,) * 12)  # 10 H minus every exceptional class
+        elif name == "e6":
+            # the reference class is orthogonal to the E6 curves
+            alpha = interior_class(model, rng) + lat.reference_class.scale(10)
+        else:
+            alpha = lat.reference_class + lat.canonical_class
+        assert model.is_interior_kahler(alpha)
+        n = len(model.curves)
+        subsets = [(i,) for i in range(n)] + rng.sample(list(itertools.combinations(range(n), 2)), min(12, n * (n - 1) // 2))
+        for target in _boundary_targets(model, alpha, subsets):
+            kinds[_check_sweep_against_the_walk(model, target)] += 1
+    assert kinds["certificate"] > 50
+
+
+def _no_base_scale_model():
+    """A chain e1 - c - e2 of (-2)-spheres beside a reference class w."""
+    gram = ((100, 0, 0, 0), (0, -2, 1, 0), (0, 1, -2, 1), (0, 0, 1, -2))
+    lattice = IntersectionLattice(gram=gram, basis_labels=("w", "e1", "c", "e2"),
+                                  reference_class=ClassVector.basis(4, 0))
+    curves = tuple(CurveData(label, ClassVector.basis(4, i), 0)
+                   for i, label in ((1, "e1"), (2, "c"), (3, "e2")))
+    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+
+
+def test_no_base_scale_refusal_names_the_failing_check():
+    """The target is negative on e1 and e2 and positive on c, but pulling
+    it onto the e1, e2 corner makes it negative on c, and so does every
+    base corner - r far: the refusal names c's pairing at the smallest r."""
+    model = _no_base_scale_model()
+    target = ClassVector((Fraction(1, 5), Fraction(1, 2), 0, Fraction(1, 2)))
+    assert model.pairings_with(target) == (-1, 1, -1)
+    outcome = plan(model, target)
+    assert isinstance(outcome, Unsupported)
+    assert outcome.reason == "no base scale makes the base Kähler"
+    assert outcome.detail == (("r", "1/65536"), ("failing check", "pairing with c"))
+    assert _check_sweep_against_the_walk(model, target) == outcome.reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    start=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=7, max_size=7),
+    direction=st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+    scales=st.lists(st.fractions(min_value=-2, max_value=40, max_denominator=64), min_size=1, max_size=6),
+)
+def test_first_interior_scale_matches_the_naive_walk(seed, start, direction, scales):
+    """Scale, and the check failing at the last scale, read off two Gram
+    products agree with building and testing each class."""
+    model = random_curve_model(random.Random(seed), 6)
+    rank = model.lattice.rank
+    start = ClassVector(start[:rank])
+    direction = ClassVector(direction[:rank])
+    assert model.first_interior_scale(start, direction, scales) == first_kahler_scale(
+        model, start, direction, scales
+    )
