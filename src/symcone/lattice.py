@@ -261,6 +261,11 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def entry_bits(self) -> int:
+        """Bit length of the largest absolute Gram entry."""
+        return max((abs(x) for row in self._rows for _, x in row), default=0).bit_length()
+
     def scaled_pairings(self, a: ClassVector, vectors: Sequence[ClassVector]) -> list[int]:
         """The pairing kernel: d_a d_v pair(a, v) for every v, in integers,
         where d is a vector's least common denominator.  The scalings are

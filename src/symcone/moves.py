@@ -29,9 +29,11 @@ verifier replays it with exact arithmetic and keeps one record per move: the
 state before it, its bound 2A/h and the state after it.  The base-square and
 move lines are written during the replay; the "class after" and "areas:"
 lines are rendered from the records on the first read of the report's
-entries, unless a bit-length bound cannot prove that their numbers fit the
-interpreter's digit limit, in which case they are rendered at once so that a
-number past the limit fails the replay where it stands.  Report numbers are
+entries.  Bounds on the bit lengths of their numbers are measured on the
+initial state and carried through each move by its t; where they cannot
+prove that the numbers fit the interpreter's digit limit, the lines are
+rendered at once, so that a number past the limit fails the replay where
+it stands.  Report numbers are
 written from integer numerators and denominators.  Failures are report
 entries, never exceptions.
 """
@@ -496,23 +498,28 @@ def _class_line(record: MoveRecord) -> str:
     return f"class after move {record.number}: {record.after.current_class.texts()}"
 
 
-def _fits(state: ConfigurationState, coefficient_bits: int) -> bool:
-    """Whether every number of the state's class and areas: lines surely has
-    at most sys.get_int_max_str_digits() digits, the sum of the absolute
-    coefficients of each of its objects' classes being under
-    2^coefficient_bits.  A number under 2^b has at most b // 3 + 1 digits
-    (log10 2 < 1/3); an area's numerator is at most the largest product
-    entry times that sum."""
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return True
+def _number_bits(state: ConfigurationState) -> tuple[int, int, int]:
+    """Bit lengths of the state's class denominator d, of its largest
+    absolute numerator and of its largest absolute Gram product entry."""
     d, terms = state.current_class.integer_form
     product = state._product
-    bits = max(
-        max(d, *map(abs, map(itemgetter(1), terms))).bit_length(),
-        max(max(product, default=0), -min(product, default=0)).bit_length() + coefficient_bits,
+    return (
+        d.bit_length(),
+        max(map(abs, map(itemgetter(1), terms)), default=0).bit_length(),
+        max(max(product), -min(product)).bit_length(),
     )
-    return bits // 3 < limit
+
+
+def _inflated_bits(bits: tuple[int, int, int], t: Fraction, vector_bits: int) -> tuple:
+    """Upper bounds on _number_bits after adding t = p/q times a class v to
+    a class whose bounds are bits, where every coefficient of v and entry of
+    G v is under 2^vector_bits in absolute value.  The new denominator
+    divides dq, so a new numerator is at most q |x| + p d |v_i| and a new
+    product entry at most q |P_i| + p d |(G v)_i|."""
+    d, numerator, product = bits
+    p, q = abs(t.numerator).bit_length(), t.denominator.bit_length()
+    carried = p + d + vector_bits
+    return d + q, max(numerator + q, carried) + 1, max(product + q, carried) + 1
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
@@ -529,10 +536,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             passed=False, entries=lines, first_failure=reason, final_class=None, records=records
         )
 
-    def later(state: ConfigurationState, *renders) -> None:
+    def later(*renders) -> None:
         # a line whose numbers may outgrow the digit limit is written now,
-        # so that a number past the limit fails the replay at its line
-        fits = _fits(state, coefficient_bits)
+        # so that a number past the limit fails the replay at its line.  A
+        # number under 2^b has at most b // 3 + 1 digits (log10 2 < 1/3);
+        # an area's numerator is under 2^(product bits + object_bits).
+        limit = sys.get_int_max_str_digits()
+        fits = not limit or max(bits[0], bits[1], bits[2] + object_bits) // 3 < limit
         for render in renders:
             lines.append(render if fits else render())
 
@@ -555,8 +565,11 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
         lines.append(f"base class Kähler by model predicate; square {square}")
         state = initial_state(cert, base._product)
-        coefficient_bits = model.coefficient_bits
-        later(state, partial(_area_line, state))
+        # bounds on the bit lengths of the state's numbers (_number_bits)
+        # and of every object's coefficient sum, kept up move by move
+        bits, object_bits = _number_bits(state), model.coefficient_bits
+        entry_bits = model.lattice.entry_bits
+        later(partial(_area_line, state))
         for number, move in enumerate(cert.moves, start=1):
             if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:
                 lines.append(
@@ -581,8 +594,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             state = after
             if isinstance(move, SmoothAndReinstate):
                 # the new object's class sums those of its constituents
-                coefficient_bits += len(move.constituent_ids).bit_length()
-            later(state, partial(_class_line, record), partial(_area_line, state))
+                object_bits += len(move.constituent_ids).bit_length()
+            else:  # |(G v)_i| <= max |G_ij| times v's coefficient sum
+                bits = _inflated_bits(bits, move.t, object_bits + entry_bits)
+            later(partial(_class_line, record), partial(_area_line, state))
             if not state._in_positive_cone():
                 return fail(f"class left the positive cone at move {number}")
         if state.current_class != cert.target_class:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 from dataclasses import replace
@@ -838,3 +839,37 @@ def test_deferred_lines_meet_the_digit_limit_where_they_stand(build, j, digits, 
         sys.set_int_max_str_digits(limit)
     assert len(entries) == count
     assert hashlib.sha256("\n".join(entries).encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    indices=st.lists(st.sampled_from((2, 4, 5, 6)), min_size=2, max_size=2, unique=True),
+    bases=st.lists(st.sampled_from((2, 3, 7, 10)), min_size=2, max_size=2),
+    digits=st.lists(st.integers(150, 450), min_size=2, max_size=2),
+    reach=st.booleans(),
+)
+def test_a_deferred_line_is_never_past_the_digit_limit(indices, bases, digits, reach):
+    """Under a 640-digit limit, two inflations of the kk-gamma0 certificate
+    given amplitudes with long denominators, whose product the later classes
+    carry: the replay's bounds either prove a line fits or render it at
+    once, so reading the entries never raises."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        cert = kk_gamma0_certificate()
+        moves = list(cert.moves)
+        for index, base, n in zip(indices, bases, digits):
+            q = base ** math.ceil(n / math.log10(base))  # about n digits
+            moves[index] = Inflate(moves[index].object_id, moves[index].t - Fraction(1, q))
+        cert = replace(cert, moves=tuple(moves))
+        if reach:
+            cert = _with_reached_target(cert)
+        longest = _digits_in_deferred_lines(cert)
+        sys.set_int_max_str_digits(640)
+        report = verify_certificate(cert)
+        entries = report.entries
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if longest <= 640 and reach:
+        assert report.passed
+    assert len(entries) >= 2

@@ -714,7 +714,7 @@ def test_plan_picks_the_scale_of_the_naive_walk_on_random_models():
     two Gram products; the base they pick is the one the old walk (build
     the class, test it) picks."""
     kinds = collections.Counter()
-    for seed in range(60):
+    for seed in range(30):
         rng = random.Random(seed)
         model = random_curve_model(rng, 6)
         alpha = interior_class(model, rng)
@@ -723,7 +723,7 @@ def test_plan_picks_the_scale_of_the_naive_walk_on_random_models():
                    tuple(sorted(rng.sample(range(n), rng.randint(1, n))))]
         for target in _boundary_targets(model, alpha, subsets):
             kinds[_check_sweep_against_the_walk(model, target)] += 1
-    assert kinds["certificate"] > 100
+    assert kinds["certificate"] > 50
 
 
 def test_plan_picks_the_scale_of_the_naive_walk_on_builtin_models():
@@ -741,7 +741,7 @@ def test_plan_picks_the_scale_of_the_naive_walk_on_builtin_models():
             alpha = lat.reference_class + lat.canonical_class
         assert model.is_interior_kahler(alpha)
         n = len(model.curves)
-        subsets = [(i,) for i in range(n)] + rng.sample(list(itertools.combinations(range(n), 2)), min(12, n * (n - 1) // 2))
+        subsets = [(i,) for i in range(n)] + rng.sample(list(itertools.combinations(range(n), 2)), min(8, n * (n - 1) // 2))
         for target in _boundary_targets(model, alpha, subsets):
             kinds[_check_sweep_against_the_walk(model, target)] += 1
     assert kinds["certificate"] > 50
@@ -771,7 +771,7 @@ def test_no_base_scale_refusal_names_the_failing_check():
     assert _check_sweep_against_the_walk(model, target) == outcome.reason
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     start=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=7, max_size=7),
