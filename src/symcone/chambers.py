@@ -122,17 +122,16 @@ def _shift(
     """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
     it pairs exactly -values_j with each e_j in G."""
     s = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), values)
-    shift = ClassVector.zero(model.lattice.rank)
-    for coeff, i in zip(s, descriptor.curve_indices):
-        shift = shift + model.curves[i].vector.scale(coeff)
-    return s, shift
+    return s, model.combination(descriptor.curve_indices, s)
 
 
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
     t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive."""
-    descriptor = _admissible_descriptor(model, G)
     lat = model.lattice
+    if not lat.is_positive_cone(alpha):
+        raise DomainError("class is not in the positive cone")
+    descriptor = _admissible_descriptor(model, G)
     curves = [model.curves[i] for i in descriptor.curve_indices]
     v = [lat.pair(alpha, c.vector) for c in curves]
     if any(value <= 0 for value in v):

@@ -34,7 +34,7 @@ from .errors import (
     MalformedInputError,
     ModelInconsistencyError,
     PreconditionError,
-    PropertyViolationError,
+    SingularityError,
 )
 
 
@@ -135,18 +135,13 @@ class ClassVector:
     __rmul__ = __mul__
 
 
-def negative_definite_by_minors(minors: Iterable[Fraction]) -> bool:
-    """Sylvester test: the k-th leading principal minor has sign (-1)^k."""
+def is_negative_definite(gram: linalg.Matrix) -> bool:
+    """Sylvester test: the k-th leading principal minor has sign (-1)^k.  The
+    minors come lazily; the first of the wrong sign (or zero) ends it."""
     return all(
         (minor > 0 if k % 2 == 0 else minor < 0)
-        for k, minor in enumerate(minors, start=1)
+        for k, minor in enumerate(linalg.iter_pivot_minors(gram), start=1)
     )
-
-
-def is_negative_definite(gram: linalg.Matrix) -> bool:
-    # the minors come lazily: the first one of the wrong sign ends the
-    # elimination, and a vanishing one is of the wrong sign
-    return negative_definite_by_minors(linalg.iter_pivot_minors(gram))
 
 
 class NegInverse(tuple):
@@ -161,27 +156,25 @@ class NegInverse(tuple):
 
 
 def neg_inverse(gram: linalg.Matrix) -> NegInverse:
-    """Return -gram^{-1} for a negative definite matrix with nonnegative
-    off-diagonal entries.  Under those hypotheses the result is entrywise
-    nonnegative; that is verified, not assumed.  One fraction-free solve
-    against the identity gives it, with one Fraction built per entry."""
+    """-gram^{-1} for a negative definite gram with nonnegative off-diagonal
+    entries, from one fraction-free solve against the identity, which also
+    decides definiteness (else DefinitenessError): -gram is a symmetric
+    Z-matrix, positive definite iff invertible with a nonnegative inverse
+    (Berman and Plemmons, Nonnegative Matrices in the Math. Sciences, ch. 6)."""
     if not linalg.is_symmetric(gram):
         raise PreconditionError("matrix is not symmetric")
     n = len(gram)
-    for i in range(n):
-        for j in range(n):
-            if i != j and gram[i][j] < 0:
-                raise PreconditionError("off-diagonal entries must be nonnegative")
-    if not is_negative_definite(gram):
-        raise DefinitenessError("matrix is not negative definite")
-    D, columns = linalg.solve_columns(gram, linalg.identity(n))
+    if any(gram[i][j] < 0 for i in range(n) for j in range(n) if i != j):
+        raise PreconditionError("off-diagonal entries must be nonnegative")
+    try:
+        D, columns = linalg.solve_columns(gram, linalg.identity(n))
+    except SingularityError:
+        raise DefinitenessError("matrix is not negative definite") from None
     # columns[j] is D times column j of gram^{-1}; flip to a positive det
     flip = -1 if D > 0 else 1
     adjugate = tuple(tuple(flip * col[i] for col in columns) for i in range(n))
     if any(x < 0 for row in adjugate for x in row):
-        raise PropertyViolationError(
-            "negated inverse has a negative entry despite the hypotheses"
-        )
+        raise DefinitenessError("matrix is not negative definite")
     return NegInverse(abs(D), adjugate)
 
 
@@ -405,6 +398,18 @@ class CurveModel:
     def pairings_with(self, a: ClassVector) -> tuple[Fraction, ...]:
         """pair(a, curve) for every declared curve, via one Gram product."""
         return self.lattice.pairings(a, (c.vector for c in self.curves))
+
+    def combination(self, indices: Iterable[int], coefficients: Iterable) -> ClassVector:
+        """sum c_i e_i over the curves e_i of indices, in one integer pass: the
+        curve classes are integral, so d, the lcm of the c_i's denominators,
+        clears every coordinate."""
+        coefficients = [linalg.as_fraction(c) for c in coefficients]
+        d = lcm(*(c.denominator for c in coefficients))
+        acc: dict[int, int] = {}
+        for i, c in zip(indices, coefficients, strict=True):
+            for j, x in self.curves[i].vector.integer_form[1]:
+                acc[j] = acc.get(j, 0) + c.numerator * (d // c.denominator) * x
+        return ClassVector.from_integer_form(self.lattice.rank, d, sorted(acc.items()))
 
     def is_interior_kahler(self, a: ClassVector) -> bool:
         """Positive cone and strictly positive on every declared curve."""

@@ -266,25 +266,16 @@ def kk_gamma0_model() -> CurveModel:
     return model
 
 
-def _kk_combination(model: CurveModel, coefficients: dict[str, Fraction]) -> ClassVector:
-    result = ClassVector.zero(model.lattice.rank)
-    for label, coeff in coefficients.items():
-        result = result + model.curve(label).vector.scale(coeff)
-    return result
-
-
 def kk_gamma0_certificate(t_scale=1) -> Certificate:
-    """The four-curve replay: from w0 minus the (8,21,12,14)-combination, two
-    smoothings build a square -1 surface of genus 14, inflating it and the
-    follow-up genus-8 surface walks the class back to w0 exactly."""
+    """The four-curve replay: from w0 - (8 C1 + 21 D123 + 12 C2 + 14 D249), the
+    model's curves in order, two smoothings build a square -1 genus-14 surface;
+    inflating it and the follow-up genus-8 surface walks back to w0 exactly."""
     t = linalg.as_fraction(t_scale)
     if t <= 0:
         raise PreconditionError("t_scale must be positive")
     model = kk_gamma0_model()
     w0 = ClassVector.basis(model.lattice.rank, 0)
-    base = w0 - _kk_combination(
-        model, {"C1": 8 * t, "D123": 21 * t, "C2": 12 * t, "D249": 14 * t}
-    )
+    base = w0 - model.combination(range(4), (8 * t, 21 * t, 12 * t, 14 * t))
     if not model.is_interior_kahler(base):
         raise PreconditionError(
             f"base class is not interior-Kähler at t_scale {t}"

@@ -29,7 +29,7 @@ from .errors import (
 from .lattice import (
     ClassVector,
     CurveModel,
-    negative_definite_by_minors,
+    is_negative_definite,
     neg_inverse,
     pairing_components,
 )
@@ -197,9 +197,8 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     if len(graph.components()) != 1:
         raise PreconditionError("curve set is not connected in the dual graph")
     M = graph.pairings
-    minors = linalg.pivot_minors(M)
-    if negative_definite_by_minors(minors):
-        return Admissible(indices=idx, minors=minors)
+    if is_negative_definite(M):
+        return Admissible(indices=idx, minors=linalg.pivot_minors(M))
     n = len(idx)
     # curve classes and the Gram are integral, so the search runs in integers;
     # a square sums over the nonzero upper triangle of the Gram
@@ -423,12 +422,12 @@ def _plan_single_curve(
                 ),
             )
     amplitudes = (low + Fraction(1, 2**j) for j in range(64))
-    t, _ = model.first_interior_scale(target, curve.vector, amplitudes)
+    t, failing = model.first_interior_scale(target, curve.vector, amplitudes)
     if t is None:
         return Unsupported(
             reason="no inflation amplitude keeps the base Kähler",
             component=(index,),
-            detail=(("window start", format_rational(low, "window start")),),
+            detail=(("window start", format_rational(low, "window start")), ("failing check", failing)),
         )
     base = target - curve.vector.scale(t)
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
@@ -453,16 +452,14 @@ def _sweep_plan(
     (CurveModel.first_interior_scale): the base's square is a quadratic in
     r and its pairings are linear forms.  A refusal names the check that
     fails at the smallest scale."""
-    corner, far, terms = target, ClassVector.zero(model.lattice.rank), []
-    inverses = {}
+    inverses, terms = {}, []
     for comp in comps:
         inverse = inverses[comp] = neg_inverse(model.curve_gram(comp))
         v = [pairings[i] for i in comp]
         ones = [Fraction(1)] * len(comp)
-        for i, d, s in zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones)):
-            e = model.curves[i].vector
-            corner, far = corner + e.scale(d), far + e.scale(s)
-            terms.append((i, d, s))
+        terms += zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones))
+    indices, ds, ss = zip(*terms)
+    corner, far = target + model.combination(indices, ds), model.combination(indices, ss)
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
         return Unsupported(

@@ -131,6 +131,14 @@ def interior_class(model: CurveModel, rng: random.Random) -> ClassVector:
     return vec
 
 
+def folded_combination(model: CurveModel, indices, coefficients) -> ClassVector:
+    """sum c_i e_i as a fold of class sums and scalings, one curve at a time."""
+    out = ClassVector.zero(model.lattice.rank)
+    for i, c in zip(indices, coefficients):
+        out = out + model.curves[i].vector.scale(c)
+    return out
+
+
 def plain_pair(lattice: IntersectionLattice, a: ClassVector, b: ClassVector) -> Fraction:
     """a.b summed entry by entry over the Fraction coordinates and the Gram."""
     return sum(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -124,6 +125,19 @@ def test_corner_point_requires_positive_pairings():
     model = kk_gamma0_model()
     with pytest.raises(PreconditionError):
         chambers.corner_point(model, _omega0(model), range(4))
+
+
+def test_corner_point_refuses_a_class_outside_the_positive_cone():
+    """The class is refused as out of domain before any shift is built, as
+    classify refuses it, not as a broken invariant of the result."""
+    model = builtin_model("hesse")
+    alpha = interior_class(model, random.Random(2))
+    assert model.lattice.square(alpha) == -21
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(range(9), k) for k in range(1, 10)
+    ):
+        with pytest.raises(DomainError, match="^class is not in the positive cone$"):
+            chambers.corner_point(model, alpha, subset)
 
 
 def test_corner_point_requires_admissible_set():

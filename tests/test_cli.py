@@ -274,6 +274,15 @@ def test_corner_with_chamber(capsys):
         assert lat.pair(chamber, model.curve(label).vector) == -Fraction(1, 7)
 
 
+def test_corner_outside_the_positive_cone_exits_2(capsys):
+    # hesse's seeded interior class of square -21 (tests/oracles.interior_class);
+    # its leading minus sign needs the --class=... form
+    alpha = "-13/3,1,2,4/3,2,5/3,4/3,7/3,5/3,5/3,2,2,7/3"
+    code, out = run(capsys, "corner", "--model", "hesse", f"--class={alpha}", "--curves", "L1,L2")
+    assert code == 2
+    assert trailer(out) == {"error": "class is not in the positive cone"}
+
+
 def test_dynkin_components(capsys):
     code, out = run(capsys, "dynkin", "--model", "e6")
     assert code == 0

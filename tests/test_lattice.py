@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -12,7 +13,9 @@ from symcone.errors import (
     MalformedInputError,
     ModelInconsistencyError,
     PreconditionError,
+    SingularityError,
 )
+from symcone import linalg
 from symcone.lattice import (
     ClassVector,
     CurveData,
@@ -23,7 +26,13 @@ from symcone.lattice import (
 )
 from symcone.models import build_hesse_dual, build_kk_model, builtin_model, ruled_model
 
-from oracles import brute_inverse, random_negative_definite
+from oracles import (
+    brute_inverse,
+    folded_combination,
+    permutation_determinant,
+    random_curve_model,
+    random_negative_definite,
+)
 
 
 def test_class_vector_algebra_is_exact():
@@ -180,6 +189,109 @@ def test_neg_inverse_preconditions():
         neg_inverse(((-2, -1), (-1, -2)))  # negative off-diagonal
     with pytest.raises(DefinitenessError):
         neg_inverse(((1, 0), (0, -1)))  # not negative definite
+
+
+def _random_z_sign_matrix(rng: random.Random):
+    """Symmetric, integer, nonnegative off the diagonal, with diagonal
+    entries from -4 to 1: definite, indefinite and singular ones alike."""
+    n = rng.randint(1, 5)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.randint(-4, 1)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice((0, 0, 1, 1, 2))
+    return tuple(tuple(row) for row in m)
+
+
+def test_neg_inverse_refuses_exactly_the_matrices_sylvester_refuses():
+    """-M is a symmetric Z-matrix, positive definite exactly when it is
+    invertible with a nonnegative inverse, so neg_inverse's one solve gives
+    the verdict of the Sylvester minors.  Where it refuses, the cofactor
+    inverse is missing or -M^{-1} has a negative entry."""
+    rng = random.Random(47)
+    kinds = collections.Counter()
+    for _ in range(600):
+        m = _random_z_sign_matrix(rng)
+        if is_negative_definite(m):
+            kinds["definite"] += 1
+            assert neg_inverse(m) == tuple(tuple(-x for x in row) for row in brute_inverse(m))
+            continue
+        with pytest.raises(DefinitenessError, match="^matrix is not negative definite$"):
+            neg_inverse(m)
+        if permutation_determinant(m) == 0:
+            kinds["singular"] += 1
+        else:
+            kinds["indefinite"] += 1
+            assert any(x > 0 for row in brute_inverse(m) for x in row)
+    assert min(kinds[k] for k in ("definite", "singular", "indefinite")) >= 50
+
+
+@pytest.mark.parametrize("gram", [
+    ((0,),),
+    ((-1, 1), (1, -1)),
+    ((-2, 1, 1), (1, -2, 1), (1, 1, -2)),  # the affine A2 triangle
+    ((-4, 2, 0), (2, -1, 0), (0, 0, -3)),
+])
+def test_neg_inverse_refuses_a_singular_matrix_as_not_definite(gram):
+    assert permutation_determinant(gram) == 0
+    with pytest.raises(DefinitenessError) as info:
+        neg_inverse(gram)
+    assert not isinstance(info.value, SingularityError)
+
+
+def test_neg_inverse_runs_one_elimination(monkeypatch):
+    def no_minors(mat):
+        raise AssertionError("neg_inverse ran a separate Sylvester elimination")
+
+    runs = []
+    eliminate = linalg._eliminate
+
+    def counted(*args, **kwargs):
+        runs.append(len(args[0]))
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "iter_pivot_minors", no_minors)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    chain = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(6)) for i in range(6))
+    assert neg_inverse(chain).det == 7
+    assert runs == [6]
+    with pytest.raises(DefinitenessError):
+        neg_inverse(((-1, 2), (2, -1)))
+    assert runs == [6, 2]
+
+
+_COEFFICIENTS = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from((None, "hesse", "kk-extended")),
+    picks=st.lists(st.tuples(st.integers(0, 20), _COEFFICIENTS), max_size=8),
+    cancelling=st.lists(st.tuples(st.integers(0, 20), _COEFFICIENTS), max_size=3),
+)
+def test_combination_equals_the_fold_of_sums_and_scales(seed, name, picks, cancelling):
+    rng = random.Random(seed)
+    model = random_curve_model(rng, 6) if name is None else builtin_model(name)
+    n = len(model.curves)
+    terms = [(i % n, c) for i, c in picks]
+    for i, c in cancelling:
+        terms += [(i % n, c), (i % n, -c)]
+    rng.shuffle(terms)
+    indices, coefficients = [i for i, _ in terms], [c for _, c in terms]
+    got = model.combination(indices, coefficients)
+    assert got == folded_combination(model, indices, coefficients)
+    assert got.integer_form == folded_combination(model, indices, coefficients).integer_form
+
+
+def test_combination_of_nothing_or_of_cancelling_terms_is_zero():
+    for model in (builtin_model("hesse"), random_curve_model(random.Random(5), 6)):
+        zero = ClassVector.zero(model.lattice.rank)
+        assert model.combination([], []) == zero
+        assert model.combination([0, 1, 0], [Fraction(2, 3), 0, Fraction(-2, 3)]) == zero
+        assert model.combination((1,), (3,)) == model.curves[1].vector.scale(3)
 
 
 def test_lattice_validates_gram():

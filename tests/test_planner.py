@@ -694,6 +694,7 @@ def _check_sweep_against_the_walk(model, target):
         assert detail == {"r": format_rational(planner._R_SWEEP[-1]), "failing check": failing}
     elif reason == "no inflation amplitude keeps the base Kähler":
         assert scale is None
+        assert detail["failing check"] == failing
     elif reason == "the deficit does not peel into moves":
         assert detail["r"] == format_rational(scale)
     return reason
@@ -768,6 +769,25 @@ def test_no_base_scale_refusal_names_the_failing_check():
     assert isinstance(outcome, Unsupported)
     assert outcome.reason == "no base scale makes the base Kähler"
     assert outcome.detail == (("r", "1/65536"), ("failing check", "pairing with c"))
+    assert _check_sweep_against_the_walk(model, target) == outcome.reason
+
+
+def test_no_inflation_amplitude_refusal_names_the_failing_check():
+    """Two (-2)-spheres e and f meeting once beside w.  The target pairs -1
+    with e and 1/2 with f, so only e is on the wall; inflating e by the
+    t > 1 its bound asks for pushes the pairing with f, 1/2 - t, below 0."""
+    gram = ((100, 0, 0), (0, -2, 1), (0, 1, -2))
+    lattice = IntersectionLattice(gram=gram, basis_labels=("w", "e", "f"),
+                                  reference_class=ClassVector.basis(3, 0))
+    curves = tuple(CurveData(label, ClassVector.basis(3, i), 0) for i, label in ((1, "e"), (2, "f")))
+    model = CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+    target = ClassVector((Fraction(1, 5), Fraction(1, 2), 0))
+    assert model.pairings_with(target) == (-1, Fraction(1, 2))
+    outcome = plan(model, target)
+    assert isinstance(outcome, Unsupported)
+    assert outcome.reason == "no inflation amplitude keeps the base Kähler"
+    assert outcome.component == (0,)
+    assert outcome.detail == (("window start", "1"), ("failing check", "pairing with f"))
     assert _check_sweep_against_the_walk(model, target) == outcome.reason
 
 
