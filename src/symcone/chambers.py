@@ -29,14 +29,7 @@ from .errors import (
     SearchFailureError,
     SingularityError,
 )
-from .lattice import (
-    ClassVector,
-    CurveData,
-    CurveModel,
-    IntersectionLattice,
-    is_negative_definite,
-    neg_inverse,
-)
+from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 
 
 class Membership(enum.Enum):
@@ -63,12 +56,13 @@ class Classification:
 
 
 def descriptor_for(model: CurveModel, indices: Sequence[int]) -> ChamberDescriptor:
-    idx = tuple(sorted(set(int(i) for i in indices)))
-    gram = model.curve_gram(idx)
+    """The descriptor of a set of curve indices, read off the model's
+    Support of it (decided once per model)."""
+    support = model.support(indices)
     return ChamberDescriptor(
-        curve_indices=idx,
-        gram_restriction=gram,
-        admissible=is_negative_definite(gram),
+        curve_indices=support.indices,
+        gram_restriction=support.gram,
+        admissible=support.negative_definite,
     )
 
 
@@ -120,8 +114,9 @@ def _shift(
     model: CurveModel, descriptor: ChamberDescriptor, values: Sequence
 ) -> tuple[tuple[Fraction, ...], ClassVector]:
     """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
-    it pairs exactly -values_j with each e_j in G."""
-    s = linalg.mat_vec(neg_inverse(descriptor.gram_restriction), values)
+    it pairs exactly -values_j with each e_j in G.  -M^{-1} is the model's,
+    kept with its Support of G."""
+    s = linalg.mat_vec(model.support(descriptor.curve_indices).inverse, values)
     return s, model.combination(descriptor.curve_indices, s)
 
 

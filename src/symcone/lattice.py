@@ -15,7 +15,9 @@ Fraction.
 
 A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
-curves reads it.  Adjunction is checked by adjunction_check alone.
+curves reads it.  Adjunction is checked by adjunction_check alone.  A model
+also keeps, per set of its curves, the facts the chamber and planner code
+ask of it (definiteness, minors, -M^{-1}), so each is decided once.
 """
 
 from __future__ import annotations
@@ -176,6 +178,35 @@ def neg_inverse(gram: linalg.Matrix) -> NegInverse:
     if any(x < 0 for row in adjugate for x in row):
         raise DefinitenessError("matrix is not negative definite")
     return NegInverse(abs(D), adjugate)
+
+
+# how many supports a model keeps facts for; the oldest is evicted first
+_SUPPORTS_BOUND = 4096
+
+
+class Support:
+    """The facts of one set of a model's curves, keyed by its sorted
+    distinct indices: the integer Gram slice, and, each computed by the free
+    function on first read and kept, the Sylvester verdict, the pivot minors
+    and -M^{-1}.  A computation that raises keeps nothing.  obstruction holds
+    what planner.component_obstruction found for a connected support."""
+
+    def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
+        self.indices = indices
+        self.gram = gram
+        self.obstruction = None
+
+    @cached_property
+    def negative_definite(self) -> bool:
+        return is_negative_definite(self.gram)
+
+    @cached_property
+    def minors(self) -> tuple[Fraction, ...]:
+        return linalg.pivot_minors(self.gram)
+
+    @cached_property
+    def inverse(self) -> NegInverse:
+        return neg_inverse(self.gram)
 
 
 def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
@@ -476,16 +507,42 @@ class CurveModel:
         vectors = [c.vector for c in self.curves]
         return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
 
+    def _curve_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """The indices as given, each a declared curve's: anything but an
+        int (a bool included) raises MalformedInputError, an index outside
+        the curve list DomainError."""
+        idx = tuple(indices)
+        n = len(self.curves)
+        for i in idx:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise MalformedInputError(f"curve index {i!r} is not an integer")
+            if not 0 <= i < n:
+                raise DomainError(f"curve index {i} out of range")
+        return idx
+
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the declared curves, or of a subset by index
         in the order given.  The full Gram is built once per model, by its checks; a
-        subset is a slice of it.  An index outside the curve list raises
-        DomainError."""
+        subset is a slice of it.  Indices are checked as _curve_indices says."""
         gram = self._gram
         if indices is None:
             return gram
-        idx = tuple(indices)
-        for i in idx:
-            if not 0 <= i < len(gram):
-                raise DomainError(f"curve index {i} out of range")
+        idx = self._curve_indices(indices)
         return tuple(tuple(gram[i][j] for j in idx) for i in idx)
+
+    @cached_property
+    def _supports(self) -> dict[tuple[int, ...], Support]:
+        return {}
+
+    def support(self, indices: Iterable[int]) -> Support:
+        """The Support of a set of curve indices, shared by every call on
+        this model with the same set in any order or multiplicity.  The model
+        keeps the last _SUPPORTS_BOUND supports made."""
+        key = tuple(sorted(set(self._curve_indices(indices))))
+        supports = self._supports
+        found = supports.get(key)
+        if found is None:
+            found = supports[key] = Support(key, self.curve_gram(key))
+            if len(supports) > _SUPPORTS_BOUND:
+                del supports[next(iter(supports))]
+        return found

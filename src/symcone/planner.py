@@ -26,13 +26,7 @@ from .errors import (
     SearchFailureError,
     SymconeError,
 )
-from .lattice import (
-    ClassVector,
-    CurveModel,
-    is_negative_definite,
-    neg_inverse,
-    pairing_components,
-)
+from .lattice import ClassVector, CurveModel, Support, pairing_components
 from .linalg import format_rational
 from .moves import (
     Certificate,
@@ -80,11 +74,8 @@ class DualGraph:
 
 
 def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualGraph:
-    if indices is None:
-        idx = tuple(range(len(model.curves)))
-    else:
-        idx = tuple(sorted(set(int(i) for i in indices)))
-    return DualGraph(indices=idx, pairings=model.curve_gram(idx))
+    support = model.support(range(len(model.curves)) if indices is None else indices)
+    return DualGraph(indices=support.indices, pairings=support.gram)
 
 
 @dataclass(frozen=True)
@@ -186,19 +177,25 @@ def _coefficient_tuples(n: int):
 def component_obstruction(model: CurveModel, indices: Sequence[int]):
     """Decide definiteness of a connected curve set, constructively.
 
-    Returns Admissible (with the leading minors) or a Witness.  Small sets are
-    settled by exhaustive search over coefficients 0..4, smallest coefficient
-    sum first; larger ones by a greedy square-increasing walk from the
-    all-ones vector."""
-    graph = dual_graph(model, indices)
-    idx = graph.indices
+    Returns Admissible (with the leading minors) or a Witness, found once
+    per model and set and kept with its Support.  Small sets are settled by
+    exhaustive search over coefficients 0..4, smallest coefficient sum first;
+    larger ones by a greedy square-increasing walk from the all-ones
+    vector."""
+    support = model.support(indices)
+    if support.obstruction is None:
+        support.obstruction = _obstruction(support)
+    return support.obstruction
+
+
+def _obstruction(support: Support):
+    idx, M = support.indices, support.gram
     if not idx:
         raise PreconditionError("empty curve set")
-    if len(graph.components()) != 1:
+    if len(pairing_components(M)) != 1:
         raise PreconditionError("curve set is not connected in the dual graph")
-    M = graph.pairings
-    if is_negative_definite(M):
-        return Admissible(indices=idx, minors=linalg.pivot_minors(M))
+    if support.negative_definite:
+        return Admissible(indices=idx, minors=support.minors)
     n = len(idx)
     # curve classes and the Gram are integral, so the search runs in integers;
     # a square sums over the nonzero upper triangle of the Gram
@@ -245,12 +242,10 @@ class _PlanFail(Exception):
 
 
 class _Peeler:
-    """Depth-first decomposition of the deficit vector into engine moves;
-    inverses holds the sweep's -M^{-1} for each component, by support."""
+    """Depth-first decomposition of the deficit vector into engine moves."""
 
-    def __init__(self, model: CurveModel, inverses: dict):
+    def __init__(self, model: CurveModel):
         self.model = model
-        self.inverses = inverses
         self.nodes = 0
         self.counter = 0
 
@@ -303,9 +298,8 @@ class _Peeler:
             boosted = {i: 1 for i in support}
             boosted[x] = 2
             push(boosted)
-        inverse = self.inverses.get(support) or neg_inverse(self.model.curve_gram(support))
         # the columns of -M^{-1} are those of its integer adjugate, up to scale
-        for column in zip(*inverse.adjugate):
+        for column in zip(*self.model.support(support).inverse.adjugate):
             g = math.gcd(*column)
             ints = [x // g for x in column]
             # configurations can carry a constituent at most twice (the
@@ -452,9 +446,9 @@ def _sweep_plan(
     (CurveModel.first_interior_scale): the base's square is a quadratic in
     r and its pairings are linear forms.  A refusal names the check that
     fails at the smallest scale."""
-    inverses, terms = {}, []
+    terms = []
     for comp in comps:
-        inverse = inverses[comp] = neg_inverse(model.curve_gram(comp))
+        inverse = model.support(comp).inverse
         v = [pairings[i] for i in comp]
         ones = [Fraction(1)] * len(comp)
         terms += zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones))
@@ -469,7 +463,7 @@ def _sweep_plan(
     base = corner - far.scale(r)
     u = {i: r * s - d for i, d, s in terms}
     try:
-        _, moves = _Peeler(model, inverses).peel(ConfigurationState.seeded(model, base), u)
+        _, moves = _Peeler(model).peel(ConfigurationState.seeded(model, base), u)
     except _PlanFail as exc:
         return Unsupported(
             reason="the deficit does not peel into moves",

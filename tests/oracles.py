@@ -172,3 +172,27 @@ def first_kahler_scale(model: CurveModel, start: ClassVector, direction: ClassVe
             if failing is None:
                 return s, None
     return None, failing
+
+
+def ag23_automorphisms() -> list[tuple[int, ...]]:
+    """The 432 affine maps x -> Ax + b of the plane over F_3 (A invertible),
+    each as a permutation of the 21 kk-extended curve indices: C1..C9 are
+    indices 0..8, with Ck the point ((k-1) // 3, (k-1) % 3), and D_t is
+    index 9 + (the position of t in models.TRIPLES), the line through the
+    three points of t.  An affine map sends lines to lines, so each is a
+    relabelling of the curves that keeps every meet."""
+    from symcone.models import TRIPLES
+
+    points = [(p // 3, p % 3) for p in range(9)]
+    lines = {frozenset(int(k) - 1 for k in t): b for b, t in enumerate(TRIPLES)}
+    out = []
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        if (a * d - b * c) % 3 == 0:
+            continue
+        for u, v in itertools.product(range(3), repeat=2):
+            image = [3 * ((a * x + b * y + u) % 3) + (c * x + d * y + v) % 3 for x, y in points]
+            perm = image + [
+                9 + lines[frozenset(image[p] for p in line)] for line in sorted(lines, key=lines.get)
+            ]
+            out.append(tuple(perm))
+    return out

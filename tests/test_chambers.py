@@ -10,6 +10,7 @@ from symcone.chambers import Membership
 from symcone.errors import (
     DefinitenessError,
     DomainError,
+    MalformedInputError,
     PreconditionError,
     PropertyViolationError,
     SingularityError,
@@ -279,6 +280,24 @@ def test_curve_index_entry_points_share_one_range_check():
         for bad in (-1, n):
             with pytest.raises(DomainError, match=f"^curve index {bad} out of range$"):
                 call(bad)
+
+
+_NOT_INTEGERS = {
+    # each of these once answered for the indices it truncated or coerced to
+    "descriptor_for": (lambda m, a: chambers.descriptor_for(m, [0.9, 9.5]), "0.9"),
+    "dual_graph": (lambda m, a: planner.dual_graph(m, ["3", True]), "'3'"),
+    "corner_point": (lambda m, a: chambers.corner_point(m, a, (0.6,)), "0.6"),
+    "curve_gram": (lambda m, a: m.curve_gram((True, 1.0)), "True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_INTEGERS))
+def test_curve_index_entry_points_refuse_non_integers(name):
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    call, shown = _NOT_INTEGERS[name]
+    with pytest.raises(MalformedInputError, match=f"^curve index {shown} is not an integer$"):
+        call(model, alpha)
 
 
 def test_reflected_chamber_certificate_refuses_odd_square_sphere():

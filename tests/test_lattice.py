@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,17 +15,20 @@ from symcone.errors import (
     ModelInconsistencyError,
     PreconditionError,
     SingularityError,
+    SymconeError,
 )
-from symcone import linalg
+from symcone import lattice, linalg
 from symcone.lattice import (
     ClassVector,
     CurveData,
     CurveModel,
     IntersectionLattice,
+    NegInverse,
     is_negative_definite,
     neg_inverse,
 )
 from symcone.models import build_hesse_dual, build_kk_model, builtin_model, ruled_model
+from symcone.planner import component_obstruction
 
 from oracles import (
     brute_inverse,
@@ -537,6 +541,93 @@ def test_curve_gram_is_the_pairing_of_the_curves_built_once():
 def test_curve_gram_range_checks_indices(indices, bad):
     with pytest.raises(DomainError, match=f"^curve index {bad} out of range$"):
         builtin_model("kk-extended").curve_gram(indices)
+
+
+def test_curve_gram_refuses_indices_that_are_not_ints():
+    model = builtin_model("kk-extended")
+    with pytest.raises(MalformedInputError, match="^curve index True is not an integer$"):
+        model.curve_gram((True, 1.0))
+    with pytest.raises(MalformedInputError, match="^curve index 1.0 is not an integer$"):
+        model.curve_gram((1, 1.0))
+
+
+def _fresh(model):
+    """The same model with nothing kept yet."""
+    return CurveModel(model.lattice, model.curves, model.completeness_assumed)
+
+
+_FACTS = ("negative_definite", "minors", "inverse", "obstruction")
+
+
+def _outcome(compute):
+    """A fact as a comparable value, or the type of the error it raised."""
+    try:
+        value = compute()
+    except SymconeError as exc:
+        return type(exc)
+    if isinstance(value, NegInverse):
+        return tuple(value), value.det, value.adjugate
+    return value
+
+
+def _kept(model, idx, name):
+    if name == "obstruction":
+        return _outcome(lambda: component_obstruction(model, idx))
+    return _outcome(lambda: getattr(model.support(idx), name))
+
+
+def _computed(model, idx, name):
+    """The fact from the free functions on a fresh slice; the obstruction
+    from a copy of the model that has kept nothing."""
+    gram = model.curve_gram(sorted(set(idx)))
+    compute = {
+        "negative_definite": lambda: is_negative_definite(gram),
+        "minors": lambda: linalg.pivot_minors(gram),
+        "inverse": lambda: neg_inverse(gram),
+        "obstruction": lambda: component_obstruction(_fresh(model), idx),
+    }[name]
+    return _outcome(compute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kk=st.booleans(),
+    order=st.permutations(_FACTS),
+)
+def test_support_facts_equal_a_fresh_computation(seed, kk, order):
+    rng = random.Random(seed)
+    # random models are negative definite throughout; KK supports are often
+    # indefinite or disconnected, so their facts include raised errors
+    model = _fresh(builtin_model("kk-extended")) if kk else random_curve_model(rng, 6)
+    n = len(model.curves)
+    idx = [rng.randrange(n) for _ in range(rng.randint(3, 12) if kk else rng.randint(1, n))]
+    expected = {name: _computed(model, idx, name) for name in _FACTS}
+    for name in order + order[::-1]:
+        assert _kept(model, idx, name) == expected[name], name
+    support = model.support(idx)
+    assert support is model.support(sorted(idx, reverse=True))
+    assert support.indices == tuple(sorted(set(idx)))
+    assert support.gram == model.curve_gram(support.indices)
+    # a fact that raised is not kept
+    for name in ("negative_definite", "minors", "inverse"):
+        assert (name in vars(support)) is not isinstance(expected[name], type)
+    assert (support.obstruction is None) is isinstance(expected["obstruction"], type)
+
+
+def test_supports_kept_stay_within_the_bound():
+    model = _fresh(builtin_model("kk-extended"))
+    subsets = itertools.islice(itertools.combinations(range(21), 4), lattice._SUPPORTS_BOUND + 50)
+    first = model.support((0, 1, 2, 3))
+    assert first.inverse.det == 81  # four disjoint (-3)-curves
+    for subset in subsets:
+        last = model.support(subset)
+        assert len(model._supports) <= lattice._SUPPORTS_BOUND
+    assert len(model._supports) == lattice._SUPPORTS_BOUND
+    # the oldest are evicted first
+    assert (0, 1, 2, 3) not in model._supports
+    assert model.support(last.indices) is last
+    assert model.support((0, 1, 2, 3)) is not first
 
 
 def test_is_interior_kahler_requires_completeness():

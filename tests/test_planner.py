@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,13 @@ from symcone.planner import (
     plan,
 )
 
-from oracles import brute_inverse, first_kahler_scale, interior_class, random_curve_model
+from oracles import (
+    ag23_automorphisms,
+    brute_inverse,
+    first_kahler_scale,
+    interior_class,
+    random_curve_model,
+)
 
 
 def _chain_model(squares, genera=None, edges=None):
@@ -586,6 +593,91 @@ def test_plan_contract_on_kk_corners_and_chambers(subset, interior, epsilon):
         assert isinstance(outcome, Certificate)
         assert outcome.target_class == target
         assert verify_certificate(outcome).passed
+
+
+_AG23 = ag23_automorphisms()
+
+
+def _moved(vec, sigma):
+    """A kk-extended class with the coordinate of curve i moved to curve
+    sigma[i]; w0 (coordinate 0) stays."""
+    coords = list(vec.coords)
+    for i, j in enumerate(sigma):
+        coords[1 + j] = vec.coords[1 + i]
+    return ClassVector(coords)
+
+
+def _move_kinds(cert):
+    return collections.Counter(type(m).__name__ for m in cert.moves)
+
+
+def _relabelled(model, cert, sigma):
+    """The certificate with every curve label, base and target moved by sigma."""
+    labels = {c.label: model.curves[sigma[i]].label for i, c in enumerate(model.curves)}
+
+    def moved_ids(ids):
+        return tuple(labels.get(x, x) for x in ids)
+
+    moves = tuple(
+        replace(m, object_id=labels.get(m.object_id, m.object_id)) if isinstance(m, Inflate)
+        else replace(m, constituent_ids=moved_ids(m.constituent_ids), reinstate_ids=moved_ids(m.reinstate_ids))
+        for m in cert.moves
+    )
+    return Certificate(
+        model, _moved(cert.base_class, sigma), moves, _moved(cert.target_class, sigma),
+        annotations=cert.annotations,
+    )
+
+
+def _is_witness(model, found):
+    square = model.lattice.square(model.combination(found.indices, found.coefficients))
+    return min(found.coefficients) >= 0 and max(found.coefficients) > 0 and square == found.square >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    subset=st.lists(st.integers(0, 20), min_size=1, max_size=10, unique=True),
+    sigma=st.sampled_from(_AG23),
+    interior=st.sampled_from(INTERIOR),
+)
+def test_kk_symmetries_keep_every_outcome(subset, sigma, interior):
+    """An automorphism of AG(2,3) relabels the KK curves and fixes w0 and K,
+    so a support and its image get the same answers."""
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    alpha = lat.reference_class.scale(interior[0]) + lat.canonical_class.scale(interior[1])
+    image = [sigma[i] for i in subset]
+    descriptor = chambers.descriptor_for(model, subset)
+    moved = chambers.descriptor_for(model, image)
+    assert moved.curve_indices == tuple(sorted(image))
+    assert moved.admissible == descriptor.admissible
+    if not descriptor.admissible:
+        for comp in dual_graph(model, subset).components():
+            found = component_obstruction(model, comp)
+            found_moved = component_obstruction(model, [sigma[i] for i in comp])
+            assert type(found_moved) is type(found)
+            assert found.indices == comp
+            assert found_moved.indices == tuple(sorted(sigma[i] for i in comp))
+            if isinstance(found, planner.Witness):
+                assert _is_witness(model, found) and _is_witness(model, found_moved)
+        return
+    corner = chambers.corner_point(model, alpha, subset)
+    corner_moved = chambers.corner_point(model, alpha, image)
+    assert corner_moved == _moved(corner, sigma)
+    got, got_moved = chambers.classify(model, corner), chambers.classify(model, corner_moved)
+    assert got_moved.membership is got.membership
+    assert got_moved.descriptor.curve_indices == tuple(
+        sorted(sigma[i] for i in got.descriptor.curve_indices)
+    )
+    outcome, outcome_moved = plan(model, corner), plan(model, corner_moved)
+    assert type(outcome_moved) is type(outcome)
+    if isinstance(outcome, Unsupported):
+        assert outcome_moved.reason == outcome.reason
+    else:
+        assert _move_kinds(outcome_moved) == _move_kinds(outcome)
+        report = verify_certificate(_relabelled(model, outcome, sigma))
+        assert report.passed
+        assert len(report.records) == len(outcome.moves)
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,26 @@ print(json.dumps({"plans": out, "calls": tracer.calls}))
 """
 
 
+REPEAT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import symcone
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+model = symcone.builtin_model("kk-extended")
+alpha = model.lattice.reference_class + model.lattice.canonical_class
+out = []
+for labels in (["C1", "D123"], ["C1", "D123"], ["C2", "D249"]):
+    before = dict(tracer.calls)
+    corner = symcone.corner_point(model, alpha, [model.index_of(x) for x in labels])
+    symcone.plan(model, corner)
+    out.append({k: tracer.calls[k] - before.get(k, 0) for k in
+                ("linalg.solve_columns", "lattice.is_negative_definite", "planner.plan")})
+print(json.dumps(out))
+"""
+
 def _traced(script):
     proc = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
@@ -81,3 +101,13 @@ def test_plan_replays_its_certificate_once():
     assert pair["verifies"] == 1
     assert out["calls"]["planner.plan"] == 2
     assert out["calls"]["moves.verify_certificate"] == 2
+
+
+def test_a_support_seen_before_is_not_eliminated_again():
+    # the model keeps each support's verdict and -M^{-1}: a repeated corner
+    # and plan solve nothing, a fresh support still does
+    first, again, fresh = _traced(REPEAT)
+    assert first["linalg.solve_columns"] > 0
+    assert first["lattice.is_negative_definite"] > 0
+    assert again == {"linalg.solve_columns": 0, "lattice.is_negative_definite": 0, "planner.plan": 1}
+    assert fresh["linalg.solve_columns"] > 0
