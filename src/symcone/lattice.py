@@ -17,7 +17,8 @@ A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
-ask of it (definiteness, minors, -M^{-1}), so each is decided once.
+ask of it (definiteness, minors, -M^{-1}, components), so each is decided
+once.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ _SUPPORTS_BOUND = 4096
 class Support:
     """The facts of one set of a model's curves, keyed by its sorted
     distinct indices: the integer Gram slice, and, each computed by the free
-    function on first read and kept, the Sylvester verdict, the pivot minors
-    and -M^{-1}.  A computation that raises keeps nothing.  obstruction holds
-    what planner.component_obstruction found for a connected support."""
+    function on first read and kept, the Sylvester verdict, the pivot minors,
+    -M^{-1} and the connected components.  A computation that raises keeps
+    nothing.  obstruction holds what planner.component_obstruction found for
+    a connected support."""
 
     def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
         self.indices = indices
@@ -207,6 +209,12 @@ class Support:
     @cached_property
     def inverse(self) -> NegInverse:
         return neg_inverse(self.gram)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The dual graph's components as sorted tuples of curve indices, in
+        order (the indices are sorted, so pairing_components keeps it)."""
+        return tuple(tuple(self.indices[i] for i in part) for part in pairing_components(self.gram))
 
 
 def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:

@@ -22,26 +22,30 @@ of denominator d: its areas and positive-cone test read it.  The verifier's
 base checks build it once for the initial state.  A successor takes it from
 its parent: a smoothing keeps the class and so shares P, and an inflation by
 t = p/q along v carries it as (d'q P + d'dp G v) / (dq), an exact integer
-division (d' the new denominator).
+division (d' the new denominator).  An object keeps its G v and v^2 with
+the lattice they were computed in; a model's curve objects are built once
+and seed every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and keeps one record per move: the
-state before it, its bound 2A/h and the state after it.  The base-square and
-move lines are written during the replay; the "class after" and "areas:"
-lines are rendered from the records on the first read of the report's
-entries.  Bounds on the bit lengths of their numbers are measured on the
-initial state and carried through each move by its t; where they cannot
-prove that the numbers fit the interpreter's digit limit, the lines are
-rendered at once, so that a number past the limit fails the replay where
-it stands.  Report numbers are
-written from integer numerators and denominators.  Failures are report
-entries, never exceptions.
+state before it, its bound 2A/h and the state after it.  A Replay runs it:
+start (the base checks), one step per move, report (the final-class check);
+the planner's peel steps the same immutable nodes as it searches, so a
+peeled certificate is replayed once.  The base-square and move lines are
+written during the replay; the "class after" and "areas:" lines are
+rendered from the records on the first read of the report's entries.
+Bounds on the bit lengths of their numbers are measured on the initial
+state and carried through each move by its t; where they cannot prove that
+the numbers fit the interpreter's digit limit, the lines are rendered at
+once, so that a number past the limit fails the replay where it stands.
+Report numbers are written from integer numerators and denominators.
+Failures are report entries, never exceptions.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
@@ -93,6 +97,29 @@ class SurfaceObject:
         obj = object.__new__(cls)
         obj.__dict__.update(id=curve.label, vector=curve.vector, genus=curve.genus, alive=True)
         return obj
+
+    def _gram_data(self, lattice: IntersectionLattice) -> tuple[list[int], int]:
+        """(G v, v^2) for the object's class v, kept with its lattice."""
+        kept = self.__dict__.get("_gram")
+        if kept is None or kept[0] is not lattice:
+            gram_v = lattice.gram_product(self.vector)
+            kept = self.__dict__["_gram"] = (lattice, gram_v, _dot(gram_v, self.vector))
+        return kept[1], kept[2]
+
+
+def _dot(product: list[int], vector: ClassVector) -> int:
+    """sum product[i] x over the terms (i, x) of the vector's integer form."""
+    return sum(x * product[i] for i, x in vector.integer_form[1])
+
+
+def _killed(objects: tuple[SurfaceObject, ...], slots: Iterable[int]) -> tuple[SurfaceObject, ...]:
+    """objects with each one at slots replaced by a dead copy, Gram data kept."""
+    objects = list(objects)
+    for i in slots:
+        dead = object.__new__(SurfaceObject)
+        dead.__dict__.update(vars(objects[i]), alive=False)
+        objects[i] = dead
+    return tuple(objects)
 
 
 @dataclass(frozen=True)
@@ -152,35 +179,36 @@ class ConfigurationState:
         of them, or those named by labels, in that order, with product as
         in _proven.
 
-        Of the state and object checks only the distinct ids run.  CurveModel
-        has proved that no two declared curves pair negatively, so the
-        pairwise check could not fail."""
-        curves = model.curves if labels is None else tuple(map(model.curve, labels))
-        objects = tuple(map(SurfaceObject._of_curve, curves))
-        if len({o.id for o in objects}) != len(objects):
-            raise MalformedInputError("object ids must be distinct")
+        Of the state and object checks only the distinct ids run, and only
+        for labels: CurveModel has proved that its labels are distinct and
+        that no two declared curves pair negatively."""
+        if labels is None:  # built once per model: the objects are immutable
+            objects = vars(model).get("_seeds")
+            if objects is None:
+                objects = vars(model)["_seeds"] = tuple(map(SurfaceObject._of_curve, model.curves))
+        else:
+            objects = tuple(SurfaceObject._of_curve(model.curve(x)) for x in labels)
+            if len({o.id for o in objects}) != len(objects):
+                raise MalformedInputError("object ids must be distinct")
         return cls._proven(model.lattice, current_class, objects, product)
 
-    def object(self, object_id: str) -> SurfaceObject:
-        for o in self.objects:
+    def _slot(self, object_id: str) -> int:
+        for i, o in enumerate(self.objects):
             if o.id == object_id:
-                return o
+                return i
         raise MalformedInputError(f"no object with id {object_id!r}")
+
+    def object(self, object_id: str) -> SurfaceObject:
+        return self.objects[self._slot(object_id)]
 
     @cached_property
     def _product(self) -> list[int]:
         """G @ (d c), c the current class and d its denominator."""
         return self.lattice.gram_product(self.current_class)
 
-    @cached_property
-    def _inflations(self) -> dict:
-        """_inflation_bound's results by object id."""
-        return {}
-
     def _scaled(self, vector: ClassVector) -> int:
         """d d_v pair(c, vector), d_v the vector's denominator (1 for objects)."""
-        product = self._product
-        return sum(x * product[i] for i, x in vector.integer_form[1])
+        return _dot(self._product, vector)
 
     def area(self, object_id: str) -> Fraction:
         scaled = self._scaled(self.object(object_id).vector)
@@ -199,32 +227,29 @@ def _negative_partner(
     lattice: IntersectionLattice, obj: SurfaceObject, others: Sequence[SurfaceObject]
 ) -> SurfaceObject | None:
     """The first of others that pairs negatively with obj, if any."""
-    signs = lattice.scaled_pairings(obj.vector, [o.vector for o in others])
-    return next((o for o, x in zip(others, signs) if x < 0), None)
+    gram_v = obj._gram_data(lattice)[0]
+    return next((o for o in others if _dot(gram_v, o.vector) < 0), None)
 
 
-def _require_alive(state: ConfigurationState, object_id: str) -> SurfaceObject:
-    obj = state.object(object_id)
+def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, SurfaceObject]:
+    """The slot and object of an alive object of the state."""
+    slot = state._slot(object_id)
+    obj = state.objects[slot]
     if not obj.alive:
         raise LivenessError(f"object {object_id!r} is not alive")
-    return obj
+    return slot, obj
 
 
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
     """The object's square, d times its area A, for a negative square the
-    bound 2A/h, and G @ v for its class v: once per state and object, for
-    the report line, the move and the successor's product."""
-    found = state._inflations.get(obj.id)
-    if found is None:
-        gram_v = state.lattice.gram_product(obj.vector)
-        square = sum(x * gram_v[i] for i, x in obj.vector.integer_form[1])
-        scaled = state._scaled(obj.vector)
-        bound = None
-        if square < 0:
-            h = h_param(-square, obj.genus)
-            bound = Fraction(2 * scaled, state.current_class.integer_form[0] * h)
-        found = state._inflations[obj.id] = (square, scaled, bound, gram_v)
-    return found
+    bound 2A/h, and G @ v for its class v."""
+    gram_v, square = obj._gram_data(state.lattice)
+    scaled = state._scaled(obj.vector)
+    bound = None
+    if square < 0:
+        h = h_param(-square, obj.genus)
+        bound = Fraction(2 * scaled, state.current_class.integer_form[0] * h)
+    return square, scaled, bound, gram_v
 
 
 def _inflated(
@@ -242,7 +267,7 @@ def _inflated(
 
 def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t times the object's class for 0 < t < 2A/h; consumes the object."""
-    obj = _require_alive(state, object_id)
+    slot, obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
     square, scaled, bound, gram_v = _inflation_bound(state, obj)
     if bound is None:
@@ -258,15 +283,12 @@ def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
             "bound 2A/h violated",
             {"object": object_id, "t": t, "bound": bound},
         )
-    new_objects = tuple(
-        replace(o, alive=False) if o.id == object_id else o for o in state.objects
-    )
-    return _inflated(state, t, obj, gram_v, new_objects)
+    return _inflated(state, t, obj, gram_v, _killed(state.objects, (slot,)))
 
 
 def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t > 0 times a nonnegative-square object's class; the object survives."""
-    obj = _require_alive(state, object_id)
+    _, obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
     square, scaled, _, gram_v = _inflation_bound(state, obj)
     if square < 0:
@@ -300,7 +322,7 @@ def smooth_and_reinstate(
         raise MalformedInputError("reinstated ids must be constituents")
     if any(o.id == new_id for o in state.objects):
         raise MalformedInputError(f"id {new_id!r} is already in use")
-    objs = [_require_alive(state, cid) for cid in constituents]
+    slots, objs = zip(*(_require_alive(state, cid) for cid in constituents))
     for o in objs:
         if state._scaled(o.vector) <= 0:
             raise PreconditionError(f"constituent {o.id!r} has non-positive area")
@@ -309,7 +331,7 @@ def smooth_and_reinstate(
 
     n = len(objs)
     # the classes are integral, so their scaled pairings are their pairings
-    pairings = [lat.scaled_pairings(v, vectors) for v in vectors]
+    pairings = [[_dot(o._gram_data(lat)[0], v) for v in vectors] for o in objs]
 
     # connectivity of the dual graph under geometric intersections
     if len(pairing_components(pairings)) != 1:
@@ -334,8 +356,7 @@ def smooth_and_reinstate(
     genus = sum(o.genus for o in objs) + double_points - (n - 1)
     new_object = SurfaceObject(id=new_id, vector=total, genus=genus, alive=True)
 
-    consumed = set(constituents) - reinstates
-    kept = tuple(replace(o, alive=False) if o.id in consumed else o for o in state.objects)
+    kept = _killed(state.objects, (s for s, o in zip(slots, objs) if o.id not in reinstates))
     # the only pairings the smoothing can make negative are the new object's
     partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
     if partner is not None:
@@ -522,95 +543,134 @@ def _inflated_bits(bits: tuple[int, int, int], t: Fraction, vector_bits: int) ->
     return d + q, max(numerator + q, carried) + 1, max(product + q, carried) + 1
 
 
+def _defer(lines: list, bits: tuple[int, int, int], object_bits: int, *renders) -> None:
+    """Append each render as a deferred line, or its line now where the bit
+    bounds cannot prove that its numbers fit the digit limit, so that a
+    number past the limit fails the replay at its line.  A number under 2^b
+    has at most b // 3 + 1 digits (log10 2 < 1/3); an area's numerator is
+    under 2^(product bits + object_bits)."""
+    limit = sys.get_int_max_str_digits()
+    fits = not limit or max(bits[0], bits[1], bits[2] + object_bits) // 3 < limit
+    for render in renders:
+        lines.append(render if fits else render())
+
+
+class Replay(NamedTuple):
+    """A replay in progress, one node per move: its lines, record, state and
+    failure (a failed node is not stepped), and the bounds on the bit lengths
+    of the state's numbers (_number_bits) and of every object's coefficient
+    sum.  A search backtracks by dropping the nodes it made."""
+
+    parent: "Replay | None"
+    lines: tuple
+    record: MoveRecord | None
+    state: ConfigurationState | None
+    failure: str | None = None
+    bits: tuple[int, int, int] = (0, 0, 0)
+    object_bits: int = 0
+
+    @classmethod
+    def start(cls, cert: Certificate) -> "Replay":
+        """The base checks of the certificate and its initial state; its
+        moves and target are not read."""
+        lines: list = []
+
+        def failed(reason: str) -> Replay:
+            return cls(None, tuple(lines), None, None, reason)
+
+        model = cert.model
+        if not model.completeness_assumed:
+            return failed("model does not assume completeness; base cannot be asserted Kähler")
+        if model.lattice.reference_class is None:
+            return failed("model has no reference class; positive cone is undefined")
+        try:
+            # every base check reads the Gram product the initial state keeps
+            base = ConfigurationState._proven(model.lattice, cert.base_class, ())
+            if not base._in_positive_cone():
+                return failed("base class is not in the positive cone")
+            d = cert.base_class.integer_form[0]
+            for c in model.curves:
+                scaled = base._scaled(c.vector)
+                if scaled <= 0:
+                    value = format_ratio(scaled, d, "pairing")
+                    return failed(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
+            square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
+            lines.append(f"base class Kähler by model predicate; square {square}")
+            state = initial_state(cert, base._product)
+            bits = _number_bits(state)
+            _defer(lines, bits, model.coefficient_bits, partial(_area_line, state))
+        except SymconeError as exc:
+            return failed(str(exc))
+        return cls(None, tuple(lines), None, state, None, bits, model.coefficient_bits)
+
+    def step(self, move: Move) -> "Replay":
+        """The node after one more move: its bound line, apply_move, its
+        record, the carried bit bounds and the positive-cone check."""
+        number = self.record.number + 1 if self.record else 1
+        state, bits, object_bits = self.state, self.bits, self.object_bits
+        lines: list = []
+        if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:
+            lines.append(f"move {number} reinstates {len(move.reinstate_ids)} constituents (iterated-disjoin)")
+        bound = None
+        try:
+            if isinstance(move, Inflate):
+                obj = state.object(move.object_id)
+                bound = _inflation_bound(state, obj)[2] if obj.alive else None
+            entry = f"move {number}: {describe_move(move)}"
+            if bound is not None:
+                entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
+            lines.append(entry)
+            after = apply_move(state, move)
+        except SymconeError as exc:
+            headline = exc.args[0] if exc.args else str(exc)
+            record = MoveRecord(number, move, state, bound, None)
+            return Replay(self, tuple(lines), record, None, f"{headline} at move {number}")
+        record = MoveRecord(number, move, state, bound, after)
+        if isinstance(move, SmoothAndReinstate):
+            # the new object's class sums those of its constituents
+            object_bits += len(move.constituent_ids).bit_length()
+        else:  # |(G v)_i| <= max |G_ij| times v's coefficient sum
+            bits = _inflated_bits(bits, move.t, object_bits + state.lattice.entry_bits)
+        try:
+            _defer(lines, bits, object_bits, partial(_class_line, record), partial(_area_line, after))
+        except SymconeError as exc:
+            return Replay(self, tuple(lines), record, None, str(exc))
+        failure = None if after._in_positive_cone() else f"class left the positive cone at move {number}"
+        return Replay(self, tuple(lines), record, after, failure, bits, object_bits)
+
+    def _chain(self) -> list["Replay"]:
+        """The nodes from the start to this one."""
+        chain, node = [], self
+        while node is not None:
+            chain.append(node)
+            node = node.parent
+        return chain[::-1]
+
+    def records(self) -> tuple[MoveRecord, ...]:
+        return tuple(node.record for node in self._chain()[1:])
+
+    def report(self, target: ClassVector, annotations: Sequence[str] = ()) -> VerificationReport:
+        """The report of the replay so far, with the final-class check."""
+        lines = [line for node in self._chain() for line in node.lines]
+        failure = self.failure
+        if failure is None and self.state.current_class != target:
+            failure = "final class does not equal the target class"
+        if failure is not None:
+            return VerificationReport(False, lines, failure, None, self.records())
+        lines += ("final class equals target class", *(f"annotation: {note}" for note in annotations))
+        return VerificationReport(True, lines, None, self.state.current_class, self.records())
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
-    """Replay a certificate move by move with exact arithmetic.
+    """Replay a certificate move by move with exact arithmetic: the base
+    checks, one Replay step per move, the final-class check.
 
     Total: malformed or failing certificates produce a failed report with the
     first broken check named, never an exception.
     """
-    lines: list = []
-    records: list[MoveRecord] = []
-
-    def fail(reason: str) -> VerificationReport:
-        return VerificationReport(
-            passed=False, entries=lines, first_failure=reason, final_class=None, records=records
-        )
-
-    def later(*renders) -> None:
-        # a line whose numbers may outgrow the digit limit is written now,
-        # so that a number past the limit fails the replay at its line.  A
-        # number under 2^b has at most b // 3 + 1 digits (log10 2 < 1/3);
-        # an area's numerator is under 2^(product bits + object_bits).
-        limit = sys.get_int_max_str_digits()
-        fits = not limit or max(bits[0], bits[1], bits[2] + object_bits) // 3 < limit
-        for render in renders:
-            lines.append(render if fits else render())
-
-    model = cert.model
-    if not model.completeness_assumed:
-        return fail("model does not assume completeness; base cannot be asserted Kähler")
-    if model.lattice.reference_class is None:
-        return fail("model has no reference class; positive cone is undefined")
-    try:
-        # every base check reads the Gram product the initial state keeps
-        base = ConfigurationState._proven(model.lattice, cert.base_class, ())
-        if not base._in_positive_cone():
-            return fail("base class is not in the positive cone")
-        d = cert.base_class.integer_form[0]
-        for c in model.curves:
-            scaled = base._scaled(c.vector)
-            if scaled <= 0:
-                value = format_ratio(scaled, d, "pairing")
-                return fail(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
-        square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
-        lines.append(f"base class Kähler by model predicate; square {square}")
-        state = initial_state(cert, base._product)
-        # bounds on the bit lengths of the state's numbers (_number_bits)
-        # and of every object's coefficient sum, kept up move by move
-        bits, object_bits = _number_bits(state), model.coefficient_bits
-        entry_bits = model.lattice.entry_bits
-        later(partial(_area_line, state))
-        for number, move in enumerate(cert.moves, start=1):
-            if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:
-                lines.append(
-                    f"move {number} reinstates {len(move.reinstate_ids)} constituents (iterated-disjoin)"
-                )
-            bound = None
-            try:
-                if isinstance(move, Inflate):
-                    obj = state.object(move.object_id)
-                    bound = _inflation_bound(state, obj)[2] if obj.alive else None
-                entry = f"move {number}: {describe_move(move)}"
-                if bound is not None:
-                    entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
-                lines.append(entry)
-                after = apply_move(state, move)
-            except SymconeError as exc:
-                records.append(MoveRecord(number, move, state, bound, None))
-                headline = exc.args[0] if exc.args else str(exc)
-                return fail(f"{headline} at move {number}")
-            record = MoveRecord(number, move, state, bound, after)
-            records.append(record)
-            state = after
-            if isinstance(move, SmoothAndReinstate):
-                # the new object's class sums those of its constituents
-                object_bits += len(move.constituent_ids).bit_length()
-            else:  # |(G v)_i| <= max |G_ij| times v's coefficient sum
-                bits = _inflated_bits(bits, move.t, object_bits + entry_bits)
-            later(partial(_class_line, record), partial(_area_line, state))
-            if not state._in_positive_cone():
-                return fail(f"class left the positive cone at move {number}")
-        if state.current_class != cert.target_class:
-            return fail("final class does not equal the target class")
-    except SymconeError as exc:
-        return fail(str(exc))
-    lines.append("final class equals target class")
-    for note in cert.annotations:
-        lines.append(f"annotation: {note}")
-    return VerificationReport(
-        passed=True,
-        entries=lines,
-        first_failure=None,
-        final_class=state.current_class,
-        records=records,
-    )
+    replay = Replay.start(cert)
+    for move in cert.moves:
+        if replay.failure is not None:
+            break
+        replay = replay.step(move)
+    return replay.report(cert.target_class, cert.annotations)

@@ -3,9 +3,10 @@
 The planner picks a base class pairing uniformly (some r > 0) against the
 vanishing locus, then peels the deficit u = -M^{-1}(r 1 - v) into configuration
 smoothings and inflations, once, at the first listed r whose base is
-Kähler.  Inside the peel every candidate move runs on the actual engine, so a
-bound or reinstatement failure simply backtracks.  plan replays the one
-certificate once.  Targets the planner cannot or will not handle come back as
+Kähler.  The peel replays as it searches: every candidate move is a step of
+the verifier's own Replay, so a bound, reinstatement or positive-cone failure
+simply backtracks, and the replay of the moves it keeps is the certificate's
+one replay.  Targets the planner cannot or will not handle come back as
 an Unsupported value carrying exact witness data, never as an exception.
 plan is the one certificate builder: a reflection across a curve wall is
 plan's single inflation to the reflected class.
@@ -14,7 +15,7 @@ plan's single inflation to the reflected class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,15 +27,15 @@ from .errors import (
     SearchFailureError,
     SymconeError,
 )
-from .lattice import ClassVector, CurveModel, Support, pairing_components
+from .lattice import ClassVector, CurveModel, Support
 from .linalg import format_rational
 from .moves import (
     Certificate,
     ConfigurationState,
     Inflate,
     Move,
+    Replay,
     SmoothAndReinstate,
-    apply_move,
     h_param,
     verify_certificate,
 )
@@ -49,10 +50,11 @@ _PEEL_BUDGET = 4096
 @dataclass(frozen=True)
 class DualGraph:
     """Intersection pattern of a curve subset; vertices are curve indices and
-    pairings is their integer Gram."""
+    pairings is their integer Gram, read off the model's Support of them."""
 
     indices: tuple[int, ...]
     pairings: tuple[tuple[int, ...], ...]
+    support: Support = field(repr=False, compare=False)
 
     def degree(self, position: int) -> int:
         row = self.pairings[position]
@@ -68,14 +70,12 @@ class DualGraph:
         )
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(
-            tuple(self.indices[i] for i in part) for part in pairing_components(self.pairings)
-        ))
+        return self.support.components
 
 
 def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualGraph:
     support = model.support(range(len(model.curves)) if indices is None else indices)
-    return DualGraph(indices=support.indices, pairings=support.gram)
+    return DualGraph(indices=support.indices, pairings=support.gram, support=support)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _obstruction(support: Support):
     idx, M = support.indices, support.gram
     if not idx:
         raise PreconditionError("empty curve set")
-    if len(pairing_components(M)) != 1:
+    if len(support.components) != 1:
         raise PreconditionError("curve set is not connected in the dual graph")
     if support.negative_definite:
         return Admissible(indices=idx, minors=support.minors)
@@ -257,28 +257,23 @@ class _Peeler:
             if candidate not in existing:
                 return candidate
 
-    def peel(
-        self, state: ConfigurationState, u: dict[int, Fraction]
-    ) -> tuple[ConfigurationState, list[Move]]:
+    def peel(self, replay: Replay, u: dict[int, Fraction]) -> Replay:
+        """The replay after the moves that peel u off, appended to replay."""
         if not u:
-            return state, []
+            return replay
         self.nodes += 1
         if self.nodes > _PEEL_BUDGET:
             raise _PlanFail("peel budget exhausted")
-        parts = dual_graph(self.model, tuple(u)).components()
+        parts = self.model.support(u).components
         if len(parts) > 1:
-            moves: list[Move] = []
             for part in parts:
-                state, part_moves = self.peel(state, {i: u[i] for i in part})
-                moves.extend(part_moves)
-            return state, moves
+                replay = self.peel(replay, {i: u[i] for i in part})
+            return replay
         for cand in self._candidates(parts[0]):
             try:
-                state2, moves2, u2 = self._execute(state, u, cand)
-                state3, rest = self.peel(state2, u2)
+                return self.peel(*self._execute(replay, u, cand))
             except (_PlanFail, SymconeError):
                 continue
-            return state3, moves2 + rest
         raise _PlanFail("no peel candidate applies")
 
     def _candidates(self, support: tuple[int, ...]) -> list[dict[int, int]]:
@@ -312,21 +307,18 @@ class _Peeler:
 
     def _execute(
         self,
-        state: ConfigurationState,
+        replay: Replay,
         u: dict[int, Fraction],
         cand: dict[int, int],
-    ) -> tuple[ConfigurationState, list[Move], dict[int, Fraction]]:
+    ) -> tuple[Replay, dict[int, Fraction]]:
         amplitude = min(u[i] / c for i, c in cand.items())
         if amplitude <= 0:
             raise _PlanFail("non-positive amplitude")
         exhausted = {i for i, c in cand.items() if u[i] == amplitude * c}
         curves = self.model.curves
-        moves: list[Move] = []
         if len(cand) == 1:
             (index,) = cand
-            move = Inflate(curves[index].label, amplitude)
-            state = apply_move(state, move)
-            moves.append(move)
+            replay = _step(replay, Inflate(curves[index].label, amplitude))
         else:
             doubled = sorted(i for i, c in cand.items() if c == 2)
             used: set[int] = set()
@@ -334,12 +326,10 @@ class _Peeler:
             for x in doubled:
                 z = self._find_partner(x, cand, exhausted, used)
                 used.add(z)
-                merged = self._fresh_id(state)
-                move = SmoothAndReinstate(
+                merged = self._fresh_id(replay.state)
+                replay = _step(replay, SmoothAndReinstate(
                     (curves[z].label, curves[x].label), (curves[x].label,), merged
-                )
-                state = apply_move(state, move)
-                moves.append(move)
+                ))
                 gather.append(merged)
             for i in sorted(cand):
                 if i not in used:
@@ -347,13 +337,9 @@ class _Peeler:
             survivors = tuple(
                 curves[i].label for i in sorted(cand) if i not in exhausted
             )
-            merged = self._fresh_id(state)
-            move = SmoothAndReinstate(tuple(gather), survivors, merged)
-            state = apply_move(state, move)
-            moves.append(move)
-            move = Inflate(merged, amplitude)
-            state = apply_move(state, move)
-            moves.append(move)
+            merged = self._fresh_id(replay.state)
+            replay = _step(replay, SmoothAndReinstate(tuple(gather), survivors, merged))
+            replay = _step(replay, Inflate(merged, amplitude))
         remaining: dict[int, Fraction] = {}
         for i, value in u.items():
             rest = value - amplitude * cand.get(i, 0)
@@ -361,7 +347,7 @@ class _Peeler:
                 raise _PlanFail("peel overshoot")
             if rest > 0:
                 remaining[i] = rest
-        return state, moves, remaining
+        return replay, remaining
 
     def _find_partner(
         self,
@@ -381,6 +367,14 @@ class _Peeler:
             if row[z] >= need:
                 return z
         raise _PlanFail("no partner for a doubled constituent")
+
+
+def _step(replay: Replay, move: Move) -> Replay:
+    """The replay after the move; a failed step backtracks."""
+    replay = replay.step(move)
+    if replay.failure is not None:
+        raise _PlanFail(replay.failure)
+    return replay
 
 
 def _all_minus_two_spheres(model: CurveModel, comp: tuple[int, ...]) -> bool:
@@ -434,7 +428,8 @@ def _sweep_plan(
     comps: tuple[tuple[int, ...], ...],
     annotations: Sequence[str],
 ):
-    """Peel the base of the first Kähler scale r, once.
+    """Peel the base of the first Kähler scale r, once, replaying as it
+    goes: a certificate comes back with the report of that replay.
 
     With N = -M^{-1} per component and v the target's pairings with the
     locus (read off classify), the base pairing r with every curve of the
@@ -462,17 +457,21 @@ def _sweep_plan(
         )
     base = corner - far.scale(r)
     u = {i: r * s - d for i, d, s in terms}
-    try:
-        _, moves = _Peeler(model).peel(ConfigurationState.seeded(model, base), u)
-    except _PlanFail as exc:
-        return Unsupported(
-            reason="the deficit does not peel into moves",
-            detail=(("peel", str(exc)), ("r", format_rational(r, "r"))),
-        )
+    replay = Replay.start(Certificate(model, base, (), target))
+    if replay.failure is None:
+        try:
+            replay = _Peeler(model).peel(replay, u)
+        except _PlanFail as exc:
+            return Unsupported(
+                reason="the deficit does not peel into moves",
+                detail=(("peel", str(exc)), ("r", format_rational(r, "r"))),
+            )
+    moves = tuple(record.move for record in replay.records())
     notes = list(annotations)
     if any(isinstance(m, SmoothAndReinstate) and len(m.reinstate_ids) > 1 for m in moves):
         notes.insert(0, "iterated-disjoin")
-    return Certificate(model, base, tuple(moves), target, annotations=tuple(notes))
+    cert = Certificate(model, base, moves, target, annotations=tuple(notes))
+    return cert, replay.report(target, cert.annotations)
 
 
 def plan(model: CurveModel, target: ClassVector):
@@ -481,7 +480,9 @@ def plan(model: CurveModel, target: ClassVector):
     Interior classes get the empty certificate, a single curve the first
     amplitude whose base is Kähler, other corner and chamber targets the
     uniform-base peel at the first Kähler scale.  That one certificate is
-    replayed once, with no retry; a failed replay or peel comes back as
+    replayed once, with no retry: a peeled one by the peel itself, which
+    steps the verifier's Replay as it searches, any other by
+    verify_certificate here.  A failed replay or peel comes back as
     Unsupported with its first failure.  Targets outside the positive cone
     (with their square and reference pairing), mixed boundaries, indefinite
     vanishing loci (with witness), E-type sphere trees, and (-1)-sphere walls
@@ -491,13 +492,13 @@ def plan(model: CurveModel, target: ClassVector):
     outcome = _construct(model, target)
     if isinstance(outcome, Unsupported):
         return outcome
-    report = verify_certificate(outcome)
+    cert, report = outcome if isinstance(outcome, tuple) else (outcome, verify_certificate(outcome))
     if not report.passed:
         return Unsupported(
             reason="planned certificate failed replay",
             detail=(("first failure", report.first_failure),),
         )
-    return outcome
+    return cert
 
 
 def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index: int):
@@ -522,7 +523,8 @@ def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index
 
 
 def _construct(model: CurveModel, target: ClassVector):
-    """The one certificate plan replays, or its refusal."""
+    """The one certificate plan replays (a peeled one with its replay's
+    report), or its refusal."""
     if not model.completeness_assumed:
         return Unsupported(
             reason="model does not assume completeness; bases cannot be certified Kähler"
@@ -551,8 +553,7 @@ def _construct(model: CurveModel, target: ClassVector):
             reason="mixed boundary: target both vanishes and goes negative on curves",
             detail=(("negative on", negative), ("zero on", vanishing)),
         )
-    G = cls.descriptor.curve_indices
-    comps = dual_graph(model, G).components()
+    comps = model.support(cls.descriptor.curve_indices).components
     if not cls.descriptor.admissible:
         for comp in comps:
             found = component_obstruction(model, comp)

@@ -17,7 +17,7 @@ from symcone.errors import (
 )
 from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
-from symcone.moves import VerificationReport, verify_certificate
+from symcone.moves import Replay, verify_certificate
 
 from oracles import interior_class, random_curve_model
 
@@ -255,11 +255,10 @@ def test_reflected_chamber_certificate_replays_once(monkeypatch):
 
     def failing(cert):
         calls.append(cert)
-        return VerificationReport(
-            passed=False, entries=(), first_failure="forced failure at move 1", final_class=None
-        )
+        return Replay(None, (), None, None, "forced failure at move 1")
 
-    monkeypatch.setattr(planner, "verify_certificate", failing)
+    # every replay, the peel's and verify_certificate's, begins at Replay.start
+    monkeypatch.setattr(Replay, "start", failing)
     model = builtin_model("e6")
     with pytest.raises(PropertyViolationError, match="failed replay; first failure: forced failure at move 1$"):
         planner.reflected_chamber_certificate(model, _interior_on(model), 0)

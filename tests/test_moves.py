@@ -19,7 +19,7 @@ from symcone.errors import (
     WrongMoveError,
 )
 from symcone import chambers, moves
-from symcone.lattice import ClassVector, IntersectionLattice
+from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from symcone.linalg import format_rational
 from symcone.models import (
     BUILTIN_MODEL_NAMES,
@@ -873,3 +873,84 @@ def test_a_deferred_line_is_never_past_the_digit_limit(indices, bases, digits, r
     if longest <= 640 and reach:
         assert report.passed
     assert len(entries) >= 2
+
+
+def _unshared(model):
+    """An equal CurveModel built from new objects, so that it shares no Gram,
+    support, seed or object cache with model."""
+    lat = model.lattice
+
+    def fresh(v):
+        return None if v is None else ClassVector(v.coords)
+
+    lattice = IntersectionLattice(
+        gram=lat.gram, basis_labels=lat.basis_labels,
+        canonical_class=fresh(lat.canonical_class), reference_class=fresh(lat.reference_class),
+    )
+    curves = tuple(CurveData(c.label, fresh(c.vector), c.genus) for c in model.curves)
+    return CurveModel(lattice, curves, model.completeness_assumed)
+
+
+def _report_facts(report):
+    return (
+        report.passed, report.first_failure, report.entries, report.final_class,
+        [(r.number, r.move, r.bound, r.after is None) for r in report.records],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cached_gram_data_and_seeds_change_no_report(seed, data):
+    """A replay over a model whose seeds and objects already carry Gram data
+    (plan's peel and a first replay made them) reports what a replay over
+    an equal model built from scratch does, also with one t nudged to its
+    bound 2A/h, where the replay must fail."""
+    rng = random.Random(seed)
+    model = random_curve_model(rng)
+    alpha = interior_class(model, rng)
+    subset = data.draw(st.lists(st.integers(0, len(model.curves) - 1), min_size=1, max_size=3, unique=True))
+    descriptor = chambers.descriptor_for(model, subset)
+    if not descriptor.admissible:
+        return
+    cert = plan(model, chambers.corner_point(model, alpha, descriptor))
+    if not isinstance(cert, Certificate):
+        return
+    bounded = [r for r in verify_certificate(cert).records if r.bound is not None]
+    nudged = bounded and data.draw(st.sampled_from([None, *bounded]))
+    if nudged:
+        moves = list(cert.moves)
+        moves[nudged.number - 1] = Inflate(nudged.move.object_id, nudged.bound)
+        cert = replace(cert, moves=tuple(moves))
+    warm = verify_certificate(cert)
+    cold = verify_certificate(replace(cert, model=_unshared(model)))
+    assert _report_facts(warm) == _report_facts(cold)
+    if nudged:
+        assert warm.first_failure == f"bound 2A/h violated at move {nudged.number}"
+    else:
+        assert warm.passed
+
+
+def test_an_object_keeps_gram_data_for_its_own_lattice():
+    """One object in states of three rank-2 lattices that differ only in the
+    square of e: each state sees its own v^2 and so its own bound 2A/h,
+    whichever lattice the object met before."""
+    reference = ClassVector.basis(2, 0)
+    lattices = {
+        square: IntersectionLattice(gram=((10, 0), (0, square)), reference_class=reference)
+        for square in (-2, -3, 1)
+    }
+    obj = SurfaceObject(id="e", vector=ClassVector.basis(2, 1), genus=0)
+    current = ClassVector((Fraction(1), Fraction(-1, 2)))
+    # area -square/2; h is 2 for -2 and 4 for the odd sphere -3
+    expected = {-2: Fraction(1), -3: Fraction(3, 4)}
+    for square in (-2, -3, -2, 1, -3, 1, -2):
+        state = ConfigurationState(lattice=lattices[square], current_class=current, objects=(obj,))
+        if square >= 0:
+            with pytest.raises(WrongMoveError, match="use inflate_nonneg"):
+                moves.inflate(state, "e", Fraction(1, 10))
+            continue
+        with pytest.raises(BoundViolationError) as raised:
+            moves.inflate(state, "e", 10)
+        assert raised.value.args[1]["bound"] == expected[square]
+        after = moves.inflate(state, "e", expected[square] / 2)
+        assert after._product == after.lattice.gram_product(after.current_class)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from symcone import chambers, planner
+from symcone import chambers, lattice, planner
 from symcone.documents import canonical_json, certificate_to_doc
 from symcone.errors import PreconditionError, SymconeError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
@@ -23,7 +24,7 @@ from symcone.models import (
     ruled_model,
 )
 from symcone.linalg import format_rational
-from symcone.moves import Certificate, Inflate, VerificationReport, h_param, verify_certificate
+from symcone.moves import Certificate, Inflate, Replay, h_param, verify_certificate
 from symcone.planner import (
     Unsupported,
     component_obstruction,
@@ -102,6 +103,25 @@ def test_dual_graph_components_match_union_find():
             groups.setdefault(root(i), []).append(i)
         expected = tuple(sorted(tuple(g) for g in groups.values()))
         assert dual_graph(model, subset).components() == expected
+
+
+def test_components_are_found_once_per_support(monkeypatch):
+    # the model's Support keeps its components: dual graphs, the peel and
+    # plan's locus read them, and the connectivity routine runs once
+    model = build_kk_model(extended=True).model
+    real, calls = lattice.pairing_components, []
+    monkeypatch.setattr(lattice, "pairing_components", lambda p: calls.append(p) or real(p))
+    subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
+    first = dual_graph(model, subset).components()
+    assert first == ((0, 9), (4,)) and len(calls) == 1
+    assert dual_graph(model, subset[::-1]).components() is first
+    assert model.support(subset).components is first
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    cert = plan(model, chambers.corner_point(model, alpha, subset))
+    assert isinstance(cert, Certificate)
+    again = len(calls)
+    plan(model, chambers.corner_point(model, alpha, subset))
+    assert len(calls) == again
 
 
 def test_dual_graph_components_split():
@@ -629,6 +649,29 @@ def _relabelled(model, cert, sigma):
     )
 
 
+def _unordered_areas(line):
+    """An areas: line as the set of its parts, any other line as it is."""
+    return frozenset(line.removeprefix("areas: ").split(", ")) if line.startswith("areas: ") else line
+
+
+def _relabelled_report(model, report, sigma):
+    """The entries of report as the replay of the relabelled certificate
+    writes them: every curve label moved by sigma, each class after a move
+    moved by sigma, and each areas: line compared up to order."""
+    labels = {c.label: model.curves[sigma[i]].label for i, c in enumerate(model.curves)}
+    after = {r.number: r.after.current_class for r in report.records}
+    out = []
+    for line in report.entries:
+        head, _, rest = line.partition(": ")
+        if head.startswith("class after move "):
+            moved = _moved(after[int(head.removeprefix("class after move "))], sigma)
+            line = f"{head}: {moved.texts()}"
+        else:
+            line = re.sub(r"\b[CD]\d+\b", lambda m: labels[m.group()], line)
+        out.append(_unordered_areas(line))
+    return out
+
+
 def _is_witness(model, found):
     square = model.lattice.square(model.combination(found.indices, found.coefficients))
     return min(found.coefficients) >= 0 and max(found.coefficients) > 0 and square == found.square >= 0
@@ -678,6 +721,8 @@ def test_kk_symmetries_keep_every_outcome(subset, sigma, interior):
         report = verify_certificate(_relabelled(model, outcome, sigma))
         assert report.passed
         assert len(report.records) == len(outcome.moves)
+        expected = _relabelled_report(model, verify_certificate(outcome), sigma)
+        assert [_unordered_areas(line) for line in report.entries] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,12 +740,11 @@ def test_reflected_chamber_certificate_lands_on_the_reflection(seed, pick):
 
 
 def test_plan_reports_a_failed_replay_as_unsupported(monkeypatch):
+    # every replay, the peel's and verify_certificate's, begins at Replay.start
     def failing(cert):
-        return VerificationReport(
-            passed=False, entries=(), first_failure="forced failure at move 1", final_class=None
-        )
+        return Replay(None, (), None, None, "forced failure at move 1")
 
-    monkeypatch.setattr(planner, "verify_certificate", failing)
+    monkeypatch.setattr(Replay, "start", failing)
     model = builtin_model("kk-extended")
     alpha = model.lattice.reference_class + model.lattice.canonical_class
     # interior, single-curve and peeled targets all go through the one replay

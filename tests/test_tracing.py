@@ -32,18 +32,39 @@ PLANS = """
 import json, sys
 sys.path[:0] = sys.argv[1:3]
 import symcone
+from symcone import moves
 from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
+# record the moves the traced apply_move is given and count Replay steps
+applied, steps = [], []
+traced_apply, step = moves.apply_move, moves.Replay.step
+
+def apply_move(state, move):
+    applied.append(move)
+    return traced_apply(state, move)
+
+def counted_step(self, move):
+    steps.append(move)
+    return step(self, move)
+
+moves.apply_move, moves.Replay.step = apply_move, counted_step
 model = symcone.builtin_model("kk-extended")
 alpha = model.lattice.reference_class + model.lattice.canonical_class
 out = []
 for labels in (["C1"], ["C1", "D123"]):
-    before = tracer.in_plan["verify"]
     corner = symcone.corner_point(model, alpha, [model.index_of(x) for x in labels])
+    before = dict(tracer.in_plan)
+    applied.clear(), steps.clear()
     cert = symcone.plan(model, corner)
-    out.append({"moves": len(cert.moves), "verifies": tracer.in_plan["verify"] - before})
+    out.append({
+        "moves": len(cert.moves),
+        "verifies": tracer.in_plan["verify"] - before.get("verify", 0),
+        "applies": tracer.in_plan["apply_move"] - before.get("apply_move", 0),
+        "steps": len(steps),
+        "applied": [applied.count(m) for m in cert.moves],
+    })
 print(json.dumps({"plans": out, "calls": tracer.calls}))
 """
 
@@ -93,14 +114,19 @@ def test_tracer_installs_and_counts_a_replay():
 
 
 def test_plan_replays_its_certificate_once():
-    # a single-curve corner (one inflation) and a two-curve corner (a peel)
+    # a single-curve corner is replayed once by verify_certificate; a
+    # two-curve corner's peel steps the verifier's Replay as it searches, so
+    # every apply_move inside plan is a move the peel tried and no move of
+    # the returned certificate is applied twice
     out = _traced(PLANS)
     single, pair = out["plans"]
-    assert single == {"moves": 1, "verifies": 1}
+    assert single == {"moves": 1, "verifies": 1, "applies": 1, "steps": 1, "applied": [1]}
     assert pair["moves"] > 1
-    assert pair["verifies"] == 1
+    assert pair["verifies"] == 0
+    assert pair["applies"] == pair["steps"] >= pair["moves"]
+    assert pair["applied"] == [1] * pair["moves"]
     assert out["calls"]["planner.plan"] == 2
-    assert out["calls"]["moves.verify_certificate"] == 2
+    assert out["calls"]["moves.verify_certificate"] == 1
 
 
 def test_a_support_seen_before_is_not_eliminated_again():
