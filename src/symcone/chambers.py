@@ -87,17 +87,19 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
     """
     if not model.lattice.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
-    pairings = model.pairings_with(alpha)
-    boundary = tuple(i for i, v in enumerate(pairings) if v <= 0)
+    # the curves are integral: these are d_alpha times the pairings
+    scaled = model.lattice.scaled_pairings(alpha, [c.vector for c in model.curves])
+    boundary = tuple(i for i, x in enumerate(scaled) if x <= 0)
     descriptor = descriptor_for(model, boundary)
     if not boundary:
         tag = Membership.INTERIOR_KAHLER
-    elif all(pairings[i] == 0 for i in boundary):
+    elif all(scaled[i] == 0 for i in boundary):
         tag = Membership.CORNER
-    elif all(pairings[i] < 0 for i in boundary):
+    elif all(scaled[i] < 0 for i in boundary):
         tag = Membership.CHAMBER
     else:
         tag = Membership.MIXED_BOUNDARY
+    pairings = tuple(Fraction(x, alpha.integer_form[0]) for x in scaled)
     return Classification(membership=tag, descriptor=descriptor, pairings=pairings)
 
 
@@ -116,7 +118,7 @@ def _shift(
     """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
     it pairs exactly -values_j with each e_j in G.  -M^{-1} is the model's,
     kept with its Support of G."""
-    s = linalg.mat_vec(model.support(descriptor.curve_indices).inverse, values)
+    s = model.support(descriptor.curve_indices).inverse.apply(values)
     return s, model.combination(descriptor.curve_indices, s)
 
 
@@ -127,20 +129,22 @@ def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     if not lat.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
     descriptor = _admissible_descriptor(model, G)
-    curves = [model.curves[i] for i in descriptor.curve_indices]
-    v = [lat.pair(alpha, c.vector) for c in curves]
-    if any(value <= 0 for value in v):
+    # every check is a sign of scaled pairings, off the Gram product each class keeps
+    curves = [model.curves[i].vector for i in descriptor.curve_indices]
+    *v, square, _ = lat.scaled_pairings(alpha, (*curves, alpha, lat.reference_class))
+    if any(x <= 0 for x in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
-    t, shift = _shift(model, descriptor, v)
+    d = alpha.integer_form[0]
+    t, shift = _shift(model, descriptor, [Fraction(x, d) for x in v])
     if any(coeff <= 0 for coeff in t):
         raise PropertyViolationError("corner shift coefficient is not positive")
     result = alpha + shift
-    for curve in curves:
-        if lat.pair(result, curve.vector) != 0:
-            raise PropertyViolationError("corner point does not vanish on G")
-    if lat.square(result) < lat.square(alpha):
+    *zeros, result_square, reference = lat.scaled_pairings(result, (*curves, result, lat.reference_class))
+    if any(zeros):
+        raise PropertyViolationError("corner point does not vanish on G")
+    if result_square * d * d < square * result.integer_form[0] ** 2:
         raise PropertyViolationError("corner point decreased the square")
-    if not lat.is_positive_cone(result):
+    if result_square <= 0 or reference <= 0:
         raise PropertyViolationError("corner point left the positive cone")
     return result
 

@@ -9,9 +9,12 @@ Classes and pairings run in integers.  A class vector is stored in integer
 form: a denominator d and its nonzero (index, numerator) terms, normalized by
 one gcd; its Fraction coordinates are a view derived from that.  The lattice
 keeps its Gram matrix as sparse rows of its nonzero integer entries (a KK row
-has at most five).  A pairing sums integer products over nonzero terms only
-and divides by the two denominators once, so the result is a single exact
-Fraction.
+has at most five).  A class keeps its Gram product G (d a), a tuple, in one
+slot tagged with the lattice that made it, so each class is multiplied once
+per lattice; a + 0 is a, product and all.  A pairing is a dot product of
+that product over the other class's nonzero terms, divided by the two
+denominators once, so the result is a single exact Fraction; sign tests
+compare the integers alone.
 
 A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
@@ -53,6 +56,7 @@ class ClassVector:
 
     rank: int
     integer_form: tuple[int, tuple[tuple[int, int], ...]]
+    _gram_product = None  # (lattice, G @ (d a)) once a lattice multiplies it
 
     def __init__(self, coords: Iterable):
         values = linalg.as_vector(coords)
@@ -106,10 +110,13 @@ class ClassVector:
         return self.integer_form[0] == 1
 
     def _combine(self, other: "ClassVector", sign: int) -> "ClassVector":
-        """self + sign * other, over the two lists of nonzero terms."""
+        """self + sign * other, over the two lists of nonzero terms; self
+        itself, with any Gram product it keeps, when other is zero."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
         (da, ta), (db, tb) = self.integer_form, other.integer_form
+        if not tb:
+            return self
         d = lcm(da, db)
         ma, mb = d // da, sign * (d // db)
         acc = {i: x * ma for i, x in ta}
@@ -156,6 +163,15 @@ class NegInverse(tuple):
         self = super().__new__(cls, (tuple(Fraction(x, det) for x in row) for row in adjugate))
         self.det, self.adjugate = det, adjugate
         return self
+
+    def apply(self, values: Sequence) -> tuple[Fraction, ...]:
+        """-M^{-1} values in integers: the adjugate times the values scaled
+        to one denominator d, then one Fraction per coordinate over det d."""
+        values = [linalg.as_fraction(x) for x in values]
+        d = lcm(*(x.denominator for x in values))
+        scaled = [x.numerator * (d // x.denominator) for x in values]
+        q = self.det * d
+        return tuple(Fraction(sum(a * x for a, x in zip(row, scaled)), q) for row in self.adjugate)
 
 
 def neg_inverse(gram: linalg.Matrix) -> NegInverse:
@@ -330,9 +346,13 @@ class IntersectionLattice:
     def square(self, a: ClassVector) -> Fraction:
         return self.pair(a, a)
 
-    def gram_product(self, a: ClassVector) -> list[int]:
+    def gram_product(self, a: ClassVector) -> tuple[int, ...]:
         """G @ (d_a a) in integers, from a's nonzero terms alone: G is
-        symmetric, so its columns are the sparse rows."""
+        symmetric, so its columns are the sparse rows.  The class keeps it,
+        for this lattice only, so each class is multiplied once."""
+        kept = a._gram_product
+        if kept is not None and kept[0] is self:
+            return kept[1]
         rows = self._rows
         if a.rank != len(rows):
             raise MalformedInputError("class vector rank does not match lattice")
@@ -340,6 +360,12 @@ class IntersectionLattice:
         for j, x in a.integer_form[1]:
             for i, g in rows[j]:
                 product[i] += x * g
+        return self._keep_product(a, product)
+
+    def _keep_product(self, a: ClassVector, product: Iterable[int]) -> tuple[int, ...]:
+        """Fill a's one product slot with G @ (d_a a) in this lattice."""
+        product = tuple(product)
+        vars(a)["_gram_product"] = (self, product)
         return product
 
     def gram_vector(self, a: ClassVector) -> linalg.Vector:

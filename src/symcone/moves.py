@@ -17,14 +17,13 @@ inductive under moves: inflations only kill objects and a smoothing adds
 exactly one, so a move checks just its new object against the alive set and
 builds the successor without re-checking the rest.
 
-A state pairs through one integer Gram product P = G @ (d c) of its class c
-of denominator d: its areas and positive-cone test read it.  The verifier's
-base checks build it once for the initial state.  A successor takes it from
-its parent: a smoothing keeps the class and so shares P, and an inflation by
-t = p/q along v carries it as (d'q P + d'dp G v) / (dq), an exact integer
-division (d' the new denominator).  An object keeps its G v and v^2 with
-the lattice they were computed in; a model's curve objects are built once
-and seed every replay over it.
+A state pairs through the integer Gram product P = G @ (d c) its class c
+of denominator d keeps (see lattice): its areas and positive-cone test read
+it, and the verifier's base checks read it in one call.  A smoothing keeps
+the class and so P; an inflation by t = p/q along v writes onto the new
+class (d'q P + d'dp G v) / (dq), an exact integer division (d' the new
+denominator).  An object's G v is its class's; a model's curve objects are
+built once and seed every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and keeps one record per move: the
@@ -98,22 +97,14 @@ class SurfaceObject:
         obj.__dict__.update(id=curve.label, vector=curve.vector, genus=curve.genus, alive=True)
         return obj
 
-    def _gram_data(self, lattice: IntersectionLattice) -> tuple[list[int], int]:
-        """(G v, v^2) for the object's class v, kept with its lattice."""
-        kept = self.__dict__.get("_gram")
-        if kept is None or kept[0] is not lattice:
-            gram_v = lattice.gram_product(self.vector)
-            kept = self.__dict__["_gram"] = (lattice, gram_v, _dot(gram_v, self.vector))
-        return kept[1], kept[2]
 
-
-def _dot(product: list[int], vector: ClassVector) -> int:
+def _dot(product: Sequence[int], vector: ClassVector) -> int:
     """sum product[i] x over the terms (i, x) of the vector's integer form."""
     return sum(x * product[i] for i, x in vector.integer_form[1])
 
 
 def _killed(objects: tuple[SurfaceObject, ...], slots: Iterable[int]) -> tuple[SurfaceObject, ...]:
-    """objects with each one at slots replaced by a dead copy, Gram data kept."""
+    """objects with each one at slots replaced by a dead copy."""
     objects = list(objects)
     for i in slots:
         dead = object.__new__(SurfaceObject)
@@ -152,32 +143,21 @@ class ConfigurationState:
 
     @classmethod
     def _proven(
-        cls,
-        lattice: IntersectionLattice,
-        current_class: ClassVector,
-        objects: tuple[SurfaceObject, ...],
-        product: list[int] | None = None,
+        cls, lattice: IntersectionLattice, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
     ) -> "ConfigurationState":
         """A state built without the full check, for a caller that has
-        already proved the invariant.  product, if given, is the class's
-        Gram product, already built by the caller."""
+        already proved the invariant; it reads its class's Gram product now."""
         state = object.__new__(cls)
-        state.__dict__.update(lattice=lattice, current_class=current_class, objects=objects)
-        if product is not None:
-            state.__dict__["_product"] = product
+        product = lattice.gram_product(current_class)
+        state.__dict__.update(lattice=lattice, current_class=current_class, objects=objects, _product=product)
         return state
 
     @classmethod
     def seeded(
-        cls,
-        model: CurveModel,
-        current_class: ClassVector,
-        labels: Iterable[str] | None = None,
-        product: list[int] | None = None,
+        cls, model: CurveModel, current_class: ClassVector, labels: Iterable[str] | None = None
     ) -> "ConfigurationState":
         """A state whose alive objects are declared curves of the model: all
-        of them, or those named by labels, in that order, with product as
-        in _proven.
+        of them, or those named by labels, in that order.
 
         Of the state and object checks only the distinct ids run, and only
         for labels: CurveModel has proved that its labels are distinct and
@@ -190,7 +170,7 @@ class ConfigurationState:
             objects = tuple(SurfaceObject._of_curve(model.curve(x)) for x in labels)
             if len({o.id for o in objects}) != len(objects):
                 raise MalformedInputError("object ids must be distinct")
-        return cls._proven(model.lattice, current_class, objects, product)
+        return cls._proven(model.lattice, current_class, objects)
 
     def _slot(self, object_id: str) -> int:
         for i, o in enumerate(self.objects):
@@ -202,8 +182,8 @@ class ConfigurationState:
         return self.objects[self._slot(object_id)]
 
     @cached_property
-    def _product(self) -> list[int]:
-        """G @ (d c), c the current class and d its denominator."""
+    def _product(self) -> tuple[int, ...]:
+        """G @ (d c), c the current class and d its denominator, as c keeps it."""
         return self.lattice.gram_product(self.current_class)
 
     def _scaled(self, vector: ClassVector) -> int:
@@ -227,7 +207,7 @@ def _negative_partner(
     lattice: IntersectionLattice, obj: SurfaceObject, others: Sequence[SurfaceObject]
 ) -> SurfaceObject | None:
     """The first of others that pairs negatively with obj, if any."""
-    gram_v = obj._gram_data(lattice)[0]
+    gram_v = lattice.gram_product(obj.vector)
     return next((o for o in others if _dot(gram_v, o.vector) < 0), None)
 
 
@@ -243,7 +223,8 @@ def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, Surf
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
     """The object's square, d times its area A, for a negative square the
     bound 2A/h, and G @ v for its class v."""
-    gram_v, square = obj._gram_data(state.lattice)
+    gram_v = state.lattice.gram_product(obj.vector)
+    square = _dot(gram_v, obj.vector)
     scaled = state._scaled(obj.vector)
     bound = None
     if square < 0:
@@ -253,16 +234,16 @@ def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
 
 
 def _inflated(
-    state: ConfigurationState, t: Fraction, obj: SurfaceObject, gram_v: list[int], objects: tuple
+    state: ConfigurationState, t: Fraction, obj: SurfaceObject, gram_v: Sequence[int], objects: tuple
 ) -> ConfigurationState:
-    """The successor of class c' = c + t v, v the object's class, with its
+    """The successor of class c' = c + t v, v the object's class; c' keeps a
     Gram product carried from the state's P: for t = p/q and denominators d
     of c and d' of c', G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
     current = state.current_class + obj.vector.scale(t)
     d, d_new = state.current_class.integer_form[0], current.integer_form[0]
     a, b, m = d_new * t.denominator, d_new * d * t.numerator, d * t.denominator
-    product = [(a * x + b * y) // m for x, y in zip(state._product, gram_v)]
-    return state._proven(state.lattice, current, objects, product)
+    state.lattice._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
+    return state._proven(state.lattice, current, objects)
 
 
 def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
@@ -331,7 +312,7 @@ def smooth_and_reinstate(
 
     n = len(objs)
     # the classes are integral, so their scaled pairings are their pairings
-    pairings = [[_dot(o._gram_data(lat)[0], v) for v in vectors] for o in objs]
+    pairings = [lat.scaled_pairings(v, vectors) for v in vectors]
 
     # connectivity of the dual graph under geometric intersections
     if len(pairing_components(pairings)) != 1:
@@ -361,7 +342,7 @@ def smooth_and_reinstate(
     partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
     if partner is not None:
         raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
-    return state._proven(state.lattice, state.current_class, kept + (new_object,), state._product)
+    return state._proven(state.lattice, state.current_class, kept + (new_object,))
 
 
 def _require_strings(values, field: str) -> tuple[str, ...]:
@@ -502,8 +483,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def initial_state(cert: Certificate, product: list[int] | None = None) -> ConfigurationState:
-    return ConfigurationState.seeded(cert.model, cert.base_class, cert.initial_object_ids, product)
+def initial_state(cert: Certificate) -> ConfigurationState:
+    return ConfigurationState.seeded(cert.model, cert.base_class, cert.initial_object_ids)
 
 
 def _area_line(state: ConfigurationState) -> str:
@@ -578,25 +559,25 @@ class Replay(NamedTuple):
         def failed(reason: str) -> Replay:
             return cls(None, tuple(lines), None, None, reason)
 
-        model = cert.model
+        model, base, lat = cert.model, cert.base_class, cert.model.lattice
         if not model.completeness_assumed:
             return failed("model does not assume completeness; base cannot be asserted Kähler")
-        if model.lattice.reference_class is None:
+        if lat.reference_class is None:
             return failed("model has no reference class; positive cone is undefined")
         try:
-            # every base check reads the Gram product the initial state keeps
-            base = ConfigurationState._proven(model.lattice, cert.base_class, ())
-            if not base._in_positive_cone():
+            # every base check reads the Gram product the base class keeps
+            checks = (base, lat.reference_class, *(c.vector for c in model.curves))
+            square, reference, *pairings = lat.scaled_pairings(base, checks)
+            if square <= 0 or reference <= 0:
                 return failed("base class is not in the positive cone")
-            d = cert.base_class.integer_form[0]
-            for c in model.curves:
-                scaled = base._scaled(c.vector)
+            d = base.integer_form[0]
+            for c, scaled in zip(model.curves, pairings):
                 if scaled <= 0:
                     value = format_ratio(scaled, d, "pairing")
                     return failed(f"base class is not interior-Kähler: pairs {value} with {c.label!r}")
-            square = format_ratio(base._scaled(cert.base_class), d * d, "base square")
+            square = format_ratio(square, d * d, "base square")
             lines.append(f"base class Kähler by model predicate; square {square}")
-            state = initial_state(cert, base._product)
+            state = initial_state(cert)
             bits = _number_bits(state)
             _defer(lines, bits, model.coefficient_bits, partial(_area_line, state))
         except SymconeError as exc:

@@ -238,7 +238,9 @@ class Unsupported:
 
 
 class _PlanFail(Exception):
-    """Internal backtracking signal; never escapes the planner."""
+    """Internal backtracking signal; never escapes the planner.  args[0] is
+    its headline; a refusing peel node adds detail pairs naming its last
+    candidate and that candidate's failure."""
 
 
 class _Peeler:
@@ -272,9 +274,11 @@ class _Peeler:
         for cand in self._candidates(parts[0]):
             try:
                 return self.peel(*self._execute(replay, u, cand))
-            except (_PlanFail, SymconeError):
-                continue
-        raise _PlanFail("no peel candidate applies")
+            except (_PlanFail, SymconeError) as exc:
+                failure = exc.args[0] if exc.args else str(exc)  # a nested refusal's headline alone
+        last = " + ".join((f"{c} " if c > 1 else "") + self.model.curves[i].label
+                          for i, c in sorted(cand.items()))
+        raise _PlanFail("no peel candidate applies", ("last candidate", last), ("last candidate failure", failure))
 
     def _candidates(self, support: tuple[int, ...]) -> list[dict[int, int]]:
         if len(support) == 1:
@@ -445,8 +449,7 @@ def _sweep_plan(
     for comp in comps:
         inverse = model.support(comp).inverse
         v = [pairings[i] for i in comp]
-        ones = [Fraction(1)] * len(comp)
-        terms += zip(comp, linalg.mat_vec(inverse, v), linalg.mat_vec(inverse, ones))
+        terms += zip(comp, inverse.apply(v), inverse.apply([1] * len(comp)))
     indices, ds, ss = zip(*terms)
     corner, far = target + model.combination(indices, ds), model.combination(indices, ss)
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
@@ -464,7 +467,7 @@ def _sweep_plan(
         except _PlanFail as exc:
             return Unsupported(
                 reason="the deficit does not peel into moves",
-                detail=(("peel", str(exc)), ("r", format_rational(r, "r"))),
+                detail=(("peel", exc.args[0]), *exc.args[1:], ("r", format_rational(r, "r"))),
             )
     moves = tuple(record.move for record in replay.records())
     notes = list(annotations)

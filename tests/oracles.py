@@ -8,6 +8,7 @@ a shared algorithm.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -113,6 +114,47 @@ def random_curve_model(rng: random.Random, max_rank: int = 5):
         for i in range(n)
     )
     return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+
+
+def twisted_curve_model(rng: random.Random, max_rank: int = 5):
+    """random_curve_model under a random unimodular change of basis U, so
+    that curves and the reference class mostly have several nonzero terms:
+    a class with old coordinates x has new coordinates U^{-1} x, and the
+    new Gram is U^T G U.  Every pairing, and so every outcome, is the
+    untwisted model's."""
+    model = random_curve_model(rng, max_rank)
+    lat = model.lattice
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        # U <- U E and U^{-1} <- E^{-1} U^{-1} for E = I + c e_i e_j^T
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in u:
+            row[j] += c * row[i]
+        u_inv[i] = [a - c * b for a, b in zip(u_inv[i], u_inv[j])]
+    assert all(sum(u[i][k] * u_inv[k][j] for k in range(n)) == int(i == j) for i in range(n) for j in range(n))
+    gram = tuple(
+        tuple(sum(u[k][a] * lat.gram[k][m] * u[m][b] for k in range(n) for m in range(n)) for b in range(n))
+        for a in range(n)
+    )
+
+    def moved(vec: ClassVector) -> ClassVector:
+        return ClassVector(sum(u_inv[i][k] * x for k, x in enumerate(vec.coords)) for i in range(n))
+
+    lattice = IntersectionLattice(
+        gram=gram, basis_labels=lat.basis_labels, reference_class=moved(lat.reference_class)
+    )
+    curves = tuple(CurveData(c.label, moved(c.vector), c.genus) for c in model.curves)
+    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+
+
+def dense_gram_product(lattice: IntersectionLattice, a: ClassVector) -> tuple[Fraction, ...]:
+    """G @ (d a), d the least common denominator of a's coordinates, summed
+    over every Gram entry and every coordinate."""
+    d = math.lcm(*(x.denominator for x in a.coords))
+    return tuple(sum((g * x * d for g, x in zip(row, a.coords)), Fraction(0)) for row in lattice.gram)
 
 
 def interior_class(model: CurveModel, rng: random.Random) -> ClassVector:

@@ -19,7 +19,7 @@ from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
 from symcone.moves import Replay, verify_certificate
 
-from oracles import interior_class, random_curve_model
+from oracles import interior_class, random_curve_model, twisted_curve_model
 
 
 def _kk_extended():
@@ -212,7 +212,7 @@ def _oracle_pair(lattice, a, b):
 def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = random.Random(seed)
-    model = random_curve_model(rng)
+    model = data.draw(st.sampled_from((random_curve_model, twisted_curve_model)), label="model")(rng)
     n = len(model.curves)
     G = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="G")
     eps = data.draw(st.fractions(Fraction(1, 64), 4, max_denominator=64), label="eps")

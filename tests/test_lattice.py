@@ -1,5 +1,6 @@
 import collections
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -27,15 +28,18 @@ from symcone.lattice import (
     is_negative_definite,
     neg_inverse,
 )
+from symcone.documents import parse_class
 from symcone.models import build_hesse_dual, build_kk_model, builtin_model, ruled_model
 from symcone.planner import component_obstruction
 
 from oracles import (
     brute_inverse,
+    dense_gram_product,
     folded_combination,
     permutation_determinant,
     random_curve_model,
     random_negative_definite,
+    twisted_curve_model,
 )
 
 
@@ -727,3 +731,75 @@ def test_pairings_reject_rank_mismatch():
         lat.pairings(ClassVector.basis(lat.rank, 0), [short])
     with pytest.raises(MalformedInputError):
         lat.gram_vector(short)
+
+
+# --- each class keeps its Gram product, for the lattice that made it ---
+
+def _kept_product(lat, a):
+    """The product a keeps for lat, or None."""
+    kept = vars(a).get("_gram_product")
+    return kept[1] if kept is not None and kept[0] is lat else None
+
+
+def test_adding_or_subtracting_zero_returns_the_class_itself():
+    lat = build_kk_model(extended=True).model.lattice
+    a = lat.reference_class + lat.canonical_class
+    zero = ClassVector.zero(lat.rank)
+    product = lat.gram_product(a)
+    assert a + zero is a and a - zero is a
+    assert lat.gram_product(a - zero) is product
+    assert zero + a == a and (zero - a) + a == zero
+    with pytest.raises(MalformedInputError):
+        a + ClassVector.zero(lat.rank - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_neg_inverse_applies_in_integers_as_the_fraction_product(seed, data):
+    inverse = neg_inverse(random_negative_definite(random.Random(seed)))
+    n = len(inverse)
+    values = data.draw(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
+                                min_size=n, max_size=n))
+    got = inverse.apply(values)
+    assert got == linalg.mat_vec(inverse, [Fraction(x) for x in values])
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_each_class_keeps_the_gram_product_of_the_lattice_it_meets(seed, twisted, data):
+    """Classes made by +, -, scale, combination and parse_class, used
+    alternately with a model's lattice and another of the same rank (G + I),
+    keep the dense G @ (d a) of the lattice that last multiplied them, and
+    each lattice's gram_product is its own."""
+    model = (twisted_curve_model if twisted else random_curve_model)(random.Random(seed), 6)
+    lat = model.lattice
+    rank = lat.rank
+    other = IntersectionLattice(gram=tuple(
+        tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(lat.gram)
+    ))
+    pool = [lat.reference_class, ClassVector.zero(rank), *(c.vector for c in model.curves)]
+    fraction = st.fractions(-5, 5, max_denominator=7)
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        a = data.draw(st.sampled_from(pool))
+        kind = data.draw(st.sampled_from(("+", "-", "scale", "combination", "parse_class")))
+        if kind == "+":
+            pool.append(a + data.draw(st.sampled_from(pool)))
+        elif kind == "-":
+            pool.append(a - data.draw(st.sampled_from(pool)))
+        elif kind == "scale":
+            pool.append(a.scale(data.draw(fraction)))
+        elif kind == "combination":
+            picks = data.draw(st.lists(st.integers(0, len(model.curves) - 1), max_size=3))
+            pool.append(model.combination(picks, [data.draw(fraction) for _ in picks]))
+        else:
+            coords = data.draw(st.lists(fraction, min_size=rank, max_size=rank))
+            pool.append(parse_class([str(x) for x in coords], rank, "class"))
+        for used in data.draw(st.lists(st.sampled_from((lat, other)), min_size=1, max_size=4)):
+            c = data.draw(st.sampled_from(pool))
+            expected = dense_gram_product(used, c)
+            scaled = used.scaled_pairings(c, pool)
+            assert _kept_product(used, c) == expected
+            assert _kept_product(lat if used is other else other, c) is None
+            assert used.gram_product(c) == expected
+            assert scaled == [v.integer_form[0] * sum(map(operator.mul, expected, v.coords)) for v in pool]

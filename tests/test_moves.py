@@ -43,7 +43,13 @@ from symcone.moves import (
 )
 from symcone.planner import plan
 
-from oracles import interior_class, plain_pair, random_curve_model
+from oracles import (
+    dense_gram_product,
+    interior_class,
+    plain_pair,
+    random_curve_model,
+    twisted_curve_model,
+)
 
 
 def test_h_param_table():
@@ -519,11 +525,16 @@ def test_seeded_objects_equal_checked_objects():
 
 
 def test_initial_state_reuses_a_given_product():
+    """The base class keeps the product its first use made, and the
+    initial state reads that one; an equal class built anew makes its own."""
     cert = kk_gamma0_certificate()
-    product = cert.model.lattice.gram_product(cert.base_class)
-    state = initial_state(cert, product)
-    assert state._product is product
-    assert initial_state(cert)._product == product
+    lat = cert.model.lattice
+    product = lat.gram_product(cert.base_class)
+    assert product == dense_gram_product(lat, cert.base_class)
+    assert initial_state(cert)._product is product
+    fresh = replace(cert, base_class=ClassVector(cert.base_class.coords))
+    assert "_gram_product" not in vars(fresh.base_class)
+    assert initial_state(fresh)._product == product
 
 
 def _base_lines_by_fraction(model, base, labels):
@@ -700,15 +711,16 @@ def test_mutated_certificate_fields_are_malformed_or_replayed(data):
 
 
 def _assert_products_carried(report):
-    """Every state the replay records kept the Gram product it was built
-    with (none was recomputed on use), and that product is G @ (d c)."""
+    """The class of every state the replay records keeps a Gram product for
+    the state's lattice, and that product is the dense G @ (d c)."""
     assert report.records
     for record in report.records:
         for state in (record.before, record.after):
             if state is None:
                 continue
-            assert "_product" in vars(state)
-            assert state._product == state.lattice.gram_product(state.current_class)
+            lattice, product = vars(state.current_class)["_gram_product"]
+            assert lattice is state.lattice
+            assert product == dense_gram_product(lattice, state.current_class)
 
 
 def test_replay_carries_gram_products_on_hesse_plans_and_gamma0():
@@ -899,14 +911,14 @@ def _report_facts(report):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_cached_gram_data_and_seeds_change_no_report(seed, data):
-    """A replay over a model whose seeds and objects already carry Gram data
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_cached_gram_data_and_seeds_change_no_report(seed, twisted, data):
+    """A replay over a model whose classes already keep Gram products
     (plan's peel and a first replay made them) reports what a replay over
     an equal model built from scratch does, also with one t nudged to its
     bound 2A/h, where the replay must fail."""
     rng = random.Random(seed)
-    model = random_curve_model(rng)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng)
     alpha = interior_class(model, rng)
     subset = data.draw(st.lists(st.integers(0, len(model.curves) - 1), min_size=1, max_size=3, unique=True))
     descriptor = chambers.descriptor_for(model, subset)
@@ -953,4 +965,4 @@ def test_an_object_keeps_gram_data_for_its_own_lattice():
             moves.inflate(state, "e", 10)
         assert raised.value.args[1]["bound"] == expected[square]
         after = moves.inflate(state, "e", expected[square] / 2)
-        assert after._product == after.lattice.gram_product(after.current_class)
+        assert after._product == dense_gram_product(after.lattice, after.current_class)

@@ -39,6 +39,7 @@ from oracles import (
     first_kahler_scale,
     interior_class,
     random_curve_model,
+    twisted_curve_model,
 )
 
 
@@ -726,10 +727,10 @@ def test_kk_symmetries_keep_every_outcome(subset, sigma, interior):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 4))
-def test_reflected_chamber_certificate_lands_on_the_reflection(seed, pick):
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 4), twisted=st.booleans())
+def test_reflected_chamber_certificate_lands_on_the_reflection(seed, pick, twisted):
     rng = random.Random(seed)
-    model = random_curve_model(rng)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng)
     index = pick % len(model.curves)
     assume(model.curve_gram()[index][index] % 2 == 0)
     alpha = interior_class(model, rng)
@@ -767,6 +768,82 @@ def test_plan_reports_a_failed_peel_as_unsupported(monkeypatch):
     assert isinstance(result, Unsupported)
     assert result.reason == "the deficit does not peel into moves"
     assert dict(result.detail)["peel"] == "no peel candidate applies"
+
+
+def _census_seed_44():
+    """The coverage census's seed 44: four curves c0..c3 of a random model,
+    c1, c2 and c3 a triangle, and the target on the corner of all four."""
+    rng = random.Random(44)
+    model = random_curve_model(rng, 6)
+    alpha = interior_class(model, rng)
+    return model, chambers.corner_point(model, alpha, range(len(model.curves)))
+
+
+def test_a_peel_refusal_names_its_last_candidate_and_its_failure():
+    model, corner = _census_seed_44()
+    result = plan(model, corner)
+    assert isinstance(result, Unsupported)
+    assert result.reason == "the deficit does not peel into moves"
+    assert result.detail == (
+        ("peel", "no peel candidate applies"),
+        ("last candidate", "c3"),
+        ("last candidate failure", "bound 2A/h violated at move 1"),
+        ("r", "16"),
+    )
+
+
+def test_a_nested_peel_refusal_gives_its_headline_alone(monkeypatch):
+    """Every candidate of more than one curve fails, and so does a single
+    curve's on the last one left: the top node's last candidate, c3, fails
+    by a refusal one node down, whose own detail is not repeated."""
+    def execute(self, replay, u, cand):
+        if len(cand) > 1 or len(u) == 1:
+            raise planner._PlanFail("stuck")
+        return replay, {i: x for i, x in u.items() if i not in cand}
+
+    monkeypatch.setattr(planner._Peeler, "_execute", execute)
+    model, corner = _census_seed_44()
+    result = plan(model, corner)
+    assert result.detail == (
+        ("peel", "no peel candidate applies"),
+        ("last candidate", "c3"),
+        ("last candidate failure", "no peel candidate applies"),
+        ("r", "16"),
+    )
+
+
+def test_a_doubled_last_candidate_is_written_with_its_coefficient(monkeypatch):
+    def candidates(self, support):
+        return [{support[0]: 2, support[-1]: 1}]
+
+    monkeypatch.setattr(planner._Peeler, "_candidates", candidates)
+    model, corner = _census_seed_44()
+    assert dict(plan(model, corner).detail)["last candidate"] == "2 c0 + c3"
+
+
+def test_a_corner_is_multiplied_once_from_corner_point_to_the_verifier(monkeypatch):
+    """corner_point, plan and verify_certificate on a two-curve kk-extended
+    corner compute the corner's Gram product once, and the verifier reads
+    the base product that plan made."""
+    model = build_kk_model(extended=True).model
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    made = []
+    keep = IntersectionLattice._keep_product
+
+    def counted(self, a, product):
+        made.append(a)
+        return keep(self, a, product)
+
+    monkeypatch.setattr(IntersectionLattice, "_keep_product", counted)
+    corner = chambers.corner_point(model, alpha, (model.index_of("C1"), model.index_of("D123")))
+    cert = plan(model, corner)
+    in_plan = len(made)
+    assert isinstance(cert, Certificate) and len(cert.moves) > 1
+    assert verify_certificate(cert).passed
+    assert cert.target_class is corner
+    assert sum(a is corner for a in made) == 1
+    assert sum(a is cert.base_class for a in made[:in_plan]) == 1
+    assert not any(a is cert.base_class for a in made[in_plan:])
 
 
 def test_plan_refuses_a_target_whose_replay_outgrows_the_digit_limit():
@@ -849,18 +926,18 @@ def _boundary_targets(model, alpha, subsets):
 def test_plan_picks_the_scale_of_the_naive_walk_on_random_models():
     """The r sweep and the single inflation's t sweep test each scale from
     two Gram products; the base they pick is the one the old walk (build
-    the class, test it) picks."""
+    the class, test it) picks, also where the curves have several terms."""
     kinds = collections.Counter()
-    for seed in range(30):
+    for seed, make in itertools.product(range(30), (random_curve_model, twisted_curve_model)):
         rng = random.Random(seed)
-        model = random_curve_model(rng, 6)
+        model = make(rng, 6)
         alpha = interior_class(model, rng)
         n = len(model.curves)
         subsets = [tuple(range(n)), (rng.randrange(n),),
                    tuple(sorted(rng.sample(range(n), rng.randint(1, n))))]
         for target in _boundary_targets(model, alpha, subsets):
             kinds[_check_sweep_against_the_walk(model, target)] += 1
-    assert kinds["certificate"] > 50
+    assert kinds["certificate"] > 250
 
 
 def test_plan_picks_the_scale_of_the_naive_walk_on_builtin_models():
@@ -933,11 +1010,12 @@ def test_no_inflation_amplitude_refusal_names_the_failing_check():
     start=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=7, max_size=7),
     direction=st.lists(st.integers(-3, 3), min_size=7, max_size=7),
     scales=st.lists(st.fractions(min_value=-2, max_value=40, max_denominator=64), min_size=1, max_size=6),
+    twisted=st.booleans(),
 )
-def test_first_interior_scale_matches_the_naive_walk(seed, start, direction, scales):
+def test_first_interior_scale_matches_the_naive_walk(seed, start, direction, scales, twisted):
     """Scale, and the check failing at the last scale, read off two Gram
     products agree with building and testing each class."""
-    model = random_curve_model(random.Random(seed), 6)
+    model = (twisted_curve_model if twisted else random_curve_model)(random.Random(seed), 6)
     rank = model.lattice.rank
     start = ClassVector(start[:rank])
     direction = ClassVector(direction[:rank])
