@@ -154,15 +154,15 @@ def is_negative_definite(gram: linalg.Matrix) -> bool:
     )
 
 
-class NegInverse(tuple):
-    """-M^{-1} as rows of Fractions that also keep their fraction-free form:
-    -M^{-1} = adjugate / det, with det a positive integer and adjugate a
-    nonnegative integer matrix (det(-M) and adj(-M) when M is integral)."""
+class NegInverse:
+    """-M^{-1} in fraction-free form: -M^{-1} = adjugate / det, with det a
+    positive integer and adjugate a nonnegative integer matrix (det(-M) and
+    adj(-M) when M is integral)."""
 
-    def __new__(cls, det: int, adjugate: tuple[tuple[int, ...], ...]):
-        self = super().__new__(cls, (tuple(Fraction(x, det) for x in row) for row in adjugate))
+    __slots__ = ("det", "adjugate")
+
+    def __init__(self, det: int, adjugate: tuple[tuple[int, ...], ...]):
         self.det, self.adjugate = det, adjugate
-        return self
 
     def apply(self, values: Sequence) -> tuple[Fraction, ...]:
         """-M^{-1} values in integers: the adjugate times the values scaled

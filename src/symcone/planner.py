@@ -14,20 +14,14 @@ plan's single inflation to the reflected class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from . import linalg
 from .chambers import Membership, classify, reflect
-from .errors import (
-    PreconditionError,
-    PropertyViolationError,
-    SearchFailureError,
-    SymconeError,
-)
-from .lattice import ClassVector, CurveModel, Support
+from .errors import PreconditionError, PropertyViolationError, SymconeError
+from .lattice import ClassVector, CurveModel, Support, neg_inverse
 from .linalg import format_rational
 from .moves import (
     Certificate,
@@ -181,7 +175,7 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     per model and set and kept with its Support.  Small sets are settled by
     exhaustive search over coefficients 0..4, smallest coefficient sum first;
     larger ones by a greedy square-increasing walk from the all-ones
-    vector."""
+    vector; a set neither settles gets the Schur witness."""
     support = model.support(indices)
     if support.obstruction is None:
         support.obstruction = _obstruction(support)
@@ -221,10 +215,14 @@ def _obstruction(support: Support):
             if best_gain is None or gain > best_gain:
                 best, best_gain = i, gain
         w[best] += 1
-    raise SearchFailureError(
-        "no witness found although the set is not negative definite; "
-        f"minors {linalg.leading_principal_minors(M)}"
-    )
+    # Schur witness: before the first leading minor of the wrong sign, M_{k-1}
+    # is negative definite, so with m the head of column k the vector
+    # (-M_{k-1}^{-1} m, 1, 0, ...) is nonnegative of square det M_k / det M_{k-1} >= 0
+    k = next(k for k, minor in enumerate(support.minors, start=1) if (-1) ** k * minor <= 0)
+    head = neg_inverse(tuple(row[: k - 1] for row in M[: k - 1])).apply([row[k - 1] for row in M[: k - 1]])
+    d = lcm(*(x.denominator for x in head))
+    c = tuple(x.numerator * (d // x.denominator) for x in head) + (d,) + (0,) * (n - k)
+    return Witness(indices=idx, coefficients=c, square=Fraction(square_of(c)))
 
 
 @dataclass(frozen=True)
@@ -283,31 +281,10 @@ class _Peeler:
     def _candidates(self, support: tuple[int, ...]) -> list[dict[int, int]]:
         if len(support) == 1:
             return [{support[0]: 1}]
-        out: list[dict[int, int]] = []
-        seen: set[tuple] = set()
-
-        def push(c: dict[int, int]) -> None:
-            key = tuple(sorted(c.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(c)
-
-        push({i: 1 for i in support})
-        for x in support:
-            boosted = {i: 1 for i in support}
-            boosted[x] = 2
-            push(boosted)
-        # the columns of -M^{-1} are those of its integer adjugate, up to scale
-        for column in zip(*self.model.support(support).inverse.adjugate):
-            g = math.gcd(*column)
-            ints = [x // g for x in column]
-            # configurations can carry a constituent at most twice (the
-            # doubled copy rides a pre-smoothing), so cap coefficients at 2
-            if all(0 < x <= 2 for x in ints):
-                push(dict(zip(support, ints)))
-        for j in support:
-            push({j: 1})
-        return out
+        # all-ones, each constituent boosted to 2, then each curve alone:
+        # pairwise distinct on two or more curves
+        ones = dict.fromkeys(support, 1)
+        return [ones, *({**ones, x: 2} for x in support), *({j: 1} for j in support)]
 
     def _execute(
         self,

@@ -166,7 +166,7 @@ def interior_class(model: CurveModel, rng: random.Random) -> ClassVector:
     inv = neg_inverse(model.curve_gram())
     targets = [Fraction(rng.randint(1, 3)) for _ in range(n)]
     # with u = (-M^{-1}) targets >= 0, w - sum u_i e_i pairs exactly targets_i
-    u = [sum(inv[i][j] * targets[j] for j in range(n)) for i in range(n)]
+    u = [sum(Fraction(a, inv.det) * t for a, t in zip(row, targets)) for row in inv.adjugate]
     vec = model.lattice.reference_class
     for i, c in enumerate(model.curves):
         vec = vec - c.vector.scale(u[i])

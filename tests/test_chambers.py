@@ -230,10 +230,9 @@ def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
 
 def _interior_on(model):
     from symcone.lattice import neg_inverse
-    from symcone import linalg
 
     n = len(model.curves)
-    u = linalg.mat_vec(neg_inverse(model.curve_gram()), [Fraction(1)] * n)
+    u = neg_inverse(model.curve_gram()).apply([Fraction(1)] * n)
     vec = ClassVector.basis(model.lattice.rank, 0)
     for coeff, curve in zip(u, model.curves):
         vec = vec - curve.vector.scale(coeff)

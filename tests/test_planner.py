@@ -300,15 +300,75 @@ def _connected_inadmissible_gram(draw):
 @settings(max_examples=150, deadline=None)
 @given(_connected_inadmissible_gram())
 def test_witnesses_are_nonnegative_combinations_of_nonnegative_square(gram):
+    _checked_witness(gram, component_obstruction(_gram_model(gram), range(len(gram))))
+
+
+# a 10-curve locus whose greedy walk finds no witness: its leading minors
+# keep Sylvester's signs up to k = 9 (-36) and det M_10 = -30 breaks them
+WALK_MISS = (
+    (-20, 3, 3, 0, 0, 0, 0, 0, 0, 0), (3, -4, 0, 1, 0, 1, 0, 0, 3, 0), (3, 0, -5, 0, 2, 0, 0, 0, 0, 0),
+    (0, 1, 0, -3, 0, 0, 2, 1, 0, 0), (0, 0, 2, 0, -2, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, -3, 0, 0, 0, 0),
+    (0, 0, 0, 2, 0, 0, -2, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, -4, 0, 0), (0, 3, 0, 0, 0, 0, 0, 0, -5, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0, 0, -8),
+)
+
+
+def _checked_witness(gram, found):
+    """found is a Witness over every curve of gram: nonnegative integer
+    coefficients, not all zero, whose recomputed square is its square and
+    is nonnegative."""
     n = len(gram)
-    result = component_obstruction(_gram_model(gram), range(n))
-    assert isinstance(result, planner.Witness)
-    c = result.coefficients
-    assert result.indices == tuple(range(n))
+    assert isinstance(found, planner.Witness)
+    c = found.coefficients
+    assert found.indices == tuple(range(n))
     assert len(c) == n and any(c)
     assert all(type(x) is int and x >= 0 for x in c)
     naive = sum(Fraction(c[i] * gram[i][j] * c[j]) for i in range(n) for j in range(n))
-    assert result.square == naive >= 0
+    assert found.square == naive >= 0
+
+
+def test_plan_refuses_a_locus_the_walk_misses_with_the_schur_witness():
+    model = _gram_model(WALK_MISS)
+    result = plan(model, _omega0(model))
+    assert isinstance(result, Unsupported)
+    assert result.reason == "vanishing locus is not negative definite"
+    assert result.component == tuple(range(10))
+    _checked_witness(WALK_MISS, result.witness)
+    # (-M_9^{-1} m, 1) scaled to integers by 6: square 6^2 det M_10 / det M_9
+    assert result.witness.coefficients == (48, 270, 50, 360, 53, 90, 360, 90, 162, 6)
+    assert result.witness.square == 36 * Fraction(-30, -36) == 30
+    assert dict(result.detail) == {"witness square": "30"}
+
+
+@st.composite
+def _connected_z_gram(draw):
+    """A connected symmetric Z-matrix of 1-10 curves, squares -1..-20 and
+    edge multiplicities 1-3: definite, indefinite and, where each square is
+    minus the curve's row sum, semidefinite ones alike."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        gram[i][j] = gram[j][i] = draw(st.integers(min_value=1, max_value=3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i][j] == 0:
+                gram[i][j] = gram[j][i] = draw(st.sampled_from((0, 0, 0, 0, 1)))
+    laplacian = n > 1 and draw(st.booleans())
+    for i in range(n):
+        gram[i][i] = -sum(gram[i]) if laplacian else -draw(st.integers(min_value=1, max_value=20))
+    return gram
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_z_gram())
+def test_component_obstruction_is_total_on_connected_loci(gram):
+    n = len(gram)
+    found = component_obstruction(_gram_model(gram), range(n))
+    if _negative_definite(gram):
+        assert isinstance(found, planner.Admissible)
+    else:
+        _checked_witness(gram, found)
 
 
 # --- planning ---
@@ -819,6 +879,33 @@ def test_a_doubled_last_candidate_is_written_with_its_coefficient(monkeypatch):
     monkeypatch.setattr(planner._Peeler, "_candidates", candidates)
     model, corner = _census_seed_44()
     assert dict(plan(model, corner).detail)["last candidate"] == "2 c0 + c3"
+
+
+def test_the_peel_inverts_nothing(monkeypatch):
+    """On an A_40 chain at the corner of all its curves, the sweep's inverse
+    of the one component is the only inverse plan computes."""
+    inverted = []
+    invert = lattice.neg_inverse
+
+    def counted(gram):
+        inverted.append(len(gram))
+        return invert(gram)
+
+    monkeypatch.setattr(lattice, "neg_inverse", counted)
+    model = _chain_model([-2] * 40)
+    assert isinstance(plan(model, _omega0(model)), Certificate)
+    assert inverted == [40]
+
+
+def test_peel_candidates_are_ones_then_boosted_then_singletons():
+    peeler = planner._Peeler(_chain_model([-2] * 4))
+    ones = {1: 1, 2: 1, 3: 1}
+    assert [sorted(c.items()) for c in peeler._candidates((1, 2, 3))] == [
+        sorted(c.items()) for c in (
+            ones, {**ones, 1: 2}, {**ones, 2: 2}, {**ones, 3: 2}, {1: 1}, {2: 1}, {3: 1},
+        )
+    ]
+    assert peeler._candidates((2,)) == [{2: 1}]
 
 
 def test_a_corner_is_multiplied_once_from_corner_point_to_the_verifier(monkeypatch):
