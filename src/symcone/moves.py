@@ -30,7 +30,10 @@ verifier replays it with exact arithmetic and keeps one record per move: the
 state before it, its bound 2A/h and the state after it.  A Replay runs it:
 start (the base checks), one step per move, report (the final-class check);
 the planner's peel steps the same immutable nodes as it searches, so a
-peeled certificate is replayed once.  The base-square and move lines are
+peeled certificate is replayed once.  A certificate keeps the report of its
+one replay, keyed by the digit limit it was made under, and verify_certificate
+returns it under that limit; a copy made by replace or by the codec keeps
+none and is replayed in full.  The base-square and move lines are
 written during the replay; the "class after" and "areas:" lines are
 rendered from the records on the first read of the report's entries.
 Bounds on the bit lengths of their numbers are measured on the initial
@@ -246,11 +249,13 @@ def _inflated(
     return state._proven(state.lattice, current, objects)
 
 
-def inflate(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
-    """Add t times the object's class for 0 < t < 2A/h; consumes the object."""
+def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None = None) -> ConfigurationState:
+    """Add t times the object's class for 0 < t < 2A/h; consumes the object.
+    measured is the object's _inflation_bound on this state, if the caller
+    has it."""
     slot, obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, scaled, bound, gram_v = _inflation_bound(state, obj)
+    square, scaled, bound, gram_v = measured or _inflation_bound(state, obj)
     if bound is None:
         raise WrongMoveError(
             f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
@@ -392,9 +397,10 @@ class SmoothAndReinstate:
 Move = Union[Inflate, InflateNonneg, SmoothAndReinstate]
 
 
-def apply_move(state: ConfigurationState, move: Move) -> ConfigurationState:
+def apply_move(state: ConfigurationState, move: Move, measured: tuple | None = None) -> ConfigurationState:
+    """The state after the move; measured is passed to inflate."""
     if isinstance(move, Inflate):
-        return inflate(state, move.object_id, move.t)
+        return inflate(state, move.object_id, move.t, measured)
     if isinstance(move, InflateNonneg):
         return inflate_nonneg(state, move.object_id, move.t)
     if isinstance(move, SmoothAndReinstate):
@@ -418,7 +424,12 @@ def describe_move(move: Move) -> str:
 @dataclass(frozen=True)
 class Certificate:
     """Replayable proof that the target class admits symplectic forms.
-    Ill-typed fields raise MalformedInputError; moves check their own."""
+    Ill-typed fields raise MalformedInputError; moves check their own.
+
+    A certificate keeps the report of its one replay, with the digit limit
+    it was made under; a copy by replace or the codec has none."""
+
+    _report = None  # (digit limit, VerificationReport), not a field
 
     model: CurveModel
     base_class: ClassVector
@@ -592,16 +603,18 @@ class Replay(NamedTuple):
         lines: list = []
         if isinstance(move, SmoothAndReinstate) and len(move.reinstate_ids) > 1:
             lines.append(f"move {number} reinstates {len(move.reinstate_ids)} constituents (iterated-disjoin)")
-        bound = None
+        bound = measured = None
         try:
             if isinstance(move, Inflate):
                 obj = state.object(move.object_id)
-                bound = _inflation_bound(state, obj)[2] if obj.alive else None
+                if obj.alive:  # inflate reads the bound it is handed
+                    measured = _inflation_bound(state, obj)
+                    bound = measured[2]
             entry = f"move {number}: {describe_move(move)}"
             if bound is not None:
                 entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
             lines.append(entry)
-            after = apply_move(state, move)
+            after = apply_move(state, move, measured)
         except SymconeError as exc:
             headline = exc.args[0] if exc.args else str(exc)
             record = MoveRecord(number, move, state, bound, None)
@@ -630,28 +643,42 @@ class Replay(NamedTuple):
     def records(self) -> tuple[MoveRecord, ...]:
         return tuple(node.record for node in self._chain()[1:])
 
-    def report(self, target: ClassVector, annotations: Sequence[str] = ()) -> VerificationReport:
-        """The report of the replay so far, with the final-class check."""
+    def report(self, cert: Certificate) -> VerificationReport:
+        """The report of the replay so far, with the check of the final
+        class against the certificate's target, which keeps it: the replay
+        must be of the certificate's base and moves."""
         lines = [line for node in self._chain() for line in node.lines]
         failure = self.failure
-        if failure is None and self.state.current_class != target:
+        if failure is None and self.state.current_class != cert.target_class:
             failure = "final class does not equal the target class"
         if failure is not None:
-            return VerificationReport(False, lines, failure, None, self.records())
-        lines += ("final class equals target class", *(f"annotation: {note}" for note in annotations))
-        return VerificationReport(True, lines, None, self.state.current_class, self.records())
+            report = VerificationReport(False, lines, failure, None, self.records())
+        else:
+            lines += ("final class equals target class", *(f"annotation: {note}" for note in cert.annotations))
+            report = VerificationReport(True, lines, None, self.state.current_class, self.records())
+        object.__setattr__(cert, "_report", (sys.get_int_max_str_digits(), report))
+        return report
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Replay a certificate move by move with exact arithmetic: the base
     checks, one Replay step per move, the final-class check.
 
+    A certificate keeps the report of its one replay, keyed by the digit
+    limit: under the same limit it is returned again, under another the
+    certificate is replayed.  A copy made by replace or by the codec keeps
+    none and is replayed in full.
+
     Total: malformed or failing certificates produce a failed report with the
     first broken check named, never an exception.
     """
+    if not isinstance(cert, Certificate):
+        return VerificationReport(False, (), f"expected a Certificate, not {type(cert).__name__}", None)
+    if cert._report is not None and cert._report[0] == sys.get_int_max_str_digits():
+        return cert._report[1]
     replay = Replay.start(cert)
     for move in cert.moves:
         if replay.failure is not None:
             break
         replay = replay.step(move)
-    return replay.report(cert.target_class, cert.annotations)
+    return replay.report(cert)

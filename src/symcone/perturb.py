@@ -46,6 +46,10 @@ class LocalCurveModel:
     remainder_deriv: Callable[[complex], complex] | None = None
 
     def __post_init__(self):
+        if not cmath.isfinite(self.leading):
+            raise MalformedInputError(f"leading coefficient must be finite, not {self.leading!r}")
+        if not math.isfinite(self.remainder_bound):
+            raise MalformedInputError(f"remainder_bound must be finite, not {self.remainder_bound!r}")
         if self.leading == 0:
             raise MalformedInputError("leading coefficient must be nonzero")
         if not isinstance(self.order, int) or self.order < 1:
@@ -79,6 +83,8 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     if not models:
         raise MalformedInputError("need at least one local model")
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise MalformedInputError(f"eps must be finite, not {eps!r}")
     if eps <= 0:
         raise MalformedInputError("eps must be positive")
     radius = max((2 * eps / abs(m.leading)) ** (1.0 / m.order) for m in models)

@@ -410,7 +410,7 @@ def _sweep_plan(
     annotations: Sequence[str],
 ):
     """Peel the base of the first Kähler scale r, once, replaying as it
-    goes: a certificate comes back with the report of that replay.
+    goes: a certificate comes back keeping the report of that replay.
 
     With N = -M^{-1} per component and v the target's pairings with the
     locus (read off classify), the base pairing r with every curve of the
@@ -451,7 +451,8 @@ def _sweep_plan(
     if any(isinstance(m, SmoothAndReinstate) and len(m.reinstate_ids) > 1 for m in moves):
         notes.insert(0, "iterated-disjoin")
     cert = Certificate(model, base, moves, target, annotations=tuple(notes))
-    return cert, replay.report(target, cert.annotations)
+    replay.report(cert)  # the certificate keeps the report of its one replay
+    return cert
 
 
 def plan(model: CurveModel, target: ClassVector):
@@ -462,7 +463,10 @@ def plan(model: CurveModel, target: ClassVector):
     uniform-base peel at the first Kähler scale.  That one certificate is
     replayed once, with no retry: a peeled one by the peel itself, which
     steps the verifier's Replay as it searches, any other by
-    verify_certificate here.  A failed replay or peel comes back as
+    verify_certificate here.  The certificate keeps the report of that
+    replay, keyed by the digit limit, so verify_certificate on it under the
+    same limit replays nothing; a copy made by replace or by the codec is
+    replayed in full.  A failed replay or peel comes back as
     Unsupported with its first failure.  Targets outside the positive cone
     (with their square and reference pairing), mixed boundaries, indefinite
     vanishing loci (with witness), E-type sphere trees, and (-1)-sphere walls
@@ -472,13 +476,13 @@ def plan(model: CurveModel, target: ClassVector):
     outcome = _construct(model, target)
     if isinstance(outcome, Unsupported):
         return outcome
-    cert, report = outcome if isinstance(outcome, tuple) else (outcome, verify_certificate(outcome))
+    report = verify_certificate(outcome)
     if not report.passed:
         return Unsupported(
             reason="planned certificate failed replay",
             detail=(("first failure", report.first_failure),),
         )
-    return cert
+    return outcome
 
 
 def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index: int):
@@ -503,7 +507,7 @@ def reflected_chamber_certificate(model: CurveModel, alpha: ClassVector, e_index
 
 
 def _construct(model: CurveModel, target: ClassVector):
-    """The one certificate plan replays (a peeled one with its replay's
+    """The one certificate plan replays (a peeled one keeping its replay's
     report), or its refusal."""
     if not model.completeness_assumed:
         return Unsupported(

@@ -334,6 +334,19 @@ def test_perturb_out_of_range_eps(capsys):
     assert "not inside" in trailer(out)["error"]
 
 
+@pytest.mark.parametrize("spec, eps, field", [
+    ("1,2,nan", "0.1", "remainder_bound"),
+    ("inf,2,0", "0.1", "leading"),
+    ("nan,2,0.1", "0.1", "leading"),
+    ("1,2,0", "nan", "eps"),
+    ("1,2,0", "inf", "eps"),
+])
+def test_perturb_refuses_non_finite_input(capsys, spec, eps, field):
+    code, out = run(capsys, "perturb", "--model-spec", spec, "--eps", eps)
+    assert code == 2
+    assert trailer(out)["error"].startswith(field)
+
+
 def test_perturb_needs_models(capsys):
     code, out = run(capsys, "perturb", "--eps", "0.1")
     assert code == 2

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -28,11 +29,13 @@ from symcone.models import (
     kk_gamma0_certificate,
     kk_gamma0_model,
 )
+from symcone.documents import certificate_from_doc, certificate_to_doc, report_to_doc
 from symcone.moves import (
     Certificate,
     ConfigurationState,
     Inflate,
     InflateNonneg,
+    Replay,
     SmoothAndReinstate,
     SurfaceObject,
     apply_move,
@@ -966,3 +969,61 @@ def test_an_object_keeps_gram_data_for_its_own_lattice():
         assert raised.value.args[1]["bound"] == expected[square]
         after = moves.inflate(state, "e", expected[square] / 2)
         assert after._product == dense_gram_product(after.lattice, after.current_class)
+
+
+def test_a_certificate_keeps_its_report_and_a_copy_is_replayed(monkeypatch):
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    cert = plan(model, chambers.corner_point(model, alpha, (model.index_of("C1"), model.index_of("D123"))))
+    assert isinstance(cert, Certificate) and len(cert.moves) > 1
+    starts, start = [], Replay.start
+    monkeypatch.setattr(Replay, "start", lambda c: starts.append(c) or start(c))
+    kept = verify_certificate(cert)
+    assert kept.passed and verify_certificate(cert) is kept
+    assert starts == []
+    # a copy by replace is an equal certificate with no report: it replays
+    copy = replace(cert)
+    assert copy == cert and hash(copy) == hash(cert)
+    again = verify_certificate(copy)
+    assert starts == [copy] and again is not kept
+    assert str(again) == str(kept) and report_to_doc(again) == report_to_doc(kept)
+    # and so does a certificate that went through the codec
+    parsed = certificate_from_doc(certificate_to_doc(cert, model_name="kk-extended"))
+    assert parsed == cert
+    assert str(verify_certificate(parsed)) == str(kept)
+    assert starts == [copy, parsed]
+    # each copy now keeps the report of its own replay
+    assert verify_certificate(copy) is again
+    assert len(starts) == 2
+
+
+@pytest.mark.parametrize("value", [None, 3, "certificate", (), kk_gamma0_model(), object()])
+def test_verify_certificate_fails_a_non_certificate(value):
+    report = verify_certificate(value)
+    assert not report.passed
+    assert report.first_failure == f"expected a Certificate, not {type(value).__name__}"
+    assert report.records == () and report.final_class is None
+    assert str(report).endswith(f"verdict: FAIL ({report.first_failure})")
+    assert report_to_doc(report)["passed"] is False
+
+
+def test_an_inflation_measures_its_bound_once(monkeypatch):
+    """A replay builds each Inflate's square, area and bound once, for its
+    line and its move alike, and still writes the line of a move that
+    violates the bound."""
+    cert = replace(kk_gamma0_certificate())
+    counts = collections.Counter()
+    for name in ("_inflation_bound", "_inflated"):
+        def counted(*args, _name=name, _fn=getattr(moves, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(moves, name, counted)
+    assert verify_certificate(cert).passed
+    assert counts["_inflation_bound"] == counts["_inflated"] == 4
+    counts.clear()
+    overshot = list(cert.moves)
+    overshot[5] = Inflate("D123", overshot[5].t * 100)
+    report = verify_certificate(replace(cert, moves=tuple(overshot)))
+    assert report.first_failure == "bound 2A/h violated at move 6"
+    assert report.entries[-1].startswith("move 6: inflate(D123, t=") and "bound 2A/h = " in report.entries[-1]
+    assert counts["_inflation_bound"] == counts["_inflated"] + 1 == 3

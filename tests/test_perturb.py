@@ -31,6 +31,24 @@ def test_model_validation():
         LocalCurveModel(1, 2, remainder=lambda z: z**3, remainder_bound=-1.0)
 
 
+@pytest.mark.parametrize("leading", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_model_rejects_a_non_finite_leading_coefficient(leading):
+    with pytest.raises(MalformedInputError, match="leading"):
+        LocalCurveModel(leading, 2)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_model_rejects_a_non_finite_remainder_bound(bound):
+    with pytest.raises(MalformedInputError, match="remainder_bound"):
+        LocalCurveModel(1, 2, remainder=lambda z: z**3, remainder_bound=bound)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_radius_rejects_a_non_finite_eps(eps):
+    with pytest.raises(MalformedInputError, match="eps"):
+        r_epsilon([LocalCurveModel(1, 1)], eps)
+
+
 def test_numeric_derivative_matches_exact():
     exact = LocalCurveModel(
         1, 2, remainder=lambda z: 0.3 * z**3, remainder_bound=0.3,

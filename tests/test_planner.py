@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from symcone import chambers, lattice, planner
-from symcone.documents import canonical_json, certificate_to_doc
+from symcone.documents import canonical_json, certificate_to_doc, report_to_doc
 from symcone.errors import PreconditionError, SymconeError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from symcone.models import (
@@ -931,6 +931,50 @@ def test_a_corner_is_multiplied_once_from_corner_point_to_the_verifier(monkeypat
     assert sum(a is corner for a in made) == 1
     assert sum(a is cert.base_class for a in made[:in_plan]) == 1
     assert not any(a is cert.base_class for a in made[in_plan:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans())
+def test_a_planned_certificate_keeps_the_report_of_a_full_replay(seed, twisted):
+    """On every corner subset, the report a planned certificate keeps reads
+    as the report of a full replay of a copy, which keeps none."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng)
+    alpha = interior_class(model, rng)
+    n = len(model.curves)
+    for subset in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(1, n + 1)):
+        descriptor = chambers.descriptor_for(model, subset)
+        if not descriptor.admissible:
+            continue
+        cert = plan(model, chambers.corner_point(model, alpha, descriptor))
+        if not isinstance(cert, Certificate):
+            continue
+        kept, full = verify_certificate(cert), verify_certificate(replace(cert))
+        assert kept is verify_certificate(cert) and kept is not full
+        assert report_to_doc(kept) == report_to_doc(full)
+        assert str(kept) == str(full)
+
+
+def test_a_kept_report_is_replayed_again_under_another_digit_limit(monkeypatch):
+    # the base square has about 800 digits: past a 640-digit limit only
+    model = kk_gamma0_model()
+    cert = plan(model, ClassVector((Fraction(10**400),) + (Fraction(0),) * 21))
+    assert isinstance(cert, Certificate) and len(cert.moves) > 1
+    kept = verify_certificate(cert)
+    assert kept.passed
+    starts, start = [], Replay.start
+    monkeypatch.setattr(Replay, "start", lambda c: starts.append(c) or start(c))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        narrow = verify_certificate(cert)
+        assert starts == [cert]
+        assert narrow.first_failure == "base square: output exceeds the 640-digit integer limit"
+        assert verify_certificate(cert) is narrow and len(starts) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    again = verify_certificate(cert)
+    assert len(starts) == 2 and again.passed and str(again) == str(kept)
 
 
 def test_plan_refuses_a_target_whose_replay_outgrows_the_digit_limit():

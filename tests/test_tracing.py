@@ -41,9 +41,9 @@ tracer.install()
 applied, steps = [], []
 traced_apply, step = moves.apply_move, moves.Replay.step
 
-def apply_move(state, move):
+def apply_move(state, move, *measured):
     applied.append(move)
-    return traced_apply(state, move)
+    return traced_apply(state, move, *measured)
 
 def counted_step(self, move):
     steps.append(move)
@@ -102,11 +102,12 @@ def test_tracer_installs_and_counts_a_replay():
     out = _traced(CHILD)
     assert out["passed"] is True
     calls = out["calls"]
-    # the builder verifies its certificate once, the test once more
+    # the builder verifies its certificate once; the test's verify reads
+    # the report the certificate keeps and replays nothing
     assert calls["models.kk_gamma0_certificate"] == 1
     assert calls["moves.verify_certificate"] == 2
-    assert calls["moves.initial_state"] == 2
-    assert calls["moves.apply_move"] == 2 * 7
+    assert calls["moves.initial_state"] == 1
+    assert calls["moves.apply_move"] == 7
     assert calls["lattice.is_interior_kahler"] == 1
     metrics = out["metrics"]
     assert metrics["moves.apply_move.failed"] == 0
@@ -115,18 +116,19 @@ def test_tracer_installs_and_counts_a_replay():
 
 def test_plan_replays_its_certificate_once():
     # a single-curve corner is replayed once by verify_certificate; a
-    # two-curve corner's peel steps the verifier's Replay as it searches, so
-    # every apply_move inside plan is a move the peel tried and no move of
-    # the returned certificate is applied twice
+    # two-curve corner's peel steps the verifier's Replay as it searches and
+    # the certificate keeps that replay's report, which plan's one
+    # verify_certificate reads: every apply_move inside plan is a move the
+    # peel tried and no move of the returned certificate is applied twice
     out = _traced(PLANS)
     single, pair = out["plans"]
     assert single == {"moves": 1, "verifies": 1, "applies": 1, "steps": 1, "applied": [1]}
     assert pair["moves"] > 1
-    assert pair["verifies"] == 0
+    assert pair["verifies"] == 1
     assert pair["applies"] == pair["steps"] >= pair["moves"]
     assert pair["applied"] == [1] * pair["moves"]
     assert out["calls"]["planner.plan"] == 2
-    assert out["calls"]["moves.verify_certificate"] == 1
+    assert out["calls"]["moves.verify_certificate"] == 2
 
 
 def test_a_support_seen_before_is_not_eliminated_again():
