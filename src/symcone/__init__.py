@@ -1,6 +1,12 @@
 """Exact-arithmetic chamber decompositions and replayable inflation
 certificates for negative-square curve configurations in 4-manifold
-intersection lattices."""
+intersection lattices.
+
+The floating-point lab ``perturb`` is imported on first use: its names are
+resolved by the module ``__getattr__`` below.
+"""
+
+import importlib
 
 from .chambers import (
     Classification,
@@ -80,14 +86,6 @@ from .moves import (
     initial_state,
     verify_certificate,
 )
-from .perturb import (
-    IntersectionRecord,
-    LocalCurveModel,
-    SlopeReport,
-    order_of_contact_study,
-    perturbed_intersections,
-    r_epsilon,
-)
 from .planner import (
     Admissible,
     DualGraph,
@@ -102,3 +100,20 @@ from .planner import (
 )
 
 __version__ = "0.1.0"
+
+_PERTURB_NAMES = frozenset((
+    "IntersectionRecord",
+    "LocalCurveModel",
+    "SlopeReport",
+    "order_of_contact_study",
+    "perturbed_intersections",
+    "r_epsilon",
+))
+
+
+def __getattr__(name):
+    # importlib, not "from . import perturb", which would call back in here
+    if name == "perturb" or name in _PERTURB_NAMES:
+        module = importlib.import_module(".perturb", __name__)
+        return module if name == "perturb" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

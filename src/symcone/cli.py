@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import chambers, documents, models, perturb, planner
+from . import chambers, documents, models, planner
 from .errors import (
     MalformedInputError,
     MoveError,
@@ -37,6 +37,11 @@ EXIT_MALFORMED = 2
 EXIT_UNSUPPORTED = 3
 
 _FAILURE_ERRORS = (PropertyViolationError, NumericalFailureError, MoveError)
+
+# perturb solves every root of every model at every eps, and compares the
+# roots of each eps pairwise: these caps bound that work
+PERTURB_MAX_ORDER = 100
+PERTURB_MAX_VALUES = 8
 
 
 def _emit(lines, payload) -> None:
@@ -280,6 +285,8 @@ def cmd_example(args) -> int:
 
 
 def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
+    from . import perturb
+
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 3:
         raise MalformedInputError(
@@ -291,6 +298,8 @@ def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
         c = float(parts[2])
     except ValueError:
         raise MalformedInputError(f"--model-spec {spec!r}: numbers expected") from None
+    if k > PERTURB_MAX_ORDER:
+        raise MalformedInputError(f"--model-spec {spec!r}: order {k} exceeds {PERTURB_MAX_ORDER}")
     if c == 0:
         return perturb.LocalCurveModel(leading=a, order=k)
     return perturb.LocalCurveModel(
@@ -303,10 +312,15 @@ def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
 
 
 def cmd_perturb(args) -> int:
+    from . import perturb
+
     if not args.model_spec:
         raise MalformedInputError("perturb needs at least one --model-spec")
     if not args.eps:
         raise MalformedInputError("perturb needs at least one --eps")
+    for flag, values in (("--model-spec", args.model_spec), ("--eps", args.eps)):
+        if len(values) > PERTURB_MAX_VALUES:
+            raise MalformedInputError(f"{flag}: at most {PERTURB_MAX_VALUES} values, got {len(values)}")
     lab_models = [_parse_model_spec(s) for s in args.model_spec]
     eps_values = list(args.eps)
     lines: list[str] = []

@@ -8,12 +8,14 @@ parses emits back byte-identically.  Numbers past the interpreter's digit
 limit for integer conversion are rejected with their field path too.
 Classes parse straight into their integer form, and are written from it.
 A checked model is shared by content: a model document equal to one of the
-16 latest distinct ones that passed is not checked again.
+16 latest distinct ones that passed is not checked again, and one seen
+before is found by its marshal bytes without being written as JSON.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import re
 import sys
 from fractions import Fraction
@@ -162,27 +164,42 @@ def model_to_doc(model: CurveModel) -> dict:
     return doc
 
 
-# checked models by the canonical JSON text of their document, oldest first
+# checked models by the canonical JSON text of their document, oldest first,
+# and that text by the marshal bytes of documents that found or made them
 _CHECKED_MODELS_BOUND = 16
 _checked_models: dict[str, tuple[Any, CurveModel]] = {}
+_model_keys: dict[bytes, str] = {}
 
 
 def model_from_doc(doc: Any, where: str = "model") -> CurveModel:
-    """The checked model of a document, shared by equal documents.  A hit
-    needs the same text (1, 1.0 and true differ) and equality with the text
-    decoded (a tuple is not a list); only models that passed are kept."""
+    """The checked model of a document, shared by equal documents.  A kept
+    model is found by the document's marshal bytes, else by its canonical
+    JSON text; a hit needs the same types (1, 1.0 and true differ) and
+    equality with the kept document (a tuple is not a list).  Only models
+    that passed are kept."""
+    try:  # version 2 writes no back-references: equal documents, equal bytes
+        raw = marshal.dumps(doc, 2)
+    except ValueError:  # a _LongInteger, or nested too deeply
+        raw = None
+    else:
+        found = _checked_models.get(_model_keys.get(raw))
+        if found is not None and found[0] == doc:
+            return found[1]
     try:
         key = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError, RecursionError):
         return _checked_model(doc, where)
     found = _checked_models.get(key)
-    if found is not None and found[0] == doc:
-        return found[1]
-    model = _checked_model(doc, where)
-    _checked_models[key] = (json.loads(key), model)
-    if len(_checked_models) > _CHECKED_MODELS_BOUND:
-        del _checked_models[next(iter(_checked_models))]
-    return model
+    if found is None or found[0] != doc:
+        model = _checked_model(doc, where)
+        found = _checked_models[key] = (json.loads(key), model)
+        if len(_checked_models) > _CHECKED_MODELS_BOUND:
+            del _checked_models[next(iter(_checked_models))]
+    if raw is not None:
+        _model_keys[raw] = key
+        if len(_model_keys) > _CHECKED_MODELS_BOUND:
+            del _model_keys[next(iter(_model_keys))]
+    return found[1]
 
 
 def _checked_model(doc: Any, where: str) -> CurveModel:

@@ -499,11 +499,16 @@ def initial_state(cert: Certificate) -> ConfigurationState:
 
 
 def _area_line(state: ConfigurationState) -> str:
-    d = state.current_class.integer_form[0]
-    parts = [
-        f"{o.id}={format_ratio(state._scaled(o.vector), d, 'area')}"
-        for o in state.alive_objects()
-    ]
+    """Each alive object's area, read in one pass off the product the
+    state's class keeps: d A = sum P_i x over the object's terms (i, x)."""
+    d, product = state.current_class.integer_form[0], state._product
+    parts = []
+    for o in state.objects:
+        if o.alive:
+            area = 0
+            for i, x in o.vector.integer_form[1]:
+                area += x * product[i]
+            parts.append(f"{o.id}={format_ratio(area, d, 'area')}")
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 

@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from symcone.documents import certificate_from_doc, parse_class
 from symcone.models import builtin_model
 from symcone.moves import verify_certificate
 
+ROOT = Path(__file__).resolve().parent.parent
 OMEGA0_22 = ",".join(["1"] + ["0"] * 21)
 
 
@@ -350,6 +353,43 @@ def test_perturb_refuses_non_finite_input(capsys, spec, eps, field):
 def test_perturb_needs_models(capsys):
     code, out = run(capsys, "perturb", "--eps", "0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("--model-spec", "1,100000,0", "--eps", "0.1"), "--model-spec '1,100000,0'"),
+    (("--model-spec", f"1,{cli.PERTURB_MAX_ORDER + 1},0", "--eps", "0.1"), "--model-spec"),
+    (("--model-spec", "1,2,0") * (cli.PERTURB_MAX_VALUES + 1) + ("--eps", "0.1"), "--model-spec"),
+    (("--model-spec", "1,2,0") + ("--eps", "0.1") * (cli.PERTURB_MAX_VALUES + 1), "--eps"),
+])
+def test_perturb_refuses_work_past_its_caps_at_once(capsys, args, flag):
+    start = time.perf_counter()
+    code, out = run(capsys, "perturb", *args)
+    assert code == 2
+    assert trailer(out)["error"].startswith(flag)
+    assert time.perf_counter() - start < 5
+
+
+def test_perturb_runs_at_its_caps(capsys):
+    orders = [cli.PERTURB_MAX_ORDER] + [2] * (cli.PERTURB_MAX_VALUES - 1)
+    specs = [f"{a},{k},0" for a, k in enumerate(orders, 1)]
+    code, out = run(capsys, "perturb", *(x for s in specs for x in ("--model-spec", s)),
+                    *(x for e in range(cli.PERTURB_MAX_VALUES) for x in ("--eps", str(0.1 / 2**e))))
+    assert code == 0
+    assert len(trailer(out)["slopes"]) == cli.PERTURB_MAX_VALUES
+
+
+def test_the_perturbation_lab_is_imported_on_first_use():
+    script = (
+        "import sys\nsys.path.insert(0, sys.argv[1])\n"
+        "import symcone, symcone.cli\n"
+        "assert 'symcone.perturb' not in sys.modules\n"
+        "from symcone import r_epsilon\n"
+        "assert symcone.perturb.r_epsilon is r_epsilon\n"
+        "assert symcone.LocalCurveModel is symcone.perturb.LocalCurveModel\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # the exit code of every package error; any error without a more specific

@@ -275,9 +275,13 @@ def _cold(doc):
 
 
 def _warm(clean, doc):
-    """The outcome for doc once an equal-looking clean document is shared."""
+    """The outcome for doc once an equal-looking clean document is shared,
+    in model_to_doc's key order and in the canonical (sorted) order that a
+    document decoded from canonical text has, so that a kept model can be
+    found by a key that depends on key order."""
     documents._checked_models.clear()
     model_from_doc(clean)
+    model_from_doc(json.loads(canonical_json(clean)))
     return _outcome(doc)
 
 

@@ -139,3 +139,17 @@ def test_a_support_seen_before_is_not_eliminated_again():
     assert first["lattice.is_negative_definite"] > 0
     assert again == {"linalg.solve_columns": 0, "lattice.is_negative_definite": 0, "planner.plan": 1}
     assert fresh["linalg.solve_columns"] > 0
+
+
+def test_the_traced_cli_runs_on_a_fresh_import(tmp_path):
+    # the benchmark's traced children install the tracer right after a plain
+    # import (as CHILD above does): it reads the modules it wraps from
+    # sys.modules, so each must be imported eagerly
+    state = tmp_path / "state.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(state), "example", "kk-gamma0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "---JSON---" in proc.stdout.splitlines()
+    assert json.loads(state.read_text(encoding="utf-8"))["calls"]
