@@ -2,24 +2,35 @@
 certificates for negative-square curve configurations in 4-manifold
 intersection lattices.
 
-The floating-point lab ``perturb`` is imported on first use: its names are
-resolved by the module ``__getattr__`` below.
+The modules ``chambers``, ``planner`` and ``perturb`` are registered in
+``sys.modules`` at import but run on the first attribute read, so a process
+that never classifies, plans or perturbs never compiles them.  The names this
+package serves from them are resolved by the module ``__getattr__`` below.
 """
 
-import importlib
+import sys as _sys
+from importlib import util as _util
 
-from .chambers import (
-    Classification,
-    ChamberDescriptor,
-    Membership,
-    boundary_to_interior,
-    chamber_point,
-    classify,
-    corner_point,
-    descriptor_for,
-    reflect,
-    single_curve_shift,
-)
+
+def _register(module: str):
+    """symcone.<module>, put in sys.modules now and run on its first
+    attribute read.  The caller binds it on the package too, so that ``from
+    . import <module>`` finds it there; the import system, which reads the
+    module's __spec__, would run it."""
+    spec = _util.find_spec(f"{__name__}.{module}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    lazy = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+# registered before the eager imports below, so that an eager module which
+# imports one of these runs this lazy module, not a second, eager copy
+chambers = _register("chambers")
+planner = _register("planner")
+perturb = _register("perturb")
+
 from .documents import (
     canonical_json,
     certificate_from_doc,
@@ -59,6 +70,7 @@ from .lattice import (
     IntersectionLattice,
     is_negative_definite,
     neg_inverse,
+    replace,
 )
 from .models import (
     BUILTIN_MODEL_NAMES,
@@ -86,34 +98,37 @@ from .moves import (
     initial_state,
     verify_certificate,
 )
-from .planner import (
-    Admissible,
-    DualGraph,
-    DynkinType,
-    Unsupported,
-    Witness,
-    component_obstruction,
-    dual_graph,
-    dynkin_classify,
-    plan,
-    reflected_chamber_certificate,
-)
 
 __version__ = "0.1.0"
 
-_PERTURB_NAMES = frozenset((
-    "IntersectionRecord",
-    "LocalCurveModel",
-    "SlopeReport",
-    "order_of_contact_study",
-    "perturbed_intersections",
-    "r_epsilon",
-))
+# each lazily run module, with the public names this package serves from it
+_LAZY = {
+    "chambers": (
+        "ChamberDescriptor", "Classification", "Membership", "boundary_to_interior",
+        "chamber_point", "classify", "corner_point", "descriptor_for", "reflect",
+        "single_curve_shift",
+    ),
+    "planner": (
+        "Admissible", "DualGraph", "DynkinType", "Unsupported", "Witness",
+        "component_obstruction", "dual_graph", "dynkin_classify", "plan",
+        "reflected_chamber_certificate",
+    ),
+    "perturb": (
+        "IntersectionRecord", "LocalCurveModel", "SlopeReport", "intersection_table",
+        "order_of_contact_study", "perturbed_intersections", "r_epsilon",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_OWNER]
 
 
 def __getattr__(name):
-    # importlib, not "from . import perturb", which would call back in here
-    if name == "perturb" or name in _PERTURB_NAMES:
-        module = importlib.import_module(".perturb", __name__)
-        return module if name == "perturb" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A name served from a lazy module, which its first read runs; the name
+    is then bound here, as an eager import would have bound it, so later
+    reads do not come back."""
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[module], name)
+    return value

@@ -16,7 +16,6 @@ declared curve.  Asserting it requires the model's completeness flag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     SearchFailureError,
     SingularityError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
+from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice
 
 
 class Membership(enum.Enum):
@@ -39,8 +38,7 @@ class Membership(enum.Enum):
     MIXED_BOUNDARY = "mixed-boundary"
 
 
-@dataclass(frozen=True)
-class ChamberDescriptor:
+class ChamberDescriptor(Frozen):
     """A set G of curve indices with its integer Gram and its definiteness."""
 
     curve_indices: tuple[int, ...]
@@ -48,8 +46,7 @@ class ChamberDescriptor:
     admissible: bool
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     membership: Membership
     descriptor: ChamberDescriptor
     pairings: tuple[Fraction, ...]

@@ -325,9 +325,11 @@ def cmd_perturb(args) -> int:
     eps_values = list(args.eps)
     lines: list[str] = []
     payload: dict = {"epsilons": eps_values, "radius": {}, "records": {}}
+    solved = []  # each eps is solved once, for its table and the slope study
     for eps in eps_values:
         radius = perturb.r_epsilon(lab_models, eps)
         records = perturb.perturbed_intersections(lab_models, eps)
+        solved.append(records)
         lines.append(f"eps = {eps:g}: localization radius {radius:.6g}, "
                      f"{len(records)} intersection(s)")
         lines.extend(perturb.intersection_table(eps, records))
@@ -345,7 +347,7 @@ def cmd_perturb(args) -> int:
             for r in records
         ]
     if len(eps_values) >= 4:
-        reports = perturb.order_of_contact_study(lab_models, eps_values)
+        reports = perturb.order_of_contact_study(lab_models, eps_values, solved)
         payload["slopes"] = []
         for rep in reports:
             if rep.slope is None:

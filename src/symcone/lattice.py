@@ -26,10 +26,10 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -44,8 +44,85 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, init=False)
-class ClassVector:
+class Frozen:
+    """Base of the package's immutable records, built as a frozen dataclass
+    would build them, without the cost of generating code per class.
+
+    A subclass's fields are the names annotated in it and its bases, bases
+    first; a class attribute of the same name is the field's default, and an
+    unannotated attribute is no field.  The constructor takes fields by
+    position or name, then runs __post_init__.  Records compare equal only
+    within one class, hash their field tuple, repr as Qualname(field=value,
+    ...) and refuse assignment and deletion; their __dict__ stays open to
+    cached_property and to a class's own unchecked constructors.  Fields
+    named in _hidden are neither compared nor shown."""
+
+    _hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = {}
+        for klass in reversed(cls.__mro__):
+            fields.update(dict.fromkeys(vars(klass).get("__annotations__", ())))
+        cls._fields = tuple(fields)
+        cls._field_set = frozenset(fields)
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        shown = cls._shown = tuple(name for name in fields if name not in cls._hidden)
+        # the tuple of compared fields, which equality compares and hash hashes
+        if len(shown) > 1:
+            cls._key = attrgetter(*shown)
+        else:  # attrgetter of one name returns the bare value
+            cls._key = lambda record: tuple(getattr(record, name) for name in shown)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if args:  # bound to the first fields, each at most once
+            if len(args) > len(fields) or kwargs and not kwargs.keys().isdisjoint(fields[: len(args)]):
+                raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} fields, each once")
+            kwargs.update(zip(fields, args))
+        if kwargs.keys() != self._field_set:
+            kwargs = {**self._defaults, **kwargs}
+            if kwargs.keys() != self._field_set:
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes the fields {', '.join(fields)}; "
+                    f"missing {sorted(self._field_set - kwargs.keys())}, "
+                    f"unknown {sorted(kwargs.keys() - self._field_set)}"
+                )
+        # kwargs is a fresh dict, so it becomes the record's own; merging it
+        # into __dict__ instead would leave attribute reads slower
+        object.__setattr__(self, "__dict__", kwargs)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__qualname__}")
+
+
+def replace(record: Frozen, /, **changes) -> Frozen:
+    """A copy of record with the named fields changed, made by its class's
+    constructor: every check runs again and nothing the record kept is
+    carried over."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
+class ClassVector(Frozen):
     """A lattice class in basis coordinates, exact throughout.
 
     Its data is its integer form (d, terms): a denominator d > 0 and the
@@ -254,8 +331,7 @@ def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return parts
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Frozen):
     """Integral symmetric pairing with optional canonical and reference data.
 
     The Gram matrix may be given in any exact rationals; it is stored as a
@@ -395,8 +471,7 @@ class IntersectionLattice:
         )
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(Frozen):
     """A declared curve: label, integral homology class, nonnegative genus."""
 
     label: str
@@ -410,8 +485,7 @@ class CurveData:
             raise MalformedInputError(f"curve {self.label!r} must have integer coordinates")
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(Frozen):
     """A lattice together with finitely many negative-square curves.
 
     completeness_assumed records whether the curve list is taken to cut out the

@@ -9,7 +9,6 @@ built-in those assertions run once per process, on its first lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
     PropertyViolationError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
+from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice
 from .moves import (
     Certificate,
     Inflate,
@@ -42,8 +41,7 @@ GAMMA0_GRAM = ((-3, 1, 0, 0), (1, -1, 1, 0), (0, 1, -3, 1), (0, 0, 1, -1))
 # ruled-surface models
 
 
-@dataclass(frozen=True)
-class RuledModel:
+class RuledModel(Frozen):
     """Rank-2 section lattice of a ruled surface: basis {s+k, s-k}."""
 
     base_genus: int
@@ -126,8 +124,7 @@ def ruled_inflation_interval(rm: RuledModel, a) -> tuple[Fraction, Fraction]:
 # dual Hesse arrangement
 
 
-@dataclass(frozen=True)
-class HesseDual:
+class HesseDual(Frozen):
     triples: tuple[str, ...]
     model: CurveModel
 
@@ -179,8 +176,7 @@ def build_hesse_dual() -> HesseDual:
 # Kharlamov-Kulikov model
 
 
-@dataclass(frozen=True)
-class KKModel:
+class KKModel(Frozen):
     model: CurveModel
     extended: bool
     metadata: tuple[tuple[str, str], ...]

@@ -47,7 +47,6 @@ Failures are report entries, never exceptions.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
@@ -64,7 +63,7 @@ from .errors import (
     SymconeError,
     WrongMoveError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice, pairing_components
+from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice, pairing_components
 from .linalg import format_ratio, format_rational
 
 
@@ -79,8 +78,7 @@ def h_param(k: int, g: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class SurfaceObject:
+class SurfaceObject(Frozen):
     id: str
     vector: ClassVector
     genus: int
@@ -116,8 +114,7 @@ def _killed(objects: tuple[SurfaceObject, ...], slots: Iterable[int]) -> tuple[S
     return tuple(objects)
 
 
-@dataclass(frozen=True)
-class ConfigurationState:
+class ConfigurationState(Frozen):
     """Immutable snapshot: running class plus surface objects.
 
     Geometric intersection numbers between alive objects are the homological
@@ -362,8 +359,7 @@ def _require_strings(values, field: str) -> tuple[str, ...]:
     raise MalformedInputError(f"{field}: expected a collection of strings")
 
 
-@dataclass(frozen=True)
-class _Inflation:
+class _Inflation(Frozen):
     object_id: str
     t: Fraction
 
@@ -381,8 +377,7 @@ class InflateNonneg(_Inflation):
     op = "inflate_nonneg"  # along a nonnegative-square object, which survives
 
 
-@dataclass(frozen=True)
-class SmoothAndReinstate:
+class SmoothAndReinstate(Frozen):
     constituent_ids: tuple[str, ...]
     reinstate_ids: tuple[str, ...]
     new_id: str
@@ -421,8 +416,7 @@ def describe_move(move: Move) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Replayable proof that the target class admits symplectic forms.
     Ill-typed fields raise MalformedInputError; moves check their own.
 
@@ -465,8 +459,7 @@ class MoveRecord(NamedTuple):
     after: ConfigurationState | None
 
 
-@dataclass(frozen=True, init=False)
-class VerificationReport:
+class VerificationReport(Frozen):
     """A replay's verdict, first failure, final class and move records.
 
     The lines given as entries may include callables, which the verifier

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     PropertyViolationError,
     RangeError,
 )
+from .lattice import Frozen
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -31,8 +31,7 @@ DISTINCT_TOL = 1e-10
 EXCLUDE_DISTANCE = 1e-14
 
 
-@dataclass(frozen=True)
-class LocalCurveModel:
+class LocalCurveModel(Frozen):
     """One local branch difference g(z) = a z^k + r(z), |r(z)| <= c |z|^(k+1).
 
     The remainder callable is optional (pure monomial without it); passing its
@@ -104,8 +103,7 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     return radius
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
+class IntersectionRecord(Frozen):
     model_index: int
     root_index: int
     point: complex
@@ -212,8 +210,7 @@ def perturbed_intersections(
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(Frozen):
     """Least-squares slope of log(distance) against log(eps) for one model.
 
     Distances below the rounding floor are excluded; with fewer than two
@@ -227,20 +224,27 @@ class SlopeReport:
 
 
 def order_of_contact_study(
-    models: Sequence[LocalCurveModel], eps_list: Sequence[float]
+    models: Sequence[LocalCurveModel],
+    eps_list: Sequence[float],
+    solved: Sequence[Sequence[IntersectionRecord]] | None = None,
 ) -> tuple[SlopeReport, ...]:
+    """One SlopeReport per model, over the eps of eps_list.  solved, from a
+    caller that has already solved them, holds perturbed_intersections(models,
+    eps) for each eps in order; else every eps is checked by r_epsilon, then
+    solved."""
     eps_values = [float(e) for e in eps_list]
     if len(eps_values) < 4:
         raise RangeError("need at least 4 epsilon values for a slope study")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise RangeError("epsilon values must be strictly decreasing")
     models = tuple(models)
-    for e in eps_values:
-        r_epsilon(models, e)
+    if solved is None:
+        for e in eps_values:
+            r_epsilon(models, e)
+        solved = [perturbed_intersections(models, e) for e in eps_values]
     points: dict[int, list[tuple[float, float]]] = {i: [] for i in range(len(models))}
     dropped: dict[int, int] = {i: 0 for i in range(len(models))}
-    for e in eps_values:
-        records = perturbed_intersections(models, e)
+    for e, records in zip(eps_values, solved, strict=True):
         worst: dict[int, float] = {}
         for rec in records:
             worst[rec.model_index] = max(worst.get(rec.model_index, 0.0), rec.distance)

@@ -14,14 +14,13 @@ plan's single inflation to the reflected class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .chambers import Membership, classify, reflect
 from .errors import PreconditionError, PropertyViolationError, SymconeError
-from .lattice import ClassVector, CurveModel, Support, neg_inverse
+from .lattice import ClassVector, CurveModel, Frozen, Support, neg_inverse
 from .linalg import format_rational
 from .moves import (
     Certificate,
@@ -41,14 +40,14 @@ _R_SWEEP = tuple(Fraction(2) ** p for p in range(8, -17, -1))
 _PEEL_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(Frozen):
     """Intersection pattern of a curve subset; vertices are curve indices and
     pairings is their integer Gram, read off the model's Support of them."""
 
     indices: tuple[int, ...]
     pairings: tuple[tuple[int, ...], ...]
-    support: Support = field(repr=False, compare=False)
+    support: Support
+    _hidden = ("support",)  # neither compared nor shown
 
     def degree(self, position: int) -> int:
         row = self.pairings[position]
@@ -72,8 +71,7 @@ def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualG
     return DualGraph(indices=support.indices, pairings=support.gram, support=support)
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Frozen):
     series: str  # "A", "D", "E", or "none"
     rank: int
 
@@ -134,14 +132,12 @@ def dynkin_classify(graph: DualGraph) -> DynkinType:
     return none
 
 
-@dataclass(frozen=True)
-class Admissible:
+class Admissible(Frozen):
     indices: tuple[int, ...]
     minors: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """Nonnegative curve combination of nonnegative square: an exact
     obstruction to negative definiteness."""
 
@@ -225,8 +221,7 @@ def _obstruction(support: Support):
     return Witness(indices=idx, coefficients=c, square=Fraction(square_of(c)))
 
 
-@dataclass(frozen=True)
-class Unsupported:
+class Unsupported(Frozen):
     """Planner refusal with a reason and exact supporting data."""
 
     reason: str

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from symcone import cli, errors, planner
+from symcone import cli, errors, perturb, planner
 from symcone.cli import SENTINEL, main
 from symcone.documents import certificate_from_doc, parse_class
 from symcone.models import builtin_model
@@ -380,14 +380,61 @@ def test_perturb_runs_at_its_caps(capsys):
 
 def test_the_perturbation_lab_is_imported_on_first_use():
     script = (
-        "import sys\nsys.path.insert(0, sys.argv[1])\n"
+        "import sys, types\nsys.path.insert(0, sys.argv[1])\n"
         "import symcone, symcone.cli\n"
-        "assert 'symcone.perturb' not in sys.modules\n"
+        "assert type(sys.modules['symcone.perturb']) is not types.ModuleType\n"
         "from symcone import r_epsilon\n"
         "assert symcone.perturb.r_epsilon is r_epsilon\n"
         "assert symcone.LocalCurveModel is symcone.perturb.LocalCurveModel\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perturb_solves_each_eps_once(capsys, monkeypatch):
+    calls = {"perturbed_intersections": 0, "r_epsilon": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(perturb, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(perturb, name, counted)
+    specs, eps = ("1,2,0.1", "2,3,0"), ("0.1", "0.05", "0.02", "0.01")
+    code, out = run(capsys, "perturb", *(x for s in specs for x in ("--model-spec", s)),
+                    *(x for e in eps for x in ("--eps", e)))
+    assert code == 0
+    assert calls["perturbed_intersections"] == 4 and calls["r_epsilon"] <= 8
+    monkeypatch.undo()
+    # the slopes are those of a study that solves every eps itself
+    study = perturb.order_of_contact_study([cli._parse_model_spec(s) for s in specs], map(float, eps))
+    assert trailer(out)["slopes"] == [
+        {"model": r.model_index, "slope": r.slope, "residual": r.residual, "used": r.used,
+         "excluded": r.excluded}
+        for r in study
+    ]
+
+
+LOADS = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+from symcone import cli
+
+def loaded(name):
+    # type() reads the module without running it
+    return type(sys.modules["symcone." + name]) is types.ModuleType
+
+assert cli.main(["verify", sys.argv[2]]) == 0
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+assert not any(map(loaded, ("chambers", "planner", "perturb")))
+assert cli.main(["plan", "--model", "kk-gamma0", "--class", sys.argv[3]]) == 0
+assert loaded("chambers") and loaded("planner") and not loaded("perturb")
+"""
+
+
+def test_a_verify_child_runs_neither_chambers_nor_planner(capsys, tmp_path):
+    certificate = tmp_path / "certificate.txt"
+    certificate.write_text(run(capsys, "example", "kk-gamma0", "--certificate")[1], encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", LOADS, str(ROOT / "src"), str(certificate), OMEGA0_22],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 

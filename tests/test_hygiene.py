@@ -2,7 +2,8 @@
 and every test file uses each name it imports; every function, method and
 class the package defines is referenced; the package's modules import each
 other without a cycle, and chambers sits below the move engine and the
-planner."""
+planner.  No module imports dataclasses, and the package serves every public
+name of the modules it loads lazily."""
 
 import ast
 import graphlib
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import symcone
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "symcone").glob("*.py"))
@@ -175,3 +178,40 @@ def test_the_import_graph_sees_every_import_form():
         "from symcone.planner import plan\nimport os\nfrom fractions import Fraction\n"
     )
     assert package_imports(tree) == {"linalg", "moves", "lattice", "planner"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules a file imports absolutely."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # records derive from lattice.Frozen; dataclasses, with the inspect it
+    # pulls in, was a large share of a CLI child's start
+    for path in SOURCES:
+        assert "dataclasses" not in imported_modules(ast.parse(path.read_text(encoding="utf-8"))), path.name
+
+
+def test_the_lazy_name_table_serves_the_public_names_of_each_lazy_module():
+    for module, names in symcone._LAZY.items():
+        tree = ast.parse((ROOT / "src" / "symcone" / f"{module}.py").read_text(encoding="utf-8"))
+        public = {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        assert sorted(names) == sorted(public), module
+    assert set(symcone._LAZY) == {"chambers", "planner", "perturb"}
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from symcone import *", namespace)
+    for name in ("plan", "classify", "r_epsilon", "replace"):
+        assert namespace[name] is getattr(symcone, name)
+    assert set(symcone._OWNER) <= namespace.keys()

@@ -1,7 +1,7 @@
 """Built-in model builders: ruled surfaces, dual Hesse, the 21-curve lattice,
 the four-curve path sub-model, and the E6 fixture."""
 
-from dataclasses import replace
+from symcone import replace
 from fractions import Fraction
 
 import pytest

@@ -3,7 +3,7 @@ import hashlib
 import math
 import random
 import sys
-from dataclasses import replace
+from symcone import replace
 from fractions import Fraction
 
 import pytest

@@ -6,7 +6,7 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from symcone import replace
 from fractions import Fraction
 from pathlib import Path
 

@@ -144,7 +144,7 @@ def test_a_support_seen_before_is_not_eliminated_again():
 def test_the_traced_cli_runs_on_a_fresh_import(tmp_path):
     # the benchmark's traced children install the tracer right after a plain
     # import (as CHILD above does): it reads the modules it wraps from
-    # sys.modules, so each must be imported eagerly
+    # sys.modules, so each must be registered at import, run on first read
     state = tmp_path / "state.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(state), "example", "kk-gamma0"],
