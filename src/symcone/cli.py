@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import chambers, documents, models, planner
+from . import chambers, documents, models, perturb, planner
 from .errors import (
     MalformedInputError,
     MoveError,
@@ -234,7 +234,7 @@ def cmd_dynkin(args) -> int:
         indices = tuple(range(len(model.curves)))
     graph = planner.dual_graph(model, indices)
     overall = planner.dynkin_classify(graph)
-    lines = [f"selected curves: {len(indices)}", f"overall: {overall.label}"]
+    lines = [f"selected curves: {len(graph.indices)}", f"overall: {overall.label}"]
     components = []
     for comp in graph.components():
         sub = planner.dual_graph(model, comp)
@@ -285,8 +285,6 @@ def cmd_example(args) -> int:
 
 
 def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
-    from . import perturb
-
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 3:
         raise MalformedInputError(
@@ -312,8 +310,6 @@ def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
 
 
 def cmd_perturb(args) -> int:
-    from . import perturb
-
     if not args.model_spec:
         raise MalformedInputError("perturb needs at least one --model-spec")
     if not args.eps:

@@ -7,9 +7,9 @@ missing fields are rejected with a field-path diagnostic.  A document that
 parses emits back byte-identically.  Numbers past the interpreter's digit
 limit for integer conversion are rejected with their field path too.
 Classes parse straight into their integer form, and are written from it.
-A checked model is shared by content: a model document equal to one of the
-16 latest distinct ones that passed is not checked again, and one seen
-before is found by its marshal bytes without being written as JSON.
+A checked model is kept by the marshal bytes of its document: a model
+document with the bytes of one of the 16 latest distinct ones that passed
+is not checked again.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import lcm
 from typing import Any, Mapping, Sequence
 
 from . import models as models_mod
-from .errors import DocumentError
+from .errors import DocumentError, MalformedInputError
 from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from .linalg import format_rational
 from .moves import (
@@ -164,42 +164,27 @@ def model_to_doc(model: CurveModel) -> dict:
     return doc
 
 
-# checked models by the canonical JSON text of their document, oldest first,
-# and that text by the marshal bytes of documents that found or made them
+# checked models by the version-2 marshal bytes of their document, oldest first
 _CHECKED_MODELS_BOUND = 16
-_checked_models: dict[str, tuple[Any, CurveModel]] = {}
-_model_keys: dict[bytes, str] = {}
+_checked_models: dict[bytes, CurveModel] = {}
 
 
 def model_from_doc(doc: Any, where: str = "model") -> CurveModel:
-    """The checked model of a document, shared by equal documents.  A kept
-    model is found by the document's marshal bytes, else by its canonical
-    JSON text; a hit needs the same types (1, 1.0 and true differ) and
-    equality with the kept document (a tuple is not a list).  Only models
-    that passed are kept."""
-    try:  # version 2 writes no back-references: equal documents, equal bytes
-        raw = marshal.dumps(doc, 2)
-    except ValueError:  # a _LongInteger, or nested too deeply
-        raw = None
-    else:
-        found = _checked_models.get(_model_keys.get(raw))
-        if found is not None and found[0] == doc:
-            return found[1]
+    """The checked model of a document, shared by documents with equal
+    version-2 marshal bytes.  That version writes no back-references, gives
+    1, 1.0 and true different type codes, and a list and a tuple too, and
+    refuses subclasses of built-in types, so equal bytes mean equal
+    documents of equal types.  Only models that passed are kept."""
     try:
-        key = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError, RecursionError):
+        key = marshal.dumps(doc, 2)
+    except ValueError:  # a Fraction, a _LongInteger, or nested too deeply
         return _checked_model(doc, where)
-    found = _checked_models.get(key)
-    if found is None or found[0] != doc:
-        model = _checked_model(doc, where)
-        found = _checked_models[key] = (json.loads(key), model)
+    model = _checked_models.get(key)
+    if model is None:
+        model = _checked_models[key] = _checked_model(doc, where)
         if len(_checked_models) > _CHECKED_MODELS_BOUND:
             del _checked_models[next(iter(_checked_models))]
-    if raw is not None:
-        _model_keys[raw] = key
-        if len(_model_keys) > _CHECKED_MODELS_BOUND:
-            del _model_keys[next(iter(_model_keys))]
-    return found[1]
+    return model
 
 
 def _checked_model(doc: Any, where: str) -> CurveModel:
@@ -333,7 +318,10 @@ def certificate_from_doc(doc: Any) -> Certificate:
     )
     model_doc = doc["model"]
     if isinstance(model_doc, str):
-        model = models_mod.builtin_model(model_doc)
+        try:
+            model = models_mod.builtin_model(model_doc)
+        except MalformedInputError as exc:
+            raise DocumentError(f"{where}.model: {exc}") from None
     else:
         model = model_from_doc(model_doc, where=f"{where}.model")
     rank = model.lattice.rank

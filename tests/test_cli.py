@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,6 +295,10 @@ def test_dynkin_components(capsys):
     assert len(payload["components"]) == 1
     code, out = run(capsys, "dynkin", "--model", "e6", "--curves", "e1,e2")
     assert trailer(out)["overall"] == "A2"
+    # a repeated label is one vertex, and is counted once
+    code, out = run(capsys, "dynkin", "--model", "e6", "--curves", "e1,e1", "--curves", "e2")
+    assert "selected curves: 2" in out.splitlines()
+    assert trailer(out)["overall"] == "A2"
 
 
 def test_example_ruled_needs_flags(capsys):
@@ -390,6 +395,10 @@ def test_the_perturbation_lab_is_imported_on_first_use():
     proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_model_spec_parser_names_its_return_type():
+    assert typing.get_type_hints(cli._parse_model_spec)["return"] is perturb.LocalCurveModel
 
 
 def test_perturb_solves_each_eps_once(capsys, monkeypatch):

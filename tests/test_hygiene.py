@@ -2,8 +2,8 @@
 and every test file uses each name it imports; every function, method and
 class the package defines is referenced; the package's modules import each
 other without a cycle, and chambers sits below the move engine and the
-planner.  No module imports dataclasses, and the package serves every public
-name of the modules it loads lazily."""
+planner.  No module imports dataclasses or imports inside a function, and
+the package serves every public name of the modules it loads lazily."""
 
 import ast
 import graphlib
@@ -196,6 +196,32 @@ def test_no_module_imports_dataclasses():
     # pulls in, was a large share of a CLI child's start
     for path in SOURCES:
         assert "dataclasses" not in imported_modules(ast.parse(path.read_text(encoding="utf-8"))), path.name
+
+
+def local_imports(tree: ast.Module) -> list[int]:
+    """The lines of the imports made inside a function."""
+    return sorted({
+        node.lineno
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_module_imports_inside_a_function():
+    # symcone/__init__ registers the modules loaded on first use lazily, so a
+    # top-level import of one binds it without running it
+    for path in SOURCES:
+        assert local_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+
+
+def test_the_check_sees_an_import_inside_a_function():
+    tree = ast.parse(
+        "import os\ndef f():\n    from . import perturb\n"
+        "    def g():\n        import json\n"
+    )
+    assert local_imports(tree) == [3, 5]
 
 
 def test_the_lazy_name_table_serves_the_public_names_of_each_lazy_module():
