@@ -298,15 +298,7 @@ def _parse_model_spec(spec: str) -> perturb.LocalCurveModel:
         raise MalformedInputError(f"--model-spec {spec!r}: numbers expected") from None
     if k > PERTURB_MAX_ORDER:
         raise MalformedInputError(f"--model-spec {spec!r}: order {k} exceeds {PERTURB_MAX_ORDER}")
-    if c == 0:
-        return perturb.LocalCurveModel(leading=a, order=k)
-    return perturb.LocalCurveModel(
-        leading=a,
-        order=k,
-        remainder=lambda z: c * z ** (k + 1),
-        remainder_bound=abs(c),
-        remainder_deriv=lambda z: (k + 1) * c * z**k,
-    )
+    return perturb.LocalCurveModel(a, k, c)
 
 
 def cmd_perturb(args) -> int:

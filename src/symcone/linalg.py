@@ -83,14 +83,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
-def mat_vec(mat: Matrix, vec: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, vec) for row in mat)
-
-
-def submatrix(mat: Matrix, indices: Sequence[int]) -> Matrix:
-    return tuple(tuple(mat[i][j] for j in indices) for i in indices)
-
-
 def _integer_rows(mat: Matrix, extra: Sequence[Sequence] = ()) -> tuple[list[list[int]], int]:
     """The one way into elimination: mutable integer rows equal to
     d * [mat | extra columns], with d > 0.
@@ -181,7 +173,7 @@ def leading_principal_minors(mat: Matrix) -> tuple[Fraction, ...]:
     pivot need a determinant of their own."""
     minors = pivot_minors(mat)
     rest = range(len(minors) + 1, len(mat) + 1)
-    return minors + tuple(det(submatrix(mat, range(m))) for m in rest)
+    return minors + tuple(det(tuple(row[:m] for row in mat[:m])) for m in rest)
 
 
 def solve_columns(mat: Matrix, columns: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:

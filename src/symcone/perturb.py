@@ -1,9 +1,10 @@
 """Floating-point study of tangency splitting.
 
-A branch difference g(z) = a z^k + r(z) with a k-fold tangency at the origin,
-pushed off by a constant eps^2, must meet zero in exactly k transverse points
-near the scaled k-th roots of unity.  This module checks that numerically:
-damped Newton from the predicted seeds, Wirtinger-sign transversality, and a
+A branch difference g(z) = a z^k + c z^(k+1) with a k-fold tangency at the
+origin, pushed off by a constant eps^2, must meet zero in exactly k transverse
+points near the scaled k-th roots of unity.  This module checks that
+numerically: damped Newton from the predicted seeds, the transversality sign
+|g'|^2 (the Wirtinger sign |g_z|^2 - |g_zbar|^2 of a holomorphic g), and a
 log-log fit of the seed-to-root distance against eps (theoretical slope 4/k).
 
 Everything else in the package is exact rational arithmetic; this module alone
@@ -15,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import statistics
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     MalformedInputError,
@@ -32,50 +33,41 @@ EXCLUDE_DISTANCE = 1e-14
 
 
 class LocalCurveModel(Frozen):
-    """One local branch difference g(z) = a z^k + r(z), |r(z)| <= c |z|^(k+1).
-
-    The remainder callable is optional (pure monomial without it); passing its
-    holomorphic derivative makes Newton and the transversality sign exact
-    instead of finite-differenced."""
+    """One local branch difference g(z) = a z^k + c z^(k+1), c the remainder
+    coefficient (default 0, a pure monomial); |c| bounds the remainder."""
 
     leading: complex
     order: int
-    remainder: Callable[[complex], complex] | None = None
-    remainder_bound: float = 0.0
-    remainder_deriv: Callable[[complex], complex] | None = None
+    remainder: complex = 0
 
     def __post_init__(self):
-        if not cmath.isfinite(self.leading):
-            raise MalformedInputError(f"leading coefficient must be finite, not {self.leading!r}")
-        if not math.isfinite(self.remainder_bound):
-            raise MalformedInputError(f"remainder_bound must be finite, not {self.remainder_bound!r}")
+        for name, x in (("leading", self.leading), ("remainder", self.remainder)):
+            if not (isinstance(x, (int, float, complex)) and cmath.isfinite(x)):
+                raise MalformedInputError(f"{name} coefficient must be finite, not {x!r}")
         if self.leading == 0:
             raise MalformedInputError("leading coefficient must be nonzero")
         if not isinstance(self.order, int) or self.order < 1:
             raise MalformedInputError("order must be a positive integer")
-        if self.remainder_bound < 0:
-            raise MalformedInputError("remainder bound must be nonnegative")
 
     def value(self, z: complex) -> complex:
         out = self.leading * z**self.order
-        if self.remainder is not None:
-            out = out + self.remainder(z)
+        # a zero c adds no 0 z^(k+1) term, which could flip the sign of a
+        # zero imaginary part
+        if self.remainder:
+            out += self.remainder * z ** (self.order + 1)
         return out
 
     def derivative(self, z: complex) -> complex:
-        lead = self.order * self.leading * z ** (self.order - 1)
-        if self.remainder is None:
-            return lead
-        if self.remainder_deriv is not None:
-            return lead + self.remainder_deriv(z)
-        h = max(abs(z), 1e-8) * 1e-5
-        return lead + (self.remainder(z + h) - self.remainder(z - h)) / (2 * h)
+        out = self.order * self.leading * z ** (self.order - 1)
+        if self.remainder:
+            out += (self.order + 1) * self.remainder * z**self.order
+        return out
 
 
 def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     """Localization radius R = max_i (2 eps / |a_i|)^(1/k_i).
 
-    Admits eps only when sqrt(R) < min_i |a_i| / (2 c_i) and every predicted
+    Admits eps only when sqrt(R) < min_i |a_i| / (2 |c_i|) and every predicted
     root lies inside the disk of radius R; otherwise raises a range error
     naming the violated bound."""
     models = tuple(models)
@@ -87,7 +79,7 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     if eps <= 0:
         raise MalformedInputError("eps must be positive")
     radius = max((2 * eps / abs(m.leading)) ** (1.0 / m.order) for m in models)
-    caps = [abs(m.leading) / (2 * m.remainder_bound) for m in models if m.remainder_bound > 0]
+    caps = [abs(m.leading) / (2 * abs(m.remainder)) for m in models if m.remainder]
     if caps and not math.sqrt(radius) < min(caps):
         raise RangeError(
             f"smallness bound violated: sqrt(R) = {math.sqrt(radius):.6g} "
@@ -138,19 +130,6 @@ def _newton(model: LocalCurveModel, target: complex, seed: complex) -> complex:
     )
 
 
-def _transversality_sign(model: LocalCurveModel, z: complex) -> float:
-    """|g_z|^2 - |g_zbar|^2 at z: positive iff the zero is a positive
-    transverse intersection."""
-    if model.remainder is None or model.remainder_deriv is not None:
-        return abs(model.derivative(z)) ** 2
-    h = max(abs(z), 1e-8) * 1e-4
-    gx = (model.value(z + h) - model.value(z - h)) / (2 * h)
-    gy = (model.value(z + h * 1j) - model.value(z - h * 1j)) / (2 * h)
-    d_z = (gx - 1j * gy) / 2
-    d_zbar = (gx + 1j * gy) / 2
-    return abs(d_z) ** 2 - abs(d_zbar) ** 2
-
-
 def perturbed_intersections(
     models: Sequence[LocalCurveModel], eps: float
 ) -> tuple[IntersectionRecord, ...]:
@@ -183,7 +162,7 @@ def perturbed_intersections(
                     f"model {index}: solution at |z| = {abs(z):.6g} escapes the "
                     f"localization disk R = {radius:.6g}"
                 )
-            sign = _transversality_sign(model, z)
+            sign = abs(model.derivative(z)) ** 2
             if not sign > 0:
                 raise PropertyViolationError(
                     f"model {index}: non-positive transversality sign {sign:.6g}"
@@ -256,27 +235,16 @@ def order_of_contact_study(
     reports = []
     for i in range(len(models)):
         pts = points[i]
+        slope = residual = None
         if len(pts) >= 2:
             fit = statistics.linear_regression([p[0] for p in pts], [p[1] for p in pts])
+            slope = fit.slope
             residual = math.sqrt(
                 sum((y - (fit.slope * x + fit.intercept)) ** 2 for x, y in pts) / len(pts)
             )
-            reports.append(
-                SlopeReport(
-                    model_index=i,
-                    slope=fit.slope,
-                    residual=residual,
-                    used=len(pts),
-                    excluded=dropped[i],
-                )
-            )
-        else:
-            reports.append(
-                SlopeReport(
-                    model_index=i, slope=None, residual=None,
-                    used=len(pts), excluded=dropped[i],
-                )
-            )
+        reports.append(
+            SlopeReport(model_index=i, slope=slope, residual=residual, used=len(pts), excluded=dropped[i])
+        )
     return tuple(reports)
 
 

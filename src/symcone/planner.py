@@ -436,10 +436,12 @@ def _sweep_plan(
     if replay.failure is None:
         try:
             replay = _Peeler(model).peel(replay, u)
-        except _PlanFail as exc:
+        except (_PlanFail, RecursionError) as exc:
+            # the peel recurses once per node, so a long chain can outrun the stack
+            why = exc.args if isinstance(exc, _PlanFail) else ("recursion depth exceeded",)
             return Unsupported(
                 reason="the deficit does not peel into moves",
-                detail=(("peel", exc.args[0]), *exc.args[1:], ("r", format_rational(r, "r"))),
+                detail=(("peel", why[0]), *why[1:], ("r", format_rational(r, "r"))),
             )
     moves = tuple(record.move for record in replay.records())
     notes = list(annotations)

@@ -66,6 +66,11 @@ def brute_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
+def mat_vec(matrix, vector) -> tuple[Fraction, ...]:
+    """Row-by-row matrix-vector product."""
+    return tuple(sum((Fraction(a) * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix)
+
+
 def random_rational_matrix(rng: random.Random, n: int):
     return [
         [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]

@@ -211,10 +211,7 @@ def test_acceptance_9_order_of_contact_slopes():
     }
     slopes = {}
     for k, sweep in sweeps.items():
-        model = LocalCurveModel(
-            1.0, k, remainder=lambda z, k=k: z ** (k + 1), remainder_bound=1.0,
-            remainder_deriv=lambda z, k=k: (k + 1) * z ** k,
-        )
+        model = LocalCurveModel(1.0, k, remainder=1.0)
         for eps in sweep:
             records = perturbed_intersections([model], eps)
             assert len(records) == k

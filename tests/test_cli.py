@@ -343,7 +343,7 @@ def test_perturb_out_of_range_eps(capsys):
 
 
 @pytest.mark.parametrize("spec, eps, field", [
-    ("1,2,nan", "0.1", "remainder_bound"),
+    ("1,2,nan", "0.1", "remainder"),
     ("inf,2,0", "0.1", "leading"),
     ("nan,2,0.1", "0.1", "leading"),
     ("1,2,0", "nan", "eps"),

@@ -2,8 +2,9 @@
 and every test file uses each name it imports; every function, method and
 class the package defines is referenced; the package's modules import each
 other without a cycle, and chambers sits below the move engine and the
-planner.  No module imports dataclasses or imports inside a function, and
-the package serves every public name of the modules it loads lazily."""
+planner.  No module imports dataclasses or imports inside a function, the
+package serves every public name of the modules it loads lazily, and no
+module but perturb (and cli, which parses its numbers) uses floats."""
 
 import ast
 import graphlib
@@ -241,3 +242,44 @@ def test_a_star_import_binds_every_public_name():
     for name in ("plan", "classify", "r_epsilon", "replace"):
         assert namespace[name] is getattr(symcone, name)
     assert set(symcone._OWNER) <= namespace.keys()
+
+
+# perturb is the floating-point lab, and cli parses its a,k,c and --eps
+INEXACT_ALLOWED = {"perturb.py", "cli.py"}
+EXACT_MATH = {"gcd", "lcm", "isqrt"}
+
+
+def inexact_uses(tree: ast.Module) -> list[str]:
+    """Each float or complex literal, float() or complex() call, and import
+    of cmath, statistics, math as a whole or a math name other than gcd, lcm
+    and isqrt, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"{node.lineno} {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex"):
+            found.append(f"{node.lineno} {node.func.id}()")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno} import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] in ("cmath", "math", "statistics")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in ("cmath", "math", "statistics"):
+            found += [f"{node.lineno} {node.module}.{alias.name}" for alias in node.names
+                      if node.module != "math" or alias.name not in EXACT_MATH]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in INEXACT_ALLOWED], ids=lambda p: p.name)
+def test_no_floats_outside_perturb(path):
+    inexact = inexact_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not inexact, ", ".join(inexact)
+
+
+def test_the_check_sees_a_float():
+    tree = ast.parse(
+        "import math, cmath\nfrom math import gcd, sqrt\nfrom statistics import mean\n"
+        "from .linalg import lcm\nx = 0.5 + 2j + 3\ny = float('1') + complex(1)\nz = int(1)\n"
+    )
+    assert sorted(inexact_uses(tree)) == [
+        "1 import cmath", "1 import math", "2 math.sqrt", "3 statistics.mean",
+        "5 0.5", "5 2j", "6 complex()", "6 float()",
+    ]

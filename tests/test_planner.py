@@ -852,6 +852,49 @@ def test_a_peel_refusal_names_its_last_candidate_and_its_failure():
     )
 
 
+DEEP_CHAIN = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from symcone import chambers
+from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
+from symcone.planner import plan
+n = 80
+gram = [[0] * (n + 1) for _ in range(n + 1)]
+gram[0][0] = 1000
+for i in range(1, n + 1):
+    gram[0][i] = gram[i][0] = 1
+    gram[i][i] = -2
+    if i < n:
+        gram[i][i + 1] = gram[i + 1][i] = 1
+lattice = IntersectionLattice(
+    gram=tuple(tuple(Fraction(v) for v in row) for row in gram),
+    basis_labels=("w",) + tuple(f"x{i}" for i in range(n)),
+    reference_class=ClassVector.basis(n + 1, 0),
+)
+curves = tuple(CurveData(f"x{i}", ClassVector.basis(n + 1, i + 1), 0) for i in range(n))
+model = CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+corner = chambers.corner_point(model, lattice.reference_class, range(n))
+sys.setrecursionlimit(50)
+result = plan(model, corner)
+print(type(result).__name__, result.reason, dict(result.detail)["peel"], sep="|")
+"""
+
+
+def test_a_peel_deeper_than_the_stack_is_refused():
+    """The peel recurses once per node: on the corner of all of an A_80
+    chain, w pairing 1 with each curve, under a recursion limit of 50 the
+    plan is refused, not raised."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_CHAIN, str(PERFBENCH.parent / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0].split("|") == [
+        "Unsupported", "the deficit does not peel into moves", "recursion depth exceeded",
+    ]
+
+
 def test_a_nested_peel_refusal_gives_its_headline_alone(monkeypatch):
     """Every candidate of more than one curve fails, and so does a single
     curve's on the last one left: the top node's last candidate, c3, fails
