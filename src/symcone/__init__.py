@@ -68,6 +68,7 @@ from .lattice import (
     CurveData,
     CurveModel,
     IntersectionLattice,
+    Support,
     is_negative_definite,
     neg_inverse,
     replace,
@@ -104,14 +105,12 @@ __version__ = "0.1.0"
 # each lazily run module, with the public names this package serves from it
 _LAZY = {
     "chambers": (
-        "ChamberDescriptor", "Classification", "Membership", "boundary_to_interior",
-        "chamber_point", "classify", "corner_point", "descriptor_for", "reflect",
-        "single_curve_shift",
+        "Classification", "Membership", "boundary_to_interior", "chamber_point",
+        "classify", "corner_point", "descriptor_for", "reflect", "single_curve_shift",
     ),
     "planner": (
-        "Admissible", "DualGraph", "DynkinType", "Unsupported", "Witness",
-        "component_obstruction", "dual_graph", "dynkin_classify", "plan",
-        "reflected_chamber_certificate",
+        "DynkinType", "Unsupported", "Witness", "component_obstruction", "dual_graph",
+        "dynkin_classify", "plan", "reflected_chamber_certificate",
     ),
     "perturb": (
         "IntersectionRecord", "LocalCurveModel", "SlopeReport", "intersection_table",

@@ -28,7 +28,7 @@ from .errors import (
     SearchFailureError,
     SingularityError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice
+from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice, Support
 
 
 class Membership(enum.Enum):
@@ -38,41 +38,29 @@ class Membership(enum.Enum):
     MIXED_BOUNDARY = "mixed-boundary"
 
 
-class ChamberDescriptor(Frozen):
-    """A set G of curve indices with its integer Gram and its definiteness."""
-
-    curve_indices: tuple[int, ...]
-    gram_restriction: tuple[tuple[int, ...], ...]
-    admissible: bool
-
-
 class Classification(Frozen):
     membership: Membership
-    descriptor: ChamberDescriptor
+    descriptor: Support
     pairings: tuple[Fraction, ...]
 
 
-def descriptor_for(model: CurveModel, indices: Sequence[int]) -> ChamberDescriptor:
-    """The descriptor of a set of curve indices, read off the model's
-    Support of it (decided once per model)."""
-    support = model.support(indices)
-    return ChamberDescriptor(
-        curve_indices=support.indices,
-        gram_restriction=support.gram,
-        admissible=support.negative_definite,
-    )
+def descriptor_for(model: CurveModel, indices: Sequence[int]) -> Support:
+    """The model's Support of a set of curve indices."""
+    return model.support(indices)
 
 
-def _admissible_descriptor(model: CurveModel, G) -> ChamberDescriptor:
-    """G, a descriptor or curve indices, as a nonempty admissible descriptor."""
-    descriptor = G if isinstance(G, ChamberDescriptor) else descriptor_for(model, G)
-    if not descriptor.curve_indices:
+def _admissible_descriptor(model: CurveModel, G) -> Support:
+    """G, a Support or curve indices, as the model's nonempty admissible
+    Support of it.  A Support is looked up again by its indices, so one from
+    another model never lends its Gram or inverse."""
+    support = model.support(G.indices) if isinstance(G, Support) else descriptor_for(model, G)
+    if not support.indices:
         raise PreconditionError("empty curve set")
-    if not descriptor.admissible:
+    if not support.admissible:
         raise DefinitenessError(
             "curve set is not admissible (restricted Gram is not negative definite)"
         )
-    return descriptor
+    return support
 
 
 def classify(model: CurveModel, alpha: ClassVector) -> Classification:
@@ -110,13 +98,13 @@ def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) ->
 
 
 def _shift(
-    model: CurveModel, descriptor: ChamberDescriptor, values: Sequence
+    model: CurveModel, support: Support, values: Sequence
 ) -> tuple[tuple[Fraction, ...], ClassVector]:
     """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
     it pairs exactly -values_j with each e_j in G.  -M^{-1} is the model's,
     kept with its Support of G."""
-    s = model.support(descriptor.curve_indices).inverse.apply(values)
-    return s, model.combination(descriptor.curve_indices, s)
+    s = support.inverse.apply(values)
+    return s, model.combination(support.indices, s)
 
 
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
@@ -127,7 +115,7 @@ def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
         raise DomainError("class is not in the positive cone")
     descriptor = _admissible_descriptor(model, G)
     # every check is a sign of scaled pairings, off the Gram product each class keeps
-    curves = [model.curves[i].vector for i in descriptor.curve_indices]
+    curves = [model.curves[i].vector for i in descriptor.indices]
     *v, square, _ = lat.scaled_pairings(alpha, (*curves, alpha, lat.reference_class))
     if any(x <= 0 for x in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
@@ -155,7 +143,7 @@ def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> C
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
     lat = model.lattice
-    curves = [model.curves[i] for i in descriptor.curve_indices]
+    curves = [model.curves[i] for i in descriptor.indices]
     for c in curves:
         if lat.pair(alpha_corner, c.vector) != 0:
             raise PreconditionError(f"class does not lie on the corner of {c.label!r}")
@@ -182,7 +170,7 @@ def boundary_to_interior(
     """
     descriptor = _admissible_descriptor(model, G)
     lat = model.lattice
-    curves = [model.curves[i] for i in descriptor.curve_indices]
+    curves = [model.curves[i] for i in descriptor.indices]
     vv = [linalg.as_fraction(x) for x in v]
     if len(vv) != len(curves):
         raise PreconditionError("v must give one value per curve of G")

@@ -91,7 +91,7 @@ def _parse_class(values, rank: int, flag: str) -> ClassVector:
     return documents.parse_class(_split_parts(values), rank, flag)
 
 
-def _curve_indices(model: CurveModel, values, flag: str) -> tuple[int, ...]:
+def _parse_curves(model: CurveModel, values, flag: str) -> tuple[int, ...]:
     labels = _split_parts(values)
     if not labels:
         raise MalformedInputError(f"{flag}: expected at least one curve label")
@@ -102,7 +102,7 @@ def cmd_classify(args) -> int:
     model, _ = _load_model(args.model)
     alpha = _parse_class(args.class_parts, model.lattice.rank, "--class")
     result = chambers.classify(model, alpha)
-    vanishing = [model.curves[i].label for i in result.descriptor.curve_indices]
+    vanishing = [model.curves[i].label for i in result.descriptor.indices]
     pairings = {
         c.label: documents.format_rational(v, f"pairings.{c.label}")
         for c, v in zip(model.curves, result.pairings)
@@ -213,7 +213,7 @@ def cmd_reflect(args) -> int:
 def cmd_corner(args) -> int:
     model, _ = _load_model(args.model)
     alpha = _parse_class(args.class_parts, model.lattice.rank, "--class")
-    indices = _curve_indices(model, args.curves, "--curves")
+    indices = _parse_curves(model, args.curves, "--curves")
     corner = chambers.corner_point(model, alpha, indices)
     payload = {"corner": documents.format_class(corner, "corner")}
     lines = [f"corner class: {', '.join(payload['corner'])}"]
@@ -229,7 +229,7 @@ def cmd_corner(args) -> int:
 def cmd_dynkin(args) -> int:
     model, _ = _load_model(args.model)
     if args.curves:
-        indices = _curve_indices(model, args.curves, "--curves")
+        indices = _parse_curves(model, args.curves, "--curves")
     else:
         indices = tuple(range(len(model.curves)))
     graph = planner.dual_graph(model, indices)
@@ -309,8 +309,11 @@ def cmd_perturb(args) -> int:
     for flag, values in (("--model-spec", args.model_spec), ("--eps", args.eps)):
         if len(values) > PERTURB_MAX_VALUES:
             raise MalformedInputError(f"{flag}: at most {PERTURB_MAX_VALUES} values, got {len(values)}")
-    lab_models = [_parse_model_spec(s) for s in args.model_spec]
     eps_values = list(args.eps)
+    repeated = next((e for i, e in enumerate(eps_values) if e in eps_values[:i]), None)
+    if repeated is not None:
+        raise MalformedInputError(f"--eps: {repeated!r} is given more than once")
+    lab_models = [_parse_model_spec(s) for s in args.model_spec]
     lines: list[str] = []
     payload: dict = {"epsilons": eps_values, "radius": {}, "records": {}}
     solved = []  # each eps is solved once, for its table and the slope study

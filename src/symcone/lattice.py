@@ -20,8 +20,8 @@ A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
-ask of it (definiteness, minors, -M^{-1}, components), so each is decided
-once.
+ask of it (definiteness, minors, -M^{-1}, components) in one Support, so
+each is decided once.
 """
 
 from __future__ import annotations
@@ -54,10 +54,7 @@ class Frozen:
     position or name, then runs __post_init__.  Records compare equal only
     within one class, hash their field tuple, repr as Qualname(field=value,
     ...) and refuse assignment and deletion; their __dict__ stays open to
-    cached_property and to a class's own unchecked constructors.  Fields
-    named in _hidden are neither compared nor shown."""
-
-    _hidden = ()
+    cached_property and to a class's own unchecked constructors."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -67,12 +64,11 @@ class Frozen:
         cls._fields = tuple(fields)
         cls._field_set = frozenset(fields)
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        shown = cls._shown = tuple(name for name in fields if name not in cls._hidden)
-        # the tuple of compared fields, which equality compares and hash hashes
-        if len(shown) > 1:
-            cls._key = attrgetter(*shown)
+        # the tuple of fields, which equality compares and hash hashes
+        if len(fields) > 1:
+            cls._key = attrgetter(*fields)
         else:  # attrgetter of one name returns the bare value
-            cls._key = lambda record: tuple(getattr(record, name) for name in shown)
+            cls._key = lambda record: tuple(getattr(record, name) for name in fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -105,7 +101,7 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -281,18 +277,20 @@ _SUPPORTS_BOUND = 4096
 class Support:
     """The facts of one set of a model's curves, keyed by its sorted
     distinct indices: the integer Gram slice, and, each computed by the free
-    function on first read and kept, the Sylvester verdict, the pivot minors,
-    -M^{-1} and the connected components.  A computation that raises keeps
-    nothing.  obstruction holds what planner.component_obstruction found for
-    a connected support."""
+    function on first read and kept, whether it is admissible (negative
+    definite, by Sylvester's rule), the pivot minors, -M^{-1} and the
+    connected components.  A computation that raises keeps nothing.
+    obstruction holds the Witness planner.component_obstruction found for a
+    connected support that is not admissible."""
 
     def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
         self.indices = indices
         self.gram = gram
         self.obstruction = None
+        self._components = None
 
     @cached_property
-    def negative_definite(self) -> bool:
+    def admissible(self) -> bool:
         return is_negative_definite(self.gram)
 
     @cached_property
@@ -303,11 +301,12 @@ class Support:
     def inverse(self) -> NegInverse:
         return neg_inverse(self.gram)
 
-    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The dual graph's components as sorted tuples of curve indices, in
         order (the indices are sorted, so pairing_components keeps it)."""
-        return tuple(tuple(self.indices[i] for i in part) for part in pairing_components(self.gram))
+        if self._components is None:
+            self._components = tuple(tuple(self.indices[i] for i in p) for p in pairing_components(self.gram))
+        return self._components
 
 
 def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
@@ -615,7 +614,7 @@ class CurveModel(Frozen):
         vectors = [c.vector for c in self.curves]
         return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
 
-    def _curve_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
+    def _checked_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
         """The indices as given, each a declared curve's: anything but an
         int (a bool included) raises MalformedInputError, an index outside
         the curve list DomainError."""
@@ -631,11 +630,11 @@ class CurveModel(Frozen):
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the declared curves, or of a subset by index
         in the order given.  The full Gram is built once per model, by its checks; a
-        subset is a slice of it.  Indices are checked as _curve_indices says."""
+        subset is a slice of it.  Indices are checked as _checked_indices says."""
         gram = self._gram
         if indices is None:
             return gram
-        idx = self._curve_indices(indices)
+        idx = self._checked_indices(indices)
         return tuple(tuple(gram[i][j] for j in idx) for i in idx)
 
     @cached_property
@@ -646,7 +645,7 @@ class CurveModel(Frozen):
         """The Support of a set of curve indices, shared by every call on
         this model with the same set in any order or multiplicity.  The model
         keeps the last _SUPPORTS_BOUND supports made."""
-        key = tuple(sorted(set(self._curve_indices(indices))))
+        key = tuple(sorted(set(self._checked_indices(indices))))
         supports = self._supports
         found = supports.get(key)
         if found is None:

@@ -67,9 +67,9 @@ class LocalCurveModel(Frozen):
 def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     """Localization radius R = max_i (2 eps / |a_i|)^(1/k_i).
 
-    Admits eps only when sqrt(R) < min_i |a_i| / (2 |c_i|) and every predicted
-    root lies inside the disk of radius R; otherwise raises a range error
-    naming the violated bound."""
+    Admits eps only when eps^2 is not 0 in doubles, sqrt(R) < min_i |a_i| /
+    (2 |c_i|) and every predicted root lies inside the disk of radius R;
+    otherwise raises a range error naming the violated bound."""
     models = tuple(models)
     if not models:
         raise MalformedInputError("need at least one local model")
@@ -78,6 +78,8 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
         raise MalformedInputError(f"eps must be finite, not {eps!r}")
     if eps <= 0:
         raise MalformedInputError("eps must be positive")
+    if eps * eps == 0:
+        raise RangeError(f"eps = {eps!r} is too small: eps^2 underflows to 0")
     radius = max((2 * eps / abs(m.leading)) ** (1.0 / m.order) for m in models)
     caps = [abs(m.leading) / (2 * abs(m.remainder)) for m in models if m.remainder]
     if caps and not math.sqrt(radius) < min(caps):
@@ -136,7 +138,9 @@ def perturbed_intersections(
     """Solve g_i(z) = eps^2 near each predicted root for every model.
 
     Exactly k_i distinct solutions per model, all inside the localization
-    disk, all with positive transversality sign; any miss raises."""
+    disk, all with positive transversality sign; any miss raises.  Two
+    solutions are distinct when they lie more than DISTINCT_TOL R apart,
+    R the localization radius, so the test scales with eps."""
     models = tuple(models)
     radius = r_epsilon(models, eps)
     target = complex(float(eps) ** 2)
@@ -151,7 +155,7 @@ def perturbed_intersections(
             found.append((j, seed, _newton(model, target, seed)))
         for a in range(len(found)):
             for b in range(a + 1, len(found)):
-                if abs(found[a][2] - found[b][2]) <= DISTINCT_TOL:
+                if abs(found[a][2] - found[b][2]) <= DISTINCT_TOL * radius:
                     raise PropertyViolationError(
                         f"model {index}: solutions {a} and {b} coincide; "
                         f"expected {k} distinct intersections"
@@ -181,7 +185,7 @@ def perturbed_intersections(
         for b in range(a + 1, len(records)):
             if records[a].model_index == records[b].model_index:
                 continue
-            if abs(records[a].point - records[b].point) <= DISTINCT_TOL:
+            if abs(records[a].point - records[b].point) <= DISTINCT_TOL * radius:
                 raise PropertyViolationError(
                     f"solutions of models {records[a].model_index} and "
                     f"{records[b].model_index} coincide"

@@ -40,35 +40,10 @@ _R_SWEEP = tuple(Fraction(2) ** p for p in range(8, -17, -1))
 _PEEL_BUDGET = 4096
 
 
-class DualGraph(Frozen):
-    """Intersection pattern of a curve subset; vertices are curve indices and
-    pairings is their integer Gram, read off the model's Support of them."""
-
-    indices: tuple[int, ...]
-    pairings: tuple[tuple[int, ...], ...]
-    support: Support
-    _hidden = ("support",)  # neither compared nor shown
-
-    def degree(self, position: int) -> int:
-        row = self.pairings[position]
-        return sum(1 for j, v in enumerate(row) if j != position and v > 0)
-
-    def edge_multiplicities(self) -> tuple[int, ...]:
-        n = len(self.indices)
-        return tuple(
-            self.pairings[i][j]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if self.pairings[i][j] > 0
-        )
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return self.support.components
-
-
-def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> DualGraph:
-    support = model.support(range(len(model.curves)) if indices is None else indices)
-    return DualGraph(indices=support.indices, pairings=support.gram, support=support)
+def dual_graph(model: CurveModel, indices: Sequence[int] | None = None) -> Support:
+    """The model's Support of the curve indices (of every curve by default):
+    its vertices are the indices and its edges the Gram's positive entries."""
+    return model.support(range(len(model.curves)) if indices is None else indices)
 
 
 class DynkinType(Frozen):
@@ -84,23 +59,24 @@ class DynkinType(Frozen):
         return f"{self.series}{self.rank}" if self.is_ade else "not-ADE"
 
 
-def dynkin_classify(graph: DualGraph) -> DynkinType:
+def dynkin_classify(graph: Support) -> DynkinType:
     """Total ADE recognition of a dual graph.
 
     Anything disconnected, multiply-laced, cyclic, or over-branched comes back
     as the "none" series with the vertex count as rank."""
-    n = len(graph.indices)
+    M = graph.gram
+    n = len(M)
     if n == 0:
         raise PreconditionError("empty graph")
     none = DynkinType(series="none", rank=n)
-    if any(m != 1 for m in graph.edge_multiplicities()):
+    edges = [M[i][j] for i in range(n) for j in range(i + 1, n) if M[i][j] > 0]
+    if any(m != 1 for m in edges):
         return none
     if len(graph.components()) != 1:
         return none
-    edges = len(graph.edge_multiplicities())
-    if edges != n - 1:
+    if len(edges) != n - 1:
         return none  # connected with an extra edge means a cycle
-    degrees = [graph.degree(i) for i in range(n)]
+    degrees = [sum(1 for j, v in enumerate(row) if j != i and v > 0) for i, row in enumerate(M)]
     if any(d >= 4 for d in degrees):
         return none
     branches = [i for i, d in enumerate(degrees) if d == 3]
@@ -110,14 +86,14 @@ def dynkin_classify(graph: DualGraph) -> DynkinType:
         return DynkinType(series="A", rank=n)
     b = branches[0]
     legs = []
-    for start in (j for j in range(n) if j != b and graph.pairings[b][j] > 0):
+    for start in (j for j in range(n) if j != b and M[b][j] > 0):
         length = 1
         prev, here = b, start
         while True:
             nxt = [
                 j
                 for j in range(n)
-                if j not in (prev, here) and graph.pairings[here][j] > 0
+                if j not in (prev, here) and M[here][j] > 0
             ]
             if not nxt:
                 break
@@ -130,11 +106,6 @@ def dynkin_classify(graph: DualGraph) -> DynkinType:
     if legs[:2] == [1, 2] and legs[2] in (2, 3, 4):
         return DynkinType(series="E", rank=legs[2] + 4)
     return none
-
-
-class Admissible(Frozen):
-    indices: tuple[int, ...]
-    minors: tuple[Fraction, ...]
 
 
 class Witness(Frozen):
@@ -167,25 +138,25 @@ def _coefficient_tuples(n: int):
 def component_obstruction(model: CurveModel, indices: Sequence[int]):
     """Decide definiteness of a connected curve set, constructively.
 
-    Returns Admissible (with the leading minors) or a Witness, found once
-    per model and set and kept with its Support.  Small sets are settled by
-    exhaustive search over coefficients 0..4, smallest coefficient sum first;
-    larger ones by a greedy square-increasing walk from the all-ones
-    vector; a set neither settles gets the Schur witness."""
+    Returns the model's Support of it when it is admissible, else a Witness,
+    found once per model and set and kept with that Support.  Small sets are settled by exhaustive search over coefficients
+    0..4, smallest coefficient sum first; larger ones by a greedy
+    square-increasing walk from the all-ones vector; a set neither settles
+    gets the Schur witness."""
     support = model.support(indices)
+    if not support.indices:
+        raise PreconditionError("empty curve set")
+    if len(support.components()) != 1:
+        raise PreconditionError("curve set is not connected in the dual graph")
+    if support.admissible:
+        return support
     if support.obstruction is None:
-        support.obstruction = _obstruction(support)
+        support.obstruction = _witness(support)
     return support.obstruction
 
 
-def _obstruction(support: Support):
+def _witness(support: Support) -> Witness:
     idx, M = support.indices, support.gram
-    if not idx:
-        raise PreconditionError("empty curve set")
-    if len(support.components) != 1:
-        raise PreconditionError("curve set is not connected in the dual graph")
-    if support.negative_definite:
-        return Admissible(indices=idx, minors=support.minors)
     n = len(idx)
     # curve classes and the Gram are integral, so the search runs in integers;
     # a square sums over the nonzero upper triangle of the Gram
@@ -259,7 +230,7 @@ class _Peeler:
         self.nodes += 1
         if self.nodes > _PEEL_BUDGET:
             raise _PlanFail("peel budget exhausted")
-        parts = self.model.support(u).components
+        parts = self.model.support(u).components()
         if len(parts) > 1:
             for part in parts:
                 replay = self.peel(replay, {i: u[i] for i in part})
@@ -534,7 +505,7 @@ def _construct(model: CurveModel, target: ClassVector):
             reason="mixed boundary: target both vanishes and goes negative on curves",
             detail=(("negative on", negative), ("zero on", vanishing)),
         )
-    comps = model.support(cls.descriptor.curve_indices).components
+    comps = cls.descriptor.components()
     if not cls.descriptor.admissible:
         for comp in comps:
             found = component_obstruction(model, comp)

@@ -35,7 +35,7 @@ def test_classify_interior():
     alpha = _omega0(model) + model.lattice.canonical_class
     result = chambers.classify(model, alpha)
     assert result.membership is Membership.INTERIOR_KAHLER
-    assert result.descriptor.curve_indices == ()
+    assert result.descriptor.indices == ()
     assert all(v > 0 for v in result.pairings)
 
 
@@ -43,7 +43,7 @@ def test_classify_corner_on_reference():
     model = _kk_extended()
     result = chambers.classify(model, _omega0(model))
     assert result.membership is Membership.CORNER
-    assert result.descriptor.curve_indices == tuple(range(21))
+    assert result.descriptor.indices == tuple(range(21))
     assert not result.descriptor.admissible
     assert all(v == 0 for v in result.pairings)
 
@@ -75,7 +75,40 @@ def test_descriptor_for_validates_indices():
         chambers.descriptor_for(model, (99,))
     d = chambers.descriptor_for(model, (0, 9))
     assert d.admissible
-    assert d.curve_indices == (0, 9)
+    assert d.indices == (0, 9)
+
+
+def test_every_view_of_a_curve_set_is_the_models_support():
+    model = _kk_extended()
+    s = (0, 9)  # C1 meets D123: connected and admissible
+    support = model.support(s)
+    alpha = _omega0(model) + model.lattice.canonical_class
+    corner = chambers.corner_point(model, alpha, s)
+    result = chambers.classify(model, corner)
+    assert result.membership is Membership.CORNER
+    assert chambers.descriptor_for(model, s) is support
+    assert planner.dual_graph(model, s[::-1]) is support
+    assert result.descriptor is support
+    assert planner.component_obstruction(model, s) is support
+    assert support.obstruction is None  # an admissible support keeps no witness
+
+
+def test_another_models_support_stands_for_its_indices_only():
+    model = _kk_extended()
+    alpha = _omega0(model) + model.lattice.canonical_class
+    s = (0, 1)
+    foreign = builtin_model("e6").support(s)
+    assert foreign.gram != model.support(s).gram
+    corner = chambers.corner_point(model, alpha, s)
+    assert chambers.corner_point(model, alpha, foreign) == corner
+    eps = Fraction(1, 4)
+    assert chambers.chamber_point(model, corner, foreign, eps) == chambers.chamber_point(
+        model, corner, s, eps
+    )
+    v = (1, Fraction(1, 2))
+    assert chambers.boundary_to_interior(model, corner, foreign, v) == chambers.boundary_to_interior(
+        model, corner, s, v
+    )
 
 
 def test_reflect_is_involutive_isometry():

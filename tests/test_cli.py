@@ -342,6 +342,23 @@ def test_perturb_out_of_range_eps(capsys):
     assert "not inside" in trailer(out)["error"]
 
 
+@pytest.mark.parametrize("specs, eps, roots", [
+    (("1,2,0",), "1e-11", (1e-11, -1e-11)),  # within one model
+    (("1,1,0", "2,1,0"), "1e-6", (1e-12, 5e-13)),  # across two models
+])
+def test_perturb_tells_roots_apart_at_small_scales(capsys, specs, eps, roots):
+    code, out = run(capsys, "perturb", *(x for s in specs for x in ("--model-spec", s)), "--eps", eps)
+    assert code == 0
+    records = trailer(out)["records"][repr(float(eps))]
+    assert [r["z"][0] for r in records] == pytest.approx(roots, rel=1e-9)
+
+
+def test_perturb_refuses_an_eps_whose_square_underflows(capsys):
+    code, out = run(capsys, "perturb", "--model-spec", "1,2,0", "--eps", "1e-170")
+    assert code == 2
+    assert trailer(out)["error"].startswith("eps = 1e-170 is too small")
+
+
 @pytest.mark.parametrize("spec, eps, field", [
     ("1,2,nan", "0.1", "remainder"),
     ("inf,2,0", "0.1", "leading"),
@@ -365,6 +382,8 @@ def test_perturb_needs_models(capsys):
     (("--model-spec", f"1,{cli.PERTURB_MAX_ORDER + 1},0", "--eps", "0.1"), "--model-spec"),
     (("--model-spec", "1,2,0") * (cli.PERTURB_MAX_VALUES + 1) + ("--eps", "0.1"), "--model-spec"),
     (("--model-spec", "1,2,0") + ("--eps", "0.1") * (cli.PERTURB_MAX_VALUES + 1), "--eps"),
+    # a repeated eps would share one radius and one records key with its twin
+    (("--model-spec", "1,1,0", "--eps", "0.1", "--eps", "0.05", "--eps", "0.10"), "--eps: 0.1 is given"),
 ])
 def test_perturb_refuses_work_past_its_caps_at_once(capsys, args, flag):
     start = time.perf_counter()

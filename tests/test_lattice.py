@@ -25,12 +25,13 @@ from symcone.lattice import (
     CurveModel,
     IntersectionLattice,
     NegInverse,
+    Support,
     is_negative_definite,
     neg_inverse,
 )
 from symcone.documents import parse_class
 from symcone.models import build_hesse_dual, build_kk_model, builtin_model, ruled_model
-from symcone.planner import component_obstruction
+from symcone.planner import Witness, component_obstruction
 
 from oracles import (
     brute_inverse,
@@ -567,7 +568,7 @@ def _fresh(model):
     return CurveModel(model.lattice, model.curves, model.completeness_assumed)
 
 
-_FACTS = ("negative_definite", "minors", "inverse", "obstruction")
+_FACTS = ("admissible", "minors", "inverse", "obstruction")
 
 
 def _outcome(compute):
@@ -578,6 +579,8 @@ def _outcome(compute):
         return type(exc)
     if isinstance(value, NegInverse):
         return value.det, value.adjugate
+    if isinstance(value, Support):
+        return value.indices, value.minors
     return value
 
 
@@ -592,7 +595,7 @@ def _computed(model, idx, name):
     from a copy of the model that has kept nothing."""
     gram = model.curve_gram(sorted(set(idx)))
     compute = {
-        "negative_definite": lambda: is_negative_definite(gram),
+        "admissible": lambda: is_negative_definite(gram),
         "minors": lambda: linalg.pivot_minors(gram),
         "inverse": lambda: neg_inverse(gram),
         "obstruction": lambda: component_obstruction(_fresh(model), idx),
@@ -621,9 +624,11 @@ def test_support_facts_equal_a_fresh_computation(seed, kk, order):
     assert support.indices == tuple(sorted(set(idx)))
     assert support.gram == model.curve_gram(support.indices)
     # a fact that raised is not kept
-    for name in ("negative_definite", "minors", "inverse"):
+    for name in ("admissible", "minors", "inverse"):
         assert (name in vars(support)) is not isinstance(expected[name], type)
-    assert (support.obstruction is None) is isinstance(expected["obstruction"], type)
+    # only a witness is kept: an admissible support is its own answer
+    witness = expected["obstruction"] if isinstance(expected["obstruction"], Witness) else None
+    assert support.obstruction == witness
 
 
 def test_supports_kept_stay_within_the_bound():

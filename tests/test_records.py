@@ -10,9 +10,8 @@ import pytest
 from symcone import replace
 from symcone.errors import MalformedInputError
 from symcone.lattice import ClassVector, CurveData
-from symcone.models import builtin_model
 from symcone.moves import Certificate, Inflate, InflateNonneg
-from symcone.planner import Unsupported, Witness, dual_graph
+from symcone.planner import Unsupported, Witness
 
 
 def test_records_of_two_classes_never_compare_equal():
@@ -74,10 +73,3 @@ def test_replace_runs_the_checks_again():
     with pytest.raises(TypeError):
         replace(curve, colour="red")
 
-
-def test_a_dual_graphs_support_is_neither_compared_nor_shown():
-    model = builtin_model("kk-gamma0")
-    graph = dual_graph(model, [0, 1])
-    other = replace(graph, support=model.support([0]))
-    assert graph == other and hash(graph) == hash(other)
-    assert repr(graph) == f"DualGraph(indices=(0, 1), pairings={graph.pairings!r})"
