@@ -404,19 +404,10 @@ class IntersectionLattice(Frozen):
             out.append(sum(x * product[i] for i, x in v.integer_form[1]))
         return out
 
-    def pairings(self, a: ClassVector, vectors: Iterable[ClassVector]) -> tuple[Fraction, ...]:
-        """pair(a, v) for every v, from one Gram product of a."""
-        vectors = tuple(vectors)
-        da = a.integer_form[0]
-        return tuple(
-            Fraction(x, da * v.integer_form[0])
-            for x, v in zip(self.scaled_pairings(a, vectors), vectors)
-        )
-
     def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
         if len(a.integer_form[1]) > len(b.integer_form[1]):
             a, b = b, a  # the Gram is symmetric: expand the sparser one
-        return self.pairings(a, (b,))[0]
+        return Fraction(self.scaled_pairings(a, (b,))[0], a.integer_form[0] * b.integer_form[0])
 
     def square(self, a: ClassVector) -> Fraction:
         return self.pair(a, a)
@@ -534,8 +525,8 @@ class CurveModel(Frozen):
         raise MalformedInputError(f"no curve labelled {label!r}")
 
     def pairings_with(self, a: ClassVector) -> tuple[Fraction, ...]:
-        """pair(a, curve) for every declared curve, via one Gram product."""
-        return self.lattice.pairings(a, (c.vector for c in self.curves))
+        """pair(a, curve) for every declared curve."""
+        return tuple(self.lattice.pair(a, c.vector) for c in self.curves)
 
     def combination(self, indices: Iterable[int], coefficients: Iterable) -> ClassVector:
         """sum c_i e_i over the curves e_i of indices, in one integer pass: the

@@ -124,12 +124,7 @@ def ruled_inflation_interval(rm: RuledModel, a) -> tuple[Fraction, Fraction]:
 # dual Hesse arrangement
 
 
-class HesseDual(Frozen):
-    triples: tuple[str, ...]
-    model: CurveModel
-
-
-def build_hesse_dual() -> HesseDual:
+def build_hesse_dual() -> CurveModel:
     """Blowup lattice of the dual Hesse arrangement: 9 strict-transform lines
     of square -3 through the 12 triple points."""
     for i in "123456789":
@@ -169,17 +164,11 @@ def build_hesse_dual() -> HesseDual:
         for b in range(a + 1, 9):
             if lattice.pair(curves[a].vector, curves[b].vector) != 0:
                 raise ModelInconsistencyError("strict transforms are not orthogonal")
-    return HesseDual(triples=TRIPLES, model=model)
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Kharlamov-Kulikov model
-
-
-class KKModel(Frozen):
-    model: CurveModel
-    extended: bool
-    metadata: tuple[tuple[str, str], ...]
 
 
 def _kk_lattice_and_curves(extended: bool):
@@ -223,11 +212,14 @@ def _kk_lattice_and_curves(extended: bool):
     return lattice, curves
 
 
-def build_kk_model(extended: bool = False) -> KKModel:
+def build_kk_model(extended: bool = False) -> CurveModel:
     """The 21-curve lattice: nine square -3 genus-4 curves, twelve square -1
     genus-2 curves, incidence given by the triples.  The extended variant adds
     an ambient direction w0 of square 100, orthogonal to every curve, used as
-    the positive-cone reference."""
+    the positive-cone reference.
+
+    The surface is a rigid ball quotient of Euler characteristic 111 with
+    ample canonical class; the curve list is assumed complete."""
     lattice, curves = _kk_lattice_and_curves(extended)
     # the model's adjunction check fixes K.C = 9 and K.D = 3
     model = CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
@@ -241,11 +233,7 @@ def build_kk_model(extended: bool = False) -> KKModel:
         meets = sum(1 for c in curves[:9] if lattice.pair(c.vector, d.vector) == 1)
         if meets != 3:
             raise ModelInconsistencyError(f"{d.label} meets {meets} of the C curves, expected 3")
-    metadata = (
-        ("euler_characteristic", "111"),
-        ("notes", "rigid ball quotient; ample canonical class; curve list assumed complete"),
-    )
-    return KKModel(model=model, extended=extended, metadata=metadata)
+    return model
 
 
 def kk_gamma0_model() -> CurveModel:
@@ -328,10 +316,10 @@ def e6_model() -> CurveModel:
 
 
 _BUILDERS = {
-    "kk": lambda: build_kk_model(extended=False).model,
-    "kk-extended": lambda: build_kk_model(extended=True).model,
+    "kk": build_kk_model,
+    "kk-extended": lambda: build_kk_model(extended=True),
     "kk-gamma0": kk_gamma0_model,
-    "hesse": lambda: build_hesse_dual().model,
+    "hesse": build_hesse_dual,
     "e6": e6_model,
 }
 BUILTIN_MODEL_NAMES = tuple(_BUILDERS)

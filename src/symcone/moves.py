@@ -63,7 +63,7 @@ from .errors import (
     SymconeError,
     WrongMoveError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice, pairing_components
+from .lattice import ClassVector, CurveModel, Frozen, IntersectionLattice, pairing_components
 from .linalg import format_ratio, format_rational
 
 
@@ -89,14 +89,6 @@ class SurfaceObject(Frozen):
             raise MalformedInputError(f"object {self.id!r} must have an integral class")
         if not isinstance(self.genus, int) or self.genus < 0:
             raise MalformedInputError(f"object {self.id!r} needs a nonnegative integer genus")
-
-    @classmethod
-    def _of_curve(cls, curve: CurveData) -> "SurfaceObject":
-        """An alive object for a declared curve, built without the checks:
-        CurveData has proved its class integral and its genus valid."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(id=curve.label, vector=curve.vector, genus=curve.genus, alive=True)
-        return obj
 
 
 def _dot(product: Sequence[int], vector: ClassVector) -> int:
@@ -159,15 +151,15 @@ class ConfigurationState(Frozen):
         """A state whose alive objects are declared curves of the model: all
         of them, or those named by labels, in that order.
 
-        Of the state and object checks only the distinct ids run, and only
-        for labels: CurveModel has proved that its labels are distinct and
-        that no two declared curves pair negatively."""
+        Of the state checks only the distinct ids run, and only for labels:
+        CurveModel has proved that its labels are distinct and that no two
+        declared curves pair negatively."""
         if labels is None:  # built once per model: the objects are immutable
             objects = vars(model).get("_seeds")
             if objects is None:
-                objects = vars(model)["_seeds"] = tuple(map(SurfaceObject._of_curve, model.curves))
+                objects = vars(model)["_seeds"] = tuple(SurfaceObject(c.label, c.vector, c.genus) for c in model.curves)
         else:
-            objects = tuple(SurfaceObject._of_curve(model.curve(x)) for x in labels)
+            objects = tuple(SurfaceObject(c.label, c.vector, c.genus) for c in map(model.curve, labels))
             if len({o.id for o in objects}) != len(objects):
                 raise MalformedInputError("object ids must be distinct")
         return cls._proven(model.lattice, current_class, objects)
@@ -193,11 +185,6 @@ class ConfigurationState(Frozen):
     def area(self, object_id: str) -> Fraction:
         scaled = self._scaled(self.object(object_id).vector)
         return Fraction(scaled, self.current_class.integer_form[0])
-
-    def _in_positive_cone(self) -> bool:
-        """is_positive_cone of the current class; needs a reference class."""
-        reference = self.lattice.reference_class
-        return self._scaled(self.current_class) > 0 and self._scaled(reference) > 0
 
     def alive_objects(self) -> tuple[SurfaceObject, ...]:
         return tuple(o for o in self.objects if o.alive)
@@ -627,7 +614,8 @@ class Replay(NamedTuple):
             _defer(lines, bits, object_bits, partial(_class_line, record), partial(_area_line, after))
         except SymconeError as exc:
             return Replay(self, tuple(lines), record, None, str(exc))
-        failure = None if after._in_positive_cone() else f"class left the positive cone at move {number}"
+        positive = after.lattice.is_positive_cone(after.current_class)
+        failure = None if positive else f"class left the positive cone at move {number}"
         return Replay(self, tuple(lines), record, after, failure, bits, object_bits)
 
     def _chain(self) -> list["Replay"]:

@@ -108,9 +108,10 @@ class IntersectionRecord(Frozen):
 
 def _newton(model: LocalCurveModel, target: complex, seed: complex) -> complex:
     z = seed
+    tol = NEWTON_TOL * abs(target)  # relative, so the test scales with eps^2
     for _ in range(NEWTON_MAX_ITER):
         residual = model.value(z) - target
-        if abs(residual) <= NEWTON_TOL:
+        if abs(residual) <= tol:
             return z
         slope = model.derivative(z)
         if slope == 0:
@@ -125,7 +126,7 @@ def _newton(model: LocalCurveModel, target: complex, seed: complex) -> complex:
         else:
             raise NumericalFailureError("Newton damping failed to reduce the residual")
         z = z_next
-    if abs(model.value(z) - target) <= NEWTON_TOL:
+    if abs(model.value(z) - target) <= tol:
         return z
     raise NumericalFailureError(
         f"Newton did not converge within {NEWTON_MAX_ITER} iterations"
@@ -139,8 +140,9 @@ def perturbed_intersections(
 
     Exactly k_i distinct solutions per model, all inside the localization
     disk, all with positive transversality sign; any miss raises.  Two
-    solutions are distinct when they lie more than DISTINCT_TOL R apart,
-    R the localization radius, so the test scales with eps."""
+    solutions are distinct when they lie more than DISTINCT_TOL r apart, r
+    the seed modulus |eps^2/a|^(1/k) of their model, or across two models
+    the smaller of the two, so the test scales with the roots."""
     models = tuple(models)
     radius = r_epsilon(models, eps)
     target = complex(float(eps) ** 2)
@@ -155,7 +157,7 @@ def perturbed_intersections(
             found.append((j, seed, _newton(model, target, seed)))
         for a in range(len(found)):
             for b in range(a + 1, len(found)):
-                if abs(found[a][2] - found[b][2]) <= DISTINCT_TOL * radius:
+                if abs(found[a][2] - found[b][2]) <= DISTINCT_TOL * abs(base):
                     raise PropertyViolationError(
                         f"model {index}: solutions {a} and {b} coincide; "
                         f"expected {k} distinct intersections"
@@ -185,7 +187,8 @@ def perturbed_intersections(
         for b in range(a + 1, len(records)):
             if records[a].model_index == records[b].model_index:
                 continue
-            if abs(records[a].point - records[b].point) <= DISTINCT_TOL * radius:
+            scale = min(abs(records[a].seed), abs(records[b].seed))
+            if abs(records[a].point - records[b].point) <= DISTINCT_TOL * scale:
                 raise PropertyViolationError(
                     f"solutions of models {records[a].model_index} and "
                     f"{records[b].model_index} coincide"

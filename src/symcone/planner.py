@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .chambers import Membership, classify, reflect
 from .errors import PreconditionError, PropertyViolationError, SymconeError
-from .lattice import ClassVector, CurveModel, Frozen, Support, neg_inverse
+from .lattice import ClassVector, CurveModel, Frozen, Support, neg_inverse, pairing_components
 from .linalg import format_rational
 from .moves import (
     Certificate,
@@ -85,22 +85,8 @@ def dynkin_classify(graph: Support) -> DynkinType:
     if not branches:
         return DynkinType(series="A", rank=n)
     b = branches[0]
-    legs = []
-    for start in (j for j in range(n) if j != b and M[b][j] > 0):
-        length = 1
-        prev, here = b, start
-        while True:
-            nxt = [
-                j
-                for j in range(n)
-                if j not in (prev, here) and M[here][j] > 0
-            ]
-            if not nxt:
-                break
-            prev, here = here, nxt[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
+    # a tree with one branch vertex falls into its three legs without it
+    legs = sorted(map(len, pairing_components([row[:b] + row[b + 1 :] for row in M[:b] + M[b + 1 :]])))
     if legs[0] == 1 and legs[1] == 1:
         return DynkinType(series="D", rank=legs[2] + 3)
     if legs[:2] == [1, 2] and legs[2] in (2, 3, 4):

@@ -60,9 +60,9 @@ def test_acceptance_1_gamma0_certificate_replays_exactly():
 
 def test_acceptance_2_canonical_class_invariants():
     kk = build_kk_model()
-    lat = kk.model.lattice
+    lat = kk.lattice
     assert lat.square(lat.canonical_class) == 333
-    for c in kk.model.curves:
+    for c in kk.curves:
         if c.label.startswith("C"):
             assert c.genus == 4
             assert lat.pair(lat.canonical_class, c.vector) == 9
@@ -175,7 +175,7 @@ def test_acceptance_7_ruled_intervals_match_h_param():
 
 
 def test_acceptance_8_reflections_are_exact_isometries():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     lat = model.lattice
     rng = random.Random(14)
     axes = [model.curve(lbl).vector for lbl in ("C1", "D123", "C5", "D789")]
@@ -194,10 +194,10 @@ def test_acceptance_8_reflections_are_exact_isometries():
         integral = ClassVector(tuple(Fraction(rng.randint(-9, 9)) for _ in range(lat.rank)))
         assert reflect(lat, integral, model.curve("D123").vector).is_integral
     hd = build_hesse_dual()
-    hlat = hd.model.lattice
+    hlat = hd.lattice
     hyperplane = ClassVector.basis(hlat.rank, 0)
-    image = reflect(hlat, hyperplane, hd.model.curve("L1").vector)
-    assert image == hyperplane + hd.model.curve("L1").vector.scale(Fraction(2, 3))
+    image = reflect(hlat, hyperplane, hd.curve("L1").vector)
+    assert image == hyperplane + hd.curve("L1").vector.scale(Fraction(2, 3))
     assert not image.is_integral
     print("PASS reflections: involutive isometries, -1/-2 integral, -3 counterexample")
 
@@ -229,7 +229,7 @@ def test_acceptance_9_order_of_contact_slopes():
 
 
 def test_acceptance_10_small_corners_and_chambers_are_exact():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     lat = model.lattice
     alpha = lat.reference_class + lat.canonical_class
     eps = Fraction(1, 7)

@@ -23,7 +23,7 @@ from oracles import interior_class, random_curve_model, twisted_curve_model
 
 
 def _kk_extended():
-    return build_kk_model(extended=True).model
+    return build_kk_model(extended=True)
 
 
 def _omega0(model):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, the text/JSON split, and file inputs."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,14 @@ from symcone.moves import verify_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
 OMEGA0_22 = ",".join(["1"] + ["0"] * 21)
+
+
+def child(*argv):
+    """python -m symcone argv in a child process, with this checkout's src
+    first on its path."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run(capsys, *argv):
@@ -64,10 +73,7 @@ def test_overlong_model_name_exits_2(command):
     # a name past the file system's 255-byte limit; run as a child, so that
     # a traceback would show as exit 1
     spec = "m" * 300
-    proc = subprocess.run(
-        [sys.executable, "-m", "symcone", command, "--model", spec, "--class", "1"],
-        capture_output=True, text=True,
-    )
+    proc = child(command, "--model", spec, "--class", "1")
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert json.loads(proc.stdout.splitlines()[-1])["error"].startswith(f"unknown model {spec!r}")
@@ -227,9 +233,7 @@ BIG = "9" * 3000
 ])
 def test_overlong_output_is_named_and_exits_2(argv, output):
     # run as a child, so that a traceback would show as exit 1
-    proc = subprocess.run(
-        [sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
-    )
+    proc = child(*argv)
     assert proc.returncode == 2
     assert proc.stderr == ""
     limit = sys.get_int_max_str_digits()
@@ -255,9 +259,7 @@ def test_verify_and_plan_fail_cleanly_when_a_report_outgrows_the_digit_limit(cap
          {"reason": "planned certificate failed replay", "detail": {"first failure": failure}}),
     ):
         # run as a child, so that a traceback would show on stderr
-        proc = subprocess.run(
-            [sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
-        )
+        proc = child(*argv)
         assert proc.returncode == code
         assert proc.stderr == ""
         assert json.loads(proc.stdout.split(SENTINEL)[-1]) == payload
@@ -345,6 +347,8 @@ def test_perturb_out_of_range_eps(capsys):
 @pytest.mark.parametrize("specs, eps, roots", [
     (("1,2,0",), "1e-11", (1e-11, -1e-11)),  # within one model
     (("1,1,0", "2,1,0"), "1e-6", (1e-12, 5e-13)),  # across two models
+    (("1,2,0",), "1e-30", (1e-30, -1e-30)),  # far below the radius 1.4e-15
+    (("1,1,0", "2,1,0"), "1e-20", (1e-40, 5e-41)),
 ])
 def test_perturb_tells_roots_apart_at_small_scales(capsys, specs, eps, roots):
     code, out = run(capsys, "perturb", *(x for s in specs for x in ("--model-spec", s)), "--eps", eps)
@@ -521,9 +525,6 @@ def test_help_and_bad_subcommand(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "symcone", "example", "kk"],
-        capture_output=True, text=True,
-    )
+    proc = child("example", "kk")
     assert proc.returncode == 0
     assert SENTINEL in proc.stdout

@@ -228,7 +228,7 @@ def test_model_doc_entry_errors_keep_their_field_paths():
 
 
 def test_model_round_trip_preserves_structure():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     again = model_from_doc(model_to_doc(model))
     assert again.lattice.gram == model.lattice.gram
     assert again.lattice.basis_labels == model.lattice.basis_labels
@@ -541,7 +541,7 @@ def test_report_doc_shape():
 
 
 def test_unsupported_doc_shape():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     omega0 = ClassVector.basis(22, 0)
     result = plan(model, omega0)
     assert isinstance(result, Unsupported)

@@ -180,7 +180,7 @@ def test_negative_definite_rejects_indefinite_and_semidefinite():
     assert not is_negative_definite(((1,),))
     # the full KK curve Gram carries a square-33 combination
     kk = build_kk_model()
-    assert not is_negative_definite(kk.model.curve_gram())
+    assert not is_negative_definite(kk.curve_gram())
     # negative semidefinite chain with a square-zero kernel vector
     chain = ((-1, 1), (1, -1))
     assert not is_negative_definite(chain)
@@ -369,7 +369,7 @@ def test_lattice_labels_and_reference_checks():
 def test_pair_and_square_match_dense_computation():
     rng = random.Random(37)
     kk = build_kk_model(extended=True)
-    lat = kk.model.lattice
+    lat = kk.lattice
     n = lat.rank
     for _ in range(25):
         a = ClassVector(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
@@ -385,7 +385,7 @@ def test_pair_and_square_match_dense_computation():
 
 def test_gram_vector_is_gram_times_coords():
     kk = build_kk_model(extended=True)
-    lat = kk.model.lattice
+    lat = kk.lattice
     a = ClassVector.basis(lat.rank, 1) + ClassVector.basis(lat.rank, 10)
     gv = lat.gram_vector(a)
     for j in range(lat.rank):
@@ -400,7 +400,7 @@ def test_positive_cone_needs_reference():
 
 def test_positive_cone_membership():
     kk = build_kk_model(extended=True)
-    lat = kk.model.lattice
+    lat = kk.lattice
     w0 = ClassVector.basis(lat.rank, 0)
     assert lat.is_positive_cone(w0)
     assert not lat.is_positive_cone(-w0)  # negative reference pairing
@@ -409,8 +409,8 @@ def test_positive_cone_membership():
 
 def test_adjunction_and_expected_dimension_on_kk_curves():
     kk = build_kk_model(extended=True)
-    lat = kk.model.lattice
-    for curve in kk.model.curves:
+    lat = kk.lattice
+    for curve in kk.curves:
         assert lat.adjunction_check(curve.vector, curve.genus)
         # 2(g - 1 - K.e) with K.e = 2g - 2 - e^2
         ke = 2 * curve.genus - 2 - lat.square(curve.vector)
@@ -514,8 +514,7 @@ def test_curve_model_adjunction_scales_a_rational_canonical_class():
 
 
 def test_curve_lookup_and_pairings():
-    kk = build_kk_model()
-    model = kk.model
+    model = build_kk_model()
     assert model.index_of("C3") == 2
     assert model.curve("D123").genus == 2
     with pytest.raises(MalformedInputError):
@@ -527,8 +526,7 @@ def test_curve_lookup_and_pairings():
 
 
 def test_curve_gram_subset():
-    kk = build_kk_model()
-    model = kk.model
+    model = build_kk_model()
     idx = (model.index_of("C1"), model.index_of("D123"))
     sub = model.curve_gram(idx)
     assert sub == ((Fraction(-3), Fraction(1)), (Fraction(1), Fraction(-1)))
@@ -672,9 +670,9 @@ def _naive_pair(ga, b):
 
 
 def _kernel_cases():
-    kk = build_kk_model(extended=True).model
+    kk = build_kk_model(extended=True)
     ruled = ruled_model(0, 3, "nontrivial")
-    hesse = build_hesse_dual().model
+    hesse = build_hesse_dual()
     cases = []
     for model, special in (
         # the KK canonical class carries 7/3 entries, the ruled fibre 1/3, -1/3
@@ -735,12 +733,12 @@ def test_integer_pairings_equal_naive_double_sum(case):
 
 
 def test_pairings_reject_rank_mismatch():
-    lat = build_kk_model(extended=True).model.lattice
+    lat = build_kk_model(extended=True).lattice
     short = ClassVector((Fraction(1),))
     with pytest.raises(MalformedInputError):
         lat.pair(short, ClassVector.basis(lat.rank, 0))
     with pytest.raises(MalformedInputError):
-        lat.pairings(ClassVector.basis(lat.rank, 0), [short])
+        lat.scaled_pairings(ClassVector.basis(lat.rank, 0), [short])
     with pytest.raises(MalformedInputError):
         lat.gram_vector(short)
 
@@ -754,7 +752,7 @@ def _kept_product(lat, a):
 
 
 def test_adding_or_subtracting_zero_returns_the_class_itself():
-    lat = build_kk_model(extended=True).model.lattice
+    lat = build_kk_model(extended=True).lattice
     a = lat.reference_class + lat.canonical_class
     zero = ClassVector.zero(lat.rank)
     product = lat.gram_product(a)

@@ -110,8 +110,7 @@ def test_triples_combinatorics():
 
 
 def test_hesse_curves():
-    hd = build_hesse_dual()
-    model = hd.model
+    model = build_hesse_dual()
     lat = model.lattice
     assert len(model.curves) == 9
     for c in model.curves:
@@ -130,14 +129,13 @@ def test_hesse_curves():
 
 def test_kk_canonical_invariants():
     kk = build_kk_model()
-    lat = kk.model.lattice
+    lat = kk.lattice
     kclass = lat.canonical_class
     assert lat.square(kclass) == 333
-    for c in kk.model.curves:
+    for c in kk.curves:
         expected = 9 if c.label.startswith("C") else 3
         assert lat.pair(kclass, c.vector) == expected
         assert c.genus == (4 if c.label.startswith("C") else 2)
-    assert dict(kk.metadata)["euler_characteristic"] == "111"
 
 
 @pytest.mark.parametrize("slip", ["square of C1", "K on C1"])
@@ -163,7 +161,7 @@ def test_kk_data_slips_fail_the_model_adjunction_check(monkeypatch, slip):
 
 
 def test_kk_incidence():
-    model = build_kk_model().model
+    model = build_kk_model()
     lat = model.lattice
     cs = model.curves[:9]
     ds = model.curves[9:]
@@ -176,10 +174,10 @@ def test_kk_incidence():
 
 def test_kk_extended_reference():
     kk = build_kk_model(extended=True)
-    lat = kk.model.lattice
+    lat = kk.lattice
     w0 = lat.reference_class
     assert lat.square(w0) == 100
-    for c in kk.model.curves:
+    for c in kk.curves:
         assert lat.pair(w0, c.vector) == 0
 
 
@@ -263,7 +261,7 @@ def test_builtin_models_are_shared():
     for name in BUILTIN_MODEL_NAMES:
         assert builtin_model(name) is builtin_model(name)
     # each builder still runs its checks and builds an equal model
-    assert builtin_model("kk-extended") == build_kk_model(extended=True).model
+    assert builtin_model("kk-extended") == build_kk_model(extended=True)
     assert builtin_model("kk-gamma0") == kk_gamma0_model()
     assert builtin_model("e6") == e6_model()
 

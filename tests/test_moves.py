@@ -481,7 +481,7 @@ def test_duplicate_initial_objects_fail_verification():
     assert report.first_failure == "object ids must be distinct"
 
 
-_KK = build_kk_model(extended=True).model
+_KK = build_kk_model(extended=True)
 
 
 @settings(max_examples=40, deadline=None)

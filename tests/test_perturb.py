@@ -122,6 +122,17 @@ def test_roots_match_mpmath_polyroots():
         assert abs(a - b) < 1e-10
 
 
+def test_newton_refines_seeds_whose_residual_is_below_an_absolute_tolerance():
+    # g(seed) - eps^2 = c seed^3 = 5e-13: small in absolute terms, yet 5e-5
+    # of eps^2, so Newton must still refine the seed
+    c, eps = 0.5, 1e-4
+    records = perturbed_intersections([LocalCurveModel(1, 2, remainder=c)], eps)
+    roots = mpmath.polyroots([c, 1, 0, -(eps**2)])
+    for rec in records:
+        assert rec.distance > EXCLUDE_DISTANCE
+        assert min(abs(rec.point - complex(r)) for r in roots) < 1e-12 * abs(rec.point)
+
+
 def test_cross_model_collision_detected():
     pair = [LocalCurveModel(1, 1), LocalCurveModel(1, 1)]
     with pytest.raises(PropertyViolationError, match="coincide"):

@@ -72,7 +72,7 @@ def _chain_model(squares, genera=None, edges=None):
 
 
 def test_dual_graph_structure_on_kk():
-    model = build_kk_model().model
+    model = build_kk_model()
     graph = dual_graph(model)
 
     def degree(i):
@@ -113,7 +113,7 @@ def test_dual_graph_components_match_union_find():
 def test_components_are_found_once_per_support(monkeypatch):
     # the model's Support keeps its components: dual graphs, the peel and
     # plan's locus read them, and the connectivity routine runs once
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     real, calls = lattice.pairing_components, []
     monkeypatch.setattr(lattice, "pairing_components", lambda p: calls.append(p) or real(p))
     subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
@@ -130,7 +130,7 @@ def test_components_are_found_once_per_support(monkeypatch):
 
 
 def test_dual_graph_components_split():
-    model = build_kk_model().model
+    model = build_kk_model()
     sub = dual_graph(model, (model.index_of("C1"), model.index_of("C2")))
     comps = sub.components()
     assert len(comps) == 2
@@ -164,7 +164,7 @@ def test_dynkin_rejects_non_ade_shapes():
     )
     assert dynkin_classify(dual_graph(two_branches)).label == "not-ADE"
     disconnected = dual_graph(
-        build_kk_model().model,
+        build_kk_model(),
         (0, 1),
     )
     assert dynkin_classify(disconnected).label == "not-ADE"
@@ -188,6 +188,58 @@ def test_dynkin_rejects_multiple_edges():
         completeness_assumed=True,
     )
     assert dynkin_classify(dual_graph(tangent)).label == "not-ADE"
+
+
+def _graph_support(n, edges):
+    """The Support of n (-2)-spheres meeting once along each edge."""
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        gram[a][b] = gram[b][a] = 1
+    return Support(tuple(range(n)), tuple(map(tuple, gram)))
+
+
+def test_dynkin_labels_count_every_labelled_graph_on_six_vertices():
+    # a type with automorphism group Aut labels n!/|Aut| of the 2^(n choose 2)
+    # labelled simple graphs on n vertices; every other graph is not ADE
+    counts = collections.Counter()
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
+            counts[dynkin_classify(_graph_support(n, edges)).label] += 1
+    expected = {"A1": 1, "A2": 1, "A3": 3, "A4": 12, "D4": 4, "A5": 60, "D5": 60,
+                "A6": 360, "D6": 360, "E6": 360}
+    assert {k: v for k, v in counts.items() if k != "not-ADE"} == expected
+    assert counts["not-ADE"] == sum(2 ** (n * (n - 1) // 2) for n in range(1, 7)) - sum(expected.values())
+
+
+def _legs(legs):
+    """Edges of a star whose centre 0 carries paths of the given lengths."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return nxt, edges
+
+
+@pytest.mark.parametrize("n, edges, label", [
+    (*_legs((1, 1, 4)), "D7"),
+    (*_legs((1, 1, 5)), "D8"),
+    (*_legs((1, 2, 3)), "E7"),
+    (*_legs((1, 2, 4)), "E8"),
+    (*_legs((2, 2, 2)), "not-ADE"),  # affine E6
+    (*_legs((1, 3, 3)), "not-ADE"),  # affine E7
+    (*_legs((1, 2, 5)), "not-ADE"),  # affine E8
+    (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)], "not-ADE"),  # affine D5
+])
+def test_dynkin_labels_larger_trees_under_any_numbering(n, edges, label):
+    rng = random.Random(n * 31 + len(label))
+    for _ in range(20):
+        order = rng.sample(range(n), n)
+        relabelled = [(order[a], order[b]) for a, b in edges]
+        assert dynkin_classify(_graph_support(n, relabelled)).label == label
 
 
 # --- component obstructions ---
@@ -229,7 +281,7 @@ def test_witness_alternating_loop():
 
 
 def test_witness_kk_all_curves():
-    model = build_kk_model().model
+    model = build_kk_model()
     result = component_obstruction(model, range(21))
     assert isinstance(result, planner.Witness)
     assert result.coefficients == (1,) * 21
@@ -247,7 +299,7 @@ def test_witness_large_loop_uses_gradient_walk():
 
 
 def test_component_obstruction_requires_connected():
-    model = build_kk_model().model
+    model = build_kk_model()
     with pytest.raises(PreconditionError):
         component_obstruction(model, (0, 1))
 
@@ -437,7 +489,7 @@ def test_plan_refuses_targets_outside_the_positive_cone():
 
 
 def test_plan_unsupported_on_kk_reference_corner():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     result = plan(model, _omega0(model))
     assert isinstance(result, Unsupported)
     assert result.reason == "vanishing locus is not negative definite"
@@ -527,7 +579,7 @@ def test_plan_ruled_unreachable_chamber():
 
 def test_plan_cdc_component_regression():
     # C-D-C with the middle curve exhausted first needs the doubled-middle peel
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     indices = (
         model.index_of("C2"),
         model.index_of("D267"),
@@ -543,7 +595,7 @@ def test_plan_cdc_component_regression():
 def test_plan_soundness_all_small_subsets():
     """Every subset of at most two KK curves: a verified certificate when the
     corner target is reachable, a reasoned refusal otherwise."""
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     alpha = _omega0(model) + model.lattice.canonical_class
     subsets = [(i,) for i in range(21)] + list(itertools.combinations(range(21), 2))
     assert len(subsets) == 231
@@ -564,7 +616,7 @@ def test_plan_soundness_all_small_subsets():
 
 
 def test_plan_soundness_random_subsets():
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     alpha = _omega0(model) + model.lattice.canonical_class
     rng = random.Random(20260815)
     planned = refused = 0
@@ -959,7 +1011,7 @@ def test_a_corner_is_multiplied_once_from_corner_point_to_the_verifier(monkeypat
     """corner_point, plan and verify_certificate on a two-curve kk-extended
     corner compute the corner's Gram product once, and the verifier reads
     the base product that plan made."""
-    model = build_kk_model(extended=True).model
+    model = build_kk_model(extended=True)
     alpha = model.lattice.reference_class + model.lattice.canonical_class
     made = []
     keep = IntersectionLattice._keep_product
