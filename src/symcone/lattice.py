@@ -20,8 +20,8 @@ A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
-ask of it (definiteness, minors, -M^{-1}, components) in one Support, so
-each is decided once.
+ask of it (definiteness, minors, -M^{-1} and its row sums, components) in
+one Support, so each is decided once.
 """
 
 from __future__ import annotations
@@ -278,15 +278,17 @@ class Support:
     """The facts of one set of a model's curves, keyed by its sorted
     distinct indices: the integer Gram slice, and, each computed by the free
     function on first read and kept, whether it is admissible (negative
-    definite, by Sylvester's rule), the pivot minors, -M^{-1} and the
-    connected components.  A computation that raises keeps nothing.
+    definite, by Sylvester's rule), the pivot minors, -M^{-1}, its row sums
+    and the connected components.  A computation that raises keeps nothing.
     obstruction holds the Witness planner.component_obstruction found for a
-    connected support that is not admissible."""
+    connected support that is not admissible, and sweep what the planner's
+    sweep keeps for a vanishing locus: its far class and N 1."""
 
     def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
         self.indices = indices
         self.gram = gram
         self.obstruction = None
+        self.sweep = None
         self._components = None
 
     @cached_property
@@ -301,6 +303,11 @@ class Support:
     def inverse(self) -> NegInverse:
         return neg_inverse(self.gram)
 
+    @cached_property
+    def row_sums(self) -> tuple[int, ...]:
+        """N 1 times inverse.det, N = -M^{-1}: the adjugate's row sums."""
+        return tuple(map(sum, self.inverse.adjugate))
+
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The dual graph's components as sorted tuples of curve indices, in
         order (the indices are sorted, so pairing_components keeps it)."""
@@ -309,21 +316,23 @@ class Support:
         return self._components
 
 
-def pairing_components(pairings: Sequence[Sequence]) -> list[tuple[int, ...]]:
+def pairing_components(pairings: Sequence) -> list[tuple[int, ...]]:
     """Connected components of the dual graph of a pairing matrix: positions
-    i != j are joined when pairings[i][j] > 0.  Each component is sorted, and
-    they come in order of their least position."""
-    n = len(pairings)
+    i != j are joined when pairings[i][j] > 0.  A row is a sequence, or a
+    dict of its entries that may be nonzero, so a sparse matrix is searched
+    along its entries alone.  Each component is sorted, and they come in
+    order of their least position."""
     seen: set[int] = set()
     parts = []
-    for start in range(n):
+    for start in range(len(pairings)):
         if start in seen:
             continue
         seen.add(start)
         comp = [start]
         for i in comp:  # grows as the search reaches new positions
-            for j in range(n):
-                if j not in seen and pairings[i][j] > 0:
+            row = pairings[i]
+            for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+                if x > 0 and j not in seen:
                     seen.add(j)
                     comp.append(j)
         parts.append(tuple(sorted(comp)))
@@ -636,7 +645,10 @@ class CurveModel(Frozen):
         """The Support of a set of curve indices, shared by every call on
         this model with the same set in any order or multiplicity.  The model
         keeps the last _SUPPORTS_BOUND supports made."""
-        key = tuple(sorted(set(self._checked_indices(indices))))
+        return self._support(tuple(sorted(set(self._checked_indices(indices)))))
+
+    def _support(self, key: tuple[int, ...]) -> Support:
+        """support of a key that is already sorted, distinct and checked."""
         supports = self._supports
         found = supports.get(key)
         if found is None:

@@ -7,7 +7,9 @@ class by t times its class (0 < t < 2A/h, A its area); inflating along a
 nonnegative-square surface is unbounded and keeps the surface; smoothing
 replaces a positively-intersecting connected configuration by one embedded
 surface in the sum class, optionally re-creating ("reinstating") some
-constituents as disjoint parallel copies.
+constituents as disjoint parallel copies.  A smoothing pairs its
+constituents only where one's kept Gram product meets another's terms, so
+its work follows the sparse adjacency of the configuration, not its square.
 
 A state's invariant is that no two alive objects pair negatively.  A state
 built directly is outside input and gets the full pairwise check.  A state
@@ -15,7 +17,9 @@ seeded from a model's declared curves checks only that its ids are distinct:
 the model has already proved the invariant for its curves.  The invariant is
 inductive under moves: inflations only kill objects and a smoothing adds
 exactly one, so a move checks just its new object against the alive set and
-builds the successor without re-checking the rest.
+builds the successor without re-checking the rest.  Moves keep every object
+in its slot, so a state hands its id-to-slot map on to its successor, and no
+lookup by id scans the objects.
 
 A state pairs through the integer Gram product P = G @ (d c) its class c
 of denominator d keeps (see lattice): its areas and positive-cone test read
@@ -121,8 +125,7 @@ class ConfigurationState(Frozen):
     objects: tuple[SurfaceObject, ...]
 
     def __post_init__(self):
-        ids = [o.id for o in self.objects]
-        if len(set(ids)) != len(ids):
+        if len(self._slots) != len(self.objects):
             raise MalformedInputError("object ids must be distinct")
         # areas are read off the class's Gram product by index
         if any(o.vector.rank != self.lattice.rank for o in self.objects):
@@ -135,13 +138,16 @@ class ConfigurationState(Frozen):
 
     @classmethod
     def _proven(
-        cls, lattice: IntersectionLattice, current_class: ClassVector, objects: tuple[SurfaceObject, ...]
+        cls, lattice: IntersectionLattice, current_class: ClassVector, objects: tuple, slots: dict[str, int]
     ) -> "ConfigurationState":
         """A state built without the full check, for a caller that has
-        already proved the invariant; it reads its class's Gram product now."""
+        already proved the invariant and hands over the objects' slots by
+        id; it reads its class's Gram product now."""
         state = object.__new__(cls)
         product = lattice.gram_product(current_class)
-        state.__dict__.update(lattice=lattice, current_class=current_class, objects=objects, _product=product)
+        state.__dict__.update(
+            lattice=lattice, current_class=current_class, objects=objects, _product=product, _slots=slots
+        )
         return state
 
     @classmethod
@@ -154,21 +160,31 @@ class ConfigurationState(Frozen):
         Of the state checks only the distinct ids run, and only for labels:
         CurveModel has proved that its labels are distinct and that no two
         declared curves pair negatively."""
-        if labels is None:  # built once per model: the objects are immutable
-            objects = vars(model).get("_seeds")
-            if objects is None:
-                objects = vars(model)["_seeds"] = tuple(SurfaceObject(c.label, c.vector, c.genus) for c in model.curves)
+        if labels is None:  # built once per model: the objects and slots are never changed
+            seeds = vars(model).get("_seeds")
+            if seeds is None:
+                objects = tuple(SurfaceObject(c.label, c.vector, c.genus) for c in model.curves)
+                seeds = vars(model)["_seeds"] = objects, _slots_of(objects)
+            objects, slots = seeds
         else:
             objects = tuple(SurfaceObject(c.label, c.vector, c.genus) for c in map(model.curve, labels))
-            if len({o.id for o in objects}) != len(objects):
+            slots = _slots_of(objects)
+            if len(slots) != len(objects):
                 raise MalformedInputError("object ids must be distinct")
-        return cls._proven(model.lattice, current_class, objects)
+        return cls._proven(model.lattice, current_class, objects, slots)
+
+    @cached_property
+    def _slots(self) -> dict[str, int]:
+        """Each object's slot by id.  A move keeps every object in its slot,
+        so a successor is handed its state's slots, with a smoothing's new
+        object added."""
+        return _slots_of(self.objects)
 
     def _slot(self, object_id: str) -> int:
-        for i, o in enumerate(self.objects):
-            if o.id == object_id:
-                return i
-        raise MalformedInputError(f"no object with id {object_id!r}")
+        slot = self._slots.get(object_id)
+        if slot is None:
+            raise MalformedInputError(f"no object with id {object_id!r}")
+        return slot
 
     def object(self, object_id: str) -> SurfaceObject:
         return self.objects[self._slot(object_id)]
@@ -188,6 +204,11 @@ class ConfigurationState(Frozen):
 
     def alive_objects(self) -> tuple[SurfaceObject, ...]:
         return tuple(o for o in self.objects if o.alive)
+
+
+def _slots_of(objects: Sequence[SurfaceObject]) -> dict[str, int]:
+    """The slot of each object by id; a repeated id keeps its last."""
+    return {o.id: i for i, o in enumerate(objects)}
 
 
 def _negative_partner(
@@ -230,7 +251,7 @@ def _inflated(
     d, d_new = state.current_class.integer_form[0], current.integer_form[0]
     a, b, m = d_new * t.denominator, d_new * d * t.numerator, d * t.denominator
     state.lattice._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
-    return state._proven(state.lattice, current, objects)
+    return state._proven(state.lattice, current, objects, state._slots)
 
 
 def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None = None) -> ConfigurationState:
@@ -290,31 +311,33 @@ def smooth_and_reinstate(
     reinstates = set(reinstate_ids)
     if not reinstates <= set(constituents):
         raise MalformedInputError("reinstated ids must be constituents")
-    if any(o.id == new_id for o in state.objects):
+    if new_id in state._slots:
         raise MalformedInputError(f"id {new_id!r} is already in use")
     slots, objs = zip(*(_require_alive(state, cid) for cid in constituents))
     for o in objs:
         if state._scaled(o.vector) <= 0:
             raise PreconditionError(f"constituent {o.id!r} has non-positive area")
     lat = state.lattice
-    vectors = [o.vector for o in objs]
-
     n = len(objs)
-    # the classes are integral, so their scaled pairings are their pairings
-    pairings = [lat.scaled_pairings(v, vectors) for v in vectors]
+    rows = _meets(lat, [o.vector for o in objs])
 
     # connectivity of the dual graph under geometric intersections
-    if len(pairing_components(pairings)) != 1:
+    if len(pairing_components(rows)) != 1:
         raise ConnectivityError("constituents do not form a connected configuration")
 
-    total = sum(vectors[1:], vectors[0])
+    # the classes are integral, so the sum is one pass over their terms
+    total: dict[int, int] = {}
+    for o in objs:
+        for i, x in o.vector.integer_form[1]:
+            total[i] = total.get(i, 0) + x
+    sums = [sum(row.values()) for row in rows]
     for i, o in enumerate(objs):
         if o.id in reinstates:
             # the diagonal is the square and a row sums to the pairing with
             # the smoothing, which is count - need: this check also keeps
             # the copy from pairing negatively with the smoothing
-            need = -pairings[i][i]
-            count = sum(pairings[i]) + need
+            need = -rows[i].get(i, 0)
+            count = sums[i] + need
             if count < need:
                 raise PreconditionError(
                     f"cannot reinstate {o.id!r}: meets the rest "
@@ -322,16 +345,38 @@ def smooth_and_reinstate(
                     f"needs {format_rational(need, 'meet count')}"
                 )
 
-    double_points = sum(pairings[i][j] for i in range(n) for j in range(i + 1, n))
+    # each double point is counted in two rows, each square in one
+    double_points = (sum(sums) - sum(row.get(i, 0) for i, row in enumerate(rows))) // 2
     genus = sum(o.genus for o in objs) + double_points - (n - 1)
-    new_object = SurfaceObject(id=new_id, vector=total, genus=genus, alive=True)
+    vector = ClassVector.from_integer_form(lat.rank, 1, sorted(total.items()))
+    new_object = SurfaceObject(id=new_id, vector=vector, genus=genus, alive=True)
 
     kept = _killed(state.objects, (s for s, o in zip(slots, objs) if o.id not in reinstates))
     # the only pairings the smoothing can make negative are the new object's
     partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
     if partner is not None:
         raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
-    return state._proven(state.lattice, state.current_class, kept + (new_object,))
+    return state._proven(lat, state.current_class, kept + (new_object,), {**state._slots, new_id: len(kept)})
+
+
+def _meets(lat: IntersectionLattice, vectors: Sequence[ClassVector]) -> list[dict[int, int]]:
+    """For integral classes, the pairings of each with the others (itself
+    included) where they can be nonzero, by position: vector a's kept Gram
+    product is read only on the coordinates the lattice's sparse rows join
+    to a's terms, against the classes with a term there."""
+    at: dict[int, list[tuple[int, int]]] = {}
+    for b, v in enumerate(vectors):
+        for i, y in v.integer_form[1]:
+            at.setdefault(i, []).append((b, y))
+    rows = []
+    for v in vectors:
+        product = lat.gram_product(v)
+        row: dict[int, int] = {}
+        for i in {i for j, _ in v.integer_form[1] for i, _ in lat._rows[j]}:
+            for b, y in at.get(i, ()):
+                row[b] = row.get(b, 0) + y * product[i]
+        rows.append(row)
+    return rows
 
 
 def _require_strings(values, field: str) -> tuple[str, ...]:

@@ -3,13 +3,17 @@
 The planner picks a base class pairing uniformly (some r > 0) against the
 vanishing locus, then peels the deficit u = -M^{-1}(r 1 - v) into configuration
 smoothings and inflations, once, at the first listed r whose base is
-Kähler.  The peel replays as it searches: every candidate move is a step of
-the verifier's own Replay, so a bound, reinstatement or positive-cone failure
-simply backtracks, and the replay of the moves it keeps is the certificate's
-one replay.  Targets the planner cannot or will not handle come back as
-an Unsupported value carrying exact witness data, never as an exception.
-plan is the one certificate builder: a reflection across a curve wall is
-plan's single inflation to the reflected class.
+Kähler.  The locus's Support keeps -M^{-1} 1 and the class it spans, so a
+second target on the locus recomputes neither.  The deficit is integral over
+one denominator, and the peel compares and subtracts amplitudes in integers,
+making a Fraction only for each inflation it emits.  The peel replays as it
+searches: every candidate move is a step of the verifier's own Replay, so a
+bound, reinstatement or positive-cone failure simply backtracks, and the
+replay of the moves it keeps is the certificate's one replay.  Targets the
+planner cannot or will not handle come back as an Unsupported value carrying
+exact witness data, never as an exception.  plan is the one certificate
+builder: a reflection across a curve wall is plan's single inflation to the
+reflected class.
 """
 
 from __future__ import annotations
@@ -194,7 +198,11 @@ class _PlanFail(Exception):
 
 
 class _Peeler:
-    """Depth-first decomposition of the deficit vector into engine moves."""
+    """Depth-first decomposition of the deficit vector into engine moves.
+
+    A deficit is a dict of integer numerators over one denominator d, keyed
+    by curve indices in increasing order, so each node's Support is looked
+    up by its keys as they stand."""
 
     def __init__(self, model: CurveModel):
         self.model = model
@@ -202,28 +210,27 @@ class _Peeler:
         self.counter = 0
 
     def _fresh_id(self, state: ConfigurationState) -> str:
-        existing = {o.id for o in state.objects}
         while True:
             self.counter += 1
             candidate = f"~s{self.counter}"
-            if candidate not in existing:
+            if candidate not in state._slots:
                 return candidate
 
-    def peel(self, replay: Replay, u: dict[int, Fraction]) -> Replay:
-        """The replay after the moves that peel u off, appended to replay."""
+    def peel(self, replay: Replay, u: dict[int, int], d: int) -> Replay:
+        """The replay after the moves that peel u / d off, appended to replay."""
         if not u:
             return replay
         self.nodes += 1
         if self.nodes > _PEEL_BUDGET:
             raise _PlanFail("peel budget exhausted")
-        parts = self.model.support(u).components()
+        parts = self.model._support(tuple(u)).components()
         if len(parts) > 1:
             for part in parts:
-                replay = self.peel(replay, {i: u[i] for i in part})
+                replay = self.peel(replay, {i: u[i] for i in part}, d)
             return replay
         for cand in self._candidates(parts[0]):
             try:
-                return self.peel(*self._execute(replay, u, cand))
+                return self.peel(*self._execute(replay, u, d, cand))
             except (_PlanFail, SymconeError) as exc:
                 failure = exc.args[0] if exc.args else str(exc)  # a nested refusal's headline alone
         last = " + ".join((f"{c} " if c > 1 else "") + self.model.curves[i].label
@@ -241,13 +248,19 @@ class _Peeler:
     def _execute(
         self,
         replay: Replay,
-        u: dict[int, Fraction],
+        u: dict[int, int],
+        d: int,
         cand: dict[int, int],
-    ) -> tuple[Replay, dict[int, Fraction]]:
-        amplitude = min(u[i] / c for i, c in cand.items())
-        if amplitude <= 0:
+    ) -> tuple[Replay, dict[int, int], int]:
+        """The replay after the candidate's moves, and the rest of u / d,
+        over d or, where a constituent is doubled, over 2d: the amplitude
+        min u_i / c_i is then a / (grain d) for an integer a."""
+        grain = 2 if 2 in cand.values() else 1
+        a = min(grain * u[i] // c for i, c in cand.items())
+        if a <= 0:
             raise _PlanFail("non-positive amplitude")
-        exhausted = {i for i, c in cand.items() if u[i] == amplitude * c}
+        exhausted = {i for i, c in cand.items() if grain * u[i] == a * c}
+        amplitude = Fraction(a, grain * d)
         curves = self.model.curves
         if len(cand) == 1:
             (index,) = cand
@@ -273,14 +286,14 @@ class _Peeler:
             merged = self._fresh_id(replay.state)
             replay = _step(replay, SmoothAndReinstate(tuple(gather), survivors, merged))
             replay = _step(replay, Inflate(merged, amplitude))
-        remaining: dict[int, Fraction] = {}
+        remaining: dict[int, int] = {}
         for i, value in u.items():
-            rest = value - amplitude * cand.get(i, 0)
+            rest = grain * value - a * cand.get(i, 0)
             if rest < 0:
                 raise _PlanFail("peel overshoot")
             if rest > 0:
                 remaining[i] = rest
-        return replay, remaining
+        return replay, remaining, grain * d
 
     def _find_partner(
         self,
@@ -354,11 +367,27 @@ def _plan_single_curve(
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
+def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, list[int]]:
+    """(far, m, ones) for a vanishing locus, kept with its Support: N 1 is
+    ones / m over the locus's indices, component by component, and far is
+    sum (N 1)_i e_i.  Neither depends on the target."""
+    if locus.sweep is None:
+        kept = {}
+        for comp in locus.components():
+            support = model.support(comp)
+            kept.update((i, (s, support.inverse.det)) for i, s in zip(comp, support.row_sums))
+        m = lcm(*(det for _, det in kept.values()))
+        ones = [s * (m // det) for s, det in map(kept.get, locus.indices)]
+        far = model.combination(locus.indices, (Fraction(s, m) for s in ones))
+        locus.sweep = far, m, ones
+    return locus.sweep
+
+
 def _sweep_plan(
     model: CurveModel,
     target: ClassVector,
     pairings: Sequence[Fraction],
-    comps: tuple[tuple[int, ...], ...],
+    locus: Support,
     annotations: Sequence[str],
 ):
     """Peel the base of the first Kähler scale r, once, replaying as it
@@ -370,17 +399,25 @@ def _sweep_plan(
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
     peel checks scales linearly with r: the first Kähler r peels or none does.
+    far is the locus's (_far); on a corner v = 0, so corner is the target.
     The scales are tested from the Gram products of corner and far alone
     (CurveModel.first_interior_scale): the base's square is a quadratic in
     r and its pairings are linear forms.  A refusal names the check that
-    fails at the smallest scale."""
-    terms = []
-    for comp in comps:
-        inverse = model.support(comp).inverse
-        v = [pairings[i] for i in comp]
-        terms += zip(comp, inverse.apply(v), inverse.apply([1] * len(comp)))
-    indices, ds, ss = zip(*terms)
-    corner, far = target + model.combination(indices, ds), model.combination(indices, ss)
+    fails at the smallest scale.  The deficit goes to the peel as integer
+    numerators over one denominator."""
+    far, m, ones = _far(model, locus)
+    indices = locus.indices
+    # m q (N v)_i, for q the least common denominator of v on the locus
+    q = lcm(*(pairings[i].denominator for i in indices))
+    nv = dict.fromkeys(indices, 0)
+    corner = target
+    if any(pairings[i] for i in indices):
+        for comp in locus.components():
+            inverse = model.support(comp).inverse
+            v = [pairings[i].numerator * (q // pairings[i].denominator) for i in comp]
+            for i, row in zip(comp, inverse.adjugate):
+                nv[i] = m // inverse.det * sum(a * x for a, x in zip(row, v))
+        corner = target + model.combination(indices, (Fraction(nv[i], m * q) for i in indices))
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
         return Unsupported(
@@ -388,11 +425,12 @@ def _sweep_plan(
             detail=(("r", format_rational(_R_SWEEP[-1], "r")), ("failing check", failing)),
         )
     base = corner - far.scale(r)
-    u = {i: r * s - d for i, d, s in terms}
+    # u = r N 1 - N v = (r_n q ones_i - r_d nv_i) / (r_d q m), for r = r_n / r_d
+    u = {i: r.numerator * q * s - r.denominator * nv[i] for i, s in zip(indices, ones)}
     replay = Replay.start(Certificate(model, base, (), target))
     if replay.failure is None:
         try:
-            replay = _Peeler(model).peel(replay, u)
+            replay = _Peeler(model).peel(replay, u, r.denominator * q * m)
         except (_PlanFail, RecursionError) as exc:
             # the peel recurses once per node, so a long chain can outrun the stack
             why = exc.args if isinstance(exc, _PlanFail) else ("recursion depth exceeded",)
@@ -491,8 +529,9 @@ def _construct(model: CurveModel, target: ClassVector):
             reason="mixed boundary: target both vanishes and goes negative on curves",
             detail=(("negative on", negative), ("zero on", vanishing)),
         )
-    comps = cls.descriptor.components()
-    if not cls.descriptor.admissible:
+    locus = cls.descriptor
+    comps = locus.components()
+    if not locus.admissible:
         for comp in comps:
             found = component_obstruction(model, comp)
             if isinstance(found, Witness):
@@ -527,4 +566,4 @@ def _construct(model: CurveModel, target: ClassVector):
     if len(comps) == 1 and len(comps[0]) == 1:
         only = comps[0][0]
         return _plan_single_curve(model, target, only, cls.pairings[only], annotations)
-    return _sweep_plan(model, target, cls.pairings, comps, annotations)
+    return _sweep_plan(model, target, cls.pairings, locus, annotations)

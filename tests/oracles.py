@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+from symcone.errors import ConnectivityError, PositivityError, PreconditionError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 
 
@@ -196,6 +197,45 @@ def plain_pair(lattice: IntersectionLattice, a: ClassVector, b: ClassVector) -> 
         ),
         Fraction(0),
     )
+
+
+def dense_smoothing(state, constituent_ids, reinstate_ids, new_id: str) -> tuple[ClassVector, int]:
+    """The class and genus of the surface a smoothing of alive constituents
+    makes, the dense way: every pairing of two constituents by plain_pair,
+    connectivity by a closure over that matrix, the class by repeated +.
+    Refusals raise what smooth_and_reinstate raises, in its order and
+    with its messages: a non-positive area, a disconnected configuration,
+    a reinstatement short of meets, a negative pairing with the result."""
+    lat = state.lattice
+    objs = [next(o for o in state.objects if o.id == cid) for cid in constituent_ids]
+    for o in objs:
+        if plain_pair(lat, state.current_class, o.vector) <= 0:
+            raise PreconditionError(f"constituent {o.id!r} has non-positive area")
+    n = len(objs)
+    pairings = [[plain_pair(lat, a.vector, b.vector) for b in objs] for a in objs]
+    reached = {0}
+    while True:
+        more = {j for i in reached for j in range(n) if j != i and pairings[i][j] > 0} - reached
+        if not more:
+            break
+        reached |= more
+    if len(reached) != n:
+        raise ConnectivityError("constituents do not form a connected configuration")
+    total = objs[0].vector
+    for o in objs[1:]:
+        total = total + o.vector
+    for i, o in enumerate(objs):
+        need = -pairings[i][i]
+        count = sum(pairings[i]) + need
+        if o.id in reinstate_ids and count < need:
+            raise PreconditionError(f"cannot reinstate {o.id!r}: meets the rest {count} times, needs {need}")
+    double_points = sum(pairings[i][j] for i in range(n) for j in range(i + 1, n))
+    genus = sum(o.genus for o in objs) + double_points - (n - 1)
+    gone = set(constituent_ids) - set(reinstate_ids)
+    for o in state.objects:
+        if o.alive and o.id not in gone and plain_pair(lat, o.vector, total) < 0:
+            raise PositivityError(f"alive objects {o.id!r} and {new_id!r} pair negatively")
+    return total, int(genus)
 
 
 def first_kahler_scale(model: CurveModel, start: ClassVector, direction: ClassVector, scales):

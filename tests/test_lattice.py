@@ -629,6 +629,22 @@ def test_support_facts_equal_a_fresh_computation(seed, kk, order):
     assert support.obstruction == witness
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_support_keeps_n_one(seed):
+    # N 1 for N = -M^{-1}: the adjugate's row sums over det, kept
+    rng = random.Random(seed)
+    model = random_curve_model(rng, 6)
+    n = len(model.curves)
+    support = model.support(rng.sample(range(n), rng.randint(1, n)))
+    assert support.admissible
+    inverse = support.inverse
+    kept = tuple(Fraction(s, inverse.det) for s in support.row_sums)
+    assert kept == inverse.apply([1] * len(support.indices))
+    assert kept == tuple(-sum(row) for row in brute_inverse(support.gram))
+    assert model.support(support.indices).row_sums is support.row_sums
+
+
 def test_supports_kept_stay_within_the_bound():
     model = _fresh(builtin_model("kk-extended"))
     subsets = itertools.islice(itertools.combinations(range(21), 4), lattice._SUPPORTS_BOUND + 50)

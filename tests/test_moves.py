@@ -17,6 +17,7 @@ from symcone.errors import (
     PositivityError,
     PreconditionError,
     RangeError,
+    SymconeError,
     WrongMoveError,
 )
 from symcone import chambers, moves
@@ -48,6 +49,7 @@ from symcone.planner import plan
 
 from oracles import (
     dense_gram_product,
+    dense_smoothing,
     interior_class,
     plain_pair,
     random_curve_model,
@@ -421,7 +423,7 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     with pytest.raises(PositivityError, match="alive objects 'a' and 'c' pair negatively"):
         ConfigurationState(lattice=lat, current_class=cls, objects=objects)
     empty = ConfigurationState(lattice=lat, current_class=cls, objects=())
-    unchecked = ConfigurationState._proven(lat, cls, objects)
+    unchecked = ConfigurationState._proven(lat, cls, objects, moves._slots_of(objects))
     with pytest.raises(PositivityError) as inductive:
         apply_move(unchecked, SmoothAndReinstate(("a", "b"), (), "x"))
     merged = SurfaceObject(id="x", vector=basis[1] + basis[2], genus=0)
@@ -434,6 +436,44 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     with pytest.raises(PositivityError) as full:
         ConfigurationState(lattice=lat, current_class=cls, objects=after)
     assert str(inductive.value) == str(full.value) == "alive objects 'c' and 'x' pair negatively"
+
+
+def _smoothing_outcome(smooth):
+    """(class, genus) of the smoothing's new surface, or its refusal's type
+    and message."""
+    try:
+        return smooth()
+    except SymconeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_smoothing_agrees_with_the_dense_oracle(seed, twisted, data):
+    # the curves of a random model, connected or not, and surfaces of small
+    # integral classes put past the state check, which may pair negatively
+    # with anything: every refusal the smoothing makes can happen
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    extra = tuple(
+        SurfaceObject(f"s{k}", ClassVector([rng.randint(-1, 2) for _ in range(lat.rank)]), rng.randint(0, 2))
+        for k in range(rng.randint(0, 3))
+    )
+    base = interior_class(model, rng)
+    objects = ConfigurationState.seeded(model, base).objects + extra
+    state = ConfigurationState._proven(lat, base, objects, moves._slots_of(objects))
+    ids = [o.id for o in state.objects]
+    constituents = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True), label="constituents")
+    reinstates = data.draw(st.lists(st.sampled_from(constituents), unique=True), label="reinstates")
+
+    def sparse():
+        new = moves.smooth_and_reinstate(state, constituents, reinstates, "new").object("new")
+        return new.vector, new.genus
+
+    expected = _smoothing_outcome(lambda: dense_smoothing(state, constituents, reinstates, "new"))
+    got = _smoothing_outcome(sparse)
+    assert got == expected
 
 
 @settings(max_examples=60, deadline=None)

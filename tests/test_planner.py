@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from symcone import chambers, lattice, planner
-from symcone.documents import canonical_json, certificate_to_doc, report_to_doc
+from symcone.documents import canonical_json, certificate_to_doc, report_to_doc, unsupported_to_doc
 from symcone.errors import PreconditionError, SymconeError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice, Support
 from symcone.models import (
@@ -874,7 +874,7 @@ def test_plan_reports_a_failed_replay_as_unsupported(monkeypatch):
 
 
 def test_plan_reports_a_failed_peel_as_unsupported(monkeypatch):
-    def failing(self, state, u):
+    def failing(self, state, u, d):
         raise planner._PlanFail("no peel candidate applies")
 
     monkeypatch.setattr(planner._Peeler, "peel", failing)
@@ -955,10 +955,10 @@ def test_a_nested_peel_refusal_gives_its_headline_alone(monkeypatch):
     """Every candidate of more than one curve fails, and so does a single
     curve's on the last one left: the top node's last candidate, c3, fails
     by a refusal one node down, whose own detail is not repeated."""
-    def execute(self, replay, u, cand):
+    def execute(self, replay, u, d, cand):
         if len(cand) > 1 or len(u) == 1:
             raise planner._PlanFail("stuck")
-        return replay, {i: x for i, x in u.items() if i not in cand}
+        return replay, {i: x for i, x in u.items() if i not in cand}, d
 
     monkeypatch.setattr(planner._Peeler, "_execute", execute)
     model, corner = _census_seed_44()
@@ -994,6 +994,68 @@ def test_the_peel_inverts_nothing(monkeypatch):
     model = _chain_model([-2] * 40)
     assert isinstance(plan(model, _omega0(model)), Certificate)
     assert inverted == [40]
+
+
+def test_a_second_corner_on_a_locus_computes_neither_n_one_nor_far(monkeypatch):
+    """The locus's Support keeps N 1 of each component and the far class
+    built from it: a second corner on the same locus reads them both."""
+    model = build_kk_model(extended=True)
+    subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
+    lat = model.lattice
+    first, second = (
+        chambers.corner_point(model, alpha, subset)
+        for alpha in (lat.reference_class + lat.canonical_class, lat.reference_class.scale(2) + lat.canonical_class)
+    )
+    sums, combined = [], []
+    row_sums, combination = Support.row_sums.func, CurveModel.combination
+    monkeypatch.setattr(Support.row_sums, "func", lambda support: sums.append(support.indices) or row_sums(support))
+    monkeypatch.setattr(
+        CurveModel, "combination", lambda *args: combined.append(args[1]) or combination(*args)
+    )
+    assert isinstance(plan(model, first), Certificate)
+    assert sorted(sums) == [(0, 9), (4,)] and combined == [(0, 4, 9)]
+    assert isinstance(plan(model, second), Certificate)
+    assert sorted(sums) == [(0, 9), (4,)] and combined == [(0, 4, 9)]
+
+
+def _hirzebruch_jung(p: int, q: int) -> list[int]:
+    """The Hirzebruch-Jung continued fraction p/q = b1 - 1/(b2 - 1/(...)),
+    each b_i >= 2."""
+    digits = []
+    while q:
+        b = -(-p // q)
+        digits.append(b)
+        p, q = q, b * q - p
+    return digits
+
+
+HJ_DIGITS = _hirzebruch_jung(664729916363, 150588277955)
+
+# sha256 of the canonical JSON that plan gives at w; a D_n tree of
+# (-2)-spheres is refused there, with the peel's last candidate named
+LONG_CHAINS = {
+    "A40": ([-2] * 40, None, "452312bd44538cb9918908abf25e44be2783ce7edeecb4f1b5f065485cec945c"),
+    "A80": ([-2] * 80, None, "2b3fa27387c48545425d031227632f6383e3950543f47cd3ecc94440d95e3e5c"),
+    "D12": (
+        [-2] * 12,
+        [(i, i + 1) for i in range(10)] + [(9, 11)],
+        "2654ae6d59d5279ef6c9879142083e22107e99a03eeedea561a575c678418d0f",
+    ),
+    "HJ": ([-b for b in HJ_DIGITS], None, "47e612376cb43e7d79490047086b7633fad736f40a3336912c016212740902d3"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_CHAINS)
+def test_plans_past_21_curves_keep_their_bytes(name):
+    squares, edges, digest = LONG_CHAINS[name]
+    model = _chain_model(squares, edges=edges)
+    outcome = plan(model, _omega0(model))
+    doc = unsupported_to_doc(outcome) if isinstance(outcome, Unsupported) else certificate_to_doc(outcome)
+    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == digest
+
+
+def test_the_hirzebruch_jung_chain_is_long_and_mixed():
+    assert len(HJ_DIGITS) == 24 and set(HJ_DIGITS) == {2, 3, 4, 5}
 
 
 def test_peel_candidates_are_ones_then_boosted_then_singletons():
