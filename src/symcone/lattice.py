@@ -20,8 +20,8 @@ A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
-ask of it (definiteness, minors, -M^{-1} and its row sums, components) in
-one Support, so each is decided once.
+ask of it (definiteness, minors, -M^{-1}, components) in one Support, so
+each is decided once.
 """
 
 from __future__ import annotations
@@ -64,11 +64,8 @@ class Frozen:
         cls._fields = tuple(fields)
         cls._field_set = frozenset(fields)
         cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
-        # the tuple of fields, which equality compares and hash hashes
-        if len(fields) > 1:
-            cls._key = attrgetter(*fields)
-        else:  # attrgetter of one name returns the bare value
-            cls._key = lambda record: tuple(getattr(record, name) for name in fields)
+        # the field tuple (one field's bare value), which equality compares and hash hashes
+        cls._key = attrgetter(*fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -278,11 +275,12 @@ class Support:
     """The facts of one set of a model's curves, keyed by its sorted
     distinct indices: the integer Gram slice, and, each computed by the free
     function on first read and kept, whether it is admissible (negative
-    definite, by Sylvester's rule), the pivot minors, -M^{-1}, its row sums
-    and the connected components.  A computation that raises keeps nothing.
+    definite, by Sylvester's rule), the pivot minors, -M^{-1} and the
+    connected components.  A computation that raises keeps nothing.
     obstruction holds the Witness planner.component_obstruction found for a
     connected support that is not admissible, and sweep what the planner's
-    sweep keeps for a vanishing locus: its far class and N 1."""
+    sweep keeps for a vanishing locus: its far class and N 1, the one place
+    N 1 is kept."""
 
     def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
         self.indices = indices
@@ -297,16 +295,11 @@ class Support:
 
     @cached_property
     def minors(self) -> tuple[Fraction, ...]:
-        return linalg.pivot_minors(self.gram)
+        return tuple(linalg.iter_pivot_minors(self.gram))
 
     @cached_property
     def inverse(self) -> NegInverse:
         return neg_inverse(self.gram)
-
-    @cached_property
-    def row_sums(self) -> tuple[int, ...]:
-        """N 1 times inverse.det, N = -M^{-1}: the adjugate's row sums."""
-        return tuple(map(sum, self.inverse.adjugate))
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The dual graph's components as sorted tuples of curve indices, in

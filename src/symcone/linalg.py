@@ -163,15 +163,10 @@ def iter_pivot_minors(mat: Matrix) -> Iterator[Fraction]:
         yield Fraction(rows[k][k], d ** (k + 1))
 
 
-def pivot_minors(mat: Matrix) -> tuple[Fraction, ...]:
-    """All of iter_pivot_minors."""
-    return tuple(iter_pivot_minors(mat))
-
-
 def leading_principal_minors(mat: Matrix) -> tuple[Fraction, ...]:
     """The n leading principal minors, k = 1..n; only those past a zero
     pivot need a determinant of their own."""
-    minors = pivot_minors(mat)
+    minors = tuple(iter_pivot_minors(mat))
     rest = range(len(minors) + 1, len(mat) + 1)
     return minors + tuple(det(tuple(row[:m] for row in mat[:m])) for m in rest)
 

@@ -254,11 +254,10 @@ class _Peeler:
     ) -> tuple[Replay, dict[int, int], int]:
         """The replay after the candidate's moves, and the rest of u / d,
         over d or, where a constituent is doubled, over 2d: the amplitude
-        min u_i / c_i is then a / (grain d) for an integer a."""
+        min u_i / c_i is then a / (grain d) for an integer a.  Each u_i is a
+        positive integer and each c_i 1 or 2, so a >= 1 and no rest is < 0."""
         grain = 2 if 2 in cand.values() else 1
         a = min(grain * u[i] // c for i, c in cand.items())
-        if a <= 0:
-            raise _PlanFail("non-positive amplitude")
         exhausted = {i for i, c in cand.items() if grain * u[i] == a * c}
         amplitude = Fraction(a, grain * d)
         curves = self.model.curves
@@ -289,8 +288,6 @@ class _Peeler:
         remaining: dict[int, int] = {}
         for i, value in u.items():
             rest = grain * value - a * cand.get(i, 0)
-            if rest < 0:
-                raise _PlanFail("peel overshoot")
             if rest > 0:
                 remaining[i] = rest
         return replay, remaining, grain * d
@@ -367,18 +364,25 @@ def _plan_single_curve(
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
-def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, list[int]]:
+def _neg_apply(model: CurveModel, locus: Support, v: dict[int, int]) -> tuple[dict[int, int], int]:
+    """({i: n_i}, m) with N v = n / m, for N = -M^{-1} on each component of
+    the locus, v integers by index and m the lcm of the determinants."""
+    inverses = [(comp, model.support(comp).inverse) for comp in locus.components()]
+    m = lcm(*(inverse.det for _, inverse in inverses))
+    out = {}
+    for comp, inverse in inverses:
+        for i, row in zip(comp, inverse.adjugate):
+            out[i] = m // inverse.det * sum(a * v[j] for a, j in zip(row, comp))
+    return out, m
+
+
+def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, dict[int, int]]:
     """(far, m, ones) for a vanishing locus, kept with its Support: N 1 is
-    ones / m over the locus's indices, component by component, and far is
-    sum (N 1)_i e_i.  Neither depends on the target."""
+    ones / m by index (_neg_apply), and far is sum (N 1)_i e_i.  Neither
+    depends on the target."""
     if locus.sweep is None:
-        kept = {}
-        for comp in locus.components():
-            support = model.support(comp)
-            kept.update((i, (s, support.inverse.det)) for i, s in zip(comp, support.row_sums))
-        m = lcm(*(det for _, det in kept.values()))
-        ones = [s * (m // det) for s, det in map(kept.get, locus.indices)]
-        far = model.combination(locus.indices, (Fraction(s, m) for s in ones))
+        ones, m = _neg_apply(model, locus, dict.fromkeys(locus.indices, 1))
+        far = model.combination(locus.indices, (Fraction(ones[i], m) for i in locus.indices))
         locus.sweep = far, m, ones
     return locus.sweep
 
@@ -399,7 +403,8 @@ def _sweep_plan(
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
     peel checks scales linearly with r: the first Kähler r peels or none does.
-    far is the locus's (_far); on a corner v = 0, so corner is the target.
+    far is the locus's (_far); on a corner v = 0, so corner is the target,
+    and otherwise N v is the same adjugate pass (_neg_apply) over v.
     The scales are tested from the Gram products of corner and far alone
     (CurveModel.first_interior_scale): the base's square is a quadratic in
     r and its pairings are linear forms.  A refusal names the check that
@@ -412,11 +417,7 @@ def _sweep_plan(
     nv = dict.fromkeys(indices, 0)
     corner = target
     if any(pairings[i] for i in indices):
-        for comp in locus.components():
-            inverse = model.support(comp).inverse
-            v = [pairings[i].numerator * (q // pairings[i].denominator) for i in comp]
-            for i, row in zip(comp, inverse.adjugate):
-                nv[i] = m // inverse.det * sum(a * x for a, x in zip(row, v))
+        nv = _neg_apply(model, locus, {i: int(pairings[i] * q) for i in indices})[0]
         corner = target + model.combination(indices, (Fraction(nv[i], m * q) for i in indices))
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
@@ -426,7 +427,7 @@ def _sweep_plan(
         )
     base = corner - far.scale(r)
     # u = r N 1 - N v = (r_n q ones_i - r_d nv_i) / (r_d q m), for r = r_n / r_d
-    u = {i: r.numerator * q * s - r.denominator * nv[i] for i, s in zip(indices, ones)}
+    u = {i: r.numerator * q * ones[i] - r.denominator * nv[i] for i in indices}
     replay = Replay.start(Certificate(model, base, (), target))
     if replay.failure is None:
         try:

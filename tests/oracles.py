@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from symcone.errors import ConnectivityError, PositivityError, PreconditionError
+from symcone.errors import ConnectivityError, MalformedInputError, PositivityError, PreconditionError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 
 
@@ -205,7 +205,9 @@ def dense_smoothing(state, constituent_ids, reinstate_ids, new_id: str) -> tuple
     connectivity by a closure over that matrix, the class by repeated +.
     Refusals raise what smooth_and_reinstate raises, in its order and
     with its messages: a non-positive area, a disconnected configuration,
-    a reinstatement short of meets, a negative pairing with the result."""
+    a reinstatement short of meets, a negative genus (constituents that
+    pair negatively, past the state check, can make one), a negative
+    pairing with the result."""
     lat = state.lattice
     objs = [next(o for o in state.objects if o.id == cid) for cid in constituent_ids]
     for o in objs:
@@ -231,6 +233,8 @@ def dense_smoothing(state, constituent_ids, reinstate_ids, new_id: str) -> tuple
             raise PreconditionError(f"cannot reinstate {o.id!r}: meets the rest {count} times, needs {need}")
     double_points = sum(pairings[i][j] for i in range(n) for j in range(i + 1, n))
     genus = sum(o.genus for o in objs) + double_points - (n - 1)
+    if genus < 0:
+        raise MalformedInputError(f"object {new_id!r} needs a nonnegative integer genus")
     gone = set(constituent_ids) - set(reinstate_ids)
     for o in state.objects:
         if o.alive and o.id not in gone and plain_pair(lat, o.vector, total) < 0:

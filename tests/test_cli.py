@@ -357,6 +357,14 @@ def test_perturb_tells_roots_apart_at_small_scales(capsys, specs, eps, roots):
     assert [r["z"][0] for r in records] == pytest.approx(roots, rel=1e-9)
 
 
+def test_perturb_passes_simple_roots_whose_sign_underflows(capsys):
+    # |g'(z)|^2 = 36 |z|^10 underflows to 0 at |z| = 4.6e-34, yet g'(z) != 0
+    code, out = run(capsys, "perturb", "--model-spec", "1,6,0", "--eps", "1e-100")
+    assert code == 0
+    records = trailer(out)["records"][repr(1e-100)]
+    assert len(records) == 6 and {r["sign"] for r in records} == {0.0}
+
+
 def test_perturb_refuses_an_eps_whose_square_underflows(capsys):
     code, out = run(capsys, "perturb", "--model-spec", "1,2,0", "--eps", "1e-170")
     assert code == 2

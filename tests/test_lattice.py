@@ -18,7 +18,7 @@ from symcone.errors import (
     SingularityError,
     SymconeError,
 )
-from symcone import lattice, linalg
+from symcone import lattice, linalg, planner
 from symcone.lattice import (
     ClassVector,
     CurveData,
@@ -594,7 +594,7 @@ def _computed(model, idx, name):
     gram = model.curve_gram(sorted(set(idx)))
     compute = {
         "admissible": lambda: is_negative_definite(gram),
-        "minors": lambda: linalg.pivot_minors(gram),
+        "minors": lambda: tuple(linalg.iter_pivot_minors(gram)),
         "inverse": lambda: neg_inverse(gram),
         "obstruction": lambda: component_obstruction(_fresh(model), idx),
     }[name]
@@ -632,17 +632,18 @@ def test_support_facts_equal_a_fresh_computation(seed, kk, order):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_support_keeps_n_one(seed):
-    # N 1 for N = -M^{-1}: the adjugate's row sums over det, kept
+    # N 1 for N = -M^{-1}, component by component, kept with the sweep's far
+    # class as numerators over one denominator
     rng = random.Random(seed)
     model = random_curve_model(rng, 6)
     n = len(model.curves)
     support = model.support(rng.sample(range(n), rng.randint(1, n)))
     assert support.admissible
-    inverse = support.inverse
-    kept = tuple(Fraction(s, inverse.det) for s in support.row_sums)
-    assert kept == inverse.apply([1] * len(support.indices))
+    _, m, ones = planner._far(model, support)
+    kept = tuple(Fraction(ones[i], m) for i in support.indices)
+    assert kept == support.inverse.apply([1] * len(support.indices))
     assert kept == tuple(-sum(row) for row in brute_inverse(support.gram))
-    assert model.support(support.indices).row_sums is support.row_sums
+    assert planner._far(model, model.support(support.indices))[2] is ones
 
 
 def test_supports_kept_stay_within_the_bound():

@@ -134,7 +134,7 @@ def test_minors_past_a_zero_pivot_match_bruteforce(m):
     mat = linalg.as_matrix(m)
     minors = linalg.leading_principal_minors(mat)
     assert minors == brute_leading_minors(m)
-    pivots = linalg.pivot_minors(mat)
+    pivots = tuple(linalg.iter_pivot_minors(mat))
     assert minors[: len(pivots)] == pivots
     assert len(pivots) == len(m) or pivots[-1] == 0
     assert linalg.det(mat) == permutation_determinant(m)

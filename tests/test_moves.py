@@ -141,6 +141,60 @@ def test_inflate_requires_negative_square():
         apply_move(state, InflateNonneg(object_id=label, t=Fraction(1)))
 
 
+_KK_SQUARE_ONE = ("C1", "D123", "D147", "D159", "D168")
+
+
+def _kk_square_one_state():
+    """kk-extended from w0 + K after smoothing C1 with the four D-curves
+    through it into S, a surface of square 1 and area 21."""
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    base = lat.reference_class + lat.canonical_class
+    replay = Replay.start(Certificate(model, base, (), base))
+    replay = replay.step(SmoothAndReinstate(_KK_SQUARE_ONE, (), "S"))
+    assert replay.failure is None
+    surface = replay.state.object("S")
+    assert lat.square(surface.vector) == 1 and replay.state.area("S") == 21
+    return model, base, replay
+
+
+def test_inflate_nonneg_along_a_smoothed_surface_keeps_it_alive():
+    model, base, replay = _kk_square_one_state()
+    surface = replay.state.object("S")
+    t = Fraction(1, 2)
+    after = replay.step(InflateNonneg("S", t))
+    assert after.failure is None
+    assert after.state.object("S").alive
+    assert after.state.current_class == base + surface.vector.scale(t)
+    moves = (SmoothAndReinstate(_KK_SQUARE_ONE, (), "S"), InflateNonneg("S", t))
+    report = verify_certificate(Certificate(model, base, moves, base + surface.vector.scale(t)))
+    assert report.passed and report.first_failure is None
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(-1, 2)])
+def test_inflate_nonneg_rejects_nonpositive_t(t):
+    _, _, replay = _kk_square_one_state()
+    with pytest.raises(PreconditionError, match="t must be positive"):
+        apply_move(replay.state, InflateNonneg("S", t))
+
+
+def test_inflate_nonneg_rejects_nonpositive_area():
+    _, base, replay = _kk_square_one_state()
+    state = replace(replay.state, current_class=-base)
+    assert state.area("S") == -21
+    with pytest.raises(PreconditionError, match="non-positive area"):
+        apply_move(state, InflateNonneg("S", Fraction(1)))
+
+
+def test_a_certificate_on_a_model_without_reference_class_fails():
+    model = build_kk_model()
+    assert model.completeness_assumed and model.lattice.reference_class is None
+    w0 = ClassVector.basis(model.lattice.rank, 0)
+    report = verify_certificate(Certificate(model, w0, (), w0))
+    assert not report.passed
+    assert report.first_failure == "model has no reference class; positive cone is undefined"
+
+
 def test_smooth_and_reinstate_gamma0_first_step():
     cert, state = _gamma0_state()
     move = SmoothAndReinstate(

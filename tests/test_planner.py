@@ -1006,16 +1006,85 @@ def test_a_second_corner_on_a_locus_computes_neither_n_one_nor_far(monkeypatch):
         chambers.corner_point(model, alpha, subset)
         for alpha in (lat.reference_class + lat.canonical_class, lat.reference_class.scale(2) + lat.canonical_class)
     )
-    sums, combined = [], []
-    row_sums, combination = Support.row_sums.func, CurveModel.combination
-    monkeypatch.setattr(Support.row_sums, "func", lambda support: sums.append(support.indices) or row_sums(support))
+    applied, combined = [], []
+    neg_apply, combination = planner._neg_apply, CurveModel.combination
+    monkeypatch.setattr(
+        planner, "_neg_apply", lambda *args: applied.append(args[1].components()) or neg_apply(*args)
+    )
     monkeypatch.setattr(
         CurveModel, "combination", lambda *args: combined.append(args[1]) or combination(*args)
     )
     assert isinstance(plan(model, first), Certificate)
-    assert sorted(sums) == [(0, 9), (4,)] and combined == [(0, 4, 9)]
+    assert applied == [((0, 9), (4,))] and combined == [(0, 4, 9)]
     assert isinstance(plan(model, second), Certificate)
-    assert sorted(sums) == [(0, 9), (4,)] and combined == [(0, 4, 9)]
+    assert applied == [((0, 9), (4,))] and combined == [(0, 4, 9)]
+
+
+# sha256 of the canonical JSON of plan's outcomes at the chamber points
+# 1/8, 1/2 and 1 deep behind the corners of a w0 + lam K on the kk-extended
+# locus C1, D123, C5, whose components are (C1, D123) and (C5,)
+KK_CHAMBER_DIGEST = "0a2cfec946bdea1bfa40c61027dc42c6be013437220d1195077419380380108e"
+
+
+def test_chamber_plans_on_a_disconnected_locus_keep_their_bytes(monkeypatch):
+    """The sweep applies N to a nonzero v only behind a corner: each plan
+    here applies it to 1 once for the locus and to v once per target."""
+    model = build_kk_model(extended=True)
+    lat = model.lattice
+    subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
+    applied = []
+    neg_apply = planner._neg_apply
+    monkeypatch.setattr(
+        planner, "_neg_apply", lambda *args: applied.append(set(args[2].values())) or neg_apply(*args)
+    )
+    digest = hashlib.sha256()
+    for a, lam in ((1, 1), (2, 1), (Fraction(3, 2), Fraction(2, 3))):
+        corner = chambers.corner_point(model, lat.reference_class.scale(a) + lat.canonical_class.scale(lam), subset)
+        for epsilon in (Fraction(1, 8), Fraction(1, 2), 1):
+            outcome = plan(model, chambers.chamber_point(model, corner, subset, epsilon))
+            assert isinstance(outcome, Certificate)
+            digest.update(canonical_json(certificate_to_doc(outcome)).encode())
+    assert applied[0] == {1} and len(applied) == 10 and all(0 not in v for v in applied[1:])
+    assert digest.hexdigest() == KK_CHAMBER_DIGEST
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    twisted=st.booleans(),
+    epsilon=st.none() | st.sampled_from((Fraction(1, 3), Fraction(2))),
+)
+def test_the_peel_takes_positive_integers_and_inflates_by_positive_amplitudes(seed, twisted, epsilon):
+    """What the peel's refusals of a non-positive amplitude and an overshoot
+    guarded against cannot happen: at every node of every corner (epsilon
+    None) or chamber plan, u holds positive integers, every rest is positive
+    and at most grain u_i, and every Inflate emitted has t > 0."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng)
+    alpha = interior_class(model, rng)
+    execute = planner._Peeler._execute
+
+    def checked(self, replay, u, d, cand):
+        assert u and all(type(x) is int and x > 0 for x in u.values())
+        grain = 2 if 2 in cand.values() else 1
+        after, rest, d_rest = execute(self, replay, u, d, cand)
+        assert d_rest == grain * d
+        assert all(0 < x <= grain * u[i] for i, x in rest.items())
+        emitted = after.records()[len(replay.records()):]
+        assert all(r.move.t > 0 for r in emitted if isinstance(r.move, Inflate))
+        return after, rest, d_rest
+
+    n = len(model.curves)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner._Peeler, "_execute", checked)
+        for subset in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(2, n + 1)):
+            descriptor = chambers.descriptor_for(model, subset)
+            if not descriptor.admissible:
+                continue
+            target = chambers.corner_point(model, alpha, descriptor)
+            if epsilon is not None:
+                target = chambers.chamber_point(model, target, descriptor, epsilon)
+            plan(model, target)
 
 
 def _hirzebruch_jung(p: int, q: int) -> list[int]:
