@@ -3,10 +3,13 @@
 A positive-cone class is sorted by the signs of its pairings with the model's
 curves: interior (all positive), a corner (zero on a set G), a chamber
 (negative on G), or mixed.  The constructive operations move classes between
-these strata with exact rational witnesses; every corner, chamber and
-interior shift is the one product s = -M^{-1} values over G.  This module
-computes classes and points only: certificates, including the one for a
-reflection across a curve wall, come from the planner.
+these strata with exact rational witnesses.  Every corner, chamber and
+interior shift, and the planner's sweep, moves a class by sum (N v)_i e_i
+for N = -M^{-1} on G: one routine (_neg_apply) computes N v in integers,
+component by component of G, and G's Support keeps the far class
+sum (N 1)_i e_i (_far).  This module computes classes and points only:
+certificates, including the one for a reflection across a curve wall, come
+from the planner.
 
 "Kähler" below always means the model predicate: positive square, positive
 pairing with the reference class, and strictly positive pairing with every
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -97,63 +101,83 @@ def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) ->
     return alpha - e.scale(factor)
 
 
+def _neg_apply(model: CurveModel, support: Support, values: Sequence) -> tuple[dict[int, int], int]:
+    """({i: n_i}, m q) with N values = n / (m q), for N = -M^{-1} on each
+    component of the admissible support: values are rationals, one per index
+    in order, scaled to integers by q, the lcm of their denominators; m is
+    the lcm of the components' determinants.  Each component's -M^{-1} is
+    the model's, kept with its Support, and applied in integers."""
+    q = lcm(*(x.denominator for x in values))
+    scaled = dict(zip(support.indices, (x.numerator * (q // x.denominator) for x in values), strict=True))
+    inverses = [(comp, model.support(comp).inverse) for comp in support.components()]
+    m = lcm(*(inverse.det for _, inverse in inverses))
+    out = {}
+    for comp, inverse in inverses:
+        for i, row in zip(comp, inverse.adjugate):
+            out[i] = m // inverse.det * sum(a * scaled[j] for a, j in zip(row, comp))
+    return out, m * q
+
+
+def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, dict[int, int]]:
+    """(far, m, ones) for an admissible locus, kept with its Support: N 1 is
+    ones / m by index (_neg_apply), and far = sum (N 1)_i e_i pairs exactly
+    -1 with each curve of the locus."""
+    if locus.sweep is None:
+        ones, m = _neg_apply(model, locus, [1] * len(locus.indices))
+        far = model.combination(locus.indices, (Fraction(ones[i], m) for i in locus.indices))
+        locus.sweep = far, m, ones
+    return locus.sweep
+
+
 def _shift(
     model: CurveModel, support: Support, values: Sequence
 ) -> tuple[tuple[Fraction, ...], ClassVector]:
-    """s = -M^{-1} values over the admissible G, with the class sum s_i e_i:
-    it pairs exactly -values_j with each e_j in G.  -M^{-1} is the model's,
-    kept with its Support of G."""
-    s = support.inverse.apply(values)
+    """s = -M^{-1} values over the admissible G, with the class sum s_i e_i.
+    M s = -values exactly, so the sum pairs -values_j with each e_j in G;
+    -M^{-1} >= 0 has no zero row, so s > 0 when values > 0."""
+    n, q = _neg_apply(model, support, values)
+    s = tuple(Fraction(n[i], q) for i in support.indices)
     return s, model.combination(support.indices, s)
 
 
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
-    t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive."""
+    t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive.  With
+    M t = -v, alpha'^2 = alpha^2 + t.v > alpha^2."""
     lat = model.lattice
     if not lat.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
     descriptor = _admissible_descriptor(model, G)
-    # every check is a sign of scaled pairings, off the Gram product each class keeps
-    curves = [model.curves[i].vector for i in descriptor.indices]
-    *v, square, _ = lat.scaled_pairings(alpha, (*curves, alpha, lat.reference_class))
+    # the curves are integral: these are d_alpha times the pairings
+    v = lat.scaled_pairings(alpha, [model.curves[i].vector for i in descriptor.indices])
     if any(x <= 0 for x in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
     d = alpha.integer_form[0]
-    t, shift = _shift(model, descriptor, [Fraction(x, d) for x in v])
-    if any(coeff <= 0 for coeff in t):
-        raise PropertyViolationError("corner shift coefficient is not positive")
+    _, shift = _shift(model, descriptor, [Fraction(x, d) for x in v])
     result = alpha + shift
-    *zeros, result_square, reference = lat.scaled_pairings(result, (*curves, result, lat.reference_class))
-    if any(zeros):
-        raise PropertyViolationError("corner point does not vanish on G")
-    if result_square * d * d < square * result.integer_form[0] ** 2:
-        raise PropertyViolationError("corner point decreased the square")
-    if result_square <= 0 or reference <= 0:
+    if not lat.is_positive_cone(result):
         raise PropertyViolationError("corner point left the positive cone")
     return result
 
 
 def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> ClassVector:
-    """From a G-corner class, step into the G-chamber: the result pairs
-    exactly -epsilon with every curve of G.  epsilon is halved (at most 64
-    times) until the result stays in the positive cone."""
+    """From a G-corner class, step into the G-chamber: the result
+    alpha_corner + epsilon far pairs exactly -epsilon with every curve of G.
+    epsilon is halved (at most 64 times) until the result stays in the
+    positive cone."""
     descriptor = _admissible_descriptor(model, G)
     eps = linalg.as_fraction(epsilon)
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
     lat = model.lattice
-    curves = [model.curves[i] for i in descriptor.indices]
-    for c in curves:
+    for i in descriptor.indices:
+        c = model.curves[i]
         if lat.pair(alpha_corner, c.vector) != 0:
             raise PreconditionError(f"class does not lie on the corner of {c.label!r}")
-    _, shift = _shift(model, descriptor, [1] * len(curves))
+    far = _far(model, descriptor)[0]
     for _ in range(64):
-        result = alpha_corner + shift.scale(eps)
+        result = alpha_corner + far.scale(eps)
         if lat.is_positive_cone(result):
-            for curve in curves:
-                if lat.pair(result, curve.vector) != -eps:
-                    raise PropertyViolationError("chamber point pairing is not -epsilon")
             return result
         eps = eps / 2
     raise SearchFailureError("no epsilon kept the chamber point in the positive cone")
@@ -169,20 +193,12 @@ def boundary_to_interior(
     for which alpha - r sum s_i e_i is interior-Kähler.
     """
     descriptor = _admissible_descriptor(model, G)
-    lat = model.lattice
-    curves = [model.curves[i] for i in descriptor.indices]
     vv = [linalg.as_fraction(x) for x in v]
-    if len(vv) != len(curves):
+    if len(vv) != len(descriptor.indices):
         raise PreconditionError("v must give one value per curve of G")
     if any(value <= 0 for value in vv):
         raise PreconditionError("v must be entrywise positive")
     s, shift = _shift(model, descriptor, vv)
-    if any(value <= 0 for value in s):
-        # contradicts the sign structure of -M^{-1}; Gram data must be bad
-        raise PropertyViolationError("boundary shift has a non-positive coefficient")
-    for value, curve in zip(vv, curves):
-        if lat.pair(shift, curve.vector) != -value:
-            raise PropertyViolationError("shift identity sum s_i e_i . e_j = -v_j failed")
     r, _ = model.first_interior_scale(alpha_corner, shift, (Fraction(1, 2**j) for j in range(64)))
     if r is None:
         raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")

@@ -20,8 +20,8 @@ A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
-ask of it (definiteness, minors, -M^{-1}, components) in one Support, so
-each is decided once.
+ask of it (definiteness, -M^{-1}, components) in one Support, so each is
+decided once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -224,24 +224,13 @@ def is_negative_definite(gram: linalg.Matrix) -> bool:
     )
 
 
-class NegInverse:
+class NegInverse(NamedTuple):
     """-M^{-1} in fraction-free form: -M^{-1} = adjugate / det, with det a
     positive integer and adjugate a nonnegative integer matrix (det(-M) and
     adj(-M) when M is integral)."""
 
-    __slots__ = ("det", "adjugate")
-
-    def __init__(self, det: int, adjugate: tuple[tuple[int, ...], ...]):
-        self.det, self.adjugate = det, adjugate
-
-    def apply(self, values: Sequence) -> tuple[Fraction, ...]:
-        """-M^{-1} values in integers: the adjugate times the values scaled
-        to one denominator d, then one Fraction per coordinate over det d."""
-        values = [linalg.as_fraction(x) for x in values]
-        d = lcm(*(x.denominator for x in values))
-        scaled = [x.numerator * (d // x.denominator) for x in values]
-        q = self.det * d
-        return tuple(Fraction(sum(a * x for a, x in zip(row, scaled)), q) for row in self.adjugate)
+    det: int
+    adjugate: tuple[tuple[int, ...], ...]
 
 
 def neg_inverse(gram: linalg.Matrix) -> NegInverse:
@@ -275,12 +264,11 @@ class Support:
     """The facts of one set of a model's curves, keyed by its sorted
     distinct indices: the integer Gram slice, and, each computed by the free
     function on first read and kept, whether it is admissible (negative
-    definite, by Sylvester's rule), the pivot minors, -M^{-1} and the
-    connected components.  A computation that raises keeps nothing.
-    obstruction holds the Witness planner.component_obstruction found for a
-    connected support that is not admissible, and sweep what the planner's
-    sweep keeps for a vanishing locus: its far class and N 1, the one place
-    N 1 is kept."""
+    definite, by Sylvester's rule), -M^{-1} and the connected components.
+    A computation that raises keeps nothing.  obstruction holds the Witness
+    planner.component_obstruction found for a connected support that is not
+    admissible, and sweep what chambers._far keeps for an admissible one:
+    its far class and N 1, the one place N 1 is kept."""
 
     def __init__(self, indices: tuple[int, ...], gram: tuple[tuple[int, ...], ...]):
         self.indices = indices
@@ -292,10 +280,6 @@ class Support:
     @cached_property
     def admissible(self) -> bool:
         return is_negative_definite(self.gram)
-
-    @cached_property
-    def minors(self) -> tuple[Fraction, ...]:
-        return tuple(linalg.iter_pivot_minors(self.gram))
 
     @cached_property
     def inverse(self) -> NegInverse:

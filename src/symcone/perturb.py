@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import statistics
+import sys
 from typing import Sequence
 
 from .errors import (
@@ -70,7 +71,7 @@ class LocalCurveModel(Frozen):
 def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     """Localization radius R = max_i (2 eps / |a_i|)^(1/k_i).
 
-    Admits eps only when eps^2 is not 0 in doubles, sqrt(R) < min_i |a_i| /
+    Admits eps only when eps^2 is a normal double, sqrt(R) < min_i |a_i| /
     (2 |c_i|) and every predicted root lies inside the disk of radius R;
     otherwise raises a range error naming the violated bound."""
     models = tuple(models)
@@ -81,8 +82,8 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
         raise MalformedInputError(f"eps must be finite, not {eps!r}")
     if eps <= 0:
         raise MalformedInputError("eps must be positive")
-    if eps * eps == 0:
-        raise RangeError(f"eps = {eps!r} is too small: eps^2 underflows to 0")
+    if eps * eps < sys.float_info.min:
+        raise RangeError(f"eps = {eps!r} is too small: eps^2 is not a normal double")
     radius = max((2 * eps / abs(m.leading)) ** (1.0 / m.order) for m in models)
     caps = [abs(m.leading) / (2 * abs(m.remainder)) for m in models if m.remainder]
     if caps and not math.sqrt(radius) < min(caps):

@@ -19,13 +19,13 @@ reflected class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Sequence
 
-from .chambers import Membership, classify, reflect
+from .chambers import Membership, _far, _neg_apply, classify, reflect
 from .errors import PreconditionError, PropertyViolationError, SymconeError
-from .lattice import ClassVector, CurveModel, Frozen, Support, neg_inverse, pairing_components
-from .linalg import format_rational
+from .lattice import ClassVector, CurveModel, Frozen, Support, pairing_components
+from .linalg import format_rational, iter_pivot_minors
 from .moves import (
     Certificate,
     ConfigurationState,
@@ -141,11 +141,11 @@ def component_obstruction(model: CurveModel, indices: Sequence[int]):
     if support.admissible:
         return support
     if support.obstruction is None:
-        support.obstruction = _witness(support)
+        support.obstruction = _witness(model, support)
     return support.obstruction
 
 
-def _witness(support: Support) -> Witness:
+def _witness(model: CurveModel, support: Support) -> Witness:
     idx, M = support.indices, support.gram
     n = len(idx)
     # curve classes and the Gram are integral, so the search runs in integers;
@@ -174,11 +174,12 @@ def _witness(support: Support) -> Witness:
         w[best] += 1
     # Schur witness: before the first leading minor of the wrong sign, M_{k-1}
     # is negative definite, so with m the head of column k the vector
-    # (-M_{k-1}^{-1} m, 1, 0, ...) is nonnegative of square det M_k / det M_{k-1} >= 0
-    k = next(k for k, minor in enumerate(support.minors, start=1) if (-1) ** k * minor <= 0)
-    head = neg_inverse(tuple(row[: k - 1] for row in M[: k - 1])).apply([row[k - 1] for row in M[: k - 1]])
-    d = lcm(*(x.denominator for x in head))
-    c = tuple(x.numerator * (d // x.denominator) for x in head) + (d,) + (0,) * (n - k)
+    # (-M_{k-1}^{-1} m, 1, 0, ...) is nonnegative of square det M_k / det M_{k-1} >= 0;
+    # for -M_{k-1}^{-1} m = head / d, d / gcd(d, head) scales it to integers
+    k = next(k for k, minor in enumerate(iter_pivot_minors(M), start=1) if (-1) ** k * minor <= 0)
+    head, d = _neg_apply(model, model.support(idx[: k - 1]), [row[k - 1] for row in M[: k - 1]])
+    g = gcd(d, *head.values())
+    c = tuple(head[i] // g for i in idx[: k - 1]) + (d // g,) + (0,) * (n - k)
     return Witness(indices=idx, coefficients=c, square=Fraction(square_of(c)))
 
 
@@ -364,29 +365,6 @@ def _plan_single_curve(
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
-def _neg_apply(model: CurveModel, locus: Support, v: dict[int, int]) -> tuple[dict[int, int], int]:
-    """({i: n_i}, m) with N v = n / m, for N = -M^{-1} on each component of
-    the locus, v integers by index and m the lcm of the determinants."""
-    inverses = [(comp, model.support(comp).inverse) for comp in locus.components()]
-    m = lcm(*(inverse.det for _, inverse in inverses))
-    out = {}
-    for comp, inverse in inverses:
-        for i, row in zip(comp, inverse.adjugate):
-            out[i] = m // inverse.det * sum(a * v[j] for a, j in zip(row, comp))
-    return out, m
-
-
-def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, dict[int, int]]:
-    """(far, m, ones) for a vanishing locus, kept with its Support: N 1 is
-    ones / m by index (_neg_apply), and far is sum (N 1)_i e_i.  Neither
-    depends on the target."""
-    if locus.sweep is None:
-        ones, m = _neg_apply(model, locus, dict.fromkeys(locus.indices, 1))
-        far = model.combination(locus.indices, (Fraction(ones[i], m) for i in locus.indices))
-        locus.sweep = far, m, ones
-    return locus.sweep
-
-
 def _sweep_plan(
     model: CurveModel,
     target: ClassVector,
@@ -403,8 +381,8 @@ def _sweep_plan(
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
     peel checks scales linearly with r: the first Kähler r peels or none does.
-    far is the locus's (_far); on a corner v = 0, so corner is the target,
-    and otherwise N v is the same adjugate pass (_neg_apply) over v.
+    far is the locus's (chambers._far); on a corner v = 0, so corner is the
+    target, and otherwise N v comes from the same pass (chambers._neg_apply).
     The scales are tested from the Gram products of corner and far alone
     (CurveModel.first_interior_scale): the base's square is a quadratic in
     r and its pairings are linear forms.  A refusal names the check that
@@ -413,12 +391,11 @@ def _sweep_plan(
     far, m, ones = _far(model, locus)
     indices = locus.indices
     # m q (N v)_i, for q the least common denominator of v on the locus
-    q = lcm(*(pairings[i].denominator for i in indices))
-    nv = dict.fromkeys(indices, 0)
-    corner = target
+    q, nv, corner = 1, dict.fromkeys(indices, 0), target
     if any(pairings[i] for i in indices):
-        nv = _neg_apply(model, locus, {i: int(pairings[i] * q) for i in indices})[0]
-        corner = target + model.combination(indices, (Fraction(nv[i], m * q) for i in indices))
+        nv, mq = _neg_apply(model, locus, [pairings[i] for i in indices])
+        q = mq // m
+        corner = target + model.combination(indices, (Fraction(nv[i], mq) for i in indices))
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
         return Unsupported(

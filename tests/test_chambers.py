@@ -19,7 +19,7 @@ from symcone.lattice import ClassVector, IntersectionLattice
 from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
 from symcone.moves import Replay, verify_certificate
 
-from oracles import interior_class, random_curve_model, twisted_curve_model
+from oracles import brute_inverse, interior_class, mat_vec, random_curve_model, twisted_curve_model
 
 
 def _kk_extended():
@@ -243,14 +243,28 @@ def _oracle_pair(lattice, a, b):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
+    """The corner algebra the chamber operations rely on without checking it
+    at run time: for N = -M^{-1} on G and v > 0, N v is positive, equals the
+    brute inverse's product, and sum (N v)_i e_i pairs exactly -v_j with each
+    e_j; a corner does not lower the square, and a chamber point pairs the
+    same -epsilon with every curve of G."""
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = random.Random(seed)
     model = data.draw(st.sampled_from((random_curve_model, twisted_curve_model)), label="model")(rng)
     n = len(model.curves)
     G = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="G")
     eps = data.draw(st.fractions(Fraction(1, 64), 4, max_denominator=64), label="eps")
+    positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 12))
+    v = data.draw(st.lists(positive, min_size=len(G), max_size=len(G)), label="v")
+    support = model.support(G)
+    s, shift = chambers._shift(model, support, v)
+    assert all(x > 0 for x in s)
+    assert s == tuple(-x for x in mat_vec(brute_inverse(support.gram), v))
+    for i, value in zip(support.indices, v):
+        assert _oracle_pair(model.lattice, shift, model.curves[i].vector) == -value
     alpha = interior_class(model, rng)
     corner = chambers.corner_point(model, alpha, G)
+    assert _oracle_pair(model.lattice, corner, corner) >= _oracle_pair(model.lattice, alpha, alpha)
     inside = chambers.chamber_point(model, corner, G, eps)
     # chamber_point halves eps until the result stays in the positive cone
     depth = -_oracle_pair(model.lattice, inside, model.curves[G[0]].vector)
@@ -262,13 +276,11 @@ def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
 
 
 def _interior_on(model):
-    from symcone.lattice import neg_inverse
-
     n = len(model.curves)
-    u = neg_inverse(model.curve_gram()).apply([Fraction(1)] * n)
+    u, q = chambers._neg_apply(model, model.support(range(n)), [1] * n)
     vec = ClassVector.basis(model.lattice.rank, 0)
-    for coeff, curve in zip(u, model.curves):
-        vec = vec - curve.vector.scale(coeff)
+    for i, curve in enumerate(model.curves):
+        vec = vec - curve.vector.scale(Fraction(u[i], q))
     return vec
 
 

@@ -369,6 +369,55 @@ def test_perturb_refuses_an_eps_whose_square_underflows(capsys):
     code, out = run(capsys, "perturb", "--model-spec", "1,2,0", "--eps", "1e-170")
     assert code == 2
     assert trailer(out)["error"].startswith("eps = 1e-170 is too small")
+    # a subnormal eps^2 is refused too: Newton's tolerance 1e-12 eps^2 would
+    # be 0, and 2.5,1,0 at 1e-160 failed in Newton (exit 1)
+    for eps in ("1e-160", "1.49e-154"):
+        code, out = run(capsys, "perturb", "--model-spec", "2.5,1,0", "--eps", eps)
+        assert code == 2
+        assert trailer(out)["error"].startswith(f"eps = {eps} is too small")
+    assert run(capsys, "perturb", "--model-spec", "2.5,1,0", "--eps", "1.5e-154")[0] == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (("perturb", "--model-spec", "1,2,0"), "perturb needs at least one --eps"),
+    (("perturb", "--model-spec", "1,2", "--eps", "0.1"), "--model-spec '1,2': expected \"a,k,c\""),
+    (("perturb", "--model-spec", "a,2,0", "--eps", "0.1"), "--model-spec 'a,2,0': numbers expected"),
+    (("example", "ruled", "--genus", "0", "--parity", "trivial"), "example ruled needs --genus, --k, --parity"),
+    (("corner", "--model", "kk-extended", "--class", OMEGA0_22, "--curves", ","),
+     "--curves: expected at least one curve label"),
+    (("reflect", "--model", "kk-extended", "--class", OMEGA0_22), "reflect needs --curve or --axis"),
+])
+def test_argument_refusals_name_their_flag(capsys, args, message):
+    code, out = run(capsys, *args)
+    assert code == 2
+    assert trailer(out)["error"].startswith(message)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("kind, mutate, message", [
+    ("model", lambda doc: doc["labels"].__setitem__(0, 7), ".labels[0]: expected a string"),
+    ("model", _set("rank", 0), ".rank: must be positive"),
+    ("certificate", _set("moves", {}), ".moves: expected an array"),
+    ("certificate", lambda doc: doc["moves"].__setitem__(0, 3), '.moves[0]: expected an object with an "op" field'),
+    ("certificate", _set("initial_objects", "C1"), ".initial_objects: expected an array of strings"),
+])
+def test_document_refusals_name_their_field(capsys, tmp_path, kind, mutate, message):
+    _, out = run(capsys, "example", "kk-gamma0", *(("--certificate",) if kind == "certificate" else ()))
+    doc = trailer(out)
+    mutate(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if kind == "model":
+        code, out = run(capsys, "classify", "--model", str(path), "--class", "1")
+        where = str(path)
+    else:
+        code, out = run(capsys, "verify", str(path))
+        where = "certificate"
+    assert code == 2
+    assert trailer(out)["error"] == where + message
 
 
 @pytest.mark.parametrize("spec, eps, field", [

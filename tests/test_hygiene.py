@@ -3,8 +3,9 @@ and every test file uses each name it imports; every function, method and
 class the package defines is referenced; the package's modules import each
 other without a cycle, and chambers sits below the move engine and the
 planner.  No module imports dataclasses or imports inside a function, the
-package serves every public name of the modules it loads lazily, and no
-module but perturb (and cli, which parses its numbers) uses floats."""
+package serves every public name of the modules it loads lazily, no module
+but perturb (and cli, which parses its numbers) uses floats, and only
+chambers._neg_apply reads an adjugate or a Support's inverse."""
 
 import ast
 import graphlib
@@ -179,6 +180,40 @@ def test_the_import_graph_sees_every_import_form():
         "from symcone.planner import plan\nimport os\nfrom fractions import Fraction\n"
     )
     assert package_imports(tree) == {"linalg", "moves", "lattice", "planner"}
+
+
+def inverse_readers(tree: ast.Module) -> set[str]:
+    """The functions that read an adjugate or a Support's inverse (any
+    .adjugate or .inverse attribute), by name; module level reads as "."."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in ("adjugate", "inverse"):
+                found.add(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, ".")
+    return found
+
+
+def test_only_one_routine_applies_neg_inverse():
+    # every -M^{-1} product goes through chambers._neg_apply, component by
+    # component; a second apply would be a second copy of that algebra
+    readers = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in inverse_readers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"chambers._neg_apply"}
+
+
+def test_the_check_sees_an_inverse_read():
+    tree = ast.parse(
+        "x = s.inverse\nclass A:\n    def f(self):\n        def g():\n            return n.adjugate\n"
+        "    def h(self, adjugate):\n        return adjugate.det\n"
+    )
+    assert inverse_readers(tree) == {".", "g"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -18,7 +18,7 @@ from symcone.errors import (
     SingularityError,
     SymconeError,
 )
-from symcone import lattice, linalg, planner
+from symcone import chambers, lattice, linalg
 from symcone.lattice import (
     ClassVector,
     CurveData,
@@ -566,7 +566,7 @@ def _fresh(model):
     return CurveModel(model.lattice, model.curves, model.completeness_assumed)
 
 
-_FACTS = ("admissible", "minors", "inverse", "obstruction")
+_FACTS = ("admissible", "inverse", "obstruction")
 
 
 def _outcome(compute):
@@ -578,7 +578,7 @@ def _outcome(compute):
     if isinstance(value, NegInverse):
         return value.det, value.adjugate
     if isinstance(value, Support):
-        return value.indices, value.minors
+        return value.indices
     return value
 
 
@@ -594,7 +594,6 @@ def _computed(model, idx, name):
     gram = model.curve_gram(sorted(set(idx)))
     compute = {
         "admissible": lambda: is_negative_definite(gram),
-        "minors": lambda: tuple(linalg.iter_pivot_minors(gram)),
         "inverse": lambda: neg_inverse(gram),
         "obstruction": lambda: component_obstruction(_fresh(model), idx),
     }[name]
@@ -622,7 +621,7 @@ def test_support_facts_equal_a_fresh_computation(seed, kk, order):
     assert support.indices == tuple(sorted(set(idx)))
     assert support.gram == model.curve_gram(support.indices)
     # a fact that raised is not kept
-    for name in ("admissible", "minors", "inverse"):
+    for name in ("admissible", "inverse"):
         assert (name in vars(support)) is not isinstance(expected[name], type)
     # only a witness is kept: an admissible support is its own answer
     witness = expected["obstruction"] if isinstance(expected["obstruction"], Witness) else None
@@ -639,11 +638,12 @@ def test_a_support_keeps_n_one(seed):
     n = len(model.curves)
     support = model.support(rng.sample(range(n), rng.randint(1, n)))
     assert support.admissible
-    _, m, ones = planner._far(model, support)
+    _, m, ones = chambers._far(model, support)
     kept = tuple(Fraction(ones[i], m) for i in support.indices)
-    assert kept == support.inverse.apply([1] * len(support.indices))
+    # the whole support's -M^{-1}, disconnected or not
+    assert kept == tuple(Fraction(sum(row), support.inverse.det) for row in support.inverse.adjugate)
     assert kept == tuple(-sum(row) for row in brute_inverse(support.gram))
-    assert planner._far(model, model.support(support.indices))[2] is ones
+    assert chambers._far(model, model.support(support.indices))[2] is ones
 
 
 def test_supports_kept_stay_within_the_bound():
@@ -781,15 +781,21 @@ def test_adding_or_subtracting_zero_returns_the_class_itself():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_neg_inverse_applies_in_integers_as_the_fraction_product(seed, data):
-    inverse = neg_inverse(random_negative_definite(random.Random(seed)))
-    n = len(inverse.adjugate)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_neg_inverse_applies_in_integers_as_the_fraction_product(seed, twisted, data):
+    # chambers._neg_apply, component by component of a support, against the
+    # whole support's -M^{-1} as Fractions
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    support = model.support(rng.sample(range(len(model.curves)), rng.randint(1, len(model.curves))))
+    n = len(support.indices)
     values = data.draw(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
                                 min_size=n, max_size=n))
-    got = inverse.apply(values)
-    assert got == mat_vec(_rows(inverse), [Fraction(x) for x in values])
-    assert all(type(x) is Fraction for x in got)
+    got, q = chambers._neg_apply(model, support, values)
+    assert sorted(got) == list(support.indices)
+    assert type(q) is int and q > 0 and all(type(x) is int for x in got.values())
+    want = mat_vec(_rows(support.inverse), [Fraction(x) for x in values])
+    assert tuple(Fraction(got[i], q) for i in support.indices) == want
 
 
 @settings(max_examples=60, deadline=None)

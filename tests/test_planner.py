@@ -23,7 +23,7 @@ from symcone.models import (
     kk_gamma0_model,
     ruled_model,
 )
-from symcone.linalg import format_rational
+from symcone.linalg import format_rational, iter_pivot_minors
 from symcone.moves import Certificate, Inflate, Replay, h_param, verify_certificate
 from symcone.planner import (
     Unsupported,
@@ -249,7 +249,7 @@ def test_admissible_component_reports_minors():
     model = _chain_model([-2] * 3)
     result = component_obstruction(model, (0, 1, 2))
     assert isinstance(result, Support)
-    assert result.minors == (Fraction(-2), Fraction(3), Fraction(-4))
+    assert tuple(iter_pivot_minors(result.gram)) == (Fraction(-2), Fraction(3), Fraction(-4))
 
 
 def test_witness_bcbcb_chain():
@@ -1007,10 +1007,12 @@ def test_a_second_corner_on_a_locus_computes_neither_n_one_nor_far(monkeypatch):
         for alpha in (lat.reference_class + lat.canonical_class, lat.reference_class.scale(2) + lat.canonical_class)
     )
     applied, combined = [], []
-    neg_apply, combination = planner._neg_apply, CurveModel.combination
-    monkeypatch.setattr(
-        planner, "_neg_apply", lambda *args: applied.append(args[1].components()) or neg_apply(*args)
-    )
+    combination = CurveModel.combination
+    # chambers._far calls chambers' own binding, the sweep the planner's
+    for module in (chambers, planner):
+        monkeypatch.setattr(module, "_neg_apply", lambda *args, f=module._neg_apply: (
+            applied.append(args[1].components()) or f(*args)
+        ))
     monkeypatch.setattr(
         CurveModel, "combination", lambda *args: combined.append(args[1]) or combination(*args)
     )
@@ -1028,15 +1030,18 @@ KK_CHAMBER_DIGEST = "0a2cfec946bdea1bfa40c61027dc42c6be013437220d119507741938038
 
 def test_chamber_plans_on_a_disconnected_locus_keep_their_bytes(monkeypatch):
     """The sweep applies N to a nonzero v only behind a corner: each plan
-    here applies it to 1 once for the locus and to v once per target."""
+    here applies it to v once, while chambers applies it to each corner's
+    pairings and, at the first chamber point, to 1 for the locus's far
+    class, which every later chamber point and plan reads."""
     model = build_kk_model(extended=True)
     lat = model.lattice
     subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
     applied = []
-    neg_apply = planner._neg_apply
-    monkeypatch.setattr(
-        planner, "_neg_apply", lambda *args: applied.append(set(args[2].values())) or neg_apply(*args)
-    )
+    for module in (chambers, planner):
+        name = module.__name__.rpartition(".")[2]
+        monkeypatch.setattr(module, "_neg_apply", lambda *args, f=module._neg_apply, name=name: (
+            applied.append((name, set(args[2]))) or f(*args)
+        ))
     digest = hashlib.sha256()
     for a, lam in ((1, 1), (2, 1), (Fraction(3, 2), Fraction(2, 3))):
         corner = chambers.corner_point(model, lat.reference_class.scale(a) + lat.canonical_class.scale(lam), subset)
@@ -1044,7 +1049,10 @@ def test_chamber_plans_on_a_disconnected_locus_keep_their_bytes(monkeypatch):
             outcome = plan(model, chambers.chamber_point(model, corner, subset, epsilon))
             assert isinstance(outcome, Certificate)
             digest.update(canonical_json(certificate_to_doc(outcome)).encode())
-    assert applied[0] == {1} and len(applied) == 10 and all(0 not in v for v in applied[1:])
+    # per corner: its corner_point, (the far class,) then three sweeps
+    sweeps = ["planner"] * 3
+    assert [name for name, _ in applied] == ["chambers", "chambers", *sweeps, *(["chambers", *sweeps] * 2)]
+    assert applied[1] == ("chambers", {1}) and all(0 not in v for _, v in applied)
     assert digest.hexdigest() == KK_CHAMBER_DIGEST
 
 
