@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -43,9 +44,18 @@ class Membership(enum.Enum):
 
 
 class Classification(Frozen):
+    """A class's stratum, its vanishing or negative set, and its pairings
+    with the declared curves: scaled, d times each pairing for d the class's
+    denominator, and as Fractions (pairings), made on their first read."""
+
     membership: Membership
     descriptor: Support
-    pairings: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    denominator: int
+
+    @cached_property
+    def pairings(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.scaled)
 
 
 def descriptor_for(model: CurveModel, indices: Sequence[int]) -> Support:
@@ -77,7 +87,7 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
     if not model.lattice.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
     # the curves are integral: these are d_alpha times the pairings
-    scaled = model.lattice.scaled_pairings(alpha, [c.vector for c in model.curves])
+    scaled = model._row(alpha)[1:]
     boundary = tuple(i for i, x in enumerate(scaled) if x <= 0)
     descriptor = descriptor_for(model, boundary)
     if not boundary:
@@ -88,8 +98,7 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
         tag = Membership.CHAMBER
     else:
         tag = Membership.MIXED_BOUNDARY
-    pairings = tuple(Fraction(x, alpha.integer_form[0]) for x in scaled)
-    return Classification(membership=tag, descriptor=descriptor, pairings=pairings)
+    return Classification(tag, descriptor, scaled, alpha.integer_form[0])
 
 
 def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) -> ClassVector:
@@ -98,7 +107,7 @@ def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) ->
     if ee == 0:
         raise SingularityError("cannot reflect along a class of square zero")
     factor = 2 * lattice.pair(alpha, e) / ee
-    return alpha - e.scale(factor)
+    return alpha.add_multiple(e, -factor)
 
 
 def _neg_apply(model: CurveModel, support: Support, values: Sequence) -> tuple[dict[int, int], int]:
@@ -176,7 +185,7 @@ def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> C
             raise PreconditionError(f"class does not lie on the corner of {c.label!r}")
     far = _far(model, descriptor)[0]
     for _ in range(64):
-        result = alpha_corner + far.scale(eps)
+        result = alpha_corner.add_multiple(far, eps)
         if lat.is_positive_cone(result):
             return result
         eps = eps / 2
@@ -223,7 +232,7 @@ def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> F
     for _ in range(64):
         s = lower + delta
         if a2 + 2 * s * (-w) > s * s * k:
-            beta = alpha - e.vector.scale(s)
+            beta = alpha.add_multiple(e.vector, -s)
             if lat.pair(beta, e.vector) <= -w:
                 raise PropertyViolationError("shifted class does not clear |alpha(e)|")
             if lat.square(beta) <= 0:

@@ -35,7 +35,8 @@ from .moves import (
     VerificationReport,
 )
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d would admit other scripts' digits, which int() reads
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def canonical_json(obj: Any) -> str:
@@ -73,7 +74,7 @@ def _rational_pair(value: Any, where: str) -> tuple[int, int]:
     """A rational entry as (numerator, denominator), the denominator
     positive and not yet reduced against the numerator."""
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value)
+        match = _RATIONAL_RE.fullmatch(value)
         if match is None:
             raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
         numerator, denominator = match.groups("1")

@@ -9,12 +9,14 @@ Classes and pairings run in integers.  A class vector is stored in integer
 form: a denominator d and its nonzero (index, numerator) terms, normalized by
 one gcd; its Fraction coordinates are a view derived from that.  The lattice
 keeps its Gram matrix as sparse rows of its nonzero integer entries (a KK row
-has at most five).  A class keeps its Gram product G (d a), a tuple, in one
-slot tagged with the lattice that made it, so each class is multiplied once
-per lattice; a + 0 is a, product and all.  A pairing is a dot product of
-that product over the other class's nonzero terms, divided by the two
-denominators once, so the result is a single exact Fraction; sign tests
-compare the integers alone.
+has at most five).  A class keeps what is computed of it in three slots, each
+tagged with the lattice or model that filled it, so another recomputes it:
+its Gram product G (d a), a tuple (a + 0 is a, product and all); its
+positive-cone verdict; and its row, the scaled pairings with a model's
+reference class and each declared curve, read off that product
+(CurveModel._row).  A pairing is a dot product of the product over the other
+class's nonzero terms, divided by the two denominators once, so the result
+is a single exact Fraction; sign tests compare the integers alone.
 
 A curve model builds the integer Gram of its declared curves once, when it
 checks their squares and meets; every later square or pairing of two declared
@@ -127,6 +129,8 @@ class ClassVector(Frozen):
     rank: int
     integer_form: tuple[int, tuple[tuple[int, int], ...]]
     _gram_product = None  # (lattice, G @ (d a)) once a lattice multiplies it
+    _positive_cone = None  # (lattice, verdict) once a lattice tests it
+    _row = None  # (model, CurveModel._row of it) once a model reads it
 
     def __init__(self, coords: Iterable):
         values = linalg.as_vector(coords)
@@ -138,15 +142,16 @@ class ClassVector(Frozen):
     @classmethod
     def from_integer_form(cls, rank: int, d: int, terms: Iterable[tuple[int, int]]) -> "ClassVector":
         """The class with coordinates numerator_i / d, for d > 0 and terms
-        listed by index; zero numerators are dropped."""
-        terms = tuple((i, x) for i, x in terms if x)
-        g = gcd(d, *(x for _, x in terms))
+        listed by index as (index, numerator) tuples; zero numerators are
+        dropped."""
+        terms = [term for term in terms if term[1]]
+        g = gcd(d, *[x for _, x in terms])
         if g > 1:
             d //= g
-            terms = tuple((i, x // g) for i, x in terms)
+            terms = [(i, x // g) for i, x in terms]
         vec = object.__new__(cls)
         object.__setattr__(vec, "rank", rank)
-        object.__setattr__(vec, "integer_form", (d, terms))
+        object.__setattr__(vec, "integer_form", (d, tuple(terms)))
         return vec
 
     @classmethod
@@ -179,26 +184,33 @@ class ClassVector(Frozen):
     def is_integral(self) -> bool:
         return self.integer_form[0] == 1
 
-    def _combine(self, other: "ClassVector", sign: int) -> "ClassVector":
-        """self + sign * other, over the two lists of nonzero terms; self
-        itself, with any Gram product it keeps, when other is zero."""
+    def _combine(self, other: "ClassVector", p: int, q: int = 1) -> "ClassVector":
+        """self + (p/q) other, for q > 0, in one integer pass over the two
+        lists of nonzero terms, normalised once: over the lcm d of the two
+        denominators, q (d/d_a) a + p (d/d_b) b over dq.  self itself, with
+        what it keeps, when other or p is zero."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
         (da, ta), (db, tb) = self.integer_form, other.integer_form
-        if not tb:
+        if not tb or not p:
             return self
         d = lcm(da, db)
-        ma, mb = d // da, sign * (d // db)
+        ma, mb = q * (d // da), p * (d // db)
         acc = {i: x * ma for i, x in ta}
         for i, x in tb:
             acc[i] = acc.get(i, 0) + x * mb
-        return ClassVector.from_integer_form(self.rank, d, sorted(acc.items()))
+        return ClassVector.from_integer_form(self.rank, d * q, sorted(acc.items()))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         return self._combine(other, 1)
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
         return self._combine(other, -1)
+
+    def add_multiple(self, other: "ClassVector", factor) -> "ClassVector":
+        """self + factor * other in one pass, with no class for factor * other."""
+        f = linalg.as_fraction(factor)
+        return self._combine(other, f.numerator, f.denominator)
 
     def __neg__(self) -> "ClassVector":
         return self.scale(-1)
@@ -425,12 +437,18 @@ class IntersectionLattice(Frozen):
         return tuple(Fraction(x, a.integer_form[0]) for x in self.gram_product(a))
 
     def is_positive_cone(self, a: ClassVector) -> bool:
-        """Positive square and positive pairing with the reference class."""
+        """Positive square and positive pairing with the reference class.
+        The class keeps the verdict, for this lattice only."""
+        kept = a._positive_cone
+        if kept is not None and kept[0] is self:
+            return kept[1]
         if self.reference_class is None:
             raise ConfigurationError("positive cone needs a reference class")
         # scaled pairings have the signs of the pairings
         square, reference = self.scaled_pairings(a, (a, self.reference_class))
-        return square > 0 and reference > 0
+        verdict = square > 0 and reference > 0
+        vars(a)["_positive_cone"] = self, verdict
+        return verdict
 
     def expected_dimension(self, e: ClassVector, genus: int) -> Fraction:
         """2(genus - 1 - K.e).  Equals 2(e^2 + 1 - genus) exactly when the
@@ -539,8 +557,9 @@ class CurveModel(Frozen):
         scale): "square", "reference pairing" or "pairing with <label>",
         the first failing in that order.
 
-        Every check is a form in s read off the Gram products of start and
-        direction: the square is a quadratic, each pairing a linear form.
+        Every check is a form in s: the square a quadratic read off the Gram
+        products of start and direction, each pairing a linear form read off
+        their rows.
         This asserts Kähler-ness of a class, which is only meaningful when the
         curve list is assumed complete; without that flag the answer would be
         an overclaim, so the call is refused."""
@@ -551,17 +570,11 @@ class CurveModel(Frozen):
         lat = self.lattice
         if lat.reference_class is None:
             raise ConfigurationError("positive cone needs a reference class")
-        (ds, ts), (df, tf) = start.integer_form, direction.integer_form
-        ps, pf = lat.gram_product(start), lat.gram_product(direction)
-
-        def forms(terms) -> tuple[int, int]:
-            # (d_s d_x start.x, d_f d_x direction.x) for x of terms
-            return sum(x * ps[i] for i, x in terms), sum(x * pf[i] for i, x in terms)
-
-        ss, sf = forms(ts)
-        ff = forms(tf)[1]
-        linear = [("reference pairing", *forms(lat.reference_class.integer_form[1]))]
-        linear += [(f"pairing with {c.label}", *forms(c.vector.integer_form[1])) for c in self.curves]
+        (ss,) = lat.scaled_pairings(start, (start,))
+        sf, ff = lat.scaled_pairings(direction, (start, direction))
+        # (d_s start.x, d_f direction.x) for x the reference class and each curve
+        rows = tuple(zip(self._row(start), self._row(direction)))
+        ds, df = start.integer_form[0], direction.integer_form[0]
         failing = None
         for s in scales:
             # for s = p/q the class (q d_f d_s)(start - s direction) is
@@ -570,10 +583,31 @@ class CurveModel(Frozen):
             if a * a * ss - 2 * a * b * sf + b * b * ff <= 0:
                 failing = "square"
                 continue
-            failing = next((name for name, x, y in linear if a * x <= b * y), None)
+            failing = next((j for j, (x, y) in enumerate(rows) if a * x <= b * y), None)
             if failing is None:
                 return s, None
+        if isinstance(failing, int):  # a position in the rows
+            failing = f"pairing with {self.curves[failing - 1].label}" if failing else "reference pairing"
         return None, failing
+
+    def _row(self, a: ClassVector) -> tuple[int, ...]:
+        """(d_a d_w a.w, d_a a.e_1, ..., d_a a.e_n), w the reference class
+        and e_i the declared curves: the scaled_pairings of a with them,
+        read off a's Gram product.  The class keeps it, for this model only,
+        so each class is paired with the curves once."""
+        kept = a._row
+        if kept is not None and kept[0] is self:
+            return kept[1]
+        product = self.lattice.gram_product(a)
+        scaled = []
+        for v in (self.lattice.reference_class, *(c.vector for c in self.curves)):
+            total = 0
+            for i, x in v.integer_form[1]:
+                total += x * product[i]
+            scaled.append(total)
+        row = tuple(scaled)
+        vars(a)["_row"] = self, row
+        return row
 
     @cached_property
     def coefficient_bits(self) -> int:

@@ -23,9 +23,11 @@ lookup by id scans the objects.
 
 A state pairs through the integer Gram product P = G @ (d c) its class c
 of denominator d keeps (see lattice): its areas and positive-cone test read
-it, and the verifier's base checks read it in one call.  A smoothing keeps
-the class and so P; an inflation by t = p/q along v writes onto the new
-class (d'q P + d'dp G v) / (dq), an exact integer division (d' the new
+it, and the verifier's base checks read the base's square off it and every
+other pairing off the model's row of the base.  A smoothing keeps the class
+and so P, and the class keeps its positive-cone verdict; an inflation by
+t = p/q along v writes the new class c + t v in one integer pass and onto it
+(d'q P + d'dp G v) / (dq), an exact integer division (d' the new
 denominator).  An object's G v is its class's; a model's curve objects are
 built once and seed every replay over it.
 
@@ -244,10 +246,12 @@ def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
 def _inflated(
     state: ConfigurationState, t: Fraction, obj: SurfaceObject, gram_v: Sequence[int], objects: tuple
 ) -> ConfigurationState:
-    """The successor of class c' = c + t v, v the object's class; c' keeps a
-    Gram product carried from the state's P: for t = p/q and denominators d
-    of c and d' of c', G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
-    current = state.current_class + obj.vector.scale(t)
+    """The successor of class c' = c + t v, v the object's integral class,
+    written in one integer pass (ClassVector.add_multiple): for c = X / d
+    and t = p/q, c' is (q X + d p v) / (dq), normalised once.  c' keeps a
+    Gram product carried from the state's P: for d' the denominator of c',
+    G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
+    current = state.current_class.add_multiple(obj.vector, t)
     d, d_new = state.current_class.integer_form[0], current.integer_form[0]
     a, b, m = d_new * t.denominator, d_new * d * t.numerator, d * t.denominator
     state.lattice._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
@@ -606,9 +610,10 @@ class Replay(NamedTuple):
         if lat.reference_class is None:
             return failed("model has no reference class; positive cone is undefined")
         try:
-            # every base check reads the Gram product the base class keeps
-            checks = (base, lat.reference_class, *(c.vector for c in model.curves))
-            square, reference, *pairings = lat.scaled_pairings(base, checks)
+            # the square reads the Gram product the base class keeps, and
+            # every other check the model's row of it
+            (square,) = lat.scaled_pairings(base, (base,))
+            reference, *pairings = model._row(base)
             if square <= 0 or reference <= 0:
                 return failed("base class is not in the positive cone")
             d = base.integer_form[0]

@@ -361,14 +361,14 @@ def _plan_single_curve(
             component=(index,),
             detail=(("window start", format_rational(low, "window start")), ("failing check", failing)),
         )
-    base = target - curve.vector.scale(t)
+    base = target.add_multiple(curve.vector, -t)
     return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
 
 
 def _sweep_plan(
     model: CurveModel,
     target: ClassVector,
-    pairings: Sequence[Fraction],
+    scaled: Sequence[int],
     locus: Support,
     annotations: Sequence[str],
 ):
@@ -376,7 +376,8 @@ def _sweep_plan(
     goes: a certificate comes back keeping the report of that replay.
 
     With N = -M^{-1} per component and v the target's pairings with the
-    locus (read off classify), the base pairing r with every curve of the
+    locus (scaled by the target's denominator, as classify reads them off
+    the target's row), the base pairing r with every curve of the
     locus is corner - r far, where
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
     r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
@@ -390,19 +391,19 @@ def _sweep_plan(
     numerators over one denominator."""
     far, m, ones = _far(model, locus)
     indices = locus.indices
-    # m q (N v)_i, for q the least common denominator of v on the locus
+    # m q (N v)_i, for q the target's denominator: v_i = scaled_i / q
     q, nv, corner = 1, dict.fromkeys(indices, 0), target
-    if any(pairings[i] for i in indices):
-        nv, mq = _neg_apply(model, locus, [pairings[i] for i in indices])
-        q = mq // m
-        corner = target + model.combination(indices, (Fraction(nv[i], mq) for i in indices))
+    if any(scaled[i] for i in indices):
+        nv, _ = _neg_apply(model, locus, [scaled[i] for i in indices])
+        q = target.integer_form[0]
+        corner = target + model.combination(indices, (Fraction(nv[i], m * q) for i in indices))
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
         return Unsupported(
             reason="no base scale makes the base Kähler",
             detail=(("r", format_rational(_R_SWEEP[-1], "r")), ("failing check", failing)),
         )
-    base = corner - far.scale(r)
+    base = corner.add_multiple(far, -r)
     # u = r N 1 - N v = (r_n q ones_i - r_d nv_i) / (r_d q m), for r = r_n / r_d
     u = {i: r.numerator * q * ones[i] - r.denominator * nv[i] for i in indices}
     replay = Replay.start(Certificate(model, base, (), target))
@@ -498,10 +499,10 @@ def _construct(model: CurveModel, target: ClassVector):
         return Certificate(model=model, base_class=target, moves=(), target_class=target)
     if cls.membership is Membership.MIXED_BOUNDARY:
         negative = ", ".join(
-            model.curves[i].label for i, p in enumerate(cls.pairings) if p < 0
+            model.curves[i].label for i, x in enumerate(cls.scaled) if x < 0
         )
         vanishing = ", ".join(
-            model.curves[i].label for i, p in enumerate(cls.pairings) if p == 0
+            model.curves[i].label for i, x in enumerate(cls.scaled) if x == 0
         )
         return Unsupported(
             reason="mixed boundary: target both vanishes and goes negative on curves",
@@ -543,5 +544,6 @@ def _construct(model: CurveModel, target: ClassVector):
                 )
     if len(comps) == 1 and len(comps[0]) == 1:
         only = comps[0][0]
-        return _plan_single_curve(model, target, only, cls.pairings[only], annotations)
-    return _sweep_plan(model, target, cls.pairings, locus, annotations)
+        pairing = Fraction(cls.scaled[only], cls.denominator)
+        return _plan_single_curve(model, target, only, pairing, annotations)
+    return _sweep_plan(model, target, cls.scaled, locus, annotations)

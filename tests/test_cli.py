@@ -393,6 +393,14 @@ def test_argument_refusals_name_their_flag(capsys, args, message):
     assert trailer(out)["error"].startswith(message)
 
 
+@pytest.mark.parametrize("entry", ["\u0663", "\uff11/\uff12"])
+def test_a_class_entry_takes_ascii_digits_alone(capsys, entry):
+    # Arabic-Indic three and fullwidth 1/2: int() reads them, the grammar does not
+    code, out = run(capsys, "classify", "--model", "kk-extended", "--class", ",".join([entry] + ["1"] * 21))
+    assert code == 2
+    assert trailer(out)["error"] == f"--class[0]: {entry!r} is not of the form \"p/q\""
+
+
 def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 

@@ -68,7 +68,12 @@ def test_parse_rational_accepts():
     assert parse_rational("2/4", "x") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "1.5", "seven", "1/0", None, [1]])
+# "\u0663" is ARABIC-INDIC DIGIT THREE and "\uff11/\uff12" is 1/2 in
+# fullwidth digits: int() reads both, so the grammar must name ASCII digits
+_NOT_ASCII = ("\u0663", "\uff11/\uff12", "3\n", "1/2\n")
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1.5", "seven", "1/0", None, [1], *_NOT_ASCII])
 def test_parse_rational_rejects(bad):
     with pytest.raises(DocumentError):
         parse_rational(bad, "x")
@@ -117,7 +122,7 @@ def _parse_rational_by_fraction(value, where):
     if isinstance(value, float):
         raise DocumentError(f"{where}: floats are not accepted in coordinates; write \"p/q\"")
     if isinstance(value, str):
-        if not re.match(r"^-?\d+(/\d+)?$", value):
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
             raise DocumentError(f"{where}: {value!r} is not of the form \"p/q\"")
         numerator, _, denominator = value.partition("/")
         try:
@@ -153,6 +158,7 @@ _BAD_ENTRIES = (
     "9" * 5000,
     "1/" + "9" * 5000,
     load_json("[" + "9" * 5000 + "]")[0],  # the marker of an over-long literal
+    *_NOT_ASCII,
 )
 
 
@@ -488,6 +494,12 @@ def test_certificate_doc_diagnostics():
     bad_coord["base_class"][0] = 1.0
     with pytest.raises(DocumentError, match=r"base_class\[0\]"):
         certificate_from_doc(bad_coord)
+    for entry in _NOT_ASCII:
+        bad_digits = json.loads(canonical_json(doc))
+        bad_digits["base_class"][0] = entry
+        message = f"certificate.base_class[0]: {entry!r} is not of the form \"p/q\""
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            certificate_from_doc(bad_digits)
     with pytest.raises(DocumentError, match="unknown field"):
         certificate_from_doc(dict(doc, proof="trust me"))
     unknown = {"model": "nope", "base_class": [], "moves": [], "target_class": []}

@@ -5,7 +5,8 @@ other without a cycle, and chambers sits below the move engine and the
 planner.  No module imports dataclasses or imports inside a function, the
 package serves every public name of the modules it loads lazily, no module
 but perturb (and cli, which parses its numbers) uses floats, and only
-chambers._neg_apply reads an adjugate or a Support's inverse."""
+chambers._neg_apply reads an adjugate or a Support's inverse, and only
+CurveModel._row pairs a Gram product with the declared curves."""
 
 import ast
 import graphlib
@@ -214,6 +215,62 @@ def test_the_check_sees_an_inverse_read():
         "    def h(self, adjugate):\n        return adjugate.det\n"
     )
     assert inverse_readers(tree) == {".", "g"}
+
+
+def curve_product_readers(tree: ast.Module) -> set[str]:
+    """The functions that read a Gram product (a gram_product call, or a
+    kept _gram_product or state _product) and the declared curves (any
+    .curves attribute), by name; a nested function's reads count as its
+    outermost function's, so a closure summing what its caller hands it is
+    seen."""
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child)
+                continue
+            read = {n.attr for n in ast.walk(child) if isinstance(n, ast.Attribute)}
+            if "curves" in read and read & {"gram_product", "_gram_product", "_product"}:
+                found.add(child.name)
+
+    visit(tree)
+    return found
+
+
+def test_only_the_row_routine_pairs_a_gram_product_with_the_curves():
+    # a class's pairings with the reference class and the declared curves
+    # are read off its Gram product by CurveModel._row alone and kept on the
+    # class; the scaled_pairings kernel sums over any vectors it is handed
+    # and names no curves
+    readers = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in curve_product_readers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"lattice._row"}
+
+
+def test_the_check_sees_a_curve_pairing_read():
+    tree = ast.parse(
+        "class M:\n"
+        "    def forms(self, a):\n"
+        "        p = self.lattice.gram_product(a)\n"
+        "        def dot(terms):\n"
+        "            return sum(x * p[i] for i, x in terms)\n"
+        "        return [dot(c.vector.integer_form[1]) for c in self.curves]\n"
+        "    def nested(self, a):\n"
+        "        def inner():\n"
+        "            return [c.label for c in self.curves]\n"
+        "        return a._gram_product, inner\n"
+        "    def curves_only(self):\n"
+        "        return self.curves\n"
+        "def product_only(state):\n"
+        "    return state._product\n"
+        "def kernel(lat, a, model):\n"
+        "    return lat.scaled_pairings(a, [c.vector for c in model.curves])\n"
+    )
+    assert curve_product_readers(tree) == {"forms", "nested"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

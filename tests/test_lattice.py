@@ -37,8 +37,10 @@ from oracles import (
     brute_inverse,
     dense_gram_product,
     folded_combination,
+    interior_class,
     mat_vec,
     permutation_determinant,
+    plain_pair,
     random_curve_model,
     random_negative_definite,
     twisted_curve_model,
@@ -836,3 +838,71 @@ def test_each_class_keeps_the_gram_product_of_the_lattice_it_meets(seed, twisted
             assert _kept_product(lat if used is other else other, c) is None
             assert used.gram_product(c) == expected
             assert scaled == [v.integer_form[0] * sum(map(operator.mul, expected, v.coords)) for v in pool]
+
+
+# --- each class keeps its row for the model, its verdict for the lattice ---
+
+def _expected_row(model, a):
+    lat = model.lattice
+    return tuple(lat.scaled_pairings(a, [lat.reference_class, *(c.vector for c in model.curves)]))
+
+
+def test_a_class_keeps_the_row_of_the_model_that_read_it():
+    """One class read alternately under two models that share a lattice and
+    declare different curves: each model reads its own row, whichever read
+    the class before, and the class keeps the last one read."""
+    kk = build_kk_model(extended=True)
+    path = CurveModel(lattice=kk.lattice, curves=kk.curves[9:12], completeness_assumed=True)
+    a = kk.lattice.reference_class + kk.lattice.canonical_class
+    for model in (kk, path, path, kk, path, kk):
+        row = model._row(a)
+        assert row == _expected_row(model, a)
+        assert len(row) == len(model.curves) + 1
+        kept_model, kept_row = vars(a)["_row"]
+        assert kept_model is model and kept_row is row
+    assert chambers.classify(path, a).scaled == _expected_row(path, a)[1:]
+    assert chambers.classify(kk, a).scaled == _expected_row(kk, a)[1:]
+
+
+def test_a_class_keeps_the_positive_cone_verdict_of_the_lattice_that_tested_it():
+    """One class tested alternately under three rank-2 lattices: a
+    hyperbolic plane with reference e0 and with reference -e0, and its
+    negative with reference e1.  Each lattice sees its own verdict."""
+    e0, e1 = ClassVector.basis(2, 0), ClassVector.basis(2, 1)
+    lattices = (
+        (IntersectionLattice(gram=((1, 0), (0, -1)), reference_class=e0), True),
+        (IntersectionLattice(gram=((1, 0), (0, -1)), reference_class=-e0), False),  # reference pairing -2
+        (IntersectionLattice(gram=((-1, 0), (0, 1)), reference_class=e1), False),  # square -3
+    )
+    a = ClassVector((Fraction(2), Fraction(1)))
+    for k in (0, 1, 0, 2, 2, 1, 0, 2):
+        lat, verdict = lattices[k]
+        assert lat.is_positive_cone(a) is verdict
+        assert vars(a)["_positive_cone"] == (lat, verdict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_the_row_is_the_scaled_pairings_and_classify_pairs_as_the_oracle(seed, twisted, data):
+    """On classes near an interior class, shifted along the curves, and on
+    their negatives, the row is scaled_pairings with the reference class and
+    the curves, and classify pairs each curve as the plain Fraction sum on
+    the positive cone and refuses a class off it."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    n = len(model.curves)
+    alpha = interior_class(model, rng)
+    fraction = st.fractions(-3, 3, max_denominator=7)
+    for _ in range(data.draw(st.integers(1, 4), label="classes")):
+        picks = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="curves")
+        a = alpha + model.combination(picks, [data.draw(fraction) for _ in picks])
+        for b in (a, -a):
+            assert model._row(b) == _expected_row(model, b)
+            assert model._row(b) is model._row(b)
+            if lat.is_positive_cone(b):
+                pairings = chambers.classify(model, b).pairings
+                assert pairings == tuple(plain_pair(lat, b, c.vector) for c in model.curves)
+            else:
+                with pytest.raises(DomainError):
+                    chambers.classify(model, b)
