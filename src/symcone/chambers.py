@@ -7,7 +7,9 @@ these strata with exact rational witnesses.  Every corner, chamber and
 interior shift, and the planner's sweep, moves a class by sum (N v)_i e_i
 for N = -M^{-1} on G: one routine (_neg_apply) computes N v in integers,
 component by component of G, and G's Support keeps the far class
-sum (N 1)_i e_i (_far).  This module computes classes and points only:
+sum (N 1)_i e_i (_far).  A corner reads alpha's integer pairings off its row
+and writes alpha + sum (N v)_i e_i as one integer combination, building no
+Fraction.  This module computes classes and points only:
 certificates, including the one for a reflection across a curve wall, come
 from the planner.
 
@@ -89,7 +91,7 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
     # the curves are integral: these are d_alpha times the pairings
     scaled = model._row(alpha)[1:]
     boundary = tuple(i for i, x in enumerate(scaled) if x <= 0)
-    descriptor = descriptor_for(model, boundary)
+    descriptor = model._support(boundary)
     if not boundary:
         tag = Membership.INTERIOR_KAHLER
     elif all(scaled[i] == 0 for i in boundary):
@@ -118,7 +120,7 @@ def _neg_apply(model: CurveModel, support: Support, values: Sequence) -> tuple[d
     the model's, kept with its Support, and applied in integers."""
     q = lcm(*(x.denominator for x in values))
     scaled = dict(zip(support.indices, (x.numerator * (q // x.denominator) for x in values), strict=True))
-    inverses = [(comp, model.support(comp).inverse) for comp in support.components()]
+    inverses = [(comp, model._support(comp).inverse) for comp in support.components()]
     m = lcm(*(inverse.det for _, inverse in inverses))
     out = {}
     for comp, inverse in inverses:
@@ -138,32 +140,23 @@ def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, dict[int,
     return locus.sweep
 
 
-def _shift(
-    model: CurveModel, support: Support, values: Sequence
-) -> tuple[tuple[Fraction, ...], ClassVector]:
-    """s = -M^{-1} values over the admissible G, with the class sum s_i e_i.
-    M s = -values exactly, so the sum pairs -values_j with each e_j in G;
-    -M^{-1} >= 0 has no zero row, so s > 0 when values > 0."""
-    n, q = _neg_apply(model, support, values)
-    s = tuple(Fraction(n[i], q) for i in support.indices)
-    return s, model.combination(support.indices, s)
-
-
 def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
     t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive.  With
-    M t = -v, alpha'^2 = alpha^2 + t.v > alpha^2."""
+    M t = -v, alpha'^2 = alpha^2 + t.v > alpha^2.  In integers: alpha = X / d
+    has the row d v, -M^{-1} (d v) = n / m (_neg_apply), and
+    alpha' = (m X + sum n_i e_i) / (m d)."""
     lat = model.lattice
     if not lat.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
     descriptor = _admissible_descriptor(model, G)
-    # the curves are integral: these are d_alpha times the pairings
-    v = lat.scaled_pairings(alpha, [model.curves[i].vector for i in descriptor.indices])
+    # the curves are integral: the row holds d_alpha times the pairings
+    row = model._row(alpha)
+    v = [row[i + 1] for i in descriptor.indices]
     if any(x <= 0 for x in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
-    d = alpha.integer_form[0]
-    _, shift = _shift(model, descriptor, [Fraction(x, d) for x in v])
-    result = alpha + shift
+    n, m = _neg_apply(model, descriptor, v)
+    result = model._shifted(alpha, n.items(), m * alpha.integer_form[0])
     if not lat.is_positive_cone(result):
         raise PropertyViolationError("corner point left the positive cone")
     return result
@@ -207,7 +200,10 @@ def boundary_to_interior(
         raise PreconditionError("v must give one value per curve of G")
     if any(value <= 0 for value in vv):
         raise PreconditionError("v must be entrywise positive")
-    s, shift = _shift(model, descriptor, vv)
+    # M s = -v exactly, and -M^{-1} >= 0 has no zero row, so s > 0
+    n, q = _neg_apply(model, descriptor, vv)
+    s = tuple(Fraction(n[i], q) for i in descriptor.indices)
+    shift = model.combination(descriptor.indices, s)
     r, _ = model.first_interior_scale(alpha_corner, shift, (Fraction(1, 2**j) for j in range(64)))
     if r is None:
         raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")

@@ -399,7 +399,10 @@ class IntersectionLattice(Frozen):
         for v in vectors:
             if v.rank != n:
                 raise MalformedInputError("class vector rank does not match lattice")
-            out.append(sum(x * product[i] for i, x in v.integer_form[1]))
+            total = 0
+            for i, x in v.integer_form[1]:
+                total += x * product[i]
+            out.append(total)
         return out
 
     def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
@@ -538,16 +541,27 @@ class CurveModel(Frozen):
         clears every coordinate."""
         coefficients = [linalg.as_fraction(c) for c in coefficients]
         d = lcm(*(c.denominator for c in coefficients))
-        acc: dict[int, int] = {}
-        for i, c in zip(indices, coefficients, strict=True):
+        pairs = zip(indices, coefficients, strict=True)
+        numerators = [(i, c.numerator * (d // c.denominator)) for i, c in pairs]
+        return self._shifted(ClassVector.zero(self.lattice.rank), numerators, d)
+
+    def _shifted(self, start: ClassVector, numerators: Iterable[tuple[int, int]], d: int) -> ClassVector:
+        """start + sum (n_i / d) e_i over the pairs (i, n_i), for d a
+        multiple of start's denominator, in one integer pass normalised
+        once: the curve classes are integral."""
+        ds, terms = start.integer_form
+        acc = {j: x * (d // ds) for j, x in terms}
+        for i, n in numerators:
             for j, x in self.curves[i].vector.integer_form[1]:
-                acc[j] = acc.get(j, 0) + c.numerator * (d // c.denominator) * x
-        return ClassVector.from_integer_form(self.lattice.rank, d, sorted(acc.items()))
+                acc[j] = acc.get(j, 0) + n * x
+        return ClassVector.from_integer_form(start.rank, d, sorted(acc.items()))
 
     def is_interior_kahler(self, a: ClassVector) -> bool:
-        """Positive cone and strictly positive on every declared curve."""
-        zero = ClassVector.zero(self.lattice.rank)
-        return self.first_interior_scale(a, zero, (0,))[0] is not None
+        """Positive cone and strictly positive on every declared curve, read
+        off the class's kept verdict and row; refused as first_interior_scale is."""
+        if not self.completeness_assumed:
+            raise ConfigurationError("model does not assume completeness; cannot assert Kähler classes")
+        return self.lattice.is_positive_cone(a) and min(self._row(a)) > 0
 
     def first_interior_scale(
         self, start: ClassVector, direction: ClassVector, scales: Iterable[Fraction]
@@ -628,14 +642,16 @@ class CurveModel(Frozen):
     def _checked_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
         """The indices as given, each a declared curve's: anything but an
         int (a bool included) raises MalformedInputError, an index outside
-        the curve list DomainError."""
+        the curve list DomainError.  A plain int in range passes one test;
+        only an index that fails it meets the checks that name the failure."""
         idx = tuple(indices)
         n = len(self.curves)
         for i in idx:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise MalformedInputError(f"curve index {i!r} is not an integer")
-            if not 0 <= i < n:
-                raise DomainError(f"curve index {i} out of range")
+            if not (type(i) is int and 0 <= i < n):
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise MalformedInputError(f"curve index {i!r} is not an integer")
+                if not 0 <= i < n:
+                    raise DomainError(f"curve index {i} out of range")
         return idx
 
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
@@ -659,7 +675,8 @@ class CurveModel(Frozen):
         return self._support(tuple(sorted(set(self._checked_indices(indices)))))
 
     def _support(self, key: tuple[int, ...]) -> Support:
-        """support of a key that is already sorted, distinct and checked."""
+        """support of a key that is already sorted, distinct and in range,
+        as the index tuples the package builds itself are."""
         supports = self._supports
         found = supports.get(key)
         if found is None:

@@ -396,7 +396,7 @@ def _sweep_plan(
     if any(scaled[i] for i in indices):
         nv, _ = _neg_apply(model, locus, [scaled[i] for i in indices])
         q = target.integer_form[0]
-        corner = target + model.combination(indices, (Fraction(nv[i], m * q) for i in indices))
+        corner = model._shifted(target, nv.items(), m * q)
     r, failing = model.first_interior_scale(corner, far, _R_SWEEP)
     if r is None:
         return Unsupported(

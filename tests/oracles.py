@@ -67,6 +67,76 @@ def brute_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
+def gauss_pivots(matrix, exchange: bool = False) -> tuple[list[Fraction], int]:
+    """(pivots, sign) of schoolbook Gaussian elimination over Fractions, on
+    rows kept as dicts of their nonzero entries: each pivot in order, up to
+    and including the first that is zero.  With exchange, a zero pivot is
+    first swapped for the next row below with a nonzero entry in its column,
+    and sign is the sign of the row permutation."""
+    n = len(matrix)
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+    pivots, sign = [], 1
+    for k in range(n):
+        if exchange and k not in rows[k]:
+            below = next((i for i in range(k + 1, n) if k in rows[i]), None)
+            if below is not None:
+                rows[k], rows[below] = rows[below], rows[k]
+                sign = -sign
+        pivot = rows[k].get(k, Fraction(0))
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for i in range(k + 1, n):
+            factor = rows[i].pop(k, None)
+            if factor is None:
+                continue
+            for j, x in rows[k].items():
+                if j > k:
+                    y = rows[i].get(j, 0) - factor / pivot * x
+                    if y:
+                        rows[i][j] = y
+                    else:
+                        rows[i].pop(j, None)
+    return pivots, sign
+
+
+def gauss_det(matrix) -> Fraction:
+    """The determinant as sign times the product of the exchanged pivots."""
+    pivots, sign = gauss_pivots(matrix, exchange=True)
+    if len(pivots) < len(matrix) or not pivots[-1]:
+        return Fraction(0)
+    return sign * math.prod(pivots, start=Fraction(1))
+
+
+def gauss_minors(matrix) -> tuple[Fraction, ...]:
+    """The leading principal minors up to and including the first zero one:
+    running products of the pivots found without exchanges."""
+    minors, total = [], Fraction(1)
+    for pivot in gauss_pivots(matrix)[0]:
+        total *= pivot
+        minors.append(total)
+    return tuple(minors)
+
+
+def banded_matrix(rng: random.Random, n: int, width: int, zeros: float = 0.3) -> list[list[int]]:
+    """An n x n integer matrix with entries in -5..5 on the diagonals |i - j| <= width,
+    each zero with probability zeros, and zero elsewhere."""
+    return [
+        [rng.randint(-5, 5) if abs(i - j) <= width and rng.random() >= zeros else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def sparse_matrix(rng: random.Random, n: int, density: float = 0.2) -> list[list[int]]:
+    """An n x n integer matrix whose entries are nonzero with probability
+    density, and whose diagonal is mostly zero, so that elimination meets
+    zero pivots and zero factors."""
+    return [
+        [rng.randint(-4, 4) if rng.random() < (density / 3 if i == j else density) else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def mat_vec(matrix, vector) -> tuple[Fraction, ...]:
     """Row-by-row matrix-vector product."""
     return tuple(sum((Fraction(a) * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix)

@@ -1,3 +1,5 @@
+import enum
+import fractions
 import itertools
 import random
 from fractions import Fraction
@@ -15,11 +17,18 @@ from symcone.errors import (
     PropertyViolationError,
     SingularityError,
 )
-from symcone.lattice import ClassVector, IntersectionLattice
+from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
 from symcone.moves import Replay, verify_certificate
 
-from oracles import brute_inverse, interior_class, mat_vec, random_curve_model, twisted_curve_model
+from oracles import (
+    brute_inverse,
+    folded_combination,
+    interior_class,
+    mat_vec,
+    random_curve_model,
+    twisted_curve_model,
+)
 
 
 def _kk_extended():
@@ -244,10 +253,11 @@ def _oracle_pair(lattice, a, b):
 @given(data=st.data())
 def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
     """The corner algebra the chamber operations rely on without checking it
-    at run time: for N = -M^{-1} on G and v > 0, N v is positive, equals the
-    brute inverse's product, and sum (N v)_i e_i pairs exactly -v_j with each
-    e_j; a corner does not lower the square, and a chamber point pairs the
-    same -epsilon with every curve of G."""
+    at run time: for N = -M^{-1} on G and v > 0, boundary_to_interior's
+    N v is positive, equals the brute inverse's product, sum (N v)_i e_i
+    pairs exactly -v_j with each e_j, and its r takes the corner inside; a
+    corner does not lower the square, and a chamber point pairs the same
+    -epsilon with every curve of G."""
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = random.Random(seed)
     model = data.draw(st.sampled_from((random_curve_model, twisted_curve_model)), label="model")(rng)
@@ -257,13 +267,15 @@ def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
     positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 12))
     v = data.draw(st.lists(positive, min_size=len(G), max_size=len(G)), label="v")
     support = model.support(G)
-    s, shift = chambers._shift(model, support, v)
+    alpha = interior_class(model, rng)
+    corner = chambers.corner_point(model, alpha, G)
+    s, r = chambers.boundary_to_interior(model, corner, G, v)
+    shift = folded_combination(model, support.indices, s)
     assert all(x > 0 for x in s)
     assert s == tuple(-x for x in mat_vec(brute_inverse(support.gram), v))
     for i, value in zip(support.indices, v):
         assert _oracle_pair(model.lattice, shift, model.curves[i].vector) == -value
-    alpha = interior_class(model, rng)
-    corner = chambers.corner_point(model, alpha, G)
+    assert model.is_interior_kahler(corner - shift.scale(r))
     assert _oracle_pair(model.lattice, corner, corner) >= _oracle_pair(model.lattice, alpha, alpha)
     inside = chambers.chamber_point(model, corner, G, eps)
     # chamber_point halves eps until the result stays in the positive cone
@@ -366,3 +378,83 @@ def test_single_curve_shift():
     assert lat.pair(shifted, curve.vector) > -w
     assert lat.square(shifted) > 0
     assert lat.pair(shifted, alpha) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_corner_point_is_the_fraction_corner_and_builds_no_fraction(seed, twisted, data):
+    """corner_point is alpha + sum s_i e_i for s = -M^{-1} v, v alpha's
+    pairings with G, as Fractions through the cofactor inverse, on a drawn
+    G and on every curve (a locus of one or several components); on a
+    Support it has met before it builds that class, from a fresh copy of
+    alpha, without making a Fraction."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    n = len(model.curves)
+    alpha = interior_class(model, rng)
+    drawn = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="G")
+    for G in (drawn, range(n)):
+        support = model.support(G)
+        v = [_oracle_pair(lat, alpha, model.curves[i].vector) for i in support.indices]
+        s = [-x for x in mat_vec(brute_inverse(support.gram), v)]
+        want = alpha + folded_combination(model, support.indices, s)
+        assert chambers.corner_point(model, alpha, G).integer_form == want.integer_form
+        fresh = ClassVector.from_integer_form(lat.rank, *alpha.integer_form)
+        made, new = [], Fraction.__new__
+        with pytest.MonkeyPatch.context() as patch:
+            counted = staticmethod(lambda *a, **k: made.append(a) or new(*a, **k))
+            patch.setattr(fractions.Fraction, "__new__", counted)
+            got = chambers.corner_point(model, fresh, G)
+        assert made == []
+        assert got.integer_form == want.integer_form
+
+
+def test_corner_point_keeps_its_refusals_in_order():
+    """Outside the positive cone, then an empty or inadmissible G, then a
+    non-positive pairing, then a corner that leaves the cone: each refusal
+    is the first that applies."""
+    model = build_kk_model(extended=True)
+    lat = model.lattice
+    w = lat.reference_class  # pairs 0 with every KK curve
+    inside = w + lat.canonical_class
+    cases = (
+        (-inside, (), DomainError, "class is not in the positive cone"),
+        (inside, (), PreconditionError, "empty curve set"),
+        (w, range(21), DefinitenessError, "curve set is not admissible"),
+        (w, (0, 9), PreconditionError, "alpha must pair strictly positively"),
+    )
+    for alpha, G, error, message in cases:
+        with pytest.raises(error, match=f"^{message}"):
+            chambers.corner_point(model, alpha, G)
+    # off a hyperbolic lattice the corner step can cross the reference
+    # class's wall: w = e0, e = -e0 + 2 e2 of square -7, alpha.w = 1 and
+    # alpha.e = 11, so the corner alpha + (11/7) e pairs -4/7 with w
+    plane = IntersectionLattice(((1, 0, 0), (0, 1, 0), (0, 0, -2)), reference_class=ClassVector.basis(3, 0))
+    model = CurveModel(plane, (CurveData("e", ClassVector((-1, 0, 2)), 0),), True)
+    with pytest.raises(PropertyViolationError, match="^corner point left the positive cone$"):
+        chambers.corner_point(model, ClassVector((1, 5, -3)), (0,))
+
+
+class _Curve(enum.IntEnum):
+    FIRST = 0
+    SECOND = 1
+
+
+def test_checked_indices_name_the_first_failure_and_take_int_subclasses():
+    model = builtin_model("e6")
+    n = len(model.curves)
+    refusals = (
+        ((0, True, n), MalformedInputError, "curve index True is not an integer"),
+        ((1, "2", -1), MalformedInputError, "curve index '2' is not an integer"),
+        ((0, -1, "x"), DomainError, "curve index -1 out of range"),
+        ((n, False), DomainError, f"curve index {n} out of range"),
+        ((2, 1.0), MalformedInputError, "curve index 1.0 is not an integer"),
+    )
+    for indices, error, message in refusals:
+        for call in (model.support, model.curve_gram, lambda idx: chambers.descriptor_for(model, idx)):
+            with pytest.raises(error) as info:
+                call(indices)
+            assert str(info.value) == message
+    assert model.support((_Curve.SECOND, _Curve.FIRST)) is model.support((0, 1))
+    assert model.curve_gram((_Curve.SECOND, 0)) == model.curve_gram((1, 0))

@@ -674,6 +674,47 @@ def test_is_interior_kahler_requires_completeness():
         model.is_interior_kahler(ClassVector.basis(2, 0))
 
 
+def test_is_interior_kahler_refuses_as_first_interior_scale_refuses():
+    """Without completeness, or complete but without a reference class, both
+    refuse with the same ConfigurationError message."""
+    plain = IntersectionLattice(gram=((1, 0), (0, -2)))
+    zero = ClassVector.zero(2)
+    for lat, complete in ((_tiny_lattice(), False), (plain, True)):
+        model = CurveModel(lat, (CurveData("e", ClassVector.basis(2, 1), 0),), complete)
+        messages = []
+        for call in (lambda a: model.is_interior_kahler(a), lambda a: model.first_interior_scale(a, zero, (0,))):
+            with pytest.raises(ConfigurationError) as info:
+                call(ClassVector.basis(2, 0))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_is_interior_kahler_is_first_interior_scale_at_zero(seed, twisted, data):
+    """The kept verdict and row decide what first_interior_scale decides at
+    s = 0, and what plain pairings decide, on interior, corner, chamber,
+    mixed and outside classes: each side meets a fresh copy of the class."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    n = len(model.curves)
+    alpha = interior_class(model, rng)
+    G = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="G")
+    corner = chambers.corner_point(model, alpha, G)
+    classes = [alpha, corner, chambers.chamber_point(model, corner, G, Fraction(1, 2)), -alpha]
+    coefficients = st.fractions(-3, 3, max_denominator=4)
+    for _ in range(3):
+        shift = [data.draw(coefficients) for _ in range(n)]
+        classes.append(alpha + model.combination(range(n), shift))
+    zero = ClassVector.zero(lat.rank)
+    for a in classes:
+        got = model.is_interior_kahler(ClassVector(a.coords))
+        assert got == (model.first_interior_scale(ClassVector(a.coords), zero, (0,))[0] is not None)
+        pairings = [plain_pair(lat, a, v) for v in (a, lat.reference_class, *(c.vector for c in model.curves))]
+        assert got == all(x > 0 for x in pairings)
+
+
 # --- the integer pairing kernel against the naive Fraction double sum ---
 
 def _naive_gram_vector(lat, a):

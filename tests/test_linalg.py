@@ -8,11 +8,15 @@ from symcone import linalg
 from symcone.errors import MalformedInputError, SingularityError
 
 from oracles import (
+    banded_matrix,
     brute_inverse,
     brute_leading_minors,
+    gauss_det,
+    gauss_minors,
     mat_vec,
     permutation_determinant,
     random_rational_matrix,
+    sparse_matrix,
 )
 
 
@@ -138,3 +142,35 @@ def test_minors_past_a_zero_pivot_match_bruteforce(m):
     assert minors[: len(pivots)] == pivots
     assert len(pivots) == len(m) or pivots[-1] == 0
     assert linalg.det(mat) == permutation_determinant(m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(("tridiagonal", "banded", "sparse")),
+)
+def test_elimination_of_sparse_rows_matches_schoolbook_gauss(seed, shape):
+    """Bareiss with its runs of zero-factor steps collapsed into one rescale
+    gives what schoolbook Fraction elimination gives: the determinant, the
+    leading minors up to the first zero, and exact solutions, on
+    tridiagonal and banded matrices of order 100-300 and on random sparse
+    ones whose elimination meets zero pivots."""
+    rng = random.Random(seed)
+    if shape == "sparse":
+        m = sparse_matrix(rng, rng.randint(5, 40))
+    else:
+        m = banded_matrix(rng, rng.randint(100, 300), 1 if shape == "tridiagonal" else rng.randint(2, 4))
+    mat = tuple(map(tuple, m))
+    det = gauss_det(m)
+    assert linalg.det(mat) == det
+    assert tuple(linalg.iter_pivot_minors(mat)) == gauss_minors(m)
+    columns = [tuple(rng.randint(-3, 3) for _ in m), tuple(int(i == 0) for i in range(len(m)))]
+    if det == 0:
+        with pytest.raises(SingularityError):
+            linalg.solve_columns(mat, columns)
+        return
+    D, X = linalg.solve_columns(mat, columns)
+    assert abs(D) == abs(det)
+    for col, x in zip(columns, X):
+        # m x = D col, in integers over each row's nonzero entries
+        assert all(sum(a * x[j] for j, a in enumerate(row) if a) == D * c for row, c in zip(m, col))

@@ -1121,3 +1121,31 @@ def test_an_inflation_measures_its_bound_once(monkeypatch):
     assert report.first_failure == "bound 2A/h violated at move 6"
     assert report.entries[-1].startswith("move 6: inflate(D123, t=") and "bound 2A/h = " in report.entries[-1]
     assert counts["_inflation_bound"] == counts["_inflated"] + 1 == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_inflate_accepts_exactly_the_open_fraction_window(seed, twisted, data):
+    """inflate takes t exactly when 0 < t < 2A/h with A and the square as
+    plain Fraction pairings: t at the bound, at 0 and below raise
+    BoundViolationError; an accepted t gives c + t v, with the Gram product
+    the successor carries equal to the dense one."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    base = interior_class(model, rng)
+    state = initial_state(Certificate(model=model, base_class=base, moves=(), target_class=base))
+    obj = data.draw(st.sampled_from(state.objects), label="object")
+    area = plain_pair(lat, base, obj.vector)
+    bound = 2 * area / h_param(int(-plain_pair(lat, obj.vector, obj.vector)), obj.genus)
+    ratios = (Fraction(0), Fraction(1), -Fraction(1, 3), data.draw(st.fractions(-1, 2, max_denominator=50)))
+    for t in (bound * r for r in ratios):
+        if 0 < t < bound:
+            after = moves.inflate(state, obj.id, t)
+            assert after.current_class == base + obj.vector.scale(t)
+            assert after._product == dense_gram_product(lat, after.current_class)
+            assert not after.object(obj.id).alive
+        else:
+            with pytest.raises(BoundViolationError) as info:
+                moves.inflate(state, obj.id, t)
+            assert info.value.args == ("bound 2A/h violated", {"object": obj.id, "t": t, "bound": bound})

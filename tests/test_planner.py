@@ -1056,6 +1056,39 @@ def test_chamber_plans_on_a_disconnected_locus_keep_their_bytes(monkeypatch):
     assert digest.hexdigest() == KK_CHAMBER_DIGEST
 
 
+# sha256 of the canonical JSON of plan's outcomes (certificate and replay
+# report, or refusal) on random_curve_model and twisted_curve_model for
+# seeds 0-29, at every corner of an interior class and at the chamber
+# points 1/2 and 1 deep behind it: 1,932 plans, 1,804 of them certificates
+RANDOM_PLANS_DIGEST = "6341329ca82d7c07ead7d6fc0c1043634020808193dded979aa670f27f6b70a9"
+
+
+def test_plans_on_random_models_keep_their_bytes():
+    """Pins what plan makes off the KK pools: corners and chamber points of
+    loci of one to five curves, of one or several components, in models
+    whose classes have one term (random) or several (twisted)."""
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for build in (random_curve_model, twisted_curve_model):
+            rng = random.Random(seed)
+            model = build(rng)
+            alpha = interior_class(model, rng)
+            n = len(model.curves)
+            for subset in itertools.chain.from_iterable(
+                itertools.combinations(range(n), size) for size in range(1, n + 1)
+            ):
+                corner = chambers.corner_point(model, alpha, subset)
+                for point in (corner, *(chambers.chamber_point(model, corner, subset, e) for e in (Fraction(1, 2), 1))):
+                    outcome = plan(model, point)
+                    if isinstance(outcome, Certificate):
+                        doc = {"certificate": certificate_to_doc(outcome),
+                               "report": report_to_doc(verify_certificate(outcome))}
+                    else:
+                        doc = {"unsupported": unsupported_to_doc(outcome)}
+                    digest.update(canonical_json(doc).encode())
+    assert digest.hexdigest() == RANDOM_PLANS_DIGEST
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
