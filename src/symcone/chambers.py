@@ -7,7 +7,7 @@ these strata with exact rational witnesses.  Every corner, chamber and
 interior shift, and the planner's sweep, moves a class by sum (N v)_i e_i
 for N = -M^{-1} on G: one routine (_neg_apply) computes N v in integers,
 component by component of G, and G's Support keeps the far class
-sum (N 1)_i e_i (_far).  A corner reads alpha's integer pairings off its row
+sum (N 1)_i e_i (_far).  A corner pairs alpha with G's curves in integers
 and writes alpha + sum (N v)_i e_i as one integer combination, building no
 Fraction.  This module computes classes and points only:
 certificates, including the one for a reflection across a curve wall, come
@@ -91,7 +91,7 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
     # the curves are integral: these are d_alpha times the pairings
     scaled = model._row(alpha)[1:]
     boundary = tuple(i for i, x in enumerate(scaled) if x <= 0)
-    descriptor = model._support(boundary)
+    descriptor = descriptor_for(model, boundary)
     if not boundary:
         tag = Membership.INTERIOR_KAHLER
     elif all(scaled[i] == 0 for i in boundary):
@@ -144,15 +144,14 @@ def corner_point(model: CurveModel, alpha: ClassVector, G) -> ClassVector:
     """Push alpha onto the corner of G: alpha' = alpha + sum t_i e_i with
     t = -M^{-1} v, where v_i = pair(alpha, e_i) must all be positive.  With
     M t = -v, alpha'^2 = alpha^2 + t.v > alpha^2.  In integers: alpha = X / d
-    has the row d v, -M^{-1} (d v) = n / m (_neg_apply), and
+    pairs G's curves in d v, -M^{-1} (d v) = n / m (_neg_apply), and
     alpha' = (m X + sum n_i e_i) / (m d)."""
     lat = model.lattice
     if not lat.is_positive_cone(alpha):
         raise DomainError("class is not in the positive cone")
     descriptor = _admissible_descriptor(model, G)
-    # the curves are integral: the row holds d_alpha times the pairings
-    row = model._row(alpha)
-    v = [row[i + 1] for i in descriptor.indices]
+    # the curves are integral: these are d_alpha times the pairings
+    v = lat.scaled_pairings(alpha, [model.curves[i].vector for i in descriptor.indices])
     if any(x <= 0 for x in v):
         raise PreconditionError("alpha must pair strictly positively with every curve in G")
     n, m = _neg_apply(model, descriptor, v)

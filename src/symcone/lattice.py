@@ -227,6 +227,15 @@ class ClassVector(Frozen):
     __rmul__ = __mul__
 
 
+def _dot(product: Sequence[int], vector: ClassVector) -> int:
+    """sum product[i] x over the terms (i, x) of the vector's integer form:
+    a class paired through a Gram product, the package's one sparse dot."""
+    total = 0
+    for i, x in vector.integer_form[1]:
+        total += x * product[i]
+    return total
+
+
 def is_negative_definite(gram: linalg.Matrix) -> bool:
     """Sylvester test: the k-th leading principal minor has sign (-1)^k.  The
     minors come lazily; the first of the wrong sign (or zero) ends it."""
@@ -399,10 +408,7 @@ class IntersectionLattice(Frozen):
         for v in vectors:
             if v.rank != n:
                 raise MalformedInputError("class vector rank does not match lattice")
-            total = 0
-            for i, x in v.integer_form[1]:
-                total += x * product[i]
-            out.append(total)
+            out.append(_dot(product, v))
         return out
 
     def pair(self, a: ClassVector, b: ClassVector) -> Fraction:
@@ -613,13 +619,7 @@ class CurveModel(Frozen):
         if kept is not None and kept[0] is self:
             return kept[1]
         product = self.lattice.gram_product(a)
-        scaled = []
-        for v in (self.lattice.reference_class, *(c.vector for c in self.curves)):
-            total = 0
-            for i, x in v.integer_form[1]:
-                total += x * product[i]
-            scaled.append(total)
-        row = tuple(scaled)
+        row = tuple(_dot(product, v) for v in (self.lattice.reference_class, *(c.vector for c in self.curves)))
         vars(a)["_row"] = self, row
         return row
 

@@ -114,28 +114,18 @@ def _eliminate(rows: list[list[int]], n: int, pivoting: bool = True) -> Iterator
     permutation so far, so a caller can stop at any minor.  A zero pivot (with
     pivoting, only when no later row has a nonzero entry in its column) yields
     0 and ends it.  Entries left of the diagonal are not cleared.
-
-    A step whose factor row[s] is 0 only rescales the row, by
-    pivot_s / pivot_(s-1), so a run of them from s to t - 1 is one exact
-    rescale by pivot_(t-1) / pivot_(s-1).
     """
     width = len(rows[0]) if rows else 0
     done = [0] * n  # elimination steps applied to each row
 
     def reduce(i: int, k: int) -> None:
-        row, s = rows[i], done[i]
-        while s < k:
-            t, factor, prev = s + 1, row[s], rows[s - 1][s - 1] if s else 1
-            if factor:
-                top = rows[s]
-                pivot = top[s]
-                row[t:width] = [(a * pivot - factor * b) // prev for a, b in zip(row[t:width], top[t:width])]
-            else:
-                while t < k and not row[t]:
-                    t += 1
-                pivot = rows[t - 1][t - 1]
-                row[t:width] = [a * pivot // prev for a in row[t:width]]
-            s = t
+        row = rows[i]
+        for s in range(done[i], k):
+            top = rows[s]
+            pivot, factor, prev = top[s], row[s], rows[s - 1][s - 1] if s else 1
+            row[s + 1 : width] = [
+                (a * pivot - factor * b) // prev for a, b in zip(row[s + 1 : width], top[s + 1 : width])
+            ]
         done[i] = k
 
     sign = 1

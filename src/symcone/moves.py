@@ -25,14 +25,11 @@ A state pairs through the integer Gram product P = G @ (d c) its class c
 of denominator d keeps (see lattice): its areas and positive-cone test read
 it, and the verifier's base checks read the base's square off it and every
 other pairing off the model's row of the base.  A smoothing keeps the class
-and so P, and the class keeps its positive-cone verdict.  An inflation
-reads the object's square and d A in one pass over v's terms, tests
-0 < t < 2A/h by integer cross-multiplication, and for t = p/q along v writes
-the new class c + t v in one integer pass and onto it
+and so P, and the class keeps its positive-cone verdict; an inflation by
+t = p/q along v writes the new class c + t v in one integer pass and onto it
 (d'q P + d'dp G v) / (dq), an exact integer division (d' the new
-denominator); the successor state is built around that product.  An
-object's G v is its class's; a model's curve objects are built once and
-seed every replay over it.
+denominator).  An object's G v is its class's; a model's curve objects are
+built once and seed every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and keeps one record per move: the
@@ -72,7 +69,7 @@ from .errors import (
     SymconeError,
     WrongMoveError,
 )
-from .lattice import ClassVector, CurveModel, Frozen, IntersectionLattice, pairing_components
+from .lattice import ClassVector, CurveModel, Frozen, IntersectionLattice, _dot, pairing_components
 from .linalg import format_ratio, format_rational
 
 
@@ -138,15 +135,13 @@ class ConfigurationState(Frozen):
 
     @classmethod
     def _proven(
-        cls, lattice: IntersectionLattice, current_class: ClassVector, objects: tuple, slots: dict[str, int],
-        product: tuple[int, ...] | None = None,
+        cls, lattice: IntersectionLattice, current_class: ClassVector, objects: tuple, slots: dict[str, int]
     ) -> "ConfigurationState":
         """A state built without the full check, for a caller that has
         already proved the invariant and hands over the objects' slots by
-        id; it reads its class's Gram product now unless handed it."""
+        id; it reads its class's Gram product now."""
         state = object.__new__(cls)
-        if product is None:
-            product = lattice.gram_product(current_class)
+        product = lattice.gram_product(current_class)
         state.__dict__.update(
             lattice=lattice, current_class=current_class, objects=objects, _product=product, _slots=slots
         )
@@ -198,8 +193,7 @@ class ConfigurationState(Frozen):
 
     def _scaled(self, vector: ClassVector) -> int:
         """d d_v pair(c, vector), d_v the vector's denominator (1 for objects)."""
-        product = self._product
-        return sum(x * product[i] for i, x in vector.integer_form[1])
+        return _dot(self._product, vector)
 
     def area(self, object_id: str) -> Fraction:
         scaled = self._scaled(self.object(object_id).vector)
@@ -219,13 +213,7 @@ def _negative_partner(
 ) -> SurfaceObject | None:
     """The first of others that pairs negatively with obj, if any."""
     gram_v = lattice.gram_product(obj.vector)
-    for o in others:
-        total = 0
-        for i, x in o.vector.integer_form[1]:
-            total += x * gram_v[i]
-        if total < 0:
-            return o
-    return None
+    return next((o for o in others if _dot(gram_v, o.vector) < 0), None)
 
 
 def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, SurfaceObject]:
@@ -239,14 +227,10 @@ def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, Surf
 
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
     """The object's square, d times its area A, for a negative square the
-    bound 2A/h, and G @ v for its class v; one pass over v's terms reads
-    the square off G v and the area off the state's P."""
+    bound 2A/h, and G @ v for its class v."""
     gram_v = state.lattice.gram_product(obj.vector)
-    product = state._product
-    square = scaled = 0
-    for i, x in obj.vector.integer_form[1]:
-        square += x * gram_v[i]
-        scaled += x * product[i]
+    square = _dot(gram_v, obj.vector)
+    scaled = state._scaled(obj.vector)
     bound = None
     if square < 0:
         h = h_param(-square, obj.genus)
@@ -260,15 +244,14 @@ def _inflated(
     """The successor of class c' = c + t v, v the object's integral class,
     written in one integer pass (ClassVector._combine): for c = X / d
     and t = p/q, c' is (q X + d p v) / (dq), normalised once.  c' keeps a
-    Gram product carried from the state's P, which the successor is
-    handed: for d' the denominator of c', G @ (d'c') = (d'q P + d'dp G v) / (dq)."""
+    Gram product carried from the state's P: for d' the denominator of c',
+    G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
     p, q = t.numerator, t.denominator
     current = state.current_class._combine(obj.vector, p, q)
     d, d_new = state.current_class.integer_form[0], current.integer_form[0]
     a, b, m = d_new * q, d_new * d * p, d * q
-    lat = state.lattice
-    product = lat._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
-    return state._proven(lat, current, objects, state._slots, product)
+    state.lattice._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
+    return state._proven(state.lattice, current, objects, state._slots)
 
 
 def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None = None) -> ConfigurationState:
@@ -286,8 +269,7 @@ def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None
     if scaled <= 0:
         area = format_ratio(scaled, state.current_class.integer_form[0], "area")
         raise PreconditionError(f"object {object_id!r} has area {area} <= 0")
-    # 0 < t < bound, cross-multiplied over the positive denominators
-    if not 0 < t.numerator or t.numerator * bound.denominator >= bound.numerator * t.denominator:
+    if not 0 < t < bound:
         raise BoundViolationError(
             "bound 2A/h violated",
             {"object": object_id, "t": t, "bound": bound},

@@ -150,11 +150,10 @@ def test_minors_past_a_zero_pivot_match_bruteforce(m):
     shape=st.sampled_from(("tridiagonal", "banded", "sparse")),
 )
 def test_elimination_of_sparse_rows_matches_schoolbook_gauss(seed, shape):
-    """Bareiss with its runs of zero-factor steps collapsed into one rescale
-    gives what schoolbook Fraction elimination gives: the determinant, the
-    leading minors up to the first zero, and exact solutions, on
-    tridiagonal and banded matrices of order 100-300 and on random sparse
-    ones whose elimination meets zero pivots."""
+    """Bareiss elimination gives what schoolbook Fraction elimination gives:
+    the determinant, the leading minors up to the first zero, and exact
+    solutions, on tridiagonal and banded matrices of order 100-300 and on
+    random sparse ones whose elimination meets zero pivots and zero factors."""
     rng = random.Random(seed)
     if shape == "sparse":
         m = sparse_matrix(rng, rng.randint(5, 40))
