@@ -135,7 +135,7 @@ def _far(model: CurveModel, locus: Support) -> tuple[ClassVector, int, dict[int,
     -1 with each curve of the locus."""
     if locus.sweep is None:
         ones, m = _neg_apply(model, locus, [1] * len(locus.indices))
-        far = model.combination(locus.indices, (Fraction(ones[i], m) for i in locus.indices))
+        far = model._shifted(ClassVector.zero(model.lattice.rank), ones.items(), m)
         locus.sweep = far, m, ones
     return locus.sweep
 
@@ -202,7 +202,7 @@ def boundary_to_interior(
     # M s = -v exactly, and -M^{-1} >= 0 has no zero row, so s > 0
     n, q = _neg_apply(model, descriptor, vv)
     s = tuple(Fraction(n[i], q) for i in descriptor.indices)
-    shift = model.combination(descriptor.indices, s)
+    shift = model._shifted(ClassVector.zero(model.lattice.rank), n.items(), q)
     r, _ = model.first_interior_scale(alpha_corner, shift, (Fraction(1, 2**j) for j in range(64)))
     if r is None:
         raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")
@@ -211,9 +211,9 @@ def boundary_to_interior(
 
 def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> Fraction:
     """Rational s with alpha^2 + 2s|alpha.e| > s^2 k > 2s|alpha.e|, for a class
-    pairing negatively with the single curve e of square -k.  The shifted
-    class beta = alpha - s e then pairs positively with e, has positive
-    square, and pairs positively with alpha (all verified exactly)."""
+    pairing negatively with the single curve e of square -k.  For w = alpha.e,
+    beta = alpha - s e has beta.e = w + sk > -w, beta^2 = alpha^2 + 2s|w| - s^2 k > 0
+    and beta.alpha = alpha^2 + s|w| > 0 exactly, so none is checked again."""
     lat = model.lattice
     if not lat.is_positive_cone(alpha):
         raise PreconditionError("alpha must lie in the positive cone")
@@ -227,13 +227,6 @@ def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> F
     for _ in range(64):
         s = lower + delta
         if a2 + 2 * s * (-w) > s * s * k:
-            beta = alpha.add_multiple(e.vector, -s)
-            if lat.pair(beta, e.vector) <= -w:
-                raise PropertyViolationError("shifted class does not clear |alpha(e)|")
-            if lat.square(beta) <= 0:
-                raise PropertyViolationError("shifted class has non-positive square")
-            if lat.pair(beta, alpha) <= 0:
-                raise PropertyViolationError("shifted class does not pair positively with alpha")
             return s
         delta = delta / 2
     raise SearchFailureError("no rational shift satisfied the two inequalities")

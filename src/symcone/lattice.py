@@ -541,16 +541,6 @@ class CurveModel(Frozen):
         """pair(a, curve) for every declared curve."""
         return tuple(self.lattice.pair(a, c.vector) for c in self.curves)
 
-    def combination(self, indices: Iterable[int], coefficients: Iterable) -> ClassVector:
-        """sum c_i e_i over the curves e_i of indices, in one integer pass: the
-        curve classes are integral, so d, the lcm of the c_i's denominators,
-        clears every coordinate."""
-        coefficients = [linalg.as_fraction(c) for c in coefficients]
-        d = lcm(*(c.denominator for c in coefficients))
-        pairs = zip(indices, coefficients, strict=True)
-        numerators = [(i, c.numerator * (d // c.denominator)) for i, c in pairs]
-        return self._shifted(ClassVector.zero(self.lattice.rank), numerators, d)
-
     def _shifted(self, start: ClassVector, numerators: Iterable[tuple[int, int]], d: int) -> ClassVector:
         """start + sum (n_i / d) e_i over the pairs (i, n_i), for d a
         multiple of start's denominator, in one integer pass normalised

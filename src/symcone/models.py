@@ -259,7 +259,7 @@ def kk_gamma0_certificate(t_scale=1) -> Certificate:
         raise PreconditionError("t_scale must be positive")
     model = kk_gamma0_model()
     w0 = ClassVector.basis(model.lattice.rank, 0)
-    base = w0 - model.combination(range(4), (8 * t, 21 * t, 12 * t, 14 * t))
+    base = model._shifted(w0, ((i, -c * t.numerator) for i, c in enumerate((8, 21, 12, 14))), t.denominator)
     if not model.is_interior_kahler(base):
         raise PreconditionError(
             f"base class is not interior-Kähler at t_scale {t}"

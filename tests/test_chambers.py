@@ -382,6 +382,30 @@ def test_single_curve_shift():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_single_curve_shift_meets_its_three_inequalities_on_random_classes(seed, twisted, data):
+    """On chamber points behind one curve e of random models, beta = alpha -
+    s e clears |alpha.e|, has positive square and pairs positively with
+    alpha, each as a plain Fraction sum: what single_curve_shift no longer
+    checks at run time."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    i = data.draw(st.integers(0, len(model.curves) - 1), label="curve")
+    e = model.curves[i]
+    corner = chambers.corner_point(model, interior_class(model, rng), [i])
+    eps = data.draw(st.fractions(Fraction(1, 64), 8, max_denominator=64), label="eps")
+    alpha = chambers.chamber_point(model, corner, [i], eps)
+    w = _oracle_pair(lat, alpha, e.vector)
+    assert w < 0
+    s = chambers.single_curve_shift(model, alpha, e)
+    beta = alpha - e.vector.scale(s)
+    assert _oracle_pair(lat, beta, e.vector) > -w
+    assert _oracle_pair(lat, beta, beta) > 0
+    assert _oracle_pair(lat, beta, alpha) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
 def test_corner_point_is_the_fraction_corner_and_builds_no_fraction(seed, twisted, data):
     """corner_point is alpha + sum s_i e_i for s = -M^{-1} v, v alpha's
     pairings with G, as Fractions through the cofactor inverse, on a drawn

@@ -365,6 +365,13 @@ def test_perturb_passes_simple_roots_whose_sign_underflows(capsys):
     assert len(records) == 6 and {r["sign"] for r in records} == {0.0}
 
 
+def test_perturb_refuses_a_transversality_sign_that_overflows(capsys):
+    # |g'|^2 = a^2 = 1e400 is past the largest double
+    code, out = run(capsys, "perturb", "--model-spec", "1e200,1,0", "--eps", "1e-3")
+    assert code == 2
+    assert trailer(out)["error"] == "model 0: |g'|^2 at solution 0 overflows a double"
+
+
 def test_perturb_refuses_an_eps_whose_square_underflows(capsys):
     code, out = run(capsys, "perturb", "--model-spec", "1,2,0", "--eps", "1e-170")
     assert code == 2

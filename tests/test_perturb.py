@@ -79,6 +79,13 @@ def test_radius_smallness_bound():
     assert r_epsilon([model], 1e-3) == pytest.approx((2e-3) ** (1 / 3))
 
 
+def test_radius_smallness_cap_of_a_huge_remainder_is_not_zero():
+    # 2|c| overflows to inf once |c| > 9e307, which made the cap |a|/(2|c|) 0
+    r_epsilon([LocalCurveModel(9e307, 2, remainder=9e307)], 1e-3)  # cap 0.5
+    with pytest.raises(RangeError, match=r"min \|a\|/\(2c\) = 5\.55556e-309$"):
+        r_epsilon([LocalCurveModel(1, 2, remainder=9e307)], 1e-3)
+
+
 def test_radius_containment_bound():
     model = LocalCurveModel(1, 1, remainder=0.01)
     with pytest.raises(RangeError, match="not inside"):

@@ -37,6 +37,7 @@ from oracles import (
     ag23_automorphisms,
     brute_inverse,
     first_kahler_scale,
+    folded_combination,
     interior_class,
     random_curve_model,
     twisted_curve_model,
@@ -357,6 +358,49 @@ def _connected_inadmissible_gram(draw):
 @given(_connected_inadmissible_gram())
 def test_witnesses_are_nonnegative_combinations_of_nonnegative_square(gram):
     _checked_witness(gram, component_obstruction(_gram_model(gram), range(len(gram))))
+
+
+@st.composite
+def _curve_gram(draw):
+    """Squares -1..-3 and off-diagonal entries 0..2: often indefinite, often
+    disconnected."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = -draw(st.integers(min_value=1, max_value=3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.sampled_from((0, 0, 0, 1, 2)))
+    return gram
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(("random", "twisted", "kk-extended", "gram")),
+    data=st.data(),
+)
+def test_a_locus_is_inadmissible_exactly_when_one_of_its_components_is(seed, family, data):
+    """Curves pair nonnegatively, so a locus Gram is block diagonal over its
+    pairing components: it is negative definite (by the plain Fraction
+    elimination too) exactly when every component is, and an inadmissible
+    one has a component whose obstruction is a Witness, which plan's
+    refusal of an inadmissible vanishing locus relies on."""
+    rng = random.Random(seed)
+    if family == "kk-extended":
+        model = builtin_model(family)
+    elif family == "gram":
+        model = _gram_model(data.draw(_curve_gram(), label="gram"))
+    else:
+        model = (twisted_curve_model if family == "twisted" else random_curve_model)(rng, 6)
+    n = len(model.curves)
+    for _ in range(4):
+        indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+        support = model.support(indices)
+        comps = support.components()
+        assert support.admissible == all(model.support(c).admissible for c in comps)
+        assert support.admissible == _negative_definite(support.gram)
+        witnessed = [isinstance(component_obstruction(model, c), planner.Witness) for c in comps]
+        assert any(witnessed) == (not support.admissible)
 
 
 # a 10-curve locus whose greedy walk finds no witness: its leading minors
@@ -790,7 +834,7 @@ def _relabelled_report(model, report, sigma):
 
 
 def _is_witness(model, found):
-    square = model.lattice.square(model.combination(found.indices, found.coefficients))
+    square = model.lattice.square(folded_combination(model, found.indices, found.coefficients))
     return min(found.coefficients) >= 0 and max(found.coefficients) > 0 and square == found.square >= 0
 
 
@@ -998,7 +1042,8 @@ def test_the_peel_inverts_nothing(monkeypatch):
 
 def test_a_second_corner_on_a_locus_computes_neither_n_one_nor_far(monkeypatch):
     """The locus's Support keeps N 1 of each component and the far class
-    built from it: a second corner on the same locus reads them both."""
+    built from it, the one class _shifted builds from the zero class: a
+    second corner on the same locus reads them both."""
     model = build_kk_model(extended=True)
     subset = (model.index_of("C1"), model.index_of("D123"), model.index_of("C5"))
     lat = model.lattice
@@ -1007,15 +1052,20 @@ def test_a_second_corner_on_a_locus_computes_neither_n_one_nor_far(monkeypatch):
         for alpha in (lat.reference_class + lat.canonical_class, lat.reference_class.scale(2) + lat.canonical_class)
     )
     applied, combined = [], []
-    combination = CurveModel.combination
+    shifted = CurveModel._shifted
     # chambers._far calls chambers' own binding, the sweep the planner's
     for module in (chambers, planner):
         monkeypatch.setattr(module, "_neg_apply", lambda *args, f=module._neg_apply: (
             applied.append(args[1].components()) or f(*args)
         ))
-    monkeypatch.setattr(
-        CurveModel, "combination", lambda *args: combined.append(args[1]) or combination(*args)
-    )
+
+    def count_from_zero(self, start, numerators, d):
+        numerators = list(numerators)
+        if not start.integer_form[1]:
+            combined.append(tuple(sorted(i for i, _ in numerators)))
+        return shifted(self, start, numerators, d)
+
+    monkeypatch.setattr(CurveModel, "_shifted", count_from_zero)
     assert isinstance(plan(model, first), Certificate)
     assert applied == [((0, 9), (4,))] and combined == [(0, 4, 9)]
     assert isinstance(plan(model, second), Certificate)
