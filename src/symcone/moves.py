@@ -269,7 +269,8 @@ def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None
     if scaled <= 0:
         area = format_ratio(scaled, state.current_class.integer_form[0], "area")
         raise PreconditionError(f"object {object_id!r} has area {area} <= 0")
-    if not 0 < t < bound:
+    # 0 < t < bound, cross-multiplied: both denominators are positive
+    if not 0 < t.numerator * bound.denominator < bound.numerator * t.denominator:
         raise BoundViolationError(
             "bound 2A/h violated",
             {"object": object_id, "t": t, "bound": bound},
