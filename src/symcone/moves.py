@@ -25,10 +25,9 @@ A state pairs through the integer Gram product P = G @ (d c) its class c
 of denominator d keeps (see lattice): its areas and positive-cone test read
 it, and the verifier's base checks read the base's square off it and every
 other pairing off the model's row of the base.  A smoothing keeps the class
-and so P, and the class keeps its positive-cone verdict; an inflation by
-t = p/q along v writes the new class c + t v in one integer pass and onto it
-(d'q P + d'dp G v) / (dq), an exact integer division (d' the new
-denominator).  An object's G v is its class's; a model's curve objects are
+and so P; an inflation by t = p/q along v writes the new class c + t v in
+one integer pass and onto it (d'q P + d'dp G v) / (dq), an exact integer
+division (d' the new denominator).  An object's G v is its class's; a model's curve objects are
 built once and seed every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
@@ -36,7 +35,11 @@ verifier replays it with exact arithmetic and keeps one record per move: the
 state before it, its bound 2A/h and the state after it.  A Replay runs it:
 start (the base checks), one step per move, report (the final-class check);
 the planner's peel steps the same immutable nodes as it searches, so a
-peeled certificate is replayed once.  A certificate keeps the report of its
+peeled certificate is replayed once.  The base is in the positive cone and
+no move leaves it by its square: a smoothing keeps the class, an inflation
+by 0 < t < 2A/h <= 2A/k along v (v^2 = -k, A > 0) adds t(2A - tk) > 0 to
+it and one along v^2 >= 0 adds 2tA + t^2 v^2 > 0.  So a step tests only an
+inflation's reference pairing.  A certificate keeps the report of its
 one replay, keyed by the digit limit it was made under, and verify_certificate
 returns it under that limit; a copy made by replace or by the codec keeps
 none and is replayed in full.  The base-square and move lines are
@@ -661,8 +664,11 @@ class Replay(NamedTuple):
             _defer(lines, bits, object_bits, partial(_class_line, record), partial(_area_line, after))
         except SymconeError as exc:
             return Replay(self, tuple(lines), record, None, str(exc))
-        positive = after.lattice.is_positive_cone(after.current_class)
-        failure = None if positive else f"class left the positive cone at move {number}"
+        # a smoothing keeps the class and an inflation raises its square (see
+        # the module docstring): only an inflation's reference pairing can fail
+        failure = None
+        if not isinstance(move, SmoothAndReinstate) and _dot(after._product, after.lattice.reference_class) <= 0:
+            failure = f"class left the positive cone at move {number}"
         return Replay(self, tuple(lines), record, after, failure, bits, object_bits)
 
     def _chain(self) -> list["Replay"]:
