@@ -15,9 +15,10 @@ A state's invariant is that no two alive objects pair negatively.  A state
 built directly is outside input and gets the full pairwise check.  A state
 seeded from a model's declared curves checks only that its ids are distinct:
 the model has already proved the invariant for its curves.  The invariant is
-inductive under moves: inflations only kill objects and a smoothing adds
-exactly one, so a move checks just its new object against the alive set and
-builds the successor without re-checking the rest.  Moves keep every object
+inductive under moves: inflations only kill objects, and a smoothing adds
+the sum of alive constituents, which pairs nonnegatively with every other
+alive object as each constituent does, and with a reinstated one by the
+reinstatement check.  So a move builds its successor with no check.  Moves keep every object
 in its slot, so a state hands its id-to-slot map on to its successor, and no
 lookup by id scans the objects.
 
@@ -132,7 +133,8 @@ class ConfigurationState(Frozen):
             raise MalformedInputError("class vector rank does not match lattice")
         alive = [o for o in self.objects if o.alive]
         for i, a in enumerate(alive):
-            b = _negative_partner(self.lattice, a, alive[i + 1 :])
+            product = self.lattice.gram_product(a.vector)
+            b = next((o for o in alive[i + 1 :] if _dot(product, o.vector) < 0), None)
             if b is not None:
                 raise PositivityError(f"alive objects {a.id!r} and {b.id!r} pair negatively")
 
@@ -209,14 +211,6 @@ class ConfigurationState(Frozen):
 def _slots_of(objects: Sequence[SurfaceObject]) -> dict[str, int]:
     """The slot of each object by id; a repeated id keeps its last."""
     return {o.id: i for i, o in enumerate(objects)}
-
-
-def _negative_partner(
-    lattice: IntersectionLattice, obj: SurfaceObject, others: Sequence[SurfaceObject]
-) -> SurfaceObject | None:
-    """The first of others that pairs negatively with obj, if any."""
-    gram_v = lattice.gram_product(obj.vector)
-    return next((o for o in others if _dot(gram_v, o.vector) < 0), None)
 
 
 def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, SurfaceObject]:
@@ -339,7 +333,8 @@ def smooth_and_reinstate(
         if o.id in reinstates:
             # the diagonal is the square and a row sums to the pairing with
             # the smoothing, which is count - need: this check also keeps
-            # the copy from pairing negatively with the smoothing
+            # the copy from pairing negatively with the smoothing, the one
+            # pairing the state invariant leaves open
             need = -rows[i].get(i, 0)
             count = sums[i] + need
             if count < need:
@@ -356,10 +351,6 @@ def smooth_and_reinstate(
     new_object = SurfaceObject(id=new_id, vector=vector, genus=genus, alive=True)
 
     kept = _killed(state.objects, (s for s, o in zip(slots, objs) if o.id not in reinstates))
-    # the only pairings the smoothing can make negative are the new object's
-    partner = _negative_partner(lat, new_object, [o for o in kept if o.alive])
-    if partner is not None:
-        raise PositivityError(f"alive objects {partner.id!r} and {new_id!r} pair negatively")
     return state._proven(lat, state.current_class, kept + (new_object,), {**state._slots, new_id: len(kept)})
 
 

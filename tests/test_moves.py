@@ -461,9 +461,11 @@ def test_direct_state_rejects_an_object_of_the_wrong_rank():
 
 
 def test_smoothing_checks_the_new_object_against_live_objects():
-    # From a checked state this cannot happen: the new class is the sum of
-    # the constituents, each pairing nonnegatively with every live object.
-    # So the state is assembled past the full check to reach the guard.
+    # The full check refuses a state whose live objects pair negatively.  A
+    # smoothing from a checked state cannot make such a pair: the new class
+    # is the sum of the constituents, each pairing nonnegatively with every
+    # live object, and a reinstated one meets the sum count - need >= 0
+    # times (test_a_smoothing_keeps_the_state_invariant).
     lat = IntersectionLattice(
         gram=((100, 0, 0, 0), (0, -2, 1, -1), (0, 1, -2, 0), (0, -1, 0, -2)),
         basis_labels=("w", "a", "b", "c"),
@@ -476,20 +478,20 @@ def test_smoothing_checks_the_new_object_against_live_objects():
     )
     with pytest.raises(PositivityError, match="alive objects 'a' and 'c' pair negatively"):
         ConfigurationState(lattice=lat, current_class=cls, objects=objects)
-    empty = ConfigurationState(lattice=lat, current_class=cls, objects=())
-    unchecked = ConfigurationState._proven(lat, cls, objects, moves._slots_of(objects))
-    with pytest.raises(PositivityError) as inductive:
-        apply_move(unchecked, SmoothAndReinstate(("a", "b"), (), "x"))
-    merged = SurfaceObject(id="x", vector=basis[1] + basis[2], genus=0)
-    after = (
-        SurfaceObject(id="a", vector=basis[1], genus=0, alive=False),
-        SurfaceObject(id="b", vector=basis[2], genus=0, alive=False),
-        objects[2],
-        merged,
-    )
-    with pytest.raises(PositivityError) as full:
-        ConfigurationState(lattice=lat, current_class=cls, objects=after)
-    assert str(inductive.value) == str(full.value) == "alive objects 'c' and 'x' pair negatively"
+
+
+def _checked_state(model, rng):
+    """A state over the model's curves and up to three surfaces of small
+    integral classes, each kept only if it pairs nonnegatively with every
+    object kept before it: a state that passes the full check."""
+    lat = model.lattice
+    base = interior_class(model, rng)
+    objects = list(ConfigurationState.seeded(model, base).objects)
+    for k in range(rng.randint(0, 3)):
+        extra = SurfaceObject(f"s{k}", ClassVector([rng.randint(-1, 2) for _ in range(lat.rank)]), rng.randint(0, 2))
+        if all(plain_pair(lat, extra.vector, o.vector) >= 0 for o in objects):
+            objects.append(extra)
+    return ConfigurationState(lattice=lat, current_class=base, objects=tuple(objects))
 
 
 def _smoothing_outcome(smooth):
@@ -505,18 +507,11 @@ def _smoothing_outcome(smooth):
 @given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
 def test_smoothing_agrees_with_the_dense_oracle(seed, twisted, data):
     # the curves of a random model, connected or not, and surfaces of small
-    # integral classes put past the state check, which may pair negatively
-    # with anything: every refusal the smoothing makes can happen
+    # integral classes, in a state that passes the full check: every refusal
+    # a smoothing of a checked state can make
     rng = random.Random(seed)
     model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
-    lat = model.lattice
-    extra = tuple(
-        SurfaceObject(f"s{k}", ClassVector([rng.randint(-1, 2) for _ in range(lat.rank)]), rng.randint(0, 2))
-        for k in range(rng.randint(0, 3))
-    )
-    base = interior_class(model, rng)
-    objects = ConfigurationState.seeded(model, base).objects + extra
-    state = ConfigurationState._proven(lat, base, objects, moves._slots_of(objects))
+    state = _checked_state(model, rng)
     ids = [o.id for o in state.objects]
     constituents = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True), label="constituents")
     reinstates = data.draw(st.lists(st.sampled_from(constituents), unique=True), label="reinstates")
@@ -528,6 +523,26 @@ def test_smoothing_agrees_with_the_dense_oracle(seed, twisted, data):
     expected = _smoothing_outcome(lambda: dense_smoothing(state, constituents, reinstates, "new"))
     got = _smoothing_outcome(sparse)
     assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_a_smoothing_keeps_the_state_invariant(seed, twisted, data):
+    # a smoothing checks no pairing of its new object with the live ones:
+    # from a state that passes the full check, every smoothing that succeeds
+    # leaves objects that pass it too
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    state = _checked_state(model, rng)
+    ids = [o.id for o in state.objects]
+    constituents = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True), label="constituents")
+    reinstates = data.draw(st.lists(st.sampled_from(constituents), unique=True), label="reinstates")
+    try:
+        after = moves.smooth_and_reinstate(state, constituents, reinstates, "new")
+    except SymconeError:
+        return
+    rebuilt = ConfigurationState(lattice=after.lattice, current_class=after.current_class, objects=after.objects)
+    assert rebuilt == after
 
 
 @settings(max_examples=60, deadline=None)
