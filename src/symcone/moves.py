@@ -379,7 +379,7 @@ def _require_strings(values, field: str) -> tuple[str, ...]:
     such a collection.  Each move and certificate checks its fields, so a
     replay meets no ill-typed one: ids are strings and t is coerced as
     inflate coerces it."""
-    if isinstance(values, Iterable) and not isinstance(values, str):
+    if type(values) is tuple or isinstance(values, Iterable) and not isinstance(values, str):
         values = tuple(values)
         if all(isinstance(v, str) for v in values):
             return values
@@ -465,9 +465,10 @@ class Certificate(Frozen):
         for field in ("base_class", "target_class"):
             if not isinstance(getattr(self, field), ClassVector):
                 raise MalformedInputError(f"{field}: expected a ClassVector")
-        if not isinstance(self.moves, Iterable) or isinstance(self.moves, str):
-            raise MalformedInputError("moves: expected a collection of moves")
-        object.__setattr__(self, "moves", tuple(self.moves))
+        if type(self.moves) is not tuple:
+            if not isinstance(self.moves, Iterable) or isinstance(self.moves, str):
+                raise MalformedInputError("moves: expected a collection of moves")
+            object.__setattr__(self, "moves", tuple(self.moves))
         if self.initial_object_ids is not None:
             ids = _require_strings(self.initial_object_ids, "initial_object_ids")
             object.__setattr__(self, "initial_object_ids", ids)

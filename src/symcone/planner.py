@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .chambers import Membership, _far, _neg_apply, classify, reflect
 from .errors import PreconditionError, PropertyViolationError, SymconeError
@@ -238,13 +238,14 @@ class _Peeler:
                           for i, c in sorted(cand.items()))
         raise _PlanFail("no peel candidate applies", ("last candidate", last), ("last candidate failure", failure))
 
-    def _candidates(self, support: tuple[int, ...]) -> list[dict[int, int]]:
-        if len(support) == 1:
-            return [{support[0]: 1}]
-        # all-ones, each constituent boosted to 2, then each curve alone:
-        # pairwise distinct on two or more curves
+    def _candidates(self, support: tuple[int, ...]) -> Iterator[dict[int, int]]:
+        """All-ones, each constituent boosted to 2, then each curve alone:
+        pairwise distinct on two or more curves, made as a backtrack asks."""
         ones = dict.fromkeys(support, 1)
-        return [ones, *({**ones, x: 2} for x in support), *({j: 1} for j in support)]
+        yield ones
+        if len(support) > 1:
+            yield from ({**ones, x: 2} for x in support)
+            yield from ({j: 1} for j in support)
 
     def _execute(
         self,
