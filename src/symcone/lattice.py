@@ -188,7 +188,10 @@ class ClassVector(Frozen):
         """self + (p/q) other, for q > 0, in one integer pass over the two
         lists of nonzero terms, normalised once: over the lcm d of the two
         denominators, q (d/d_a) a + p (d/d_b) b over dq.  self itself, with
-        what it keeps, when other or p is zero."""
+        what it keeps, when other or p is zero.  Where both keep a Gram
+        product for one lattice, or a row for one model, the result keeps
+        (ma K_a + mb K_b) / g, for ma and mb the two multipliers and g the
+        normalising gcd: both are linear in the numerators."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
         (da, ta), (db, tb) = self.integer_form, other.integer_form
@@ -199,7 +202,15 @@ class ClassVector(Frozen):
         acc = {i: x * ma for i, x in ta}
         for i, x in tb:
             acc[i] = acc.get(i, 0) + x * mb
-        return ClassVector.from_integer_form(self.rank, d * q, sorted(acc.items()))
+        out = ClassVector.from_integer_form(self.rank, d * q, sorted(acc.items()))
+        g = d * q // out.integer_form[0]
+        a, b = self._gram_product, other._gram_product
+        if a and b and a[0] is b[0]:
+            a[0]._keep_product(out, [(ma * x + mb * y) // g for x, y in zip(a[1], b[1])])
+        a, b = self._row, other._row
+        if a and b and a[0] is b[0]:
+            vars(out)["_row"] = a[0], tuple((ma * x + mb * y) // g for x, y in zip(a[1], b[1]))
+        return out
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
         return self._combine(other, 1)

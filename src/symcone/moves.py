@@ -27,9 +27,9 @@ of denominator d keeps (see lattice): its areas and positive-cone test read
 it, and the verifier's base checks read the base's square off it and every
 other pairing off the model's row of the base.  A smoothing keeps the class
 and so P; an inflation by t = p/q along v writes the new class c + t v in
-one integer pass and onto it (d'q P + d'dp G v) / (dq), an exact integer
-division (d' the new denominator).  An object's G v is its class's; a model's curve objects are
-built once and seed every replay over it.
+one integer pass, which carries P and the object's G v onto it
+(ClassVector._combine).  A model's curve objects are built once and seed
+every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and keeps one record per move: the
@@ -223,8 +223,8 @@ def _require_alive(state: ConfigurationState, object_id: str) -> tuple[int, Surf
 
 
 def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
-    """The object's square, d times its area A, for a negative square the
-    bound 2A/h, and G @ v for its class v."""
+    """The object's square, d times its area A and, for a negative square,
+    the bound 2A/h; its class keeps G v for the inflation."""
     gram_v = state.lattice.gram_product(obj.vector)
     square = _dot(gram_v, obj.vector)
     scaled = state._scaled(obj.vector)
@@ -232,22 +232,15 @@ def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
     if square < 0:
         h = h_param(-square, obj.genus)
         bound = Fraction(2 * scaled, state.current_class.integer_form[0] * h)
-    return square, scaled, bound, gram_v
+    return square, scaled, bound
 
 
-def _inflated(
-    state: ConfigurationState, t: Fraction, obj: SurfaceObject, gram_v: Sequence[int], objects: tuple
-) -> ConfigurationState:
+def _inflated(state: ConfigurationState, t: Fraction, obj: SurfaceObject, objects: tuple) -> ConfigurationState:
     """The successor of class c' = c + t v, v the object's integral class,
     written in one integer pass (ClassVector._combine): for c = X / d
-    and t = p/q, c' is (q X + d p v) / (dq), normalised once.  c' keeps a
-    Gram product carried from the state's P: for d' the denominator of c',
-    G @ (d'c') = (d'q P + d'dp G v) / (dq), exactly."""
-    p, q = t.numerator, t.denominator
-    current = state.current_class._combine(obj.vector, p, q)
-    d, d_new = state.current_class.integer_form[0], current.integer_form[0]
-    a, b, m = d_new * q, d_new * d * p, d * q
-    state.lattice._keep_product(current, [(a * x + b * y) // m for x, y in zip(state._product, gram_v)])
+    and t = p/q, c' is (q X + d p v) / (dq), normalised once, and keeps
+    the Gram product carried from the state's P and v's G v."""
+    current = state.current_class._combine(obj.vector, t.numerator, t.denominator)
     return state._proven(state.lattice, current, objects, state._slots)
 
 
@@ -257,7 +250,7 @@ def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None
     has it."""
     slot, obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, scaled, bound, gram_v = measured or _inflation_bound(state, obj)
+    square, scaled, bound = measured or _inflation_bound(state, obj)
     if bound is None:
         raise WrongMoveError(
             f"object {object_id!r} has square {format_rational(square, 'square')} >= 0; "
@@ -272,21 +265,21 @@ def inflate(state: ConfigurationState, object_id: str, t, measured: tuple | None
             "bound 2A/h violated",
             {"object": object_id, "t": t, "bound": bound},
         )
-    return _inflated(state, t, obj, gram_v, _killed(state.objects, (slot,)))
+    return _inflated(state, t, obj, _killed(state.objects, (slot,)))
 
 
 def inflate_nonneg(state: ConfigurationState, object_id: str, t) -> ConfigurationState:
     """Add t > 0 times a nonnegative-square object's class; the object survives."""
     _, obj = _require_alive(state, object_id)
     t = linalg.as_fraction(t)
-    square, scaled, _, gram_v = _inflation_bound(state, obj)
+    square, scaled, _ = _inflation_bound(state, obj)
     if square < 0:
         raise WrongMoveError(f"object {object_id!r} has negative square; use inflate")
     if scaled <= 0:
         raise PreconditionError(f"object {object_id!r} has non-positive area")
     if t <= 0:
         raise PreconditionError("t must be positive")
-    return _inflated(state, t, obj, gram_v, state.objects)
+    return _inflated(state, t, obj, state.objects)
 
 
 def smooth_and_reinstate(
