@@ -614,15 +614,24 @@ class CurveModel(Frozen):
     def _row(self, a: ClassVector) -> tuple[int, ...]:
         """(d_a d_w a.w, d_a a.e_1, ..., d_a a.e_n), w the reference class
         and e_i the declared curves: the scaled_pairings of a with them,
-        read off a's Gram product.  The class keeps it, for this model only,
-        so each class is paired with the curves once."""
+        read off a's Gram product in one pass over _row_terms.  The class
+        keeps it, for this model only, so each class is paired with the
+        curves once."""
         kept = a._row
         if kept is not None and kept[0] is self:
             return kept[1]
         product = self.lattice.gram_product(a)
-        row = tuple(_dot(product, v) for v in (self.lattice.reference_class, *(c.vector for c in self.curves)))
-        vars(a)["_row"] = self, row
+        row = [0] * (len(self.curves) + 1)
+        for k, i, x in self._row_terms:
+            row[k] += x * product[i]
+        vars(a)["_row"] = self, row = self, tuple(row)
         return row
+
+    @cached_property
+    def _row_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(k, i, x) for each term (i, x) of the k-th of w, e_1, ..., e_n."""
+        vectors = (self.lattice.reference_class, *(c.vector for c in self.curves))
+        return tuple((k, i, x) for k, v in enumerate(vectors) for i, x in v.integer_form[1])
 
     @cached_property
     def coefficient_bits(self) -> int:
