@@ -624,7 +624,8 @@ class CurveModel(Frozen):
         row = [0] * (len(self.curves) + 1)
         for k, i, x in self._row_terms:
             row[k] += x * product[i]
-        vars(a)["_row"] = self, row = self, tuple(row)
+        row = tuple(row)
+        vars(a)["_row"] = self, row
         return row
 
     @cached_property
