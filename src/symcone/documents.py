@@ -23,7 +23,7 @@ from math import lcm
 from typing import Any, Mapping, Sequence
 
 from . import models as models_mod
-from .errors import DocumentError, MalformedInputError
+from .errors import DocumentError, MalformedInputError, SymconeError
 from .lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
 from .linalg import format_rational
 from .moves import (
@@ -216,10 +216,8 @@ def _checked_model(doc: Any, where: str) -> CurveModel:
     reference = None
     if "reference" in doc:
         reference = parse_class(doc["reference"], rank, f"{where}.reference")
-    lattice = IntersectionLattice(
-        gram=gram_doc,
-        basis_labels=labels,
-        canonical_class=canonical,
+    lattice = _built(
+        where, IntersectionLattice, gram=gram_doc, basis_labels=labels, canonical_class=canonical,
         reference_class=reference,
     )
     curves_doc = doc["curves"]
@@ -232,21 +230,22 @@ def _checked_model(doc: Any, where: str) -> CurveModel:
         vec = parse_class(cdoc["class"], rank, f"{cwhere}.class")
         if not vec.is_integral:
             raise DocumentError(f"{cwhere}.class: curve classes must be integral")
-        curves.append(
-            CurveData(
-                label=_expect_str(cdoc["label"], f"{cwhere}.label"),
-                vector=vec,
-                genus=_expect_int(cdoc["genus"], f"{cwhere}.genus"),
-            )
-        )
+        label = _expect_str(cdoc["label"], f"{cwhere}.label")
+        genus = _expect_int(cdoc["genus"], f"{cwhere}.genus")
+        curves.append(_built(cwhere, CurveData, label=label, vector=vec, genus=genus))
     completeness = doc["completeness_assumed"]
     if not isinstance(completeness, bool):
         raise DocumentError(f"{where}.completeness_assumed: expected true or false")
-    return CurveModel(
-        lattice=lattice,
-        curves=tuple(curves),
-        completeness_assumed=completeness,
-    )
+    return _built(where, CurveModel, lattice=lattice, curves=tuple(curves), completeness_assumed=completeness)
+
+
+def _built(where: str, make, **fields):
+    """make(**fields), a refusal of it prefixed with where and the part it names."""
+    try:
+        return make(**fields)
+    except SymconeError as exc:
+        path = f"{where}.{exc.part}" if exc.part else where
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _move_to_doc(move: Move) -> dict:

@@ -8,7 +8,13 @@ cannot proceed at all.
 
 
 class SymconeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  part, where a model's constructors
+    give it, names the field at fault as a model document names it, such as
+    "gram" or "curves[0]"."""
+
+    def __init__(self, *args, part: str | None = None):
+        super().__init__(*args)
+        self.part = part
 
 
 class MalformedInputError(SymconeError):

@@ -374,7 +374,7 @@ class IntersectionLattice(Frozen):
         # integrality are read off these alone
         rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
         if any(gram[j][i] != x for i, row in enumerate(rows) for j, x in row):
-            raise ModelInconsistencyError("Gram matrix must be symmetric")
+            raise ModelInconsistencyError("Gram matrix must be symmetric", part="gram")
         if not plain:
             if any(x.denominator != 1 for row in rows for _, x in row):
                 raise ModelInconsistencyError("Gram entries must be integers")
@@ -388,7 +388,7 @@ class IntersectionLattice(Frozen):
         if len(labels) != n:
             raise MalformedInputError("label count does not match rank")
         if len(set(labels)) != n:
-            raise MalformedInputError("basis labels must be distinct")
+            raise MalformedInputError("basis labels must be distinct", part="labels")
         object.__setattr__(self, "basis_labels", labels)
         for name in ("canonical_class", "reference_class"):
             vec = getattr(self, name)
@@ -396,7 +396,7 @@ class IntersectionLattice(Frozen):
                 raise MalformedInputError(f"{name} has wrong rank")
         if self.reference_class is not None:
             if self.square(self.reference_class) <= 0:
-                raise ModelInconsistencyError("reference class must have positive square")
+                raise ModelInconsistencyError("reference class must have positive square", part="reference")
 
     @property
     def rank(self) -> int:
@@ -494,7 +494,7 @@ class CurveData(Frozen):
 
     def __post_init__(self):
         if not isinstance(self.genus, int) or self.genus < 0:
-            raise MalformedInputError(f"genus of {self.label!r} must be a nonnegative integer")
+            raise MalformedInputError(f"genus of {self.label!r} must be a nonnegative integer", part="genus")
         if not self.vector.is_integral:
             raise MalformedInputError(f"curve {self.label!r} must have integer coordinates")
 
@@ -515,24 +515,24 @@ class CurveModel(Frozen):
         curves = tuple(self.curves)
         object.__setattr__(self, "curves", curves)
         if len(set(self.labels)) != len(curves):
-            raise ModelInconsistencyError("curve labels must be distinct")
+            raise ModelInconsistencyError("curve labels must be distinct", part="curves")
         # the square and meet checks read the curve Gram, which later uses share
         gram, lattice = self._gram, self.lattice
         for i, c in enumerate(curves):
             sq = gram[i][i]
             if sq >= 0:
                 raise ModelInconsistencyError(
-                    f"curve {c.label!r} has square {sq}; curves must have negative square"
+                    f"curve {c.label!r} has square {sq}; curves must have negative square", part=f"curves[{i}]"
                 )
             if lattice.canonical_class is not None and not lattice.adjunction_check(c.vector, c.genus):
                 raise ModelInconsistencyError(
-                    f"curve {c.label!r} violates adjunction for genus {c.genus}"
+                    f"curve {c.label!r} violates adjunction for genus {c.genus}", part=f"curves[{i}]"
                 )
         for i, a in enumerate(curves):
             for j in range(i + 1, len(curves)):
                 if gram[i][j] < 0:
                     raise ModelInconsistencyError(
-                        f"curves {a.label!r} and {curves[j].label!r} pair negatively"
+                        f"curves {a.label!r} and {curves[j].label!r} pair negatively", part=f"curves[{j}]"
                     )
 
     @property

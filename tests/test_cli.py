@@ -13,7 +13,7 @@ import pytest
 
 from symcone import cli, errors, perturb, planner
 from symcone.cli import SENTINEL, main
-from symcone.documents import certificate_from_doc, parse_class
+from symcone.documents import certificate_from_doc, model_to_doc, parse_class
 from symcone.models import builtin_model
 from symcone.moves import verify_certificate
 
@@ -433,6 +433,20 @@ def test_document_refusals_name_their_field(capsys, tmp_path, kind, mutate, mess
         where = "certificate"
     assert code == 2
     assert trailer(out)["error"] == where + message
+
+
+def test_verify_names_the_field_of_an_inline_model_refusal(capsys, tmp_path):
+    # the Gram's asymmetry is refused by the lattice constructor, under the
+    # path of the certificate's inline model
+    _, out = run(capsys, "example", "kk-gamma0", "--certificate")
+    doc = trailer(out)
+    doc["model"] = model_to_doc(builtin_model("kk-gamma0"))
+    doc["model"]["gram"][0][1] = 1
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "verify", str(path))
+    assert code == 2
+    assert trailer(out)["error"] == "certificate.model.gram: Gram matrix must be symmetric"
 
 
 @pytest.mark.parametrize("spec, eps, field", [

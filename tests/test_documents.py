@@ -336,10 +336,37 @@ def test_a_document_changed_after_its_parse_is_checked_again():
     model = model_from_doc(doc)
     genus = doc["curves"][0]["genus"]
     doc["curves"][0]["genus"] = -1
-    refusal = ("MalformedInputError", "genus of 'C1' must be a nonnegative integer")
+    refusal = ("MalformedInputError", "model.curves[0].genus: genus of 'C1' must be a nonnegative integer")
     assert _outcome(doc) == refusal
     doc["curves"][0]["genus"] = genus
     assert model_from_doc(doc) is model
+
+
+def _curve_field(index, key, value):
+    return lambda doc: doc["curves"][index].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("mutate, refusal", [
+    (lambda doc: doc["gram"][0].__setitem__(1, 1), ("ModelInconsistencyError", "m.gram: Gram matrix must be symmetric")),
+    (lambda doc: doc["labels"].__setitem__(1, "w0"), ("MalformedInputError", "m.labels: basis labels must be distinct")),
+    (lambda doc: doc.__setitem__("reference", ["0"] * 22),
+     ("ModelInconsistencyError", "m.reference: reference class must have positive square")),
+    (_curve_field(0, "genus", -1),
+     ("MalformedInputError", "m.curves[0].genus: genus of 'C1' must be a nonnegative integer")),
+    (_curve_field(1, "label", "C1"), ("ModelInconsistencyError", "m.curves: curve labels must be distinct")),
+    (_curve_field(0, "class", [1] + [0] * 21),
+     ("ModelInconsistencyError", "m.curves[0]: curve 'C1' has square 100; curves must have negative square")),
+    (_curve_field(0, "genus", 5), ("ModelInconsistencyError", "m.curves[0]: curve 'C1' violates adjunction for genus 5")),
+])
+def test_model_constructor_refusals_name_their_field(mutate, refusal):
+    # the lattice and model constructors refuse these; the document names
+    # the part at fault and keeps the exception class
+    documents._checked_models.clear()
+    doc = _gamma0_doc()
+    mutate(doc)
+    with pytest.raises(Exception) as refused:
+        model_from_doc(doc, where="m")
+    assert (type(refused.value).__name__, str(refused.value)) == refusal
 
 
 def test_equal_documents_share_one_model():

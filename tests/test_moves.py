@@ -1140,6 +1140,34 @@ def test_an_inflation_measures_its_bound_once(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_an_inflation_inside_its_bound_raises_the_square(seed, twisted, data):
+    """A replay step tests no square after an inflation: on certificates
+    that inflate the curves of a random model in a drawn order, each by an
+    amplitude drawn inside (0, 2A/h), every inflation record's after square
+    is strictly greater than its before square."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    base = interior_class(model, rng)
+    state, steps = ConfigurationState.seeded(model, base), []
+    for label in data.draw(st.permutations(model.labels), label="order"):
+        curve = model.curve(label)
+        area = state.area(label)
+        if area <= 0:
+            continue
+        bound = 2 * area / h_param(int(-plain_pair(lat, curve.vector, curve.vector)), curve.genus)
+        move = Inflate(label, bound * Fraction(data.draw(st.integers(1, 999), label="ratio"), 1000))
+        steps.append(move)
+        state = apply_move(state, move)
+    report = verify_certificate(Certificate(model, base, tuple(steps), state.current_class))
+    assert report.passed and len(report.records) == len(steps)
+    for record in report.records:
+        before, after = (plain_pair(lat, s.current_class, s.current_class) for s in (record.before, record.after))
+        assert after > before > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
 def test_inflate_accepts_exactly_the_open_fraction_window(seed, twisted, data):
     """inflate takes t exactly when 0 < t < 2A/h with A and the square as
     plain Fraction pairings: t at the bound, at 0 and below raise
