@@ -18,9 +18,9 @@ the model has already proved the invariant for its curves.  The invariant is
 inductive under moves: inflations only kill objects, and a smoothing adds
 the sum of alive constituents, which pairs nonnegatively with every other
 alive object as each constituent does, and with a reinstated one by the
-reinstatement check.  So a move builds its successor with no check.  Moves keep every object
-in its slot, so a state hands its id-to-slot map on to its successor, and no
-lookup by id scans the objects.
+reinstatement check.  So a move builds its successor with no check.  Moves
+keep every object in its slot, so a state hands its id-to-slot map on to its
+successor, and no lookup by id scans the objects.
 
 A state pairs through the integer Gram product P = G @ (d c) its class c
 of denominator d keeps (see lattice): its areas and positive-cone test read
