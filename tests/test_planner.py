@@ -1221,7 +1221,7 @@ def test_the_hirzebruch_jung_chain_is_long_and_mixed():
 def test_peel_candidates_are_ones_then_boosted_then_singletons():
     peeler = planner._Peeler(_chain_model([-2] * 4))
     ones = {1: 1, 2: 1, 3: 1}
-    assert [sorted(c.items()) for c in list(peeler._candidates((1, 2, 3)))] == [
+    assert [sorted(c.items()) for c in peeler._candidates((1, 2, 3))] == [
         sorted(c.items()) for c in (
             ones, {**ones, 1: 2}, {**ones, 2: 2}, {**ones, 3: 2}, {1: 1}, {2: 1}, {3: 1},
         )
