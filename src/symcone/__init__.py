@@ -105,8 +105,8 @@ __version__ = "0.1.0"
 # each lazily run module, with the public names this package serves from it
 _LAZY = {
     "chambers": (
-        "Classification", "Membership", "boundary_to_interior", "chamber_point",
-        "classify", "corner_point", "descriptor_for", "reflect", "single_curve_shift",
+        "Classification", "Membership", "chamber_point", "classify", "corner_point",
+        "descriptor_for", "reflect",
     ),
     "planner": (
         "DynkinType", "Unsupported", "Witness", "component_obstruction", "dual_graph",

@@ -3,8 +3,8 @@
 A positive-cone class is sorted by the signs of its pairings with the model's
 curves: interior (all positive), a corner (zero on a set G), a chamber
 (negative on G), or mixed.  The constructive operations move classes between
-these strata with exact rational witnesses.  Every corner, chamber and
-interior shift, and the planner's sweep, moves a class by sum (N v)_i e_i
+these strata with exact rational witnesses.  Every corner and chamber
+shift, and the planner's sweep, moves a class by sum (N v)_i e_i
 for N = -M^{-1} on G: one routine (_neg_apply) computes N v in integers,
 component by component of G, and G's Support keeps the far class
 sum (N 1)_i e_i (_far).  A corner pairs alpha with G's curves in integers
@@ -35,7 +35,7 @@ from .errors import (
     SearchFailureError,
     SingularityError,
 )
-from .lattice import ClassVector, CurveData, CurveModel, Frozen, IntersectionLattice, Support
+from .lattice import ClassVector, CurveModel, Frozen, IntersectionLattice, Support
 
 
 class Membership(enum.Enum):
@@ -182,51 +182,3 @@ def chamber_point(model: CurveModel, alpha_corner: ClassVector, G, epsilon) -> C
             return result
         eps = eps / 2
     raise SearchFailureError("no epsilon kept the chamber point in the positive cone")
-
-
-def boundary_to_interior(
-    model: CurveModel, alpha_corner: ClassVector, G, v: Sequence
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact data for walking a corner class back into the interior.
-
-    Returns (s, r_max_hint) with s = -M^{-1} v, so that sum_i s_i e_i pairs
-    exactly -v_j with each e_j in G; r_max_hint is the largest dyadic r <= 1
-    for which alpha - r sum s_i e_i is interior-Kähler.
-    """
-    descriptor = _admissible_descriptor(model, G)
-    vv = [linalg.as_fraction(x) for x in v]
-    if len(vv) != len(descriptor.indices):
-        raise PreconditionError("v must give one value per curve of G")
-    if any(value <= 0 for value in vv):
-        raise PreconditionError("v must be entrywise positive")
-    # M s = -v exactly, and -M^{-1} >= 0 has no zero row, so s > 0
-    n, q = _neg_apply(model, descriptor, vv)
-    s = tuple(Fraction(n[i], q) for i in descriptor.indices)
-    shift = model._shifted(ClassVector.zero(model.lattice.rank), n.items(), q)
-    r, _ = model.first_interior_scale(alpha_corner, shift, (Fraction(1, 2**j) for j in range(64)))
-    if r is None:
-        raise SearchFailureError("no dyadic r <= 1 made the shifted class interior-Kähler")
-    return s, r
-
-
-def single_curve_shift(model: CurveModel, alpha: ClassVector, e: CurveData) -> Fraction:
-    """Rational s with alpha^2 + 2s|alpha.e| > s^2 k > 2s|alpha.e|, for a class
-    pairing negatively with the single curve e of square -k.  For w = alpha.e,
-    beta = alpha - s e has beta.e = w + sk > -w, beta^2 = alpha^2 + 2s|w| - s^2 k > 0
-    and beta.alpha = alpha^2 + s|w| > 0 exactly, so none is checked again."""
-    lat = model.lattice
-    if not lat.is_positive_cone(alpha):
-        raise PreconditionError("alpha must lie in the positive cone")
-    w = lat.pair(alpha, e.vector)
-    if w >= 0:
-        raise PreconditionError("alpha must pair negatively with the curve")
-    k = -lat.square(e.vector)
-    a2 = lat.square(alpha)
-    lower = 2 * (-w) / k
-    delta = Fraction(1)
-    for _ in range(64):
-        s = lower + delta
-        if a2 + 2 * s * (-w) > s * s * k:
-            return s
-        delta = delta / 2
-    raise SearchFailureError("no rational shift satisfied the two inequalities")

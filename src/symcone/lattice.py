@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -149,9 +150,15 @@ class ClassVector(Frozen):
         if g > 1:
             d //= g
             terms = [(i, x // g) for i, x in terms]
+        return cls._normalised(rank, d, tuple(terms))
+
+    @classmethod
+    def _normalised(cls, rank: int, d: int, terms: tuple[tuple[int, int], ...]) -> "ClassVector":
+        """The class of an integer form that is already normalised: nonzero
+        terms by index, gcd(d, numerators) = 1.  Nothing is checked."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "rank", rank)
-        object.__setattr__(vec, "integer_form", (d, tuple(terms)))
+        object.__setattr__(vec, "integer_form", (d, terms))
         return vec
 
     @classmethod
@@ -191,12 +198,35 @@ class ClassVector(Frozen):
         what it keeps, when other or p is zero.  Where both keep a Gram
         product for one lattice, or a row for one model, the result keeps
         (ma K_a + mb K_b) / g, for ma and mb the two multipliers and g the
-        normalising gcd: both are linear in the numerators."""
+        normalising gcd: both are linear in the numerators.
+
+        For q = 1 and other integral (d_b = 1), d = d_a, ma = 1 and
+        mb = p d_a: the result's numerators are a's, plus p d_a x at each
+        term (i, x) of b.  Each is congruent to a's numerator mod d_a, so
+        gcd(d_a, numerators) = gcd(d_a, a's numerators) = 1 and g = 1:
+        nothing is normalised, only b's terms change, and the kept product
+        and row change only where b's are nonzero."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
         (da, ta), (db, tb) = self.integer_form, other.integer_form
         if not tb or not p:
             return self
+        if q == 1 and db == 1:
+            mb = p * da
+            acc = dict(ta)
+            for i, x in tb:
+                acc[i] = acc.get(i, 0) + x * mb
+            terms = tuple(acc.items()) if len(acc) == len(ta) else tuple(sorted(acc.items()))
+            if 0 in acc.values():  # a cancelled term
+                terms = tuple(term for term in terms if term[1])
+            out = ClassVector._normalised(self.rank, da, terms)
+            a, b = self._gram_product, other._gram_product
+            if a and b and a[0] is b[0]:
+                a[0]._keep_product(out, _plus_multiple(a[1], b[1], mb))
+            a, b = self._row, other._row
+            if a and b and a[0] is b[0]:
+                vars(out)["_row"] = a[0], _plus_multiple(a[1], b[1], mb)
+            return out
         d = lcm(da, db)
         ma, mb = q * (d // da), p * (d // db)
         acc = {i: x * ma for i, x in ta}
@@ -236,6 +266,14 @@ class ClassVector(Frozen):
         return self.scale(factor)
 
     __rmul__ = __mul__
+
+
+def _plus_multiple(kept: tuple[int, ...], other: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """kept + m other, entrywise, written only where other is nonzero."""
+    out = list(kept)
+    for i, y in zip(compress(count(), other), filter(None, other)):
+        out[i] += m * y
+    return tuple(out)
 
 
 def _dot(product: Sequence[int], vector: ClassVector) -> int:
@@ -290,6 +328,8 @@ def neg_inverse(gram: linalg.Matrix) -> NegInverse:
 
 # how many supports a model keeps facts for; the oldest is evicted first
 _SUPPORTS_BOUND = 4096
+# the member types of an index tuple that CurveModel.support looks up unchecked
+_INT = frozenset((int,))
 
 
 class Support:
@@ -469,13 +509,6 @@ class IntersectionLattice(Frozen):
         verdict = square > 0 and reference > 0
         vars(a)["_positive_cone"] = self, verdict
         return verdict
-
-    def expected_dimension(self, e: ClassVector, genus: int) -> Fraction:
-        """2(genus - 1 - K.e).  Equals 2(e^2 + 1 - genus) exactly when the
-        adjunction relation holds; use adjunction_check to test that."""
-        if self.canonical_class is None:
-            raise ConfigurationError("expected dimension needs a canonical class")
-        return 2 * (Fraction(genus) - 1 - self.pair(self.canonical_class, e))
 
     def adjunction_check(self, e: ClassVector, genus: int) -> bool:
         if self.canonical_class is None:
@@ -682,7 +715,16 @@ class CurveModel(Frozen):
     def support(self, indices: Iterable[int]) -> Support:
         """The Support of a set of curve indices, shared by every call on
         this model with the same set in any order or multiplicity.  The model
-        keeps the last _SUPPORTS_BOUND supports made."""
+        keeps the last _SUPPORTS_BOUND supports made.
+
+        A plain tuple of exact ints is first looked up as it stands: only
+        sorted, distinct keys in range are kept, so a hit is one.  The type
+        test comes before the hash, so a tuple holding a bool, an IntEnum, a
+        float or an unhashable member is answered or refused by the checks."""
+        if type(indices) is tuple and set(map(type, indices)) <= _INT:
+            found = self._supports.get(indices)
+            if found is not None:
+                return found
         return self._support(tuple(sorted(set(self._checked_indices(indices)))))
 
     def _support(self, key: tuple[int, ...]) -> Support:

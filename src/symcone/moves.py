@@ -28,8 +28,9 @@ it, and the verifier's base checks read the base's square off it and every
 other pairing off the model's row of the base.  A smoothing keeps the class
 and so P; an inflation by t = p/q along v writes the new class c + t v in
 one integer pass, which carries P and the object's G v onto it
-(ClassVector._combine).  A model's curve objects are built once and seed
-every replay over it.
+(ClassVector._combine); for an integer t the pass touches only v's terms,
+normalises nothing, and updates P only where G v is nonzero.  A model's
+curve objects are built once and seed every replay over it.
 
 A Certificate packages a base class, a move list, and a target class; the
 verifier replays it with exact arithmetic and keeps one record per move: the
@@ -204,9 +205,6 @@ class ConfigurationState(Frozen):
         scaled = self._scaled(self.object(object_id).vector)
         return Fraction(scaled, self.current_class.integer_form[0])
 
-    def alive_objects(self) -> tuple[SurfaceObject, ...]:
-        return tuple(o for o in self.objects if o.alive)
-
 
 def _slots_of(objects: Sequence[SurfaceObject]) -> dict[str, int]:
     """The slot of each object by id; a repeated id keeps its last."""
@@ -238,8 +236,9 @@ def _inflation_bound(state: ConfigurationState, obj: SurfaceObject) -> tuple:
 def _inflated(state: ConfigurationState, t: Fraction, obj: SurfaceObject, objects: tuple) -> ConfigurationState:
     """The successor of class c' = c + t v, v the object's integral class,
     written in one integer pass (ClassVector._combine): for c = X / d
-    and t = p/q, c' is (q X + d p v) / (dq), normalised once, and keeps
-    the Gram product carried from the state's P and v's G v."""
+    and t = p/q, c' is (q X + d p v) / (dq), normalised once (for q = 1
+    not at all), and keeps the Gram product carried from the state's P and
+    v's G v."""
     current = state.current_class._combine(obj.vector, t.numerator, t.denominator)
     return state._proven(state.lattice, current, objects, state._slots)
 

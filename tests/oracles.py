@@ -335,6 +335,43 @@ def first_kahler_scale(model: CurveModel, start: ClassVector, direction: ClassVe
     return None, failing
 
 
+def alive_objects(state) -> tuple:
+    """The state's alive objects, in slot order."""
+    return tuple(o for o in state.objects if o.alive)
+
+
+def expected_dimension(lattice: IntersectionLattice, e: ClassVector, genus: int) -> Fraction:
+    """2(genus - 1 - K.e), K.e by plain_pair."""
+    return 2 * (genus - 1 - plain_pair(lattice, lattice.canonical_class, e))
+
+
+def single_curve_shift(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) -> Fraction:
+    """A rational s with alpha^2 + 2s|w| > s^2 k, for w = alpha.e < 0 and
+    e^2 = -k, searched as 2|w|/k + 2^-j for j = 0, 1, ..., each pairing by
+    plain_pair."""
+    w = plain_pair(lattice, alpha, e)
+    k = -plain_pair(lattice, e, e)
+    a2 = plain_pair(lattice, alpha, alpha)
+    for j in range(64):
+        s = 2 * -w / k + Fraction(1, 2**j)
+        if a2 + 2 * s * -w > s * s * k:
+            return s
+    raise AssertionError("no shift found")
+
+
+def boundary_to_interior(model: CurveModel, corner: ClassVector, indices, v) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(s, r) for walking a corner class back into the interior: s = -M^{-1} v
+    by the cofactor inverse of the curves' plain_pair Gram, and r the first
+    dyadic 2^-j (j < 64) at which corner - r sum s_i e_i is interior-Kähler,
+    by first_kahler_scale."""
+    curves = [model.curves[i].vector for i in indices]
+    gram = [[plain_pair(model.lattice, a, b) for b in curves] for a in curves]
+    s = tuple(-x for x in mat_vec(brute_inverse(gram), v))
+    shift = folded_combination(model, indices, s)
+    r, _ = first_kahler_scale(model, corner, shift, (Fraction(1, 2**j) for j in range(64)))
+    return s, r
+
+
 def ag23_automorphisms() -> list[tuple[int, ...]]:
     """The 432 affine maps x -> Ax + b of the plane over F_3 (A invertible),
     each as a permutation of the 21 kk-extended curve indices: C1..C9 are

@@ -29,7 +29,7 @@ from symcone.moves import (
 )
 from symcone.perturb import LocalCurveModel, order_of_contact_study, perturbed_intersections
 
-from oracles import interior_class, random_curve_model, random_negative_definite
+from oracles import alive_objects, interior_class, random_curve_model, random_negative_definite
 
 
 def test_acceptance_1_gamma0_certificate_replays_exactly():
@@ -137,7 +137,7 @@ def test_acceptance_6_inflation_formulas_are_exact():
         state = initial_state(cert)
         lat = state.lattice
         for _ in range(5):
-            alive = [o for o in state.alive_objects() if state.area(o.id) > 0]
+            alive = [o for o in alive_objects(state) if state.area(o.id) > 0]
             if not alive:
                 break
             obj = rng.choice(alive)
@@ -146,7 +146,7 @@ def test_acceptance_6_inflation_formulas_are_exact():
             t = bound * Fraction(rng.randint(1, 9), 10)
             before_sq = lat.square(state.current_class)
             area = state.area(obj.id)
-            others = [(o.id, state.area(o.id)) for o in state.alive_objects()]
+            others = [(o.id, state.area(o.id)) for o in alive_objects(state)]
             new = apply_move(state, Inflate(object_id=obj.id, t=t))
             assert lat.square(new.current_class) == before_sq + 2 * t * area - t * t * k
             for oid, old_area in others:

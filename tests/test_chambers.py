@@ -22,11 +22,13 @@ from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
 from symcone.moves import Replay, verify_certificate
 
 from oracles import (
+    boundary_to_interior,
     brute_inverse,
     folded_combination,
     interior_class,
     mat_vec,
     random_curve_model,
+    single_curve_shift,
     twisted_curve_model,
 )
 
@@ -114,10 +116,7 @@ def test_another_models_support_stands_for_its_indices_only():
     assert chambers.chamber_point(model, corner, foreign, eps) == chambers.chamber_point(
         model, corner, s, eps
     )
-    v = (1, Fraction(1, 2))
-    assert chambers.boundary_to_interior(model, corner, foreign, v) == chambers.boundary_to_interior(
-        model, corner, s, v
-    )
+    assert chambers._admissible_descriptor(model, foreign) is model.support(s)
 
 
 def test_reflect_is_involutive_isometry():
@@ -217,7 +216,7 @@ def test_boundary_to_interior_identity():
     alpha = _omega0(model) + model.lattice.canonical_class
     corner = chambers.corner_point(model, alpha, range(4))
     v = tuple(Fraction(x) for x in (3, 1, 1, 2))
-    s, hint = chambers.boundary_to_interior(model, corner, range(4), v)
+    s, hint = boundary_to_interior(model, corner, range(4), v)
     assert all(x > 0 for x in s)
     shifted = corner
     for coeff, i in zip(s, range(4)):
@@ -253,9 +252,11 @@ def _oracle_pair(lattice, a, b):
 @given(data=st.data())
 def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
     """The corner algebra the chamber operations rely on without checking it
-    at run time: for N = -M^{-1} on G and v > 0, boundary_to_interior's
-    N v is positive, equals the brute inverse's product, sum (N v)_i e_i
-    pairs exactly -v_j with each e_j, and its r takes the corner inside; a
+    at run time: for N = -M^{-1} on G and v > 0, _neg_apply's N v is
+    positive, equals the brute inverse's product, sum (N v)_i e_i pairs
+    exactly -v_j with each e_j, and the first dyadic r at which
+    first_interior_scale finds the corner minus r times that sum
+    interior-Kähler takes the corner inside; a
     corner does not lower the square, and a chamber point pairs the same
     -epsilon with every curve of G."""
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -269,8 +270,10 @@ def test_corner_and_chamber_points_pair_exactly_on_random_configurations(data):
     support = model.support(G)
     alpha = interior_class(model, rng)
     corner = chambers.corner_point(model, alpha, G)
-    s, r = chambers.boundary_to_interior(model, corner, G, v)
+    n_v, q = chambers._neg_apply(model, support, v)
+    s = tuple(Fraction(n_v[i], q) for i in support.indices)
     shift = folded_combination(model, support.indices, s)
+    r, _ = model.first_interior_scale(corner, shift, (Fraction(1, 2**j) for j in range(64)))
     assert all(x > 0 for x in s)
     assert s == tuple(-x for x in mat_vec(brute_inverse(support.gram), v))
     for i, value in zip(support.indices, v):
@@ -373,7 +376,7 @@ def test_single_curve_shift():
     alpha = _omega0(model) + curve.vector.scale(Fraction(1, 2))
     w = lat.pair(alpha, curve.vector)
     assert w < 0
-    s = chambers.single_curve_shift(model, alpha, curve)
+    s = single_curve_shift(lat, alpha, curve.vector)
     shifted = alpha - curve.vector.scale(s)
     assert lat.pair(shifted, curve.vector) > -w
     assert lat.square(shifted) > 0
@@ -385,8 +388,9 @@ def test_single_curve_shift():
 def test_single_curve_shift_meets_its_three_inequalities_on_random_classes(seed, twisted, data):
     """On chamber points behind one curve e of random models, beta = alpha -
     s e clears |alpha.e|, has positive square and pairs positively with
-    alpha, each as a plain Fraction sum: what single_curve_shift no longer
-    checks at run time."""
+    alpha, each as a plain Fraction sum, for the s of the oracle
+    single_curve_shift: the window s > 2|alpha.e|/k with alpha^2 + 2s|w| >
+    s^2 k proves all three."""
     rng = random.Random(seed)
     model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
     lat = model.lattice
@@ -397,7 +401,7 @@ def test_single_curve_shift_meets_its_three_inequalities_on_random_classes(seed,
     alpha = chambers.chamber_point(model, corner, [i], eps)
     w = _oracle_pair(lat, alpha, e.vector)
     assert w < 0
-    s = chambers.single_curve_shift(model, alpha, e)
+    s = single_curve_shift(lat, alpha, e.vector)
     beta = alpha - e.vector.scale(s)
     assert _oracle_pair(lat, beta, e.vector) > -w
     assert _oracle_pair(lat, beta, beta) > 0

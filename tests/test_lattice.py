@@ -1,4 +1,5 @@
 import collections
+import enum
 import itertools
 import operator
 import random
@@ -36,6 +37,7 @@ from symcone.planner import Witness, component_obstruction
 from oracles import (
     brute_inverse,
     dense_gram_product,
+    expected_dimension,
     folded_combination,
     interior_class,
     mat_vec,
@@ -420,7 +422,7 @@ def test_adjunction_and_expected_dimension_on_kk_curves():
         assert lat.adjunction_check(curve.vector, curve.genus)
         # 2(g - 1 - K.e) with K.e = 2g - 2 - e^2
         ke = 2 * curve.genus - 2 - lat.square(curve.vector)
-        assert lat.expected_dimension(curve.vector, curve.genus) == 2 * (
+        assert expected_dimension(lat, curve.vector, curve.genus) == 2 * (
             curve.genus - 1 - ke
         )
 
@@ -667,6 +669,57 @@ def test_supports_kept_stay_within_the_bound():
     assert model.support((0, 1, 2, 3)) is not first
 
 
+_Index = enum.IntEnum("_Index", [(f"I{i}", i) for i in range(21)])
+
+
+def _served(model, x):
+    """model.support(x), or the class and message of the error it raised."""
+    try:
+        return model.support(x)
+    except SymconeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kk=st.booleans())
+def test_a_kept_support_is_served_as_a_fresh_model_serves_it(seed, kk):
+    """On a model that keeps the supports of drawn keys, each key and its
+    variants (a list, reversed, with a repeat, with a member replaced by a
+    bool, an IntEnum, an equal float or a nested list, with an index out of
+    range or negative) give what a fresh equal model, which keeps nothing,
+    gives: a Support of the same indices and Gram, the kept one itself when
+    the set is a kept key, or an error of the same class and message.  A
+    bool 0 or 1 hashes and compares as the int, so a lookup before the type
+    test would serve the kept Support."""
+    rng = random.Random(seed)
+    model = _fresh(builtin_model("kk-extended")) if kk else random_curve_model(rng, 6)
+    n = len(model.curves)
+    keys = {tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 14))))) for _ in range(3)}
+    for key in keys:
+        model.support(key)
+    for key in keys:
+        kept = model._supports[key]
+        variants = [key, list(key), key[::-1], key + key[:1], key + (n,), key + (-1,)]
+        if key:
+            j = rng.randrange(len(key))
+            small = [k for k, i in enumerate(key) if i in (0, 1)]
+            b = small[0] if small else j
+            variants += [
+                key[:b] + (bool(key[b]) if small else True,) + key[b + 1:],
+                key[:j] + (_Index(key[j]),) + key[j + 1:],
+                key[:j] + (float(key[j]),) + key[j + 1:],
+                key[:j] + ([key[j]],) + key[j + 1:],
+            ]
+        for x in variants:
+            want, got = _served(_fresh(model), x), _served(model, x)
+            if not isinstance(want, Support):
+                assert got == want, x
+                continue
+            assert isinstance(got, Support) and (got.indices, got.gram) == (want.indices, want.gram)
+            if set(x) == set(key):
+                assert got is kept, x
+
+
 def test_is_interior_kahler_requires_completeness():
     lat = _tiny_lattice()
     model = CurveModel(
@@ -884,6 +937,55 @@ def test_each_class_keeps_the_gram_product_of_the_lattice_it_meets(seed, twisted
             assert _kept_product(lat if used is other else other, c) is None
             assert used.gram_product(c) == expected
             assert scaled == [v.integer_form[0] * sum(map(operator.mul, expected, v.coords)) for v in pool]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_combined_classes_are_the_fraction_sums_and_keep_fresh_products_and_rows(seed, twisted, data):
+    """a + t b by add_multiple, and a + b and a - b, on random and twisted
+    models, for a with some coordinates zeroed, t an integer or a fraction
+    of either sign and b a curve, an integral class, a fractional class or
+    an integral class that cancels a term of a: each result is the ClassVector of the Fraction sum, and the
+    Gram product and row it keeps are those of a fresh equal class; when a
+    and b keep both for the model, so does the result."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    lat = model.lattice
+    rank = lat.rank
+    fraction = st.fractions(-4, 4, max_denominator=6)
+    coords = list(interior_class(model, rng).coords)
+    for i in data.draw(st.lists(st.integers(0, rank - 1), max_size=rank), label="zeros"):
+        coords[i] = Fraction(0)  # so b may have terms a has not
+    kind = data.draw(st.sampled_from(("curve", "integral", "fractional", "cancel")), label="b")
+    t = data.draw(st.one_of(st.integers(-5, 5), fraction), label="t")
+    if kind == "curve":
+        b = model.curves[data.draw(st.integers(0, len(model.curves) - 1))].vector
+    elif kind == "fractional":
+        b = ClassVector(data.draw(st.lists(fraction, min_size=rank, max_size=rank)))
+    else:
+        entries = data.draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        if kind == "cancel":
+            j = data.draw(st.integers(0, rank - 1), label="j")
+            t = data.draw(st.integers(-5, 5).filter(bool), label="t")
+            entries[j], coords[j] = 1, Fraction(-t)
+        b = ClassVector(entries)
+    a = ClassVector(coords)
+    keep = data.draw(st.booleans(), label="keep")
+    if keep:
+        for c in (a, b):
+            model._row(c)
+    for out, factor in ((a.add_multiple(b, t), Fraction(t)), (a + b, 1), (a - b, -1)):
+        fresh = ClassVector([x + factor * y for x, y in zip(a.coords, b.coords)])
+        assert out == fresh and out.integer_form == fresh.integer_form
+        if out is a:  # t = 0 or b = 0: a itself, with what it keeps
+            continue
+        if kind == "cancel" and factor == t:
+            assert out.coords[j] == 0
+        product, row = vars(out).get("_gram_product"), vars(out).get("_row")
+        assert product is None or product == (lat, lat.gram_product(fresh)) and product[0] is lat
+        assert row is None or row == (model, model._row(fresh)) and row[0] is model
+        if keep:
+            assert product is not None and row is not None
 
 
 # --- each class keeps its row for the model, its verdict for the lattice ---

@@ -48,6 +48,7 @@ from symcone.moves import (
 from symcone.planner import plan
 
 from oracles import (
+    alive_objects,
     dense_gram_product,
     dense_smoothing,
     interior_class,
@@ -102,7 +103,7 @@ def test_inflate_updates_class_square_and_areas():
     assert lat.square(new.current_class) == lat.square(
         state.current_class
     ) + 2 * t * area - t * t * k
-    for other in state.alive_objects():
+    for other in alive_objects(state):
         if other.id != target:
             assert new.area(other.id) == state.area(other.id) + t * lat.pair(
                 e, other.vector
@@ -408,7 +409,7 @@ def test_restricted_initial_objects():
         initial_object_ids=("C1", "D123"),
     )
     state = initial_state(restricted)
-    assert sorted(o.id for o in state.alive_objects()) == ["C1", "D123"]
+    assert sorted(o.id for o in alive_objects(state)) == ["C1", "D123"]
     assert verify_certificate(restricted).passed
 
 
@@ -422,7 +423,7 @@ def test_random_inflates_track_exact_formulas():
         state = initial_state(cert)
         lat = state.lattice
         for _ in range(4):
-            alive = [o for o in state.alive_objects() if state.area(o.id) > 0]
+            alive = [o for o in alive_objects(state) if state.area(o.id) > 0]
             if not alive:
                 break
             obj = rng.choice(alive)
@@ -618,7 +619,7 @@ def test_report_areas_match_an_independent_pairing(subset):
     for line, state in zip(lines, states):
         expected = [
             f"{o.id}={format_rational(lat.pair(state.current_class, o.vector))}"
-            for o in state.alive_objects()
+            for o in alive_objects(state)
         ]
         assert line == "areas: " + (", ".join(expected) or "(none)")
 
@@ -898,7 +899,7 @@ def _digits_in_deferred_lines(cert) -> int:
         state = apply_move(state, move)
         states.append(state)
     numbers = [x for s in states for x in s.current_class.coords]
-    numbers += [lat.pair(s.current_class, o.vector) for s in states for o in s.alive_objects()]
+    numbers += [lat.pair(s.current_class, o.vector) for s in states for o in alive_objects(s)]
     return max(len(str(abs(n))) for x in numbers for n in (x.numerator, x.denominator))
 
 
