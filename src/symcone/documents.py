@@ -37,6 +37,8 @@ from .moves import (
 
 # ASCII digits only: \d would admit other scripts' digits, which int() reads
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a whole class: its entries of that form, joined by commas
+_CLASS_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def canonical_json(obj: Any) -> str:
@@ -105,15 +107,42 @@ def format_class(vec: ClassVector, where: str = "class") -> list[str]:
 
 def parse_class(value: Any, rank: int, where: str) -> ClassVector:
     """A class parsed straight into its integer form: its "p/q" or integer
-    entries over the lcm of their denominators."""
+    entries over the lcm of their denominators.  A list of rank strings is
+    read whole (_whole_class); any other list, or one that fails there, is
+    read entry by entry, which names the entry at fault."""
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array of rationals")
     if len(value) != rank:
         raise DocumentError(f"{where}: expected {rank} coordinates, got {len(value)}")
-    pairs = [_rational_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    d = lcm(*(q for _, q in pairs))
-    terms = ((i, p * (d // q)) for i, (p, q) in enumerate(pairs))
-    return ClassVector.from_integer_form(rank, d, terms)
+    vec = _whole_class(value, rank)
+    if vec is None:
+        pairs = [_rational_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        d = lcm(*(q for _, q in pairs))
+        vec = ClassVector.from_integer_form(rank, d, ((i, p * (d // q)) for i, (p, q) in enumerate(pairs)))
+    return vec
+
+
+def _whole_class(value: list, rank: int) -> ClassVector | None:
+    """The class of a list of rank strings, read whole: one match of their
+    comma join, which must hold exactly rank - 1 commas (so no entry holds
+    one), checks every entry's form at once, and each distinct entry is
+    split at its "/" and converted once.  None for a non-string entry, a
+    failed match, a zero denominator or a number past the digit limit."""
+    try:
+        joined = ",".join(value)
+    except TypeError:
+        return None
+    if joined.count(",") != rank - 1 or not _CLASS_RE.fullmatch(joined):
+        return None
+    split = {entry: entry.partition("/") for entry in set(value)}
+    try:
+        d = lcm(*(int(q) for _, _, q in split.values() if q))
+        if not d:  # a zero denominator
+            return None
+        scaled = {entry: int(p) * (d // int(q) if q else d) for entry, (p, _, q) in split.items()}
+    except ValueError:  # past the digit limit
+        return None
+    return ClassVector.from_integer_form(rank, d, [(i, scaled[entry]) for i, entry in enumerate(value)])
 
 
 def _require_keys(doc: Mapping, required: Sequence[str], optional: Sequence[str], where: str) -> None:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, index as exact_int
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -180,11 +180,16 @@ class ClassVector(Frozen):
         return tuple(out)
 
     def texts(self, where: str = "class") -> tuple[str, ...]:
-        """Each coordinate as format_rational writes it, from the integer form."""
+        """Each coordinate as format_rational writes it, from the integer
+        form: each numerator reduced against d by one gcd, inline."""
         d, terms = self.integer_form
         out = ["0"] * self.rank
-        for i, x in terms:
-            out[i] = linalg.format_ratio(x, d, where)
+        try:
+            for i, x in terms:
+                g = gcd(x, d)
+                out[i] = str(x // g) if g == d else f"{x // g}/{d // g}"
+        except ValueError:
+            raise linalg.output_too_long(where) from None
         return tuple(out)
 
     @property
@@ -684,19 +689,23 @@ class CurveModel(Frozen):
         return tuple(tuple(self.lattice.scaled_pairings(a, vectors)) for a in vectors)
 
     def _checked_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """The indices as given, each a declared curve's: anything but an
-        int (a bool included) raises MalformedInputError, an index outside
+        """The indices as exact ints, each a declared curve's: anything but
+        an int (a bool included) raises MalformedInputError, an index outside
         the curve list DomainError.  A plain int in range passes one test;
-        only an index that fails it meets the checks that name the failure."""
+        only an index that fails it meets the checks that name the failure.
+        An int subclass (an IntEnum member, say) is read as its int value, so
+        a kept Support never hands one on."""
         idx = tuple(indices)
         n = len(self.curves)
+        exact = True
         for i in idx:
             if not (type(i) is int and 0 <= i < n):
                 if isinstance(i, bool) or not isinstance(i, int):
                     raise MalformedInputError(f"curve index {i!r} is not an integer")
                 if not 0 <= i < n:
                     raise DomainError(f"curve index {i} out of range")
-        return idx
+                exact = False
+        return idx if exact else tuple(map(exact_int, idx))
 
     def curve_gram(self, indices: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix of the declared curves, or of a subset by index

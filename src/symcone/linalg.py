@@ -51,8 +51,14 @@ def format_ratio(x: int, d: int, where: str = "output") -> str:
     try:
         return str(x) if d == 1 else f"{x}/{d}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise RangeError(f"{where}: output exceeds the {limit}-digit integer limit") from None
+        raise output_too_long(where) from None
+
+
+def output_too_long(where: str) -> RangeError:
+    """The refusal of an output number past the interpreter's digit limit,
+    for writers that reduce and format their numbers inline."""
+    limit = sys.get_int_max_str_digits()
+    return RangeError(f"{where}: output exceeds the {limit}-digit integer limit")
 
 
 def as_vector(values: Iterable) -> Vector:

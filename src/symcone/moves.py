@@ -60,6 +60,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -75,7 +76,7 @@ from .errors import (
     WrongMoveError,
 )
 from .lattice import ClassVector, CurveModel, Frozen, IntersectionLattice, _dot, pairing_components
-from .linalg import format_ratio, format_rational
+from .linalg import format_ratio, format_rational, output_too_long
 
 
 def h_param(k: int, g: int) -> int:
@@ -516,17 +517,26 @@ def _area_line(state: ConfigurationState) -> str:
     state's class keeps: d A = sum P_i x over the object's terms (i, x)."""
     d, product = state.current_class.integer_form[0], state._product
     parts = []
-    for o in state.objects:
-        if o.alive:
-            area = 0
-            for i, x in o.vector.integer_form[1]:
-                area += x * product[i]
-            parts.append(f"{o.id}={format_ratio(area, d, 'area')}")
+    try:
+        for o in state.objects:
+            if o.alive:
+                area = 0
+                for i, x in o.vector.integer_form[1]:
+                    area += x * product[i]
+                g = gcd(area, d)
+                parts.append(f"{o.id}={area // g}" if g == d else f"{o.id}={area // g}/{d // g}")
+    except ValueError:
+        raise output_too_long("area") from None
     return "areas: " + (", ".join(parts) if parts else "(none)")
 
 
 def _class_line(record: MoveRecord) -> str:
-    return f"class after move {record.number}: {record.after.current_class.texts()}"
+    """The line with the repr of the class's texts, written from them: a
+    text holds only digits, "-" and "/", and a replayed class has rank >= 1
+    (it pairs positively with the reference class)."""
+    texts = record.after.current_class.texts()
+    tail = "',)" if len(texts) == 1 else "')"
+    return f"class after move {record.number}: ('" + "', '".join(texts) + tail
 
 
 def _number_bits(state: ConfigurationState) -> tuple[int, int, int]:

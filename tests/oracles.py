@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from symcone.errors import ConnectivityError, MalformedInputError, PositivityError, PreconditionError
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
+from symcone.linalg import format_rational
 
 
 def permutation_sign(perm) -> int:
@@ -192,6 +193,31 @@ def random_curve_model(rng: random.Random, max_rank: int = 5):
     return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
 
 
+def chain_model(squares, genera=None, edges=None) -> CurveModel:
+    """Reference class w, then one curve per square, linked along a path
+    unless explicit edges are given."""
+    n = len(squares)
+    genera = genera if genera is not None else [0] * n
+    if edges is None:
+        edges = [(i, i + 1) for i in range(n - 1)]
+    gram = [[0] * (n + 1) for _ in range(n + 1)]
+    gram[0][0] = 1000
+    for i, sq in enumerate(squares):
+        gram[i + 1][i + 1] = sq
+    for a, b in edges:
+        gram[a + 1][b + 1] = gram[b + 1][a + 1] = 1
+    lattice = IntersectionLattice(
+        gram=tuple(tuple(Fraction(v) for v in row) for row in gram),
+        basis_labels=("w",) + tuple(f"x{i}" for i in range(n)),
+        reference_class=ClassVector.basis(n + 1, 0),
+    )
+    curves = tuple(
+        CurveData(f"x{i}", ClassVector.basis(n + 1, i + 1), genera[i])
+        for i in range(n)
+    )
+    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+
+
 def twisted_curve_model(rng: random.Random, max_rank: int = 5):
     """random_curve_model under a random unimodular change of basis U, so
     that curves and the reference class mostly have several nonzero terms:
@@ -310,6 +336,27 @@ def dense_smoothing(state, constituent_ids, reinstate_ids, new_id: str) -> tuple
         if o.alive and o.id not in gone and plain_pair(lat, o.vector, total) < 0:
             raise PositivityError(f"alive objects {o.id!r} and {new_id!r} pair negatively")
     return total, int(genus)
+
+
+def class_texts(vec: ClassVector) -> tuple[str, ...]:
+    """Each Fraction coordinate as format_rational writes it."""
+    return tuple(format_rational(c, "class") for c in vec.coords)
+
+
+def class_line(number: int, vec: ClassVector) -> str:
+    """A replay's class line: the repr of the class's texts."""
+    return f"class after move {number}: {class_texts(vec)!r}"
+
+
+def area_line(state) -> str:
+    """A replay's areas line: each alive object's pairing with the state's
+    class, summed entry by entry over Fractions."""
+    parts = [
+        f"{o.id}={format_rational(plain_pair(state.lattice, state.current_class, o.vector), 'area')}"
+        for o in state.objects
+        if o.alive
+    ]
+    return "areas: " + (", ".join(parts) if parts else "(none)")
 
 
 def first_kahler_scale(model: CurveModel, start: ClassVector, direction: ClassVector, scales):

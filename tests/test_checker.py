@@ -16,7 +16,14 @@ from symcone.documents import certificate_from_doc, certificate_to_doc, format_r
 from symcone.moves import Certificate, verify_certificate
 from symcone.planner import plan
 
-from oracles import interior_class, random_curve_model, twisted_curve_model
+from oracles import (
+    chain_model,
+    gauss_minors,
+    interior_class,
+    plain_pair,
+    random_curve_model,
+    twisted_curve_model,
+)
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_checker", Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
@@ -35,14 +42,13 @@ def _verdicts(doc: dict) -> tuple[tuple[bool, str], tuple[bool, str]]:
     return (passed, stage), (report.passed, checker.stage_of_failure(report.first_failure))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
-def test_the_independent_checker_agrees_with_the_verifier(seed, twisted, data):
-    rng = random.Random(seed)
-    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+def _check_plans(model, alpha, data) -> None:
+    """The checker and the verifier agree on plan's certificate at the
+    corner of drawn curves that alpha is pushed onto, on it with one
+    amplitude scaled, and on it with its moves shuffled."""
     n = len(model.curves)
     subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="G")
-    corner = chambers.corner_point(model, interior_class(model, rng), subset)
+    corner = chambers.corner_point(model, alpha, subset)
     cert = plan(model, corner)
     if not isinstance(cert, Certificate):
         return
@@ -62,3 +68,48 @@ def test_the_independent_checker_agrees_with_the_verifier(seed, twisted, data):
         shuffled = data.draw(st.permutations(moves), label="order")
         checked, verified = _verdicts({**doc, "moves": list(shuffled)})
         assert checked == verified
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), data=st.data())
+def test_the_independent_checker_agrees_with_the_verifier(seed, twisted, data):
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    _check_plans(model, interior_class(model, rng), data)
+
+
+def _negative_definite(gram) -> bool:
+    minors = gauss_minors(gram)  # up to the first zero one
+    return len(minors) == len(gram) and all(m * (-1) ** k > 0 for k, m in enumerate(minors, 1))
+
+
+def _tree_model(rng: random.Random, n: int):
+    """A negative definite tree of n (-2)- and (-3)-curves, each node linked
+    to an earlier one, drawn again until definite."""
+    while True:
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+        model = chain_model([rng.choice((-2, -3)) for _ in range(n)], edges=edges)
+        if _negative_definite(model.curve_gram()):
+            return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("A", "HJ", "tree")), data=st.data())
+def test_the_independent_checker_agrees_with_the_verifier_on_chains_and_trees(seed, kind, data):
+    """A_n chains of (-2)-curves, Hirzebruch-Jung chains of (-b)-curves for
+    b from 2 to 5, and random (-2)/(-3) trees, of 1 to 8 curves."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    if kind == "A":
+        model = chain_model([-2] * n)
+    elif kind == "HJ":
+        model = chain_model([-rng.randint(2, 5) for _ in range(n)])
+    else:
+        model = _tree_model(rng, n)
+    # the interior class pairs 1 to 3 with each curve; w, orthogonal to the
+    # curves, is added until its square is positive
+    lat = model.lattice
+    alpha = interior_class(model, rng)
+    while plain_pair(lat, alpha, alpha) <= 0:
+        alpha = alpha + lat.reference_class
+    _check_plans(model, alpha, data)

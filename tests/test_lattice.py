@@ -690,7 +690,9 @@ def test_a_kept_support_is_served_as_a_fresh_model_serves_it(seed, kk):
     gives: a Support of the same indices and Gram, the kept one itself when
     the set is a kept key, or an error of the same class and message.  A
     bool 0 or 1 hashes and compares as the int, so a lookup before the type
-    test would serve the kept Support."""
+    test would serve the kept Support.  A Support's indices are exact ints
+    however it was asked for: one first asked for by IntEnum members is
+    served to plain ints too."""
     rng = random.Random(seed)
     model = _fresh(builtin_model("kk-extended")) if kk else random_curve_model(rng, 6)
     n = len(model.curves)
@@ -716,8 +718,12 @@ def test_a_kept_support_is_served_as_a_fresh_model_serves_it(seed, kk):
                 assert got == want, x
                 continue
             assert isinstance(got, Support) and (got.indices, got.gram) == (want.indices, want.gram)
+            assert all(type(i) is int for i in got.indices), x
             if set(x) == set(key):
                 assert got is kept, x
+    fresh = _fresh(builtin_model("kk-extended"))
+    first = fresh.support((_Index.I0, _Index.I1))
+    assert fresh.support((0, 1)) is first and [type(i) for i in first.indices] == [int, int]
 
 
 def test_is_interior_kahler_requires_completeness():

@@ -36,6 +36,7 @@ from symcone.moves import (
     ConfigurationState,
     Inflate,
     InflateNonneg,
+    MoveRecord,
     Replay,
     SmoothAndReinstate,
     SurfaceObject,
@@ -49,6 +50,9 @@ from symcone.planner import plan
 
 from oracles import (
     alive_objects,
+    area_line,
+    class_line,
+    class_texts,
     dense_gram_product,
     dense_smoothing,
     interior_class,
@@ -944,6 +948,60 @@ _DIGIT_LIMIT_CASES = (
     (_long_kk, 639, 641, "area: output exceeds the 640-digit integer limit", 4,
      "07508a516badd29819926846f8df775bcc21a12173ebc6513157456451d2885d"),
 )
+
+
+def _outcome(render):
+    """render(), or the class and message of the error it raised."""
+    try:
+        return render()
+    except SymconeError as exc:
+        return type(exc), str(exc)
+
+
+_LONG = st.integers(10**650, 10**700)
+_NUMERATORS = st.integers(-(10**6), 10**6) | st.just(0) | _LONG | _LONG.map(lambda x: -x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rank=st.integers(1, 6),
+    d=st.sampled_from((1, 2, 6, 35)) | st.integers(1, 10**6) | _LONG,
+    data=st.data(),
+)
+def test_class_and_area_lines_are_written_as_the_fraction_oracle_writes_them(rank, d, data):
+    """texts, _class_line and _area_line reduce and write their numbers
+    inline: they give what format_rational gives each Fraction coordinate
+    and pairing, and the repr of the texts, with integral and fractional
+    classes, zero and negative entries and rank 1 (a one-entry tuple).
+    Under a 640-digit limit they refuse a long number with the oracle's
+    RangeError text."""
+    numerators = data.draw(st.lists(_NUMERATORS, min_size=rank, max_size=rank), label="numerators")
+    vec = ClassVector.from_integer_form(rank, d, enumerate(numerators))
+    entries = st.integers(-3, 3)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = data.draw(entries, label="gram")
+    lattice = IntersectionLattice(gram=gram)
+    objects = tuple(
+        SurfaceObject(f"o{k}", ClassVector(data.draw(st.lists(entries, min_size=rank, max_size=rank))), 0, alive)
+        for k, alive in enumerate(data.draw(st.lists(st.booleans(), max_size=4), label="alive"))
+    )
+    state = ConfigurationState._proven(lattice, vec, objects, {o.id: k for k, o in enumerate(objects)})
+    record = MoveRecord(7, Inflate("o0", Fraction(1)), state, None, state)
+    pairs = (
+        (vec.texts, lambda: class_texts(vec)),
+        (lambda: moves._class_line(record), lambda: class_line(7, vec)),
+        (lambda: moves._area_line(state), lambda: area_line(state)),
+    )
+    limit = sys.get_int_max_str_digits()
+    try:
+        for limited in (0, 640):
+            sys.set_int_max_str_digits(limited)
+            for render, oracle in pairs:
+                assert _outcome(render) == _outcome(oracle), limited
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("build, j, digits, failure, count, digest", _DIGIT_LIMIT_CASES)

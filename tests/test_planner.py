@@ -36,37 +36,13 @@ from symcone.planner import (
 from oracles import (
     ag23_automorphisms,
     brute_inverse,
+    chain_model,
     first_kahler_scale,
     folded_combination,
     interior_class,
     random_curve_model,
     twisted_curve_model,
 )
-
-
-def _chain_model(squares, genera=None, edges=None):
-    """Reference class w, then one curve per square, linked along a path
-    unless explicit edges are given."""
-    n = len(squares)
-    genera = genera if genera is not None else [0] * n
-    if edges is None:
-        edges = [(i, i + 1) for i in range(n - 1)]
-    gram = [[0] * (n + 1) for _ in range(n + 1)]
-    gram[0][0] = 1000
-    for i, sq in enumerate(squares):
-        gram[i + 1][i + 1] = sq
-    for a, b in edges:
-        gram[a + 1][b + 1] = gram[b + 1][a + 1] = 1
-    lattice = IntersectionLattice(
-        gram=tuple(tuple(Fraction(v) for v in row) for row in gram),
-        basis_labels=("w",) + tuple(f"x{i}" for i in range(n)),
-        reference_class=ClassVector.basis(n + 1, 0),
-    )
-    curves = tuple(
-        CurveData(f"x{i}", ClassVector.basis(n + 1, i + 1), genera[i])
-        for i in range(n)
-    )
-    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
 
 
 # --- dual graphs and Dynkin classification ---
@@ -138,28 +114,28 @@ def test_dual_graph_components_split():
 
 
 def test_dynkin_series():
-    assert dynkin_classify(dual_graph(_chain_model([-2]))).label == "A1"
-    assert dynkin_classify(dual_graph(_chain_model([-2] * 4))).label == "A4"
-    star4 = _chain_model([-2] * 4, edges=[(0, 1), (0, 2), (0, 3)])
+    assert dynkin_classify(dual_graph(chain_model([-2]))).label == "A1"
+    assert dynkin_classify(dual_graph(chain_model([-2] * 4))).label == "A4"
+    star4 = chain_model([-2] * 4, edges=[(0, 1), (0, 2), (0, 3)])
     assert dynkin_classify(dual_graph(star4)).label == "D4"
-    d5 = _chain_model([-2] * 5, edges=[(0, 1), (1, 2), (1, 3), (3, 4)])
+    d5 = chain_model([-2] * 5, edges=[(0, 1), (1, 2), (1, 3), (3, 4)])
     assert dynkin_classify(dual_graph(d5)).label == "D5"
     e6 = builtin_model("e6")
     assert dynkin_classify(dual_graph(e6)).label == "E6"
-    e7 = _chain_model([-2] * 7, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+    e7 = chain_model([-2] * 7, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
     assert dynkin_classify(dual_graph(e7)).label == "E7"
-    e8 = _chain_model(
+    e8 = chain_model(
         [-2] * 8, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]
     )
     assert dynkin_classify(dual_graph(e8)).label == "E8"
 
 
 def test_dynkin_rejects_non_ade_shapes():
-    cycle = _chain_model([-2] * 4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+    cycle = chain_model([-2] * 4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
     assert dynkin_classify(dual_graph(cycle)).label == "not-ADE"
-    deg4 = _chain_model([-2] * 5, edges=[(0, 1), (0, 2), (0, 3), (0, 4)])
+    deg4 = chain_model([-2] * 5, edges=[(0, 1), (0, 2), (0, 3), (0, 4)])
     assert dynkin_classify(dual_graph(deg4)).label == "not-ADE"
-    two_branches = _chain_model(
+    two_branches = chain_model(
         [-2] * 8,
         edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (4, 7)],
     )
@@ -172,7 +148,7 @@ def test_dynkin_rejects_non_ade_shapes():
 
 
 def test_dynkin_rejects_multiple_edges():
-    model = _chain_model([-3, -3])
+    model = chain_model([-3, -3])
     # tangent pair: pairing 2 between the two curves
     gram = [list(row) for row in model.lattice.gram]
     gram[1][2] = gram[2][1] = 2
@@ -247,14 +223,14 @@ def test_dynkin_labels_larger_trees_under_any_numbering(n, edges, label):
 
 
 def test_admissible_component_reports_minors():
-    model = _chain_model([-2] * 3)
+    model = chain_model([-2] * 3)
     result = component_obstruction(model, (0, 1, 2))
     assert isinstance(result, Support)
     assert tuple(iter_pivot_minors(result.gram)) == (Fraction(-2), Fraction(3), Fraction(-4))
 
 
 def test_witness_bcbcb_chain():
-    model = _chain_model([-1, -3, -1, -3, -1], genera=[2, 4, 2, 4, 2])
+    model = chain_model([-1, -3, -1, -3, -1], genera=[2, 4, 2, 4, 2])
     result = component_obstruction(model, range(5))
     assert isinstance(result, planner.Witness)
     assert result.coefficients == (1, 1, 2, 1, 1)
@@ -262,7 +238,7 @@ def test_witness_bcbcb_chain():
 
 
 def test_witness_cdcdc_chain():
-    model = _chain_model([-3, -1, -3, -1, -3], genera=[4, 2, 4, 2, 4])
+    model = chain_model([-3, -1, -3, -1, -3], genera=[4, 2, 4, 2, 4])
     result = component_obstruction(model, range(5))
     assert isinstance(result, planner.Witness)
     assert result.coefficients == (1, 3, 2, 3, 1)
@@ -270,7 +246,7 @@ def test_witness_cdcdc_chain():
 
 
 def test_witness_alternating_loop():
-    loop = _chain_model(
+    loop = chain_model(
         [-3, -1, -3, -1],
         genera=[4, 2, 4, 2],
         edges=[(0, 1), (1, 2), (2, 3), (3, 0)],
@@ -290,7 +266,7 @@ def test_witness_kk_all_curves():
 
 
 def test_witness_large_loop_uses_gradient_walk():
-    loop8 = _chain_model(
+    loop8 = chain_model(
         [-2] * 8,
         edges=[(i, (i + 1) % 8) for i in range(8)],
     )
@@ -550,7 +526,7 @@ def test_plan_refuses_e_type_sphere_corner():
 
 
 def test_plan_d_type_sphere_corner_is_extrapolated():
-    star = _chain_model([-2] * 4, edges=[(0, 1), (0, 2), (0, 3)])
+    star = chain_model([-2] * 4, edges=[(0, 1), (0, 2), (0, 3)])
     cert = plan(star, ClassVector.basis(5, 0))
     assert not isinstance(cert, Unsupported)
     assert "extrapolated" in cert.annotations
@@ -558,7 +534,7 @@ def test_plan_d_type_sphere_corner_is_extrapolated():
 
 
 def test_plan_a_type_sphere_corner_unannotated():
-    path = _chain_model([-2] * 3)
+    path = chain_model([-2] * 3)
     cert = plan(path, ClassVector.basis(4, 0))
     assert not isinstance(cert, Unsupported)
     assert "extrapolated" not in cert.annotations
@@ -566,7 +542,7 @@ def test_plan_a_type_sphere_corner_unannotated():
 
 
 def test_plan_refuses_minus_one_sphere_wall():
-    model = _chain_model([-1])
+    model = chain_model([-1])
     result = plan(model, ClassVector.basis(2, 0))
     assert isinstance(result, Unsupported)
     assert "(-1)-sphere wall" in result.reason
@@ -1035,7 +1011,7 @@ def test_the_peel_inverts_nothing(monkeypatch):
         return invert(gram)
 
     monkeypatch.setattr(lattice, "neg_inverse", counted)
-    model = _chain_model([-2] * 40)
+    model = chain_model([-2] * 40)
     assert isinstance(plan(model, _omega0(model)), Certificate)
     assert inverted == [40]
 
@@ -1208,7 +1184,7 @@ LONG_CHAINS = {
 @pytest.mark.parametrize("name", LONG_CHAINS)
 def test_plans_past_21_curves_keep_their_bytes(name):
     squares, edges, digest = LONG_CHAINS[name]
-    model = _chain_model(squares, edges=edges)
+    model = chain_model(squares, edges=edges)
     outcome = plan(model, _omega0(model))
     doc = unsupported_to_doc(outcome) if isinstance(outcome, Unsupported) else certificate_to_doc(outcome)
     assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == digest
@@ -1219,7 +1195,7 @@ def test_the_hirzebruch_jung_chain_is_long_and_mixed():
 
 
 def test_peel_candidates_are_ones_then_boosted_then_singletons():
-    peeler = planner._Peeler(_chain_model([-2] * 4))
+    peeler = planner._Peeler(chain_model([-2] * 4))
     ones = {1: 1, 2: 1, 3: 1}
     assert [sorted(c.items()) for c in peeler._candidates((1, 2, 3))] == [
         sorted(c.items()) for c in (
