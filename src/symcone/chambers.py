@@ -100,7 +100,8 @@ def classify(model: CurveModel, alpha: ClassVector) -> Classification:
         tag = Membership.CHAMBER
     else:
         tag = Membership.MIXED_BOUNDARY
-    return Classification(tag, descriptor, scaled, alpha.integer_form[0])
+    # unchecked: every field has the type it is annotated with
+    return Classification._unchecked(tag, descriptor, scaled, alpha.integer_form[0])
 
 
 def reflect(lattice: IntersectionLattice, alpha: ClassVector, e: ClassVector) -> ClassVector:

@@ -41,8 +41,12 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _CLASS_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
+# the encoder json.dumps would make for these options on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 class _LongInteger:
@@ -297,6 +301,8 @@ def _str_list(value: Any, where: str) -> tuple[str, ...]:
 
 
 def _move_from_doc(doc: Any, where: str) -> Move:
+    """Built unchecked: _expect_str and _str_list have checked the ids and
+    parse_rational has made t a Fraction."""
     if not isinstance(doc, dict) or "op" not in doc:
         raise DocumentError(f"{where}: expected an object with an \"op\" field")
     op = doc["op"]
@@ -305,7 +311,7 @@ def _move_from_doc(doc: Any, where: str) -> Move:
         object_id = _expect_str(doc["object"], f"{where}.object")
         t = parse_rational(doc["t"], f"{where}.t")
         cls = Inflate if op == "inflate" else InflateNonneg
-        return cls(object_id=object_id, t=t)
+        return cls._unchecked(object_id, t)
     if op == "smooth":
         _require_keys(
             doc,
@@ -313,10 +319,10 @@ def _move_from_doc(doc: Any, where: str) -> Move:
             optional=(),
             where=where,
         )
-        return SmoothAndReinstate(
-            constituent_ids=_str_list(doc["constituents"], f"{where}.constituents"),
-            reinstate_ids=_str_list(doc["reinstate"], f"{where}.reinstate"),
-            new_id=_expect_str(doc["new_id"], f"{where}.new_id"),
+        return SmoothAndReinstate._unchecked(
+            _str_list(doc["constituents"], f"{where}.constituents"),
+            _str_list(doc["reinstate"], f"{where}.reinstate"),
+            _expect_str(doc["new_id"], f"{where}.new_id"),
         )
     raise DocumentError(f"{where}.op: unknown move kind {op!r}")
 
@@ -338,6 +344,8 @@ def certificate_to_doc(cert: Certificate, model_name: str | None = None) -> dict
 
 
 def certificate_from_doc(doc: Any) -> Certificate:
+    """Built unchecked: a checked model, parse_class's classes, a tuple of
+    _move_from_doc's moves and _str_list's tuples of strings."""
     where = "certificate"
     _require_keys(
         doc,
@@ -366,13 +374,13 @@ def certificate_from_doc(doc: Any) -> Certificate:
     annotations = ()
     if "annotations" in doc:
         annotations = _str_list(doc["annotations"], f"{where}.annotations")
-    return Certificate(
-        model=model,
-        base_class=parse_class(doc["base_class"], rank, f"{where}.base_class"),
-        moves=moves,
-        target_class=parse_class(doc["target_class"], rank, f"{where}.target_class"),
-        initial_object_ids=initial,
-        annotations=annotations,
+    return Certificate._unchecked(
+        model,
+        parse_class(doc["base_class"], rank, f"{where}.base_class"),
+        moves,
+        parse_class(doc["target_class"], rank, f"{where}.target_class"),
+        initial,
+        annotations,
     )
 
 

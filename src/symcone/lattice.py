@@ -23,7 +23,9 @@ checks their squares and meets; every later square or pairing of two declared
 curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
 ask of it (definiteness, -M^{-1}, components) in one Support, so each is
-decided once.
+decided once.  The package's records derive from Frozen, whose constructor
+checks their fields; Frozen._unchecked checks none, for builders whose
+fields are proven by construction (each call site gives the proof).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Frozen:
     position or name, then runs __post_init__.  Records compare equal only
     within one class, hash their field tuple, repr as Qualname(field=value,
     ...) and refuse assignment and deletion; their __dict__ stays open to
-    cached_property and to a class's own unchecked constructors."""
+    cached_property and to unchecked constructors such as _unchecked."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -91,6 +93,13 @@ class Frozen:
 
     def __post_init__(self):
         pass
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The record of every field by position: no default, no check."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "__dict__", dict(zip(cls._fields, values)))
+        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -531,7 +540,9 @@ class CurveData(Frozen):
     genus: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not isinstance(self.label, str):
+            raise MalformedInputError(f"curve label {self.label!r} must be a string", part="label")
+        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 0:
             raise MalformedInputError(f"genus of {self.label!r} must be a nonnegative integer", part="genus")
         if not self.vector.is_integral:
             raise MalformedInputError(f"curve {self.label!r} must have integer coordinates")

@@ -44,13 +44,13 @@ it and one along v^2 >= 0 adds 2tA + t^2 v^2 > 0.  So a step tests only an
 inflation's reference pairing.  A certificate keeps the report of its
 one replay, keyed by the digit limit it was made under, and verify_certificate
 returns it under that limit; a copy made by replace or by the codec keeps
-none and is replayed in full.  The base-square and move lines are
-written during the replay; the "class after" and "areas:" lines are
-rendered from the records on the first read of the report's entries.
-Bounds on the bit lengths of their numbers are measured on the initial
-state and carried through each move by its t; where they cannot prove that
-the numbers fit the interpreter's digit limit, the lines are rendered at
-once, so that a number past the limit fails the replay where it stands.
+none and is replayed in full.  The base-square line is written during the
+replay; the move, "class after" and "areas:" lines are rendered on the first
+read of the report's entries.  Bounds on the bit lengths of a state's numbers
+are measured on the initial state and carried through each move by its t;
+where they, or those of t and the bound, cannot prove that a line's numbers
+fit the interpreter's digit limit, it is rendered at once, so that a number
+past the limit fails the replay where it stands.
 Report numbers are written from integer numerators and denominators.
 Failures are report entries, never exceptions.
 """
@@ -97,10 +97,12 @@ class SurfaceObject(Frozen):
     alive: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise MalformedInputError(f"object id {self.id!r} must be a string", part="id")
         if not self.vector.is_integral:
             raise MalformedInputError(f"object {self.id!r} must have an integral class")
-        if not isinstance(self.genus, int) or self.genus < 0:
-            raise MalformedInputError(f"object {self.id!r} needs a nonnegative integer genus")
+        if isinstance(self.genus, bool) or not isinstance(self.genus, int) or self.genus < 0:
+            raise MalformedInputError(f"object {self.id!r} needs a nonnegative integer genus", part="genus")
 
 
 def _killed(objects: tuple[SurfaceObject, ...], slots: Iterable[int]) -> tuple[SurfaceObject, ...]:
@@ -294,6 +296,8 @@ def smooth_and_reinstate(
     which requires it to meet the rest of the configuration at least as often
     as minus its square.  The running class is unchanged.
     """
+    if not isinstance(new_id, str):
+        raise MalformedInputError("new_id: expected a string")
     constituents = list(constituent_ids)
     if not constituents:
         raise MalformedInputError("smoothing needs at least one constituent")
@@ -341,7 +345,9 @@ def smooth_and_reinstate(
     double_points = (sum(sums) - sum(row.get(i, 0) for i, row in enumerate(rows))) // 2
     genus = sum(o.genus for o in objs) + double_points - (n - 1)
     vector = ClassVector.from_integer_form(lat.rank, 1, sorted(total.items()))
-    new_object = SurfaceObject(id=new_id, vector=vector, genus=genus, alive=True)
+    # unchecked: new_id is a str, the class an integral sum and the genus
+    # >= 0, as n connected alive objects have >= n - 1 meets
+    new_object = SurfaceObject._unchecked(new_id, vector, genus, True)
 
     kept = _killed(state.objects, (s for s, o in zip(slots, objs) if o.id not in reinstates))
     return state._proven(lat, state.current_class, kept + (new_object,), {**state._slots, new_id: len(kept)})
@@ -369,10 +375,11 @@ def _meets(lat: IntersectionLattice, vectors: Sequence[ClassVector]) -> list[dic
 
 def _require_strings(values, field: str) -> tuple[str, ...]:
     """A field's ids or notes as a tuple of strings; a lone string is not
-    such a collection.  Each move and certificate checks its fields, so a
-    replay meets no ill-typed one: ids are strings and t is coerced as
-    inflate coerces it."""
-    if type(values) is tuple or isinstance(values, Iterable) and not isinstance(values, str):
+    such a collection.  A move or certificate built by its constructor
+    checks its fields, and the planner and the codec build theirs unchecked
+    (Frozen._unchecked) only from fields they have proven, so a replay meets
+    no ill-typed one: ids are strings and t is a Fraction."""
+    if isinstance(values, Iterable) and not isinstance(values, str):
         values = tuple(values)
         if all(isinstance(v, str) for v in values):
             return values
@@ -438,7 +445,8 @@ def describe_move(move: Move) -> str:
 
 class Certificate(Frozen):
     """Replayable proof that the target class admits symplectic forms.
-    Ill-typed fields raise MalformedInputError; moves check their own.
+    Ill-typed fields raise MalformedInputError; moves check their own.  The
+    planner and the codec build theirs unchecked (see _require_strings).
 
     A certificate keeps the report of its one replay, with the digit limit
     it was made under; a copy by replace or the codec has none."""
@@ -458,10 +466,9 @@ class Certificate(Frozen):
         for field in ("base_class", "target_class"):
             if not isinstance(getattr(self, field), ClassVector):
                 raise MalformedInputError(f"{field}: expected a ClassVector")
-        if type(self.moves) is not tuple:
-            if not isinstance(self.moves, Iterable) or isinstance(self.moves, str):
-                raise MalformedInputError("moves: expected a collection of moves")
-            object.__setattr__(self, "moves", tuple(self.moves))
+        if not isinstance(self.moves, Iterable) or isinstance(self.moves, str):
+            raise MalformedInputError("moves: expected a collection of moves")
+        object.__setattr__(self, "moves", tuple(self.moves))
         if self.initial_object_ids is not None:
             ids = _require_strings(self.initial_object_ids, "initial_object_ids")
             object.__setattr__(self, "initial_object_ids", ids)
@@ -563,16 +570,36 @@ def _inflated_bits(bits: tuple[int, int, int], t: Fraction, vector_bits: int) ->
     return d + q, max(numerator + q, carried) + 1, max(product + q, carried) + 1
 
 
+def _fits(bits: int) -> bool:
+    """Whether a number under 2^bits fits the digit limit: it has at most
+    bits // 3 + 1 digits (log10 2 < 1/3)."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or bits // 3 < limit
+
+
 def _defer(lines: list, bits: tuple[int, int, int], object_bits: int, *renders) -> None:
     """Append each render as a deferred line, or its line now where the bit
     bounds cannot prove that its numbers fit the digit limit, so that a
-    number past the limit fails the replay at its line.  A number under 2^b
-    has at most b // 3 + 1 digits (log10 2 < 1/3); an area's numerator is
-    under 2^(product bits + object_bits)."""
-    limit = sys.get_int_max_str_digits()
-    fits = not limit or max(bits[0], bits[1], bits[2] + object_bits) // 3 < limit
+    number past the limit fails the replay at its line.  An area's
+    numerator is under 2^(product bits + object_bits)."""
+    fits = _fits(max(bits[0], bits[1], bits[2] + object_bits))
     for render in renders:
         lines.append(render if fits else render())
+
+
+def _move_line(number: int, move: Move, bound: Fraction | None) -> str:
+    entry = f"move {number}: {describe_move(move)}"
+    return entry if bound is None else f"{entry}; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
+
+
+def _move_fits(move: Move, bound: Fraction | None) -> bool:
+    """Whether t and the bound, the numbers of the move's line, fit the
+    digit limit (each is under their sum); a smoothing's line has none, an
+    unknown move's raises."""
+    if not isinstance(move, (Inflate, InflateNonneg)):
+        return isinstance(move, SmoothAndReinstate)
+    t, b = move.t, bound or 0
+    return _fits((abs(t.numerator) + t.denominator + abs(b.numerator) + b.denominator).bit_length())
 
 
 class Replay(NamedTuple):
@@ -639,10 +666,8 @@ class Replay(NamedTuple):
                 if obj.alive:  # inflate reads the bound it is handed
                     measured = _inflation_bound(state, obj)
                     bound = measured[2]
-            entry = f"move {number}: {describe_move(move)}"
-            if bound is not None:
-                entry += f"; bound 2A/h = {format_rational(bound, 'bound 2A/h')}"
-            lines.append(entry)
+            render = partial(_move_line, number, move, bound)
+            lines.append(render if _move_fits(move, bound) else render())
             after = apply_move(state, move, measured)
         except SymconeError as exc:
             headline = exc.args[0] if exc.args else str(exc)
@@ -680,15 +705,17 @@ class Replay(NamedTuple):
         """The report of the replay so far, with the check of the final
         class against the certificate's target, which keeps it: the replay
         must be of the certificate's base and moves."""
-        lines = [line for node in self._chain() for line in node.lines]
+        chain = self._chain()
+        lines = [line for node in chain for line in node.lines]
+        records = tuple(node.record for node in chain[1:])
         failure = self.failure
         if failure is None and self.state.current_class != cert.target_class:
             failure = "final class does not equal the target class"
         if failure is not None:
-            report = VerificationReport(False, lines, failure, None, self.records())
+            report = VerificationReport(False, lines, failure, None, records)
         else:
             lines += ("final class equals target class", *(f"annotation: {note}" for note in cert.annotations))
-            report = VerificationReport(True, lines, None, self.state.current_class, self.records())
+            report = VerificationReport(True, lines, None, self.state.current_class, records)
         object.__setattr__(cert, "_report", (sys.get_int_max_str_digits(), report))
         return report
 

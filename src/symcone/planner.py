@@ -224,7 +224,7 @@ class _Peeler:
         self.nodes += 1
         if self.nodes > _PEEL_BUDGET:
             raise _PlanFail("peel budget exhausted")
-        parts = self.model._support(tuple(u)).components()
+        parts = (tuple(u),) if len(u) == 1 else self.model._support(tuple(u)).components()
         if len(parts) > 1:
             for part in parts:
                 replay = self.peel(replay, {i: u[i] for i in part}, d)
@@ -257,7 +257,9 @@ class _Peeler:
         """The replay after the candidate's moves, and the rest of u / d,
         over d or, where a constituent is doubled, over 2d: the amplitude
         min u_i / c_i is then a / (grain d) for an integer a.  Each u_i is a
-        positive integer and each c_i 1 or 2, so a >= 1 and no rest is < 0."""
+        positive integer and each c_i 1 or 2, so a >= 1 and no rest is < 0.
+        The moves are built unchecked: ids are curve labels (CurveData
+        checks them) or fresh ids, in tuples, and the amplitude a Fraction."""
         grain = 2 if 2 in cand.values() else 1
         a = min(grain * u[i] // c for i, c in cand.items())
         exhausted = {i for i, c in cand.items() if grain * u[i] == a * c}
@@ -265,7 +267,7 @@ class _Peeler:
         curves = self.model.curves
         if len(cand) == 1:
             (index,) = cand
-            replay = _step(replay, Inflate(curves[index].label, amplitude))
+            replay = _step(replay, Inflate._unchecked(curves[index].label, amplitude))
         else:
             doubled = sorted(i for i, c in cand.items() if c == 2)
             used: set[int] = set()
@@ -274,7 +276,7 @@ class _Peeler:
                 z = self._find_partner(x, cand, exhausted, used)
                 used.add(z)
                 merged = self._fresh_id(replay.state)
-                replay = _step(replay, SmoothAndReinstate(
+                replay = _step(replay, SmoothAndReinstate._unchecked(
                     (curves[z].label, curves[x].label), (curves[x].label,), merged
                 ))
                 gather.append(merged)
@@ -285,8 +287,8 @@ class _Peeler:
                 curves[i].label for i in sorted(cand) if i not in exhausted
             )
             merged = self._fresh_id(replay.state)
-            replay = _step(replay, SmoothAndReinstate(tuple(gather), survivors, merged))
-            replay = _step(replay, Inflate(merged, amplitude))
+            replay = _step(replay, SmoothAndReinstate._unchecked(tuple(gather), survivors, merged))
+            replay = _step(replay, Inflate._unchecked(merged, amplitude))
         remaining: dict[int, int] = {}
         for i, value in u.items():
             rest = grain * value - a * cand.get(i, 0)
@@ -363,7 +365,10 @@ def _plan_single_curve(
             detail=(("window start", format_rational(low, "window start")), ("failing check", failing)),
         )
     base = target.add_multiple(curve.vector, -t)
-    return Certificate(model, base, (Inflate(curve.label, t),), target, annotations=tuple(annotations))
+    # unchecked: _construct has used model and target, the label is a
+    # curve's, t is low plus a Fraction and the annotations are _construct's
+    inflation = Inflate._unchecked(curve.label, t)
+    return Certificate._unchecked(model, base, (inflation,), target, None, tuple(annotations))
 
 
 def _sweep_plan(
@@ -407,7 +412,9 @@ def _sweep_plan(
     base = corner.add_multiple(far, -r)
     # u = r N 1 - N v = (r_n q ones_i - r_d nv_i) / (r_d q m), for r = r_n / r_d
     u = {i: r.numerator * q * ones[i] - r.denominator * nv[i] for i in indices}
-    replay = Replay.start(Certificate(model, base, (), target))
+    # both certificates are unchecked: _construct has used model and target,
+    # and the moves and notes are the peel's and _construct's
+    replay = Replay.start(Certificate._unchecked(model, base, (), target, None, ()))
     if replay.failure is None:
         try:
             replay = _Peeler(model).peel(replay, u, r.denominator * q * m)
@@ -422,7 +429,7 @@ def _sweep_plan(
     notes = list(annotations)
     if any(isinstance(m, SmoothAndReinstate) and len(m.reinstate_ids) > 1 for m in moves):
         notes.insert(0, "iterated-disjoin")
-    cert = Certificate(model, base, moves, target, annotations=tuple(notes))
+    cert = Certificate._unchecked(model, base, moves, target, None, tuple(notes))
     replay.report(cert)  # the certificate keeps the report of its one replay
     return cert
 
@@ -497,7 +504,8 @@ def _construct(model: CurveModel, target: ClassVector):
         )
     cls = classify(model, target)
     if cls.membership is Membership.INTERIOR_KAHLER:
-        return Certificate(model=model, base_class=target, moves=(), target_class=target)
+        # unchecked: classify has read the model and the target
+        return Certificate._unchecked(model, target, (), target, None, ())
     if cls.membership is Membership.MIXED_BOUNDARY:
         negative = ", ".join(
             model.curves[i].label for i, x in enumerate(cls.scaled) if x < 0

@@ -273,6 +273,63 @@ def test_the_check_sees_a_curve_pairing_read():
     assert curve_product_readers(tree) == {"forms", "nested"}
 
 
+def unchecked_builders(tree: ast.Module) -> set[str]:
+    """The functions that call a record's unchecked constructor (any
+    ._unchecked(...) call), by qualified name; module level reads as "."."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "_unchecked":
+                found.add(owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = scope + child.name
+                visit(child, owner if isinstance(child, ast.ClassDef) else name, name + ".")
+            else:
+                visit(child, owner, scope)
+
+    visit(tree, ".", "")
+    return found
+
+
+def test_records_are_built_unchecked_only_where_their_fields_are_proven():
+    # Frozen._unchecked skips every check of a record's fields, so each
+    # call site proves them where it calls it; a new site is added here on
+    # purpose, with its proof
+    builders = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in unchecked_builders(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert builders == {
+        "chambers.classify",
+        "documents._move_from_doc",
+        "documents.certificate_from_doc",
+        "moves.smooth_and_reinstate",
+        "planner._Peeler._execute",
+        "planner._plan_single_curve",
+        "planner._sweep_plan",
+        "planner._construct",
+    }
+
+
+def test_the_check_sees_an_unchecked_build():
+    tree = ast.parse(
+        "x = R._unchecked(1)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return B._unchecked(2, 3)\n"
+        "        return g\n"
+        "    @classmethod\n"
+        "    def _unchecked(cls, *values):\n"
+        "        return values\n"
+        "def h(make):\n"
+        "    return make(R._unchecked)\n"
+    )
+    assert unchecked_builders(tree) == {".", "A.f.g"}
+
+
 def imported_modules(tree: ast.Module) -> set[str]:
     """The top-level names of the modules a file imports absolutely."""
     found = set()

@@ -876,13 +876,14 @@ def test_replay_carries_gram_products_under_mutated_move_lists(data):
 
 
 def test_replay_defers_its_area_and_class_lines(monkeypatch):
-    """plan and a verdict never render the areas: or class after lines;
-    the first read of a report's entries does."""
+    """plan and a verdict never render the move, areas: or class after
+    lines; the first read of a report's entries does."""
     def refuse(*args):
         raise AssertionError("rendered")
 
     monkeypatch.setattr(moves, "_area_line", refuse)
     monkeypatch.setattr(moves, "_class_line", refuse)
+    monkeypatch.setattr(moves, "_move_line", refuse)
     alpha = ClassVector.basis(_KK.lattice.rank, 0) + _KK.lattice.canonical_class
     for subset in ((0,), (0, 1), (3, 12), (9, 20)):
         cert = plan(_KK, chambers.corner_point(_KK, alpha, subset))
