@@ -41,8 +41,9 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _CLASS_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
-# the encoder json.dumps would make for these options on every call
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the encoder json.dumps would make for these options on every call; NaN and
+# the infinities are not JSON, so encoding one raises ValueError
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical_json(obj: Any) -> str:

@@ -176,12 +176,14 @@ def perturbed_intersections(
             slope = model.derivative(z)
             if slope == 0:
                 raise PropertyViolationError(f"model {index}: g'(z) = 0 at solution {j}, not transverse")
+            # g' can overflow to a non-finite number without raising, as
+            # 2 * 1e308 does, and then so does the sign
             try:
                 sign = abs(slope) ** 2
             except OverflowError:
-                raise RangeError(
-                    f"model {index}: |g'|^2 at solution {j} overflows a double"
-                ) from None
+                sign = math.inf
+            if not math.isfinite(sign):
+                raise RangeError(f"model {index}: |g'|^2 at solution {j} overflows a double")
             records.append(
                 IntersectionRecord(
                     model_index=index,

@@ -1,4 +1,5 @@
-"""Certificate synthesis for corner and chamber targets.
+"""Certificate synthesis for every boundary target whose vanishing locus
+(the curves it pairs <= 0 with) is admissible.
 
 The planner picks a base class pairing uniformly (some r > 0) against the
 vanishing locus, then peels the deficit u = -M^{-1}(r 1 - v) into configuration
@@ -386,8 +387,12 @@ def _sweep_plan(
     the target's row), the base pairing r with every curve of the
     locus is corner - r far, where
     corner = target + sum (N v)_i e_i and far = sum (N 1)_i e_i.  Its deficit
-    r N 1 - N v is positive (N >= 0, v <= 0 on the locus), and everything the
-    peel checks scales linearly with r: the first Kähler r peels or none does.
+    u = r N 1 - N v is positive wherever v is 0 or negative on the locus: N 1
+    is positive entrywise on each connected component (there N > 0), and
+    -N v >= 0 for v <= 0, so every u_i > 0.  A mixed target, 0 on some
+    curves of the locus and negative on others, is planned like a corner or
+    a chamber target.  Everything the peel checks scales linearly with r:
+    the first Kähler r peels or none does.
     far is the locus's (chambers._far); on a corner v = 0, so corner is the
     target, and otherwise N v comes from the same pass (chambers._neg_apply).
     The scales are tested from the Gram products of corner and far alone
@@ -438,20 +443,20 @@ def plan(model: CurveModel, target: ClassVector):
     """Produce a verified Certificate for the target class, or Unsupported.
 
     Interior classes get the empty certificate, a single curve the first
-    amplitude whose base is Kähler, other corner and chamber targets the
-    uniform-base peel at the first Kähler scale.  That one certificate is
-    replayed once, with no retry: a peeled one by the peel itself, which
-    steps the verifier's Replay as it searches, any other by
-    verify_certificate here.  The certificate keeps the report of that
+    amplitude whose base is Kähler, every other boundary target (corner,
+    chamber or mixed) the uniform-base peel at the first Kähler scale.  That
+    one certificate is replayed once, with no retry: a peeled one by the
+    peel itself, which steps the verifier's Replay as it searches, any other
+    by verify_certificate here.  The certificate keeps the report of that
     replay, keyed by the digit limit, so verify_certificate on it under the
     same limit replays nothing; a copy made by replace or by the codec is
     replayed in full.  A failed replay or peel comes back as
     Unsupported with its first failure.  Targets outside the positive cone
-    (with their square and reference pairing), mixed boundaries, indefinite
-    vanishing loci (with witness), E-type sphere trees, and (-1)-sphere walls
-    are refused with their exact obstruction data.  A number in that data
-    past the interpreter's digit limit cannot be written out and raises
-    RangeError instead."""
+    (with their square and reference pairing), indefinite vanishing loci
+    (with witness), E-type sphere trees, and (-1)-sphere walls are refused
+    with their exact obstruction data.  A number in that data past the
+    interpreter's digit limit cannot be written out and raises RangeError
+    instead."""
     outcome = _construct(model, target)
     if isinstance(outcome, Unsupported):
         return outcome
@@ -506,17 +511,6 @@ def _construct(model: CurveModel, target: ClassVector):
     if cls.membership is Membership.INTERIOR_KAHLER:
         # unchecked: classify has read the model and the target
         return Certificate._unchecked(model, target, (), target, None, ())
-    if cls.membership is Membership.MIXED_BOUNDARY:
-        negative = ", ".join(
-            model.curves[i].label for i, x in enumerate(cls.scaled) if x < 0
-        )
-        vanishing = ", ".join(
-            model.curves[i].label for i, x in enumerate(cls.scaled) if x == 0
-        )
-        return Unsupported(
-            reason="mixed boundary: target both vanishes and goes negative on curves",
-            detail=(("negative on", negative), ("zero on", vanishing)),
-        )
     locus = cls.descriptor
     comps = locus.components()
     if not locus.admissible:

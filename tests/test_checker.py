@@ -5,15 +5,19 @@ verify_certificate gives on plan's certificates and on single-field
 mutations of them."""
 
 import importlib.util
+import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symcone import chambers
-from symcone.documents import certificate_from_doc, certificate_to_doc, format_rational
-from symcone.moves import Certificate, verify_certificate
+from symcone.chambers import Membership
+from symcone.documents import canonical_json, certificate_from_doc, certificate_to_doc, format_rational
+from symcone.models import builtin_model
+from symcone.moves import Certificate, Inflate, verify_certificate
 from symcone.planner import plan
 
 from oracles import (
@@ -32,6 +36,7 @@ checker = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(checker)
 
 FACTORS = (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(10))
+EPSILONS = (Fraction(1, 7), Fraction(1, 100), Fraction(1))
 
 
 def _verdicts(doc: dict) -> tuple[tuple[bool, str], tuple[bool, str]]:
@@ -44,12 +49,17 @@ def _verdicts(doc: dict) -> tuple[tuple[bool, str], tuple[bool, str]]:
 
 def _check_plans(model, alpha, data) -> None:
     """The checker and the verifier agree on plan's certificate at the
-    corner of drawn curves that alpha is pushed onto, on it with one
-    amplitude scaled, and on it with its moves shuffled."""
+    corner of drawn curves that alpha is pushed onto."""
     n = len(model.curves)
     subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="G")
-    corner = chambers.corner_point(model, alpha, subset)
-    cert = plan(model, corner)
+    _check_plan(model, chambers.corner_point(model, alpha, subset), data)
+
+
+def _check_plan(model, target, data) -> None:
+    """The checker and the verifier agree on plan's certificate for the
+    target, on it with one amplitude scaled, and on it with its moves
+    shuffled."""
+    cert = plan(model, target)
     if not isinstance(cert, Certificate):
         return
     doc = certificate_to_doc(cert)
@@ -76,6 +86,56 @@ def test_the_independent_checker_agrees_with_the_verifier(seed, twisted, data):
     rng = random.Random(seed)
     model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
     _check_plans(model, interior_class(model, rng), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), twisted=st.booleans(), epsilon=st.sampled_from(EPSILONS), data=st.data())
+def test_the_independent_checker_agrees_with_the_verifier_on_mixed_targets(seed, twisted, epsilon, data):
+    """A mixed target pairs negatively with drawn curves H and 0 with drawn
+    curves Z that meet none of H: alpha is pushed onto the corner of H and
+    Z, then stepped into the chamber of H, and far(H) pairs 0 with Z."""
+    rng = random.Random(seed)
+    model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
+    n, gram = len(model.curves), model.curve_gram()
+    negative = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="H")
+    # a curve of H has a nonzero square, so none of H is apart from H
+    apart = [j for j in range(n) if all(gram[j][i] == 0 for i in negative)]
+    assume(apart)
+    zero = data.draw(st.lists(st.sampled_from(apart), min_size=1, max_size=len(apart), unique=True), label="Z")
+    corner = chambers.corner_point(model, interior_class(model, rng), negative + zero)
+    target = chambers.chamber_point(model, corner, negative, epsilon)
+    assert chambers.classify(model, target).membership is Membership.MIXED_BOUNDARY
+    _check_plan(model, target, data)
+
+
+def test_plan_certifies_every_kk_extended_two_curve_mixed_target():
+    """w0 + K pushed onto the corner of two KK curves that do not meet, then
+    into the chamber of one of them at epsilon 1/7: the target pairs -1/7
+    with that curve and 0 with the other.  Each of the 348 is certified by
+    two inflations; every certificate is replayed after a codec round trip,
+    and every 29th is also given to the checker."""
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    alpha = lat.reference_class + lat.canonical_class
+    gram = model.curve_gram()
+    pairs = [p for p in itertools.combinations(range(len(model.curves)), 2) if gram[p[0]][p[1]] == 0]
+    docs = []
+    for pair in pairs:
+        corner = chambers.corner_point(model, alpha, pair)
+        for negative in pair:
+            target = chambers.chamber_point(model, corner, (negative,), Fraction(1, 7))
+            assert chambers.classify(model, target).membership is Membership.MIXED_BOUNDARY
+            cert = plan(model, target)
+            assert isinstance(cert, Certificate)
+            assert [type(m) for m in cert.moves] == [Inflate, Inflate]
+            text = canonical_json(certificate_to_doc(cert))
+            again = certificate_from_doc(json.loads(text))
+            assert again.target_class == target
+            assert verify_certificate(again).passed
+            docs.append(json.loads(text))
+    assert len(docs) == 348
+    for doc in docs[::29]:
+        assert _verdicts(doc) == ((True, "ok"), (True, "ok"))
 
 
 def _negative_definite(gram) -> bool:

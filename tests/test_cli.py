@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from symcone import cli, errors, perturb, planner
+from symcone import chambers, cli, errors, perturb, planner
 from symcone.cli import SENTINEL, main
-from symcone.documents import certificate_from_doc, model_to_doc, parse_class
+from symcone.documents import certificate_from_doc, format_class, model_to_doc, parse_class
 from symcone.models import builtin_model
 from symcone.moves import verify_certificate
 
@@ -88,6 +88,24 @@ def test_plan_emits_replayable_certificate(capsys):
     cert = certificate_from_doc(doc)
     assert verify_certificate(cert).passed
     assert len(cert.moves) == 7
+
+
+def test_plan_certifies_a_mixed_target_that_verify_replays(capsys, tmp_path):
+    # w0 + K on the corner of C1 and C2, then in the chamber of C1: it pairs
+    # -1/7 with C1 and 0 with C2
+    model = builtin_model("kk-extended")
+    lat = model.lattice
+    corner = chambers.corner_point(model, lat.reference_class + lat.canonical_class, (0, 1))
+    target = ",".join(format_class(chambers.chamber_point(model, corner, (0,), Fraction(1, 7)), "target"))
+    code, out = run(capsys, "classify", "--model", "kk-extended", "--class", target)
+    assert code == 0 and trailer(out)["membership"] == "mixed-boundary"
+    code, out = run(capsys, "plan", "--model", "kk-extended", "--class", target)
+    assert code == 0
+    captured = tmp_path / "mixed.txt"
+    captured.write_text(out, encoding="utf-8")
+    code, out = run(capsys, "verify", str(captured))
+    assert code == 0
+    assert trailer(out)["passed"] is True
 
 
 def test_plan_unsupported_emits_witness(capsys):
@@ -368,6 +386,15 @@ def test_perturb_passes_simple_roots_whose_sign_underflows(capsys):
 def test_perturb_refuses_a_transversality_sign_that_overflows(capsys):
     # |g'|^2 = a^2 = 1e400 is past the largest double
     code, out = run(capsys, "perturb", "--model-spec", "1e200,1,0", "--eps", "1e-3")
+    assert code == 2
+    assert trailer(out)["error"] == "model 0: |g'|^2 at solution 0 overflows a double"
+
+
+@pytest.mark.parametrize("spec", ["9e307,2,9e307", "1e308,2,0"])
+def test_perturb_refuses_a_transversality_sign_that_is_not_finite(capsys, spec):
+    # k a = 2e308 overflows to inf inside g' without raising: the signs read
+    # inf and nan, which the trailer would have written as Infinity and NaN
+    code, out = run(capsys, "perturb", "--model-spec", spec, "--eps", "0.1")
     assert code == 2
     assert trailer(out)["error"] == "model 0: |g'|^2 at solution 0 overflows a double"
 

@@ -47,6 +47,14 @@ def test_canonical_json_is_sorted_and_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
 
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_writes_no_non_finite_number(number):
+    # NaN, Infinity and -Infinity are not JSON (RFC 8259)
+    with pytest.raises(ValueError):
+        canonical_json({"sign": number})
+    assert canonical_json({"sign": 1.5}) == '{"sign":1.5}'
+
+
 def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 3)) == "-7/3"

@@ -5,8 +5,9 @@ other without a cycle, and chambers sits below the move engine and the
 planner.  No module imports dataclasses or imports inside a function, the
 package serves every public name of the modules it loads lazily, no module
 but perturb (and cli, which parses its numbers) uses floats, and only
-chambers._neg_apply reads an adjugate or a Support's inverse, and only
-CurveModel._row pairs a Gram product with the declared curves."""
+chambers._neg_apply reads an adjugate or a Support's inverse, only
+CurveModel._row pairs a Gram product with the declared curves, and plan
+refuses only for a pinned set of reasons."""
 
 import ast
 import graphlib
@@ -328,6 +329,55 @@ def test_the_check_sees_an_unchecked_build():
         "    return make(R._unchecked)\n"
     )
     assert unchecked_builders(tree) == {".", "A.f.g"}
+
+
+def refusal_reasons(tree: ast.Module) -> set[str]:
+    """The reason of each Unsupported(...) call, keyword or positional: a
+    string as it reads, any other expression as its source."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", None) != "Unsupported" and getattr(func, "attr", None) != "Unsupported":
+            continue
+        reasons = [k.value for k in node.keywords if k.arg == "reason"] + node.args[:1]
+        for reason in reasons:
+            found.add(reason.value if isinstance(reason, ast.Constant) else ast.unparse(reason))
+    return found
+
+
+def test_plan_refuses_only_for_the_pinned_reasons():
+    # a reason is part of plan's contract (the CLI prints it and exits 3):
+    # one is added or removed here on purpose, with the route it opens or closes
+    tree = ast.parse((ROOT / "src" / "symcone" / "planner.py").read_text(encoding="utf-8"))
+    assert refusal_reasons(tree) == {
+        "model does not assume completeness; bases cannot be certified Kähler",
+        "model has no reference class; the positive cone is undefined",
+        "target is not in the positive cone",
+        "vanishing locus is not negative definite",
+        "f'{kind.label} configuration of (-2)-spheres is excluded'",
+        "(-1)-sphere wall: the required amplitude equals the open bound 2A/h",
+        "chamber wall out of reach: 4 v^2 >= (k-1)^2 alpha^2",
+        "no inflation amplitude keeps the base Kähler",
+        "no base scale makes the base Kähler",
+        "the deficit does not peel into moves",
+        "planned certificate failed replay",
+    }
+
+
+def test_the_check_sees_a_new_refusal_reason():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        return Unsupported(reason='new route', detail=())\n"
+        "    if x is None:\n"
+        "        return planner.Unsupported('positional')\n"
+        "    return Unsupported(reason=f'{x} refused', component=(0,))\n"
+        "def g():\n"
+        "    return Witness(reason='not a refusal')\n"
+    )
+    assert refusal_reasons(tree) == {"new route", "positional", "f'{x} refused'"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -415,6 +415,15 @@ def test_positive_cone_membership():
     assert not lat.is_positive_cone(ClassVector.basis(lat.rank, 1))  # negative square
 
 
+def test_positive_cone_excludes_square_zero():
+    # the fibre of a ruled surface pairs positively with the reference
+    # class s+, and its square is exactly 0
+    rm = ruled_model(0, 1, "nontrivial")
+    lat, fibre = rm.model.lattice, rm.fiber_class
+    assert lat.square(fibre) == 0 and lat.pair(fibre, lat.reference_class) == 1
+    assert not lat.is_positive_cone(fibre)
+
+
 def test_adjunction_and_expected_dimension_on_kk_curves():
     kk = build_kk_model(extended=True)
     lat = kk.lattice
@@ -481,6 +490,14 @@ def _blowup_lattice(canonical=None):
     """CP2 blown up three times: H^2 = 1, E_i^2 = -1."""
     gram = tuple(tuple(int(i == j) * (1 if i == 0 else -1) for j in range(4)) for i in range(4))
     return IntersectionLattice(gram=gram, canonical_class=canonical)
+
+
+def test_curve_model_refuses_a_curve_of_square_zero():
+    # H - E1, a fibre of the blow-up's ruling, has square exactly 0
+    fibre = CurveData("f", ClassVector((1, -1, 0, 0)), 0)
+    with pytest.raises(ModelInconsistencyError) as exc:
+        CurveModel(lattice=_blowup_lattice(), curves=(fibre,))
+    assert str(exc.value) == "curve 'f' has square 0; curves must have negative square"
 
 
 def test_curve_model_reports_a_square_before_a_negative_pair():

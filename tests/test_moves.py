@@ -29,6 +29,7 @@ from symcone.models import (
     builtin_model,
     kk_gamma0_certificate,
     kk_gamma0_model,
+    ruled_model,
 )
 from symcone.documents import certificate_from_doc, certificate_to_doc, report_to_doc
 from symcone.moves import (
@@ -189,6 +190,72 @@ def test_inflate_nonneg_rejects_nonpositive_area():
     assert state.area("S") == -21
     with pytest.raises(PreconditionError, match="non-positive area"):
         apply_move(state, InflateNonneg("S", Fraction(1)))
+
+
+def test_replay_refuses_a_base_of_square_zero():
+    # the fibre of a ruled surface pairs 1 with the reference class s+ and 1
+    # with the section, and its square is exactly 0
+    rm = ruled_model(0, 1, "nontrivial")
+    fibre = rm.fiber_class
+    report = verify_certificate(Certificate(rm.model, fibre, (), fibre))
+    assert not report.passed
+    assert report.first_failure == "base class is not in the positive cone"
+
+
+def _tilted_model():
+    """Reference class r, x, and a (-2)-sphere e that pairs -1 with r: the
+    lattice has signature (2, 1), so, unlike one of signature (1, n), it
+    has classes of positive square that pair 0 with r."""
+    gram = ((1, 0, -1), (0, 1, 0), (-1, 0, -2))
+    lattice = IntersectionLattice(gram=gram, basis_labels=("r", "x", "e"), reference_class=ClassVector.basis(3, 0))
+    curve = CurveData(label="e", vector=ClassVector.basis(3, 2), genus=0)
+    return CurveModel(lattice=lattice, curves=(curve,), completeness_assumed=True)
+
+
+def test_replay_refuses_a_base_whose_reference_pairing_is_zero():
+    model = _tilted_model()
+    lat, e = model.lattice, model.curves[0].vector
+    base = ClassVector((-1, 2, -1))
+    assert (lat.square(base), lat.pair(base, lat.reference_class), lat.pair(base, e)) == (1, 0, 3)
+    report = verify_certificate(Certificate(model, base, (), base))
+    assert not report.passed
+    assert report.first_failure == "base class is not in the positive cone"
+
+
+def test_an_inflation_to_reference_pairing_zero_fails_at_that_move():
+    # the base pairs 4 with r and has area 5 on e, so t = 4 is inside the
+    # bound 2A/h = 5 and takes the pairing with r to exactly 0
+    model = _tilted_model()
+    lat = model.lattice
+    base, target = ClassVector((1, 4, -3)), ClassVector((1, 4, 1))
+    assert lat.square(base) == 5 and lat.pair(base, lat.reference_class) == 4
+    assert lat.square(target) == 13 and lat.pair(target, lat.reference_class) == 0
+    report = verify_certificate(Certificate(model, base, (Inflate("e", Fraction(4)),), target))
+    assert not report.passed
+    assert report.first_failure == "class left the positive cone at move 1"
+
+
+def test_inflate_nonneg_along_a_fibre_of_square_zero():
+    # CP2 blown up twice, ruled by the lines through the first point: E1 and
+    # L = H - E1 - E2 are (-1)-spheres meeting once, and they smooth into the
+    # fibre H - E2, of square 0 and area 2 at 3H - E1 - E2
+    lattice = IntersectionLattice(
+        gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        basis_labels=("H", "E1", "E2"),
+        canonical_class=ClassVector((-3, 1, 1)),
+        reference_class=ClassVector.basis(3, 0),
+    )
+    curves = (CurveData("E1", ClassVector((0, 1, 0)), 0), CurveData("L", ClassVector((1, -1, -1)), 0))
+    model = CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
+    base = ClassVector((3, -1, -1))
+    t = Fraction(1, 2)
+    fibre = ClassVector((1, 0, -1))
+    moves = (SmoothAndReinstate(("E1", "L"), (), "F"), InflateNonneg("F", t))
+    replay = Replay.start(Certificate(model, base, (), base)).step(moves[0])
+    assert replay.state.object("F").vector == fibre and lattice.square(fibre) == 0
+    assert replay.state.area("F") == 2
+    report = verify_certificate(Certificate(model, base, moves, base + fibre.scale(t)))
+    assert report.passed and report.first_failure is None
 
 
 def test_a_certificate_on_a_model_without_reference_class_fails():

@@ -549,14 +549,18 @@ def test_plan_refuses_minus_one_sphere_wall():
 
 
 def test_plan_mixed_boundary_unsupported():
+    # pairings -1/7, -1/7, 2/7 and 0: the sweep takes the mixed target like
+    # any other, and no base scale keeps the pairing with C2 positive
     model = kk_gamma0_model()
     corner = chambers.corner_point(
         model, _omega0(model) + model.lattice.canonical_class, range(4)
     )
     mixed = chambers.chamber_point(model, corner, (0, 1), Fraction(1, 7))
+    assert chambers.classify(model, mixed).membership is chambers.Membership.MIXED_BOUNDARY
     result = plan(model, mixed)
     assert isinstance(result, Unsupported)
-    assert result.reason == "mixed boundary: target both vanishes and goes negative on curves"
+    assert result.reason == "no base scale makes the base Kähler"
+    assert result.detail == (("r", "1/65536"), ("failing check", "pairing with C2"))
 
 
 def test_plan_requires_completeness():
