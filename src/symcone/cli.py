@@ -189,6 +189,8 @@ def cmd_reflect(args) -> int:
     model, _ = _load_model(args.model)
     rank = model.lattice.rank
     alpha = _parse_class(args.class_parts, rank, "--class")
+    if args.curve is not None and args.axis:
+        raise MalformedInputError("reflect takes --curve or --axis, not both")
     if args.curve is not None:
         axis = model.curve(args.curve).vector
     elif args.axis:
@@ -249,6 +251,14 @@ def cmd_dynkin(args) -> int:
 
 def cmd_example(args) -> int:
     name = args.name
+    # a flag the chosen example does not read is refused, not ignored
+    ruled = next((f for f, v in (("--genus", args.genus), ("--k", args.k), ("--parity", args.parity)) if v is not None), None)
+    if ruled and name != "ruled":
+        raise MalformedInputError(f"{ruled} is read only by example ruled")
+    if args.certificate and name != "kk-gamma0":
+        raise MalformedInputError("--certificate is only available for the kk-gamma0 example")
+    if args.t_scale is not None and not args.certificate:
+        raise MalformedInputError("--t-scale is read only with --certificate")
     if name == "ruled":
         if args.genus is None or args.k is None or args.parity is None:
             raise MalformedInputError("example ruled needs --genus, --k, --parity")
@@ -262,11 +272,7 @@ def cmd_example(args) -> int:
               documents.model_to_doc(model))
         return EXIT_PASS
     if args.certificate:
-        if name != "kk-gamma0":
-            raise MalformedInputError(
-                "--certificate is only available for the kk-gamma0 example"
-            )
-        t_scale = documents.parse_rational(args.t_scale, "--t-scale")
+        t_scale = documents.parse_rational("1" if args.t_scale is None else args.t_scale, "--t-scale")
         cert = models.kk_gamma0_certificate(t_scale)
         lines = [
             f"inflation certificate on the kk-gamma0 model (t scale {t_scale}):",
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=("trivial", "nontrivial"), help="ruled: bundle parity")
     p.add_argument("--certificate", action="store_true",
                    help="kk-gamma0: emit the worked inflation certificate")
-    p.add_argument("--t-scale", default="1", help="kk-gamma0 certificate scale (rational)")
+    p.add_argument("--t-scale", help="kk-gamma0 certificate scale (rational, default 1)")
     p.set_defaults(handler=cmd_example)
 
     p = sub.add_parser("perturb", help="run the local tangency perturbation lab")

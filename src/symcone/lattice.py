@@ -13,8 +13,9 @@ has at most five).  A class keeps what is computed of it in three slots, each
 tagged with the lattice or model that filled it, so another recomputes it:
 its Gram product G (d a), a tuple (a + 0 is a, product and all); its
 positive-cone verdict; and its row, the scaled pairings with a model's
-reference class and each declared curve, read off that product
-(CurveModel._row).  A pairing is a dot product of the product over the other
+reference class and each declared curve, read off that product by
+CurveModel._row alone.  A sum a + t b inherits its operands' product, and
+nothing else.  A pairing is a dot product of the product over the other
 class's nonzero terms, divided by the two denominators once, so the result
 is a single exact Fraction; sign tests compare the integers alone.
 
@@ -24,8 +25,9 @@ curves reads it.  Adjunction is checked by adjunction_check alone.  A model
 also keeps, per set of its curves, the facts the chamber and planner code
 ask of it (definiteness, -M^{-1}, components) in one Support, so each is
 decided once.  The package's records derive from Frozen, whose constructor
-checks their fields; Frozen._unchecked checks none, for builders whose
-fields are proven by construction (each call site gives the proof).
+checks their fields; Frozen._unchecked checks none, and builds every record
+whose fields are proven (a class's normalised integer form, a dead copy of
+an object, ...), each call site giving the proof.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class ClassVector(Frozen):
     nonzero (index, numerator) terms in index order, with coordinate i equal
     to numerator_i / d and gcd(d, numerators) = 1.  That form is unique, so
     equality and hashing compare it exactly, and +, - and scale run in
-    integers.  coords is the Fraction view of it."""
+    integers.  coords is its Fraction view.  A sum keeps no row (_combine)."""
 
     rank: int
     integer_form: tuple[int, tuple[tuple[int, int], ...]]
@@ -159,16 +161,8 @@ class ClassVector(Frozen):
         if g > 1:
             d //= g
             terms = [(i, x // g) for i, x in terms]
-        return cls._normalised(rank, d, tuple(terms))
-
-    @classmethod
-    def _normalised(cls, rank: int, d: int, terms: tuple[tuple[int, int], ...]) -> "ClassVector":
-        """The class of an integer form that is already normalised: nonzero
-        terms by index, gcd(d, numerators) = 1.  Nothing is checked."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "rank", rank)
-        object.__setattr__(vec, "integer_form", (d, terms))
-        return vec
+        # unchecked: the terms are nonzero, listed by index and prime to d
+        return cls._unchecked(rank, (d, tuple(terms)))
 
     @classmethod
     def zero(cls, rank: int) -> "ClassVector":
@@ -210,16 +204,16 @@ class ClassVector(Frozen):
         lists of nonzero terms, normalised once: over the lcm d of the two
         denominators, q (d/d_a) a + p (d/d_b) b over dq.  self itself, with
         what it keeps, when other or p is zero.  Where both keep a Gram
-        product for one lattice, or a row for one model, the result keeps
-        (ma K_a + mb K_b) / g, for ma and mb the two multipliers and g the
-        normalising gcd: both are linear in the numerators.
+        product for one lattice, the result keeps (ma P_a + mb P_b) / g, for
+        ma and mb the two multipliers and g the normalising gcd, and nothing
+        else: CurveModel._row reads its row off that product.
 
         For q = 1 and other integral (d_b = 1), d = d_a, ma = 1 and
         mb = p d_a: the result's numerators are a's, plus p d_a x at each
         term (i, x) of b.  Each is congruent to a's numerator mod d_a, so
         gcd(d_a, numerators) = gcd(d_a, a's numerators) = 1 and g = 1:
         nothing is normalised, only b's terms change, and the kept product
-        and row change only where b's are nonzero."""
+        changes only where b's is nonzero."""
         if self.rank != other.rank:
             raise MalformedInputError("class vectors live in different lattices")
         (da, ta), (db, tb) = self.integer_form, other.integer_form
@@ -233,13 +227,11 @@ class ClassVector(Frozen):
             terms = tuple(acc.items()) if len(acc) == len(ta) else tuple(sorted(acc.items()))
             if 0 in acc.values():  # a cancelled term
                 terms = tuple(term for term in terms if term[1])
-            out = ClassVector._normalised(self.rank, da, terms)
+            # unchecked: the terms are nonzero and by index, and g = 1 (above)
+            out = ClassVector._unchecked(self.rank, (da, terms))
             a, b = self._gram_product, other._gram_product
             if a and b and a[0] is b[0]:
                 a[0]._keep_product(out, _plus_multiple(a[1], b[1], mb))
-            a, b = self._row, other._row
-            if a and b and a[0] is b[0]:
-                vars(out)["_row"] = a[0], _plus_multiple(a[1], b[1], mb)
             return out
         d = lcm(da, db)
         ma, mb = q * (d // da), p * (d // db)
@@ -251,9 +243,6 @@ class ClassVector(Frozen):
         a, b = self._gram_product, other._gram_product
         if a and b and a[0] is b[0]:
             a[0]._keep_product(out, [(ma * x + mb * y) // g for x, y in zip(a[1], b[1])])
-        a, b = self._row, other._row
-        if a and b and a[0] is b[0]:
-            vars(out)["_row"] = a[0], tuple((ma * x + mb * y) // g for x, y in zip(a[1], b[1]))
         return out
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
@@ -665,7 +654,7 @@ class CurveModel(Frozen):
         and e_i the declared curves: the scaled_pairings of a with them,
         read off a's Gram product in one pass over _row_terms.  The class
         keeps it, for this model only, so each class is paired with the
-        curves once."""
+        curves once.  It alone writes a row: a sum inherits none."""
         kept = a._row
         if kept is not None and kept[0] is self:
             return kept[1]

@@ -109,9 +109,9 @@ def _killed(objects: tuple[SurfaceObject, ...], slots: Iterable[int]) -> tuple[S
     """objects with each one at slots replaced by a dead copy."""
     objects = list(objects)
     for i in slots:
-        dead = object.__new__(SurfaceObject)
-        dead.__dict__.update(vars(objects[i]), alive=False)
-        objects[i] = dead
+        o = objects[i]
+        # unchecked: the fields of an object of a state, with alive a bool
+        objects[i] = SurfaceObject._unchecked(o.id, o.vector, o.genus, False)
     return tuple(objects)
 
 
@@ -148,7 +148,8 @@ class ConfigurationState(Frozen):
     ) -> "ConfigurationState":
         """A state built without the full check, for a caller that has
         already proved the invariant and hands over the objects' slots by
-        id; it reads its class's Gram product now."""
+        id; it reads its class's Gram product now, and keeps it and the
+        slots beside its fields, which Frozen._unchecked does not."""
         state = object.__new__(cls)
         product = lattice.gram_product(current_class)
         state.__dict__.update(

@@ -15,10 +15,11 @@ from symcone.errors import (
     MalformedInputError,
     PreconditionError,
     PropertyViolationError,
+    SearchFailureError,
     SingularityError,
 )
 from symcone.lattice import ClassVector, CurveData, CurveModel, IntersectionLattice
-from symcone.models import build_kk_model, builtin_model, kk_gamma0_model
+from symcone.models import build_kk_model, builtin_model, kk_gamma0_model, ruled_model
 from symcone.moves import Replay, verify_certificate
 
 from oracles import (
@@ -198,6 +199,19 @@ def test_chamber_point_hits_exact_depth():
         got = model.pairings_with(inside)
         assert all(got[i] == -eps for i in range(4))
         assert model.lattice.is_positive_cone(inside)
+
+
+def test_chamber_point_halves_epsilon_64_times_at_most():
+    # ruled(0, 3): Gram diag(3, -3), the section s = e1; far = s / 3, so on
+    # the corner e0 the point (1, eps / 3) has square 3 - eps^2 / 3, positive
+    # only for eps < 3 (eps = 3 gives square 0, which is not in the cone)
+    model = ruled_model(0, 3, "nontrivial").model
+    corner = ClassVector((1, 0))
+    for eps, depth in ((2, 2), (3, Fraction(3, 2)), (8, 2), (2**64, 2)):
+        assert chambers.chamber_point(model, corner, (0,), eps) == ClassVector((1, Fraction(depth, 3)))
+    # 2^65 is still 4 after 63 halvings: the 64th try fails too
+    with pytest.raises(SearchFailureError, match="^no epsilon kept the chamber point in the positive cone$"):
+        chambers.chamber_point(model, corner, (0,), 2**65)
 
 
 def test_chamber_point_validates_inputs():

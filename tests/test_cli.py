@@ -420,6 +420,16 @@ def test_perturb_refuses_an_eps_whose_square_underflows(capsys):
     (("corner", "--model", "kk-extended", "--class", OMEGA0_22, "--curves", ","),
      "--curves: expected at least one curve label"),
     (("reflect", "--model", "kk-extended", "--class", OMEGA0_22), "reflect needs --curve or --axis"),
+    # a flag the chosen form does not read is refused, not ignored
+    (("reflect", "--model", "kk-extended", "--class", OMEGA0_22, "--curve", "C1", "--axis", OMEGA0_22),
+     "reflect takes --curve or --axis, not both"),
+    (("example", "hesse", "--genus", "1", "--k", "2", "--parity", "trivial"), "--genus is read only by example ruled"),
+    (("example", "e6", "--k", "2"), "--k is read only by example ruled"),
+    (("example", "kk", "--parity", "nontrivial"), "--parity is read only by example ruled"),
+    (("example", "kk-extended", "--t-scale", "5"), "--t-scale is read only with --certificate"),
+    (("example", "kk-gamma0", "--t-scale", "1"), "--t-scale is read only with --certificate"),
+    (("example", "ruled", "--genus", "0", "--k", "2", "--parity", "trivial", "--certificate"),
+     "--certificate is only available for the kk-gamma0 example"),
 ])
 def test_argument_refusals_name_their_flag(capsys, args, message):
     code, out = run(capsys, *args)

@@ -283,6 +283,17 @@ def test_model_round_trip_preserves_structure():
     assert again.completeness_assumed
 
 
+def test_a_rank_one_model_document_round_trips():
+    # the least rank a document may have: one (-2)-curve, no reference class
+    doc = {
+        "rank": 1, "gram": [[-2]], "labels": ["e"],
+        "curves": [{"label": "C", "class": [1], "genus": 0}], "completeness_assumed": False,
+    }
+    model = model_from_doc(doc)
+    assert model.lattice.rank == 1 and model.curve_gram() == ((-2,),)
+    assert model_to_doc(model) == doc
+
+
 def test_model_doc_diagnostics():
     doc = model_to_doc(e6_model())
     extra = dict(doc, color="blue")

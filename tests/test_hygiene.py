@@ -6,8 +6,10 @@ planner.  No module imports dataclasses or imports inside a function, the
 package serves every public name of the modules it loads lazily, no module
 but perturb (and cli, which parses its numbers) uses floats, and only
 chambers._neg_apply reads an adjugate or a Support's inverse, only
-CurveModel._row pairs a Gram product with the declared curves, and plan
-refuses only for a pinned set of reasons."""
+CurveModel._row pairs a Gram product with the declared curves or writes a
+class's row, records are built unchecked only at pinned sites and from
+object.__new__ only by Frozen._unchecked and ConfigurationState._proven,
+and plan refuses only for a pinned set of reasons."""
 
 import ast
 import graphlib
@@ -274,14 +276,15 @@ def test_the_check_sees_a_curve_pairing_read():
     assert curve_product_readers(tree) == {"forms", "nested"}
 
 
-def unchecked_builders(tree: ast.Module) -> set[str]:
-    """The functions that call a record's unchecked constructor (any
-    ._unchecked(...) call), by qualified name; module level reads as "."."""
+def owners(tree: ast.Module, sees) -> set[str]:
+    """The functions holding a node for which sees(node) is true, by
+    qualified name (a nested function by its own); module level reads as
+    "."."""
     found = set()
 
     def visit(node: ast.AST, owner: str, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "_unchecked":
+            if sees(child):
                 found.add(owner)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = scope + child.name
@@ -293,19 +296,34 @@ def unchecked_builders(tree: ast.Module) -> set[str]:
     return found
 
 
+def package_owners(sees) -> set[str]:
+    """owners in every package module, each as module.qualified_name."""
+    return {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in owners(ast.parse(path.read_text(encoding="utf-8")), sees)
+    }
+
+
+def calls_unchecked(node: ast.AST) -> bool:
+    """A call of a record's unchecked constructor: any ._unchecked(...)."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_unchecked"
+
+
 def test_records_are_built_unchecked_only_where_their_fields_are_proven():
     # Frozen._unchecked skips every check of a record's fields, so each
     # call site proves them where it calls it; a new site is added here on
     # purpose, with its proof
-    builders = {
-        f"{path.stem}.{name}"
-        for path in MODULES
-        for name in unchecked_builders(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert builders == {
+    assert package_owners(calls_unchecked) == {
         "chambers.classify",
         "documents._move_from_doc",
         "documents.certificate_from_doc",
+        # a normalised integer form: nonzero terms by index, prime to d
+        "lattice.ClassVector.from_integer_form",
+        # a + p b over d_a for b integral: terms by index, d_a prime to them
+        "lattice.ClassVector._combine",
+        # a dead copy: the fields of an object of a state, alive False
+        "moves._killed",
         "moves.smooth_and_reinstate",
         "planner._Peeler._execute",
         "planner._plan_single_curve",
@@ -328,7 +346,84 @@ def test_the_check_sees_an_unchecked_build():
         "def h(make):\n"
         "    return make(R._unchecked)\n"
     )
-    assert unchecked_builders(tree) == {".", "A.f.g"}
+    assert owners(tree, calls_unchecked) == {".", "A.f.g"}
+
+
+def calls_object_new(node: ast.AST) -> bool:
+    """A bare instance made past its class's constructor: object.__new__(...)."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and getattr(node.func.value, "id", None) == "object"
+    )
+
+
+def test_records_are_made_from_bare_instances_only_by_the_two_unchecked_constructors():
+    # object.__new__ skips a record's constructor and its checks:
+    # Frozen._unchecked fills the fields alone, and ConfigurationState._proven
+    # also keeps the state's product and slots; every other proven build
+    # goes through Frozen._unchecked
+    assert package_owners(calls_object_new) == {"lattice.Frozen._unchecked", "moves.ConfigurationState._proven"}
+
+
+def test_the_check_sees_a_bare_instance():
+    tree = ast.parse(
+        "x = object.__new__(R)\n"
+        "class A:\n"
+        "    def __new__(cls):\n"
+        "        return super().__new__(cls)\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return object.__new__(B)\n"
+        "        return g\n"
+        "def h():\n"
+        "    return object.__new__\n"
+    )
+    assert owners(tree, calls_object_new) == {".", "A.f.g"}
+
+
+def writes_row(node: ast.AST) -> bool:
+    """A write of a class's _row slot: an assignment to x._row or to
+    x["_row"] (of vars(x) or x.__dict__), a setattr or __setattr__ naming
+    "_row", or any call with a _row= keyword (an update)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr == "_row"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == "_row"
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        named = name in ("setattr", "__setattr__") and any(
+            isinstance(arg, ast.Constant) and arg.value == "_row" for arg in node.args
+        )
+        return named or any(k.arg == "_row" for k in node.keywords)
+    return False
+
+
+def test_only_the_row_routine_writes_a_row():
+    # a class's row is read off its Gram product by CurveModel._row alone;
+    # a sum inherits its operands' product, never a row carried beside it
+    assert package_owners(writes_row) == {"lattice.CurveModel._row"}
+
+
+def test_the_check_sees_a_row_write():
+    tree = ast.parse(
+        "class C:\n"
+        "    def kept(self, a):\n"
+        "        vars(a)['_row'] = self, ()\n"
+        "    def read(self, a):\n"
+        "        return a._row, vars(a)['_row'], vars(a).get('_row')\n"
+        "def attribute(a):\n"
+        "    a._row = None\n"
+        "def by_dict(a):\n"
+        "    a.__dict__['_row'] = None\n"
+        "def by_setattr(a):\n"
+        "    object.__setattr__(a, '_row', None)\n"
+        "def by_update(a):\n"
+        "    a.__dict__.update(_row=None)\n"
+        "def other(a):\n"
+        "    vars(a)['_gram_product'] = None\n"
+    )
+    assert owners(tree, writes_row) == {"C.kept", "attribute", "by_dict", "by_setattr", "by_update"}
 
 
 def refusal_reasons(tree: ast.Module) -> set[str]:

@@ -372,6 +372,11 @@ def test_lattice_labels_and_reference_checks():
         IntersectionLattice(
             gram=((Fraction(-1),),), reference_class=ClassVector((Fraction(1),))
         )
+    # a rank-3 class on a rank-2 lattice: for the reference class the check
+    # comes before its square, which would fail with another message
+    for name in ("canonical_class", "reference_class"):
+        with pytest.raises(MalformedInputError, match=f"^{name} has wrong rank$"):
+            IntersectionLattice(gram=((1, 0), (0, -1)), **{name: ClassVector.basis(3, 0)})
 
 
 def test_pair_and_square_match_dense_computation():
@@ -422,6 +427,12 @@ def test_positive_cone_excludes_square_zero():
     lat, fibre = rm.model.lattice, rm.fiber_class
     assert lat.square(fibre) == 0 and lat.pair(fibre, lat.reference_class) == 1
     assert not lat.is_positive_cone(fibre)
+
+
+def test_adjunction_check_needs_a_canonical_class():
+    lat = IntersectionLattice(gram=((1, 0), (0, -1)), reference_class=ClassVector.basis(2, 0))
+    with pytest.raises(ConfigurationError, match="^adjunction check needs a canonical class$"):
+        lat.adjunction_check(ClassVector.basis(2, 1), 0)
 
 
 def test_adjunction_and_expected_dimension_on_kk_curves():
@@ -969,8 +980,9 @@ def test_combined_classes_are_the_fraction_sums_and_keep_fresh_products_and_rows
     models, for a with some coordinates zeroed, t an integer or a fraction
     of either sign and b a curve, an integral class, a fractional class or
     an integral class that cancels a term of a: each result is the ClassVector of the Fraction sum, and the
-    Gram product and row it keeps are those of a fresh equal class; when a
-    and b keep both for the model, so does the result."""
+    Gram product it keeps is that of a fresh equal class; when a and b keep
+    products and rows for the model, the result keeps the product alone, and
+    the row _row reads off it is the fresh class's."""
     rng = random.Random(seed)
     model = (twisted_curve_model if twisted else random_curve_model)(rng, 6)
     lat = model.lattice
@@ -1004,11 +1016,12 @@ def test_combined_classes_are_the_fraction_sums_and_keep_fresh_products_and_rows
             continue
         if kind == "cancel" and factor == t:
             assert out.coords[j] == 0
-        product, row = vars(out).get("_gram_product"), vars(out).get("_row")
+        product = vars(out).get("_gram_product")
         assert product is None or product == (lat, lat.gram_product(fresh)) and product[0] is lat
-        assert row is None or row == (model, model._row(fresh)) and row[0] is model
+        assert "_row" not in vars(out)  # only CurveModel._row writes a row
         if keep:
-            assert product is not None and row is not None
+            assert product is not None
+        assert model._row(out) == model._row(fresh)
 
 
 # --- each class keeps its row for the model, its verdict for the lattice ---

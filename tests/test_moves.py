@@ -192,6 +192,64 @@ def test_inflate_nonneg_rejects_nonpositive_area():
         apply_move(state, InflateNonneg("S", Fraction(1)))
 
 
+# --- boundary refusals of the move engine, each on a rank-3 lattice
+# diag(1, -1, -1) with the (-1)-classes A = e1 and B = e2 ---
+
+_DIAG = IntersectionLattice(gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+
+
+def _diag_state(*coords, objects=("A", "B")):
+    """A checked state of class coords on _DIAG with the named objects."""
+    vectors = {"A": (0, 1, 0), "B": (0, 0, 1), "F": (1, 1, 0)}
+    return ConfigurationState(
+        lattice=_DIAG,
+        current_class=ClassVector(coords),
+        objects=tuple(SurfaceObject(name, ClassVector(vectors[name]), 0) for name in objects),
+    )
+
+
+def test_inflate_refuses_an_object_of_area_zero_and_below():
+    # area exactly 0 makes the bound 2A/h = 0, so only the area check names it
+    with pytest.raises(PreconditionError, match="^object 'A' has area 0 <= 0$"):
+        apply_move(_diag_state(1, 0, 0), Inflate("A", Fraction(1, 2)))
+    with pytest.raises(PreconditionError, match="^object 'A' has area -1/2 <= 0$"):
+        apply_move(_diag_state(2, Fraction(1, 2), 0), Inflate("A", Fraction(1, 2)))
+    after = apply_move(_diag_state(2, -1, 0), Inflate("A", Fraction(1, 2)))  # area 1, bound 1
+    assert after.current_class == ClassVector((2, Fraction(-1, 2), 0))
+
+
+def test_inflate_nonneg_refuses_a_null_object_of_area_zero():
+    # F = e0 + e1 has square 0 and pairs 0 with 2 e0 + 2 e1 - e2
+    state = _diag_state(2, 2, -1, objects=("F",))
+    assert _DIAG.square(state.object("F").vector) == 0 and state.area("F") == 0
+    with pytest.raises(PreconditionError, match="^object 'F' has non-positive area$"):
+        apply_move(state, InflateNonneg("F", Fraction(1)))
+
+
+def test_a_checked_state_refuses_a_repeated_id():
+    # the two objects are orthogonal, so only the id check refuses them
+    objects = (SurfaceObject("A", ClassVector((0, 1, 0)), 0), SurfaceObject("A", ClassVector((0, 0, 1)), 0))
+    with pytest.raises(MalformedInputError, match="^object ids must be distinct$"):
+        ConfigurationState(lattice=_DIAG, current_class=ClassVector((3, -1, -1)), objects=objects)
+
+
+def test_a_smoothing_refuses_a_repeated_constituent():
+    state = _diag_state(3, -1, -1)
+    assert state.area("A") == state.area("B") == 1
+    with pytest.raises(MalformedInputError, match="^constituent ids must be distinct$"):
+        moves.smooth_and_reinstate(state, ["A", "A"], (), "S")
+
+
+def test_a_surface_object_refuses_a_class_that_is_not_integral():
+    with pytest.raises(MalformedInputError, match="^object 'A' must have an integral class$"):
+        SurfaceObject("A", ClassVector((0, Fraction(1, 2), 0)), 0)
+
+
+def test_apply_move_refuses_what_is_not_a_move():
+    with pytest.raises(MalformedInputError, match="^unknown move of type str$"):
+        apply_move(_diag_state(3, -1, -1), "inflate A")
+
+
 def test_replay_refuses_a_base_of_square_zero():
     # the fibre of a ruled surface pairs 1 with the reference class s+ and 1
     # with the section, and its square is exactly 0

@@ -416,6 +416,26 @@ def test_plan_refuses_a_locus_the_walk_misses_with_the_schur_witness():
     assert dict(result.detail) == {"witness square": "30"}
 
 
+def test_the_schur_witness_stops_at_a_zero_leading_minor():
+    # a 7-cycle of (-2)-curves (affine A_6, null vector 1) with one curve of
+    # square -10^6 on it: the walk from all ones cannot lower that curve's
+    # coefficient, and the cycle's leading minor det M_7 is exactly 0, so
+    # the witness is (-M_6^{-1} m, 1) = the cycle's null vector
+    gram = [[0] * 8 for _ in range(8)]
+    for i in range(7):
+        gram[i][i] = -2
+        gram[i][(i + 1) % 7] = gram[(i + 1) % 7][i] = 1
+    gram[7][7], gram[0][7], gram[7][0] = -10**6, 1, 1
+    assert list(iter_pivot_minors(gram))[6] == 0
+    model = _gram_model(gram)
+    result = plan(model, _omega0(model))
+    assert isinstance(result, Unsupported)
+    assert result.reason == "vanishing locus is not negative definite"
+    _checked_witness(gram, result.witness)
+    assert result.witness.coefficients == (1, 1, 1, 1, 1, 1, 1, 0)
+    assert result.witness.square == 0
+
+
 @st.composite
 def _connected_z_gram(draw):
     """A connected symmetric Z-matrix of 1-10 curves, squares -1..-20 and
@@ -599,6 +619,16 @@ def test_plan_ruled_unreachable_chamber():
     detail = dict(result.detail)
     assert detail["4 v^2"] == "144"
     assert detail["(k-1)^2 alpha^2"] == "60"
+
+
+def test_plan_refuses_a_chamber_wall_exactly_at_reach():
+    # (2, 1) pairs v = -3 with the (-3)-section and has square 9: 4 v^2 =
+    # 36 = (k - 1)^2 alpha^2, and the reach condition is strict
+    model = ruled_model(0, 3, "nontrivial").model
+    result = plan(model, ClassVector((2, 1)))
+    assert isinstance(result, Unsupported)
+    assert result.reason == "chamber wall out of reach: 4 v^2 >= (k-1)^2 alpha^2"
+    assert dict(result.detail) == {"4 v^2": "36", "(k-1)^2 alpha^2": "36", "pairing": "-3"}
 
 
 def test_plan_cdc_component_regression():
