@@ -7,7 +7,8 @@ either a raw JSON document or a previously captured report; in the latter
 case everything after the last sentinel line is used.
 
 Exit codes: 0 success or verified, 1 verification failure, 2 malformed input,
-out-of-domain request or any other package error, 3 plan unsupported.
+out-of-domain request, standard output closed early or any other package
+error, 3 plan unsupported.
 """
 
 from __future__ import annotations
@@ -465,16 +466,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except SearchFailureError as exc:
-        _emit([f"unsupported: {exc}"], {"error": str(exc)})
-        return EXIT_UNSUPPORTED
-    except _FAILURE_ERRORS as exc:
-        _emit([f"failure: {exc}"], {"error": str(exc)})
-        return EXIT_FAIL
-    except SymconeError as exc:
-        _emit([f"error: {exc}"], {"error": str(exc)})
+        try:
+            code = args.handler(args)
+        except SearchFailureError as exc:
+            _emit([f"unsupported: {exc}"], {"error": str(exc)})
+            code = EXIT_UNSUPPORTED
+        except _FAILURE_ERRORS as exc:
+            _emit([f"failure: {exc}"], {"error": str(exc)})
+            code = EXIT_FAIL
+        except SymconeError as exc:
+            _emit([f"error: {exc}"], {"error": str(exc)})
+            code = EXIT_MALFORMED
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: with fd 1 on the null device, the final flush cannot raise again
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_MALFORMED
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Built-in datasets: ruled-surface cone models, the dual-Hesse arrangement,
 and the 21-curve Kharlamov-Kulikov lattice with its replay certificate.
 
-All numeric claims made by the builders are asserted at construction time from
-the Gram data, so a transcription slip fails fast instead of poisoning tests.
+Each numeric claim is asserted once, at construction time, so a slip in
+``TRIPLES`` fails fast: ``CurveModel``'s adjunction check asserts the KK meet
+counts and K^2 = 333 = 3 * 111 (see ``build_kk_model``), and one curve-Gram
+comparison apiece asserts the dual-Hesse incidences and the kk-gamma0 path.
 ``builtin_model`` hands out one shared immutable instance per name, so for a
 built-in those assertions run once per process, on its first lookup.
 """
@@ -73,11 +75,8 @@ def ruled_model(base_genus: int, k: int, parity: str) -> RuledModel:
     )
     section = CurveData(label="s-", vector=ClassVector.basis(2, 1), genus=base_genus)
     model = CurveModel(lattice=lattice, curves=(section,), completeness_assumed=True)
-    rm = RuledModel(base_genus=base_genus, parity=parity, k=k, model=model)
-    fiber = rm.fiber_class
-    if lattice.square(fiber) != 0 or lattice.pair(fiber, ClassVector.basis(2, 0)) != 1:
-        raise ModelInconsistencyError("fiber class invariants failed")
-    return rm
+    # the fibre (1/k, -1/k) has square 0 and pairs 1 with s+ for every k
+    return RuledModel(base_genus=base_genus, parity=parity, k=k, model=model)
 
 
 def ruled_symplectic_predicate(rm: RuledModel, alpha: ClassVector) -> bool:
@@ -127,16 +126,6 @@ def ruled_inflation_interval(rm: RuledModel, a) -> tuple[Fraction, Fraction]:
 def build_hesse_dual() -> CurveModel:
     """Blowup lattice of the dual Hesse arrangement: 9 strict-transform lines
     of square -3 through the 12 triple points."""
-    for i in "123456789":
-        count = sum(1 for t in TRIPLES if i in t)
-        if count != 4:
-            raise ModelInconsistencyError(f"index {i} lies in {count} triples, expected 4")
-    for i in "123456789":
-        for j in "123456789":
-            if i < j:
-                count = sum(1 for t in TRIPLES if i in t and j in t)
-                if count != 1:
-                    raise ModelInconsistencyError(f"pair {{{i},{j}}} lies in {count} triples")
     rank = 1 + len(TRIPLES)
     gram = [[0] * rank for _ in range(rank)]
     gram[0][0] = 1
@@ -158,12 +147,10 @@ def build_hesse_dual() -> CurveModel:
                 coords[pos] = Fraction(-1)
         curves.append(CurveData(label=f"L{i}", vector=ClassVector(tuple(coords)), genus=0))
     model = CurveModel(lattice=lattice, curves=tuple(curves), completeness_assumed=True)
-    for a in range(9):
-        if lattice.square(curves[a].vector) != -3:
-            raise ModelInconsistencyError("strict transform square is not -3")
-        for b in range(a + 1, 9):
-            if lattice.pair(curves[a].vector, curves[b].vector) != 0:
-                raise ModelInconsistencyError("strict transforms are not orthogonal")
+    # L_i^2 = 1 - #{t : i in t}, L_i.L_j = 1 - #{t : i, j in t}; adjunction
+    # cannot see a slip, since L_i^2 + K.L_i = -2 for any TRIPLES
+    if model.curve_gram() != tuple(tuple(-3 if a == b else 0 for b in range(9)) for a in range(9)):
+        raise ModelInconsistencyError("strict transform Gram is not -3 I")
     return model
 
 
@@ -221,19 +208,9 @@ def build_kk_model(extended: bool = False) -> CurveModel:
     The surface is a rigid ball quotient of Euler characteristic 111 with
     ample canonical class; the curve list is assumed complete."""
     lattice, curves = _kk_lattice_and_curves(extended)
-    # the model's adjunction check fixes K.C = 9 and K.D = 3
-    model = CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
-    if lattice.square(lattice.canonical_class) != 333:
-        raise ModelInconsistencyError("canonical square is not 333")
-    for c in curves[:9]:
-        meets = sum(1 for d in curves[9:] if lattice.pair(c.vector, d.vector) == 1)
-        if meets != 4:
-            raise ModelInconsistencyError(f"{c.label} meets {meets} of the D curves, expected 4")
-    for d in curves[9:]:
-        meets = sum(1 for c in curves[:9] if lattice.pair(c.vector, d.vector) == 1)
-        if meets != 3:
-            raise ModelInconsistencyError(f"{d.label} meets {meets} of the C curves, expected 3")
-    return model
+    # adjunction fixes K.C = -7 + 4 #{D meeting C} = 9 and K.D = -4 + 7/3
+    # #{C meeting D} = 3, so K^2 = sum K_a (K.e_a) = 9 (7/3) 9 + 12 (4) 3 = 333
+    return CurveModel(lattice=lattice, curves=curves, completeness_assumed=True)
 
 
 def kk_gamma0_model() -> CurveModel:
@@ -257,7 +234,7 @@ def kk_gamma0_certificate(t_scale=1) -> Certificate:
     t = linalg.as_fraction(t_scale)
     if t <= 0:
         raise PreconditionError("t_scale must be positive")
-    model = kk_gamma0_model()
+    model = builtin_model("kk-gamma0")
     w0 = ClassVector.basis(model.lattice.rank, 0)
     base = model._shifted(w0, ((i, -c * t.numerator) for i, c in enumerate((8, 21, 12, 14))), t.denominator)
     if not model.is_interior_kahler(base):

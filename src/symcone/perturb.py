@@ -144,10 +144,10 @@ def perturbed_intersections(
     """Solve g_i(z) = eps^2 near each predicted root for every model.
 
     Exactly k_i distinct solutions per model, all inside the localization
-    disk, all transverse (g'(z) != 0); any miss raises.  Two
-    solutions are distinct when they lie more than DISTINCT_TOL r apart, r
-    the seed modulus |eps^2/a|^(1/k) of their model, or across two models
-    the smaller of the two, so the test scales with the roots."""
+    disk, all transverse (g'(z) != 0); any miss raises.  One coincidence
+    test: each root must lie more than DISTINCT_TOL r from every root before
+    it, r the smaller of their seed moduli |eps^2/a|^(1/k) (one value within
+    a model, up to rounding), so the test scales with the roots."""
     models = tuple(models)
     radius = r_epsilon(models, eps)
     target = complex(float(eps) ** 2)
@@ -155,19 +155,17 @@ def perturbed_intersections(
     for index, model in enumerate(models):
         k = model.order
         base = (target / model.leading) ** (1.0 / k)
-        found: list[tuple[int, complex, complex]] = []
         for j in range(k):
-            eta = cmath.exp(2j * cmath.pi * j / k)
-            seed = base * eta
-            found.append((j, seed, _newton(model, target, seed)))
-        for a in range(len(found)):
-            for b in range(a + 1, len(found)):
-                if abs(found[a][2] - found[b][2]) <= DISTINCT_TOL * abs(base):
-                    raise PropertyViolationError(
-                        f"model {index}: solutions {a} and {b} coincide; "
-                        f"expected {k} distinct intersections"
-                    )
-        for j, seed, z in found:
+            seed = base * cmath.exp(2j * cmath.pi * j / k)
+            z = _newton(model, target, seed)
+            for rec in records:
+                if abs(rec.point - z) <= DISTINCT_TOL * min(abs(rec.seed), abs(seed)):
+                    if rec.model_index == index:
+                        raise PropertyViolationError(
+                            f"model {index}: solutions {rec.root_index} and {j} coincide; "
+                            f"expected {k} distinct intersections"
+                        )
+                    raise PropertyViolationError(f"solutions of models {rec.model_index} and {index} coincide")
             if not abs(z) < radius:
                 raise PropertyViolationError(
                     f"model {index}: solution at |z| = {abs(z):.6g} escapes the "
@@ -194,16 +192,6 @@ def perturbed_intersections(
                     seed=seed,
                 )
             )
-    for a in range(len(records)):
-        for b in range(a + 1, len(records)):
-            if records[a].model_index == records[b].model_index:
-                continue
-            scale = min(abs(records[a].seed), abs(records[b].seed))
-            if abs(records[a].point - records[b].point) <= DISTINCT_TOL * scale:
-                raise PropertyViolationError(
-                    f"solutions of models {records[a].model_index} and "
-                    f"{records[b].model_index} coincide"
-                )
     return tuple(records)
 
 

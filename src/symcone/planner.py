@@ -167,12 +167,8 @@ def _witness(model: CurveModel, support: Support) -> Witness:
         if sq >= 0:
             return Witness(indices=idx, coefficients=tuple(w), square=Fraction(sq))
         mw = [sum(g * x for g, x in zip(row, w)) for row in M]
-        best, best_gain = 0, None
-        for i in range(n):
-            gain = 2 * mw[i] + M[i][i]
-            if best_gain is None or gain > best_gain:
-                best, best_gain = i, gain
-        w[best] += 1
+        # the step of largest gain in the square, the first such (as max is)
+        w[max(range(n), key=lambda i: 2 * mw[i] + M[i][i])] += 1
     # Schur witness: before the first leading minor of the wrong sign, M_{k-1}
     # is negative definite, so with m the head of column k the vector
     # (-M_{k-1}^{-1} m, 1, 0, ...) is nonnegative of square det M_k / det M_{k-1} >= 0;

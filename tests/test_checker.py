@@ -1,8 +1,8 @@
 """The planner against the benchmark's independent replayer: perfbench/checker.py
 replays a certificate document with plain Fractions and imports nothing from
 symcone.  Loaded here by path, unchanged, it must give the verdict and stage
-verify_certificate gives on plan's certificates and on single-field
-mutations of them."""
+verify_certificate gives on plan's certificates, on certificates that sit on
+the verifier's strict boundaries, and on single-field mutations of both."""
 
 import importlib.util
 import itertools
@@ -56,15 +56,20 @@ def _check_plans(model, alpha, data) -> None:
 
 
 def _check_plan(model, target, data) -> None:
-    """The checker and the verifier agree on plan's certificate for the
-    target, on it with one amplitude scaled, and on it with its moves
-    shuffled."""
+    """The checker and the verifier pass plan's certificate for the target,
+    and agree on its mutations."""
     cert = plan(model, target)
     if not isinstance(cert, Certificate):
         return
     doc = certificate_to_doc(cert)
     checked, verified = _verdicts(doc)
     assert checked == verified == (True, "ok")
+    _check_mutations(doc, data)
+
+
+def _check_mutations(doc: dict, data) -> None:
+    """The checker and the verifier agree on the certificate document with
+    one amplitude scaled, and with its moves shuffled."""
     moves = doc["moves"]
     amplitudes = [i for i, m in enumerate(moves) if "t" in m]
     if amplitudes:
@@ -173,3 +178,96 @@ def test_the_independent_checker_agrees_with_the_verifier_on_chains_and_trees(se
     while plain_pair(lat, alpha, alpha) <= 0:
         alpha = alpha + lat.reference_class
     _check_plans(model, alpha, data)
+
+
+# ---------------------------------------------------------------------------
+# certificates at the verifier's strict boundaries
+
+
+# the checker's (passed, stage, reason) on each kind of boundary certificate
+BOUNDARIES = {
+    "base square 0": (False, "base", "base class is outside the positive cone"),
+    "base reference pairing 0": (False, "base", "base class is outside the positive cone"),
+    "inflate at t = 2A/h": (False, "move 1", "t violates 0 < t < 2A/h"),
+    "inflate_nonneg along a square-0 smoothing": (True, "ok", ""),
+}
+
+
+def _doc_class(coords) -> list:
+    return [format_rational(Fraction(x)) for x in coords]
+
+
+def _boundary_certificate(kind: str, data) -> dict:
+    """A certificate document that sits exactly on the named boundary.
+
+    The lattice is diagonal: H of square s (after a reference direction R of
+    square 1 for the reference-pairing case) and E1, E2 of squares -k1, -k2.
+    The base class is H - b1 E1 - b2 E2, of square s - k1 b1^2 - k2 b2^2 and
+    area A_i = k_i b_i on E_i.  The moves inflate E1 and E2, or, with s = 1
+    and k1 = k2 = 1, smooth E1 and L = H - E1 - E2, which meet once, into
+    the fibre class H - E2 of square 0 and inflate along it."""
+    draw = data.draw
+    b = [draw(st.integers(1, 3), label="b1"), draw(st.integers(1, 3), label="b2")]
+    if kind == "inflate_nonneg along a square-0 smoothing":
+        k, genus, s = [1, 1], [0, 0], 1
+        curves = [("E1", (0, 1, 0)), ("L", (1, -1, -1))]
+        head = draw(st.integers(b[0] + b[1] + 1, 8), label="a")  # the base pairs a - b1 - b2 with L
+        base = (head, -b[0], -b[1])
+    else:
+        k = [draw(st.integers(1, 4), label="k1"), draw(st.integers(1, 4), label="k2")]
+        genus = [draw(st.integers(0, 2), label="g1"), draw(st.integers(0, 2), label="g2")]
+        s = k[0] * b[0] ** 2 + k[1] * b[1] ** 2
+        if kind != "base square 0":
+            s += draw(st.integers(1, 5), label="square")
+        curves = [("E1", (0, 1, 0)), ("E2", (0, 0, 1))]
+        base = (1, -b[0], -b[1])
+    squares = [s, -k[0], -k[1]]
+    if kind == "base reference pairing 0":
+        squares, base = [1] + squares, (0,) + base
+        curves = [(label, (0,) + c) for label, c in curves]
+    rank = len(squares)
+    model = {
+        "completeness_assumed": True,
+        "curves": [{"class": list(c), "genus": g, "label": label} for (label, c), g in zip(curves, genus)],
+        "gram": [[squares[i] if i == j else 0 for j in range(rank)] for i in range(rank)],
+        "labels": ["R", "H", "E1", "E2"][4 - rank :],
+        "rank": rank,
+        "reference": _doc_class([1] + [0] * (rank - 1)),
+    }
+    target = [Fraction(x) for x in base]
+    t_scale = draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))), label="t")
+    if kind == "inflate_nonneg along a square-0 smoothing":
+        reinstate = draw(st.sampled_from(([], ["E1"], ["L"])), label="reinstate")
+        moves = [
+            {"op": "smooth", "constituents": ["E1", "L"], "reinstate": reinstate, "new_id": "F"},
+            {"op": "inflate_nonneg", "object": "F", "t": format_rational(t_scale * 4)},
+        ]
+        target[0] += t_scale * 4  # F = H - E2
+        target[2] -= t_scale * 4
+    else:
+        moves = []
+        for i in (0, 1):
+            h = k[i] + 1 if genus[i] == 0 and k[i] % 2 == 1 else k[i]
+            bound = Fraction(2 * k[i] * b[i], h)
+            t = bound if kind == "inflate at t = 2A/h" and i == 0 else bound * t_scale
+            moves.append({"op": "inflate", "object": f"E{i + 1}", "t": format_rational(t)})
+            target[rank - 2 + i] += t
+    return {
+        "model": model,
+        "base_class": _doc_class(base),
+        "moves": moves,
+        "target_class": _doc_class(target),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(BOUNDARIES)), data=st.data())
+def test_the_independent_checker_agrees_with_the_verifier_at_the_strict_boundaries(kind, data):
+    """Both refuse a base of square 0 or of reference pairing 0 and an
+    inflation by exactly 2A/h, and both pass an inflate_nonneg along an
+    object of square 0; they agree on every mutation of these."""
+    doc = _boundary_certificate(kind, data)
+    assert checker.check_certificate(doc["model"], doc) == BOUNDARIES[kind]
+    checked, verified = _verdicts(doc)
+    assert checked == verified
+    _check_mutations(doc, data)

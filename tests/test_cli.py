@@ -21,12 +21,12 @@ ROOT = Path(__file__).resolve().parent.parent
 OMEGA0_22 = ",".join(["1"] + ["0"] * 21)
 
 
-def child(*argv):
+def child(*argv, stdout=subprocess.PIPE, **env):
     """python -m symcone argv in a child process, with this checkout's src
-    first on its path."""
+    first on its path and the environment variables env set."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "symcone", *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "symcone", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def run(capsys, *argv):
@@ -77,6 +77,21 @@ def test_overlong_model_name_exits_2(command):
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert json.loads(proc.stdout.splitlines()[-1])["error"].startswith(f"unknown model {spec!r}")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_standard_output_exits_2_without_a_traceback(unbuffered):
+    # the read end is closed before the child starts, so writing the report
+    # meets a broken pipe: unbuffered at its first print, buffered (an empty
+    # PYTHONUNBUFFERED is unset) at main's flush, before the interpreter's
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = child("example", "kk-extended", stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 def test_plan_emits_replayable_certificate(capsys):

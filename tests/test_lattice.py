@@ -429,6 +429,30 @@ def test_positive_cone_excludes_square_zero():
     assert not lat.is_positive_cone(fibre)
 
 
+def test_positive_cone_excludes_reference_pairing_zero():
+    # with two positive directions, H has square 1 and pairs 0 with the
+    # reference class R
+    lat = IntersectionLattice(gram=((1, 0, 0), (0, 1, 0), (0, 0, -1)), reference_class=ClassVector.basis(3, 0))
+    h = ClassVector.basis(3, 1)
+    assert lat.square(h) == 1 and lat.pair(h, lat.reference_class) == 0
+    assert not lat.is_positive_cone(h)
+
+
+def test_a_reference_class_of_square_zero_is_refused():
+    with pytest.raises(ModelInconsistencyError, match="^reference class must have positive square$"):
+        IntersectionLattice(gram=((0, 1), (1, 0)), reference_class=ClassVector.basis(2, 0))
+
+
+def test_first_interior_scale_skips_a_scale_of_square_zero():
+    # on diag(1, -1) with the (-1)-curve E, (1, -1/2) - s (0, 1) has square
+    # 0 at s = 1/2, where it still pairs 1 with E and with the reference H
+    lat = IntersectionLattice(gram=((1, 0), (0, -1)), reference_class=ClassVector.basis(2, 0))
+    model = CurveModel(lattice=lat, curves=(CurveData("E", ClassVector.basis(2, 1), 0),), completeness_assumed=True)
+    start, direction = ClassVector((1, Fraction(-1, 2))), ClassVector.basis(2, 1)
+    assert model.first_interior_scale(start, direction, (Fraction(1, 2),)) == (None, "square")
+    assert model.first_interior_scale(start, direction, (Fraction(1, 2), Fraction(1, 4))) == (Fraction(1, 4), None)
+
+
 def test_adjunction_check_needs_a_canonical_class():
     lat = IntersectionLattice(gram=((1, 0), (0, -1)), reference_class=ClassVector.basis(2, 0))
     with pytest.raises(ConfigurationError, match="^adjunction check needs a canonical class$"):

@@ -2,6 +2,7 @@
 the four-curve path sub-model, and the E6 fixture."""
 
 from symcone import replace
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,37 @@ def test_hesse_curves():
             assert lat.pair(model.curves[a].vector, model.curves[b].vector) == 0
 
 
+def _slipped_triples():
+    """TRIPLES with one digit of one triple replaced by a digit not in it
+    (12 triples, 3 places, 6 digits: 216 slips), with the triple's index and
+    the old and new digit."""
+    for i, t in enumerate(TRIPLES):
+        for p, old in enumerate(t):
+            for new in "123456789":
+                if new not in t:
+                    yield TRIPLES[:i] + (t[:p] + new + t[p + 1 :],) + TRIPLES[i + 1 :], i, old, new
+
+
+def test_every_single_digit_slip_in_triples_is_refused_by_build_hesse_dual(monkeypatch):
+    # the slipped triple puts the new digit with two others, each of which
+    # already shares a triple with it, so L_new meets one of them at 1 - 2 = -1
+    slips = list(_slipped_triples())
+    assert len(slips) == 216
+    for triples, _, _, new in slips:
+        monkeypatch.setattr(models, "TRIPLES", triples)
+        with pytest.raises(ModelInconsistencyError, match="^curves 'L.' and 'L.' pair negatively$") as refused:
+            build_hesse_dual()
+        assert f"'L{new}'" in str(refused.value)
+
+
+def test_triples_without_the_last_triple_are_refused_by_the_hesse_gram_check(monkeypatch):
+    # L7, L8 and L9 then lie in 3 triples, so their square is -2; the model's
+    # own checks pass, since L^2 + K.L = -2 and no two lines meet negatively
+    monkeypatch.setattr(models, "TRIPLES", TRIPLES[:-1])
+    with pytest.raises(ModelInconsistencyError, match="^strict transform Gram is not -3 I$"):
+        build_hesse_dual()
+
+
 # ---------------------------------------------------------------------------
 # 21-curve lattice
 
@@ -160,6 +192,18 @@ def test_kk_data_slips_fail_the_model_adjunction_check(monkeypatch, slip):
         build_kk_model()
 
 
+def test_every_single_digit_slip_in_triples_fails_the_kk_adjunction_check(monkeypatch):
+    # the old digit's C curve meets 3 D curves and the new one's 5, so
+    # K.C = -7 + 4 * 3 or -7 + 4 * 5, not 9; each D curve still meets 3 C
+    # curves.  So adjunction asserts the meet counts and K^2 = 333.
+    for triples, _, old, new in _slipped_triples():
+        monkeypatch.setattr(models, "TRIPLES", triples)
+        with pytest.raises(
+            ModelInconsistencyError, match=f"^curve 'C{min(old, new)}' violates adjunction for genus 4$"
+        ):
+            build_kk_model(True)
+
+
 def test_kk_incidence():
     model = build_kk_model()
     lat = model.lattice
@@ -188,6 +232,30 @@ def test_gamma0_model_gram():
     assert model.curve_gram() == GAMMA0_GRAM
 
 
+def test_sixteen_single_digit_slips_change_only_the_kk_gamma0_path_gram(monkeypatch):
+    # a slip moving C1 or C2 fails their adjunction check; one that renames
+    # D123 or D249 otherwise leaves a path of three curves
+    outcomes = Counter()
+    for triples, i, old, new in _slipped_triples():
+        monkeypatch.setattr(models, "TRIPLES", triples)
+        if {old, new} & {"1", "2"}:
+            expected = "violates adjunction for genus 4$"
+        elif TRIPLES[i] in ("123", "249"):
+            expected = "^path sub-model Gram does not match$"
+        else:
+            assert kk_gamma0_model().curve_gram() == GAMMA0_GRAM
+            outcomes["built"] += 1
+            continue
+        with pytest.raises(ModelInconsistencyError, match=expected):
+            kk_gamma0_model()
+        outcomes[expected] += 1
+    assert outcomes == {
+        "violates adjunction for genus 4$": 90,
+        "^path sub-model Gram does not match$": 16,
+        "built": 110,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the replay certificate
 
@@ -200,6 +268,11 @@ def test_gamma0_certificate_default_scale():
     pairings = tuple(lat.pair(cert.base_class, c.vector) for c in cert.model.curves)
     assert pairings == (3, 1, 1, 2)
     assert verify_certificate(cert).passed
+
+
+def test_gamma0_certificate_replays_in_the_shared_kk_gamma0_model():
+    assert kk_gamma0_certificate().model is builtin_model("kk-gamma0")
+    assert kk_gamma0_certificate(Fraction(1, 2)).model is builtin_model("kk-gamma0")
 
 
 def test_gamma0_certificate_scales():

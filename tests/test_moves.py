@@ -226,6 +226,15 @@ def test_inflate_nonneg_refuses_a_null_object_of_area_zero():
         apply_move(state, InflateNonneg("F", Fraction(1)))
 
 
+def test_a_smoothing_refuses_a_constituent_of_area_zero():
+    # the class pairs 0 with A and 1 with B; the area check comes before the
+    # connectivity check, which A and B (orthogonal) would fail
+    state = _diag_state(1, 0, -1)
+    assert state.area("A") == 0 and state.area("B") == 1
+    with pytest.raises(PreconditionError, match="^constituent 'A' has non-positive area$"):
+        moves.smooth_and_reinstate(state, ["A", "B"], (), "S")
+
+
 def test_a_checked_state_refuses_a_repeated_id():
     # the two objects are orthogonal, so only the id check refuses them
     objects = (SurfaceObject("A", ClassVector((0, 1, 0)), 0), SurfaceObject("A", ClassVector((0, 0, 1)), 0))

@@ -142,8 +142,20 @@ def test_newton_refines_seeds_whose_residual_is_below_an_absolute_tolerance():
 
 def test_cross_model_collision_detected():
     pair = [LocalCurveModel(1, 1), LocalCurveModel(1, 1)]
-    with pytest.raises(PropertyViolationError, match="coincide"):
+    with pytest.raises(PropertyViolationError, match="^solutions of models 0 and 1 coincide$"):
         perturbed_intersections(pair, 0.01)
+
+
+def test_two_seeds_of_one_model_reaching_one_root_are_refused(monkeypatch):
+    # Newton sends every seed to the first predicted root, eps^2/a to the 1/k
+    def to_first_root(model, target, seed):
+        return (target / model.leading) ** (1.0 / model.order)
+
+    monkeypatch.setattr(perturb, "_newton", to_first_root)
+    with pytest.raises(
+        PropertyViolationError, match="^model 0: solutions 0 and 1 coincide; expected 2 distinct intersections$"
+    ):
+        perturbed_intersections([LocalCurveModel(1, 2)], 0.1)
 
 
 def test_zero_derivative_reported():

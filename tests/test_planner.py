@@ -940,6 +940,20 @@ def test_plan_reports_a_failed_peel_as_unsupported(monkeypatch):
     assert dict(result.detail)["peel"] == "no peel candidate applies"
 
 
+def test_the_peel_budget_caps_the_nodes_a_plan_visits_inclusively(monkeypatch):
+    """On the corner of C1 and C2, which do not meet, the peel visits three
+    nodes: the pair, then each curve alone."""
+    model = builtin_model("kk-extended")
+    alpha = model.lattice.reference_class + model.lattice.canonical_class
+    target = chambers.corner_point(model, alpha, (0, 1))
+    monkeypatch.setattr(planner, "_PEEL_BUDGET", 3)
+    assert isinstance(plan(model, target), Certificate)
+    monkeypatch.setattr(planner, "_PEEL_BUDGET", 2)
+    result = plan(model, target)
+    assert isinstance(result, Unsupported)
+    assert dict(result.detail)["peel"] == "peel budget exhausted"
+
+
 def _census_seed_44():
     """The coverage census's seed 44: four curves c0..c3 of a random model,
     c1, c2 and c3 a triangle, and the target on the corner of all four."""
