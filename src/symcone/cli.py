@@ -460,14 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     try:
         try:
+            args = build_parser().parse_args(argv)
             code = args.handler(args)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
         except SearchFailureError as exc:
             _emit([f"unsupported: {exc}"], {"error": str(exc)})
             code = EXIT_UNSUPPORTED

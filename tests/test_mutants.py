@@ -35,7 +35,8 @@ def test_the_tool_reports_the_mutant_the_tests_miss(tmp_path, capsys, monkeypatc
     for path, text in (("src/toy.py", TOY), ("tests/test_toy.py", TOY_TESTS), ("tools/equivalent_mutants.txt", known)):
         (tmp_path / path).parent.mkdir(exist_ok=True)
         (tmp_path / path).write_text(text)
-    code = mutants.main(["src/toy.py", "--root", str(tmp_path)])
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    code = mutants.main(["src/toy.py"])
     assert capsys.readouterr().out.splitlines() == [
         "killed   toy.py sign: x > 0 -> x >= 0 (line 2)",
         "survives toy.py big: x # > in a comment between the operands >= 1000 -> x # > in a comment between the operands > 1000 (line 7)",

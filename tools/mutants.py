@@ -113,17 +113,15 @@ def passes(tree: Path, tests: list[str]) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("module", help="the module's path under the root, e.g. src/symcone/chambers.py")
+    parser.add_argument("module", help="the module's path in this checkout, e.g. src/symcone/chambers.py")
     parser.add_argument("--tests", nargs="+", help="its test files (default: tests/test_<module>.py)")
-    parser.add_argument("--root", type=Path, default=ROOT, help="the tree to copy, with its tools/equivalent_mutants.txt "
-                        "(default: this checkout)")
     args = parser.parse_args(argv)
     module = Path(args.module)
     tests = args.tests or [f"tests/test_{module.stem}.py"]
-    known = read_equivalents(args.root / "tools" / "equivalent_mutants.txt")
+    known = read_equivalents(ROOT / "tools" / "equivalent_mutants.txt")
     with tempfile.TemporaryDirectory() as workdir:
         tree = Path(workdir) / "tree"
-        shutil.copytree(args.root, tree, ignore=COPY_IGNORES)
+        shutil.copytree(ROOT, tree, ignore=COPY_IGNORES)
         target = tree / module
         source = target.read_bytes()
         if not passes(tree, tests):
