@@ -9,14 +9,19 @@ case everything after the last sentinel line is used.
 Exit codes: 0 success or verified, 1 verification failure, 2 malformed input,
 out-of-domain request, standard output closed early or any other package
 error, 3 plan unsupported.
+
+``run`` is the process entry of ``python -m symcone`` and the ``symcone``
+script: ``main`` and then ``gc.freeze()``, so the interpreter's teardown
+collections skip the heap the process leaves behind; ``atexit`` handlers
+still run.  ``main(argv)`` is for in-process callers and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from pathlib import Path
 
 from . import chambers, documents, models, perturb, planner
 from .errors import (
@@ -62,7 +67,8 @@ def _strip_to_json(text: str) -> str:
 
 def _read_json(path: str):
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
     return documents.load_json(_strip_to_json(raw), where=path)
@@ -484,5 +490,12 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() for a whole process, which ends next; the OS frees what the freeze keeps."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

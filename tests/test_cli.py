@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, the text/JSON split, and file inputs."""
 
+import ast
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tomllib
 import typing
 from fractions import Fraction
 from pathlib import Path
@@ -669,3 +672,64 @@ def test_module_entry_point():
     proc = child("example", "kk")
     assert proc.returncode == 0
     assert SENTINEL in proc.stdout
+
+
+# runs python -m symcone's __main__ as the interpreter would, then reports
+# from an atexit handler, which runs after the entry has returned
+ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["symcone", *sys.argv[1:]]
+runpy.run_module("symcone", run_name="__main__")
+"""
+
+
+def test_the_process_entry_freezes_the_heap_and_keeps_exit_codes_and_atexit(capsys, tmp_path):
+    certificate = tmp_path / "certificate.txt"
+    certificate.write_text(run(capsys, "example", "kk-gamma0", "--certificate")[1], encoding="utf-8")
+    doc = trailer(certificate.read_text(encoding="utf-8"))
+    doc["moves"][5]["t"] = "100"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc), encoding="utf-8")
+    cases = [("verify", str(certificate)), ("verify", str(tampered)), ("verify", str(tmp_path)),
+             ("plan", "--model", "kk-extended", "--class", OMEGA0_22)]
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    for expected, argv in enumerate(cases):
+        code, out = run(capsys, *argv)
+        assert code == expected
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "frozen True\n")
+
+
+def test_main_in_process_never_freezes_and_run_does(capsys, monkeypatch):
+    before = gc.get_freeze_count()
+    assert main(["example", "kk-gamma0"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["symcone", "example", "kk-gamma0"])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.count(SENTINEL) == 2
+
+
+def test_the_script_and_python_m_both_enter_through_run():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"symcone": "symcone.cli:run"}
+    tree = ast.parse((ROOT / "src" / "symcone" / "__main__.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "run" in called and "main" not in called
+
+
+def test_a_verify_child_without_site_imports_no_pathlib(capsys, tmp_path):
+    # site may import pathlib on its own (python -S skips it); the CLI must not
+    certificate = tmp_path / "certificate.txt"
+    certificate.write_text(run(capsys, "example", "kk-gamma0", "--certificate")[1], encoding="utf-8")
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); from symcone import cli; "
+              "assert cli.main(['verify', sys.argv[2]]) == 0; assert 'pathlib' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(ROOT / "src"), str(certificate)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

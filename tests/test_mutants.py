@@ -1,5 +1,5 @@
-"""tools/mutants.py, the comparison-flip mutation tool: a run on a toy tree
-whose tests kill one mutant and miss the other, and the committed list of
+"""tools/mutants.py, the comparison-flip and and/or-swap mutation tool: a
+run on a toy tree whose tests kill one mutant of each kind and miss another, and the committed list of
 equivalent mutants against the current source."""
 
 import importlib.util
@@ -17,14 +17,24 @@ TOY = '''def sign(x):
 def big(x):
     return (x  # > in a comment between the operands
             >= 1000)
+
+
+def first(a, b):
+    return a or b
+
+
+def both(a, b):
+    return (a and  # an or in a comment stays
+            b)
 '''
 
-TOY_TESTS = '''from toy import big, sign
+TOY_TESTS = '''from toy import big, both, first, sign
 
 
 def test_toy():
     assert (sign(0), sign(2)) == (0, 1)
     assert big(5000) and not big(5)
+    assert (first(0, 3), both(1, 1)) == (3, 1)
 '''
 
 
@@ -40,8 +50,11 @@ def test_the_tool_reports_the_mutant_the_tests_miss(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().out.splitlines() == [
         "killed   toy.py sign: x > 0 -> x >= 0 (line 2)",
         "survives toy.py big: x # > in a comment between the operands >= 1000 -> x # > in a comment between the operands > 1000 (line 7)",
-        "2 mutants: 1 killed by tests/test_toy.py, 0 by the full suite, 1 survive it",
+        "killed   toy.py first: a or b -> a and b (line 11)",
+        "survives toy.py both: a and # an or in a comment stays b -> a or # an or in a comment stays b (line 15)",
+        "4 mutants: 2 killed by tests/test_toy.py, 0 by the full suite, 2 survive it",
         "survivor toy.py big: x # > in a comment between the operands >= 1000 -> x # > in a comment between the operands > 1000 (line 7)",
+        "survivor toy.py both: a and # an or in a comment stays b -> a or # an or in a comment stays b (line 15)",
     ]
     assert code == 1
     # the tree it mutated was a copy
